@@ -33,7 +33,7 @@ from repro.cluster.comm import CommStep
 from repro.cluster.shared_random import SharedRandomness
 from repro.core.drr import build_drr_forest, charge_forest_build, merge_forest
 from repro.core.labels import PartIndex, canonical_labels, initial_labels
-from repro.core.outgoing import select_outgoing_edges, sketch_prune_default
+from repro.core.outgoing import select_outgoing_edges
 from repro.core.proxy import proxy_of_labels
 from repro.runtime.config import SketchConfig, resolve_sketch
 from repro.util.bits import bits_for_id
@@ -181,7 +181,6 @@ def connected_components_distributed(
     parts: PartIndex | None = None
     inc_part: np.ndarray | None = None
     inc_cross: np.ndarray | None = None
-    prune = sketch_prune_default()
     # Initial labels are the vertex ids, so the pre-loop component count
     # is exactly n (keeps a max_phases=0 call honest without an upfront
     # np.unique pass).
@@ -194,8 +193,7 @@ def connected_components_distributed(
         if parts is None:
             parts = PartIndex.build(labels, cluster.partition)
             inc_part = parts.part_of_vertex[cluster.inc_owner]
-            if prune:
-                inc_cross = labels[cluster.inc_owner] != labels[cluster.inc_other]
+            inc_cross = labels[cluster.inc_owner] != labels[cluster.inc_other]
             n_components = parts.n_components
         selection = select_outgoing_edges(
             cluster,
@@ -206,7 +204,6 @@ def connected_components_distributed(
             inc_part=inc_part,
             repetitions=repetitions,
             hash_family=hash_family,
-            prune=prune,
             inc_cross=inc_cross,
         )
         _charge_termination_check(cluster, phase)

@@ -41,11 +41,7 @@ from repro.cluster.comm import CommStep
 from repro.cluster.shared_random import SharedRandomness
 from repro.core.drr import build_drr_forest, charge_forest_build, merge_forest
 from repro.core.labels import PartIndex, initial_labels
-from repro.core.outgoing import (
-    OutgoingSelection,
-    select_outgoing_edges,
-    sketch_prune_default,
-)
+from repro.core.outgoing import OutgoingSelection, select_outgoing_edges
 from repro.core.proxy import proxies_to_parts
 from repro.runtime.config import SketchConfig, resolve_sketch
 from repro.util.bits import bits_for_id
@@ -163,7 +159,6 @@ def minimum_spanning_tree_distributed(
     parts = None
     inc_part = None
     inc_cross = None
-    prune = sketch_prune_default()
     for phase in range(1, budget + 1):
         phases = phase
         rounds_before = cluster.ledger.total_rounds
@@ -172,8 +167,7 @@ def minimum_spanning_tree_distributed(
         if parts is None:
             parts = PartIndex.build(labels, cluster.partition)
             inc_part = parts.part_of_vertex[cluster.inc_owner]
-            if prune:
-                inc_cross = labels[cluster.inc_owner] != labels[cluster.inc_other]
+            inc_cross = labels[cluster.inc_owner] != labels[cluster.inc_other]
         c = parts.n_components
         bound = np.full(c, np.inf, dtype=np.float64)
         best_slot = np.full(c, -1, dtype=np.int64)
@@ -202,7 +196,6 @@ def minimum_spanning_tree_distributed(
                 hash_family=hash_family,
                 weight_bound_per_comp=np.where(active, bound, 0.0),
                 want_weights=True,
-                prune=prune,
                 inc_cross=inc_cross,
             )
             last_proxy = selection.comp_proxy

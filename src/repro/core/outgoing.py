@@ -17,21 +17,19 @@ bound: incidences whose edge weight meets/exceeds the bound are zeroed out
 before sketching (Section 3.1's edge-elimination), and the reply to the
 label query additionally carries the sampled edge's weight.
 
-Late-phase pruning
-------------------
-By default the step pre-filters *component-internal* incidence pairs and
-sketches only the active frontier, grouping directly at component
-granularity.  Both shortcuts are exact — the resulting component sketches
-are byte-identical to the unpruned part-level pipeline (proof in
-:func:`select_outgoing_edges`), so every downstream decision, ledger
-charge, and committed baseline is unchanged; only the kernel work shrinks
-with the frontier.  ``REPRO_SKETCH_PRUNE=0`` (or ``prune=False``) restores
-the legacy execution path verbatim.
+Live-data sketching
+-------------------
+The step sketches only the live data: it drops *component-internal*
+incidence pairs, groups the surviving cut incidences directly at component
+granularity, and gives sketch rows only to the components that own one of
+them.  Each shortcut is exact — the resulting nonzero flags and samples are
+byte-identical to the part-level pipeline of the paper's steps 1-3 (proofs in
+:func:`select_outgoing_edges` and :func:`_sample_components`), so every
+downstream decision, ledger charge, and committed baseline is unchanged;
+only the kernel work shrinks with the frontier.
 """
 
 from __future__ import annotations
-
-import os
 
 from dataclasses import dataclass
 
@@ -43,23 +41,10 @@ from repro.cluster.shared_random import SharedRandomness
 from repro.core.labels import PartIndex
 from repro.core.proxy import parts_to_proxies, proxy_of_labels
 from repro.sketch.edgespace import decode_slot
-from repro.sketch.l0 import SketchContext, SketchSpec
+from repro.sketch.l0 import SampleResult, SketchContext, SketchSpec
 from repro.util.bits import bits_for_id
 
-__all__ = ["OutgoingSelection", "select_outgoing_edges", "sketch_prune_default"]
-
-_PRUNE_ENV = "REPRO_SKETCH_PRUNE"
-_FALSY = ("0", "false", "off", "no")
-
-
-def sketch_prune_default() -> bool:
-    """Process-wide default for incidence pruning (``REPRO_SKETCH_PRUNE``).
-
-    Pruning is exact (see :func:`select_outgoing_edges`) and on by
-    default; the environment kill-switch exists so the legacy unpruned
-    pipeline stays runnable for speedup measurements and forensics.
-    """
-    return os.environ.get(_PRUNE_ENV, "1").strip().lower() not in _FALSY
+__all__ = ["OutgoingSelection", "select_outgoing_edges"]
 
 
 @dataclass(frozen=True)
@@ -113,7 +98,6 @@ def select_outgoing_edges(
     hash_family: str = "prf",
     weight_bound_per_comp: np.ndarray | None = None,
     want_weights: bool = False,
-    prune: bool | None = None,
     inc_cross: np.ndarray | None = None,
 ) -> OutgoingSelection:
     """Run one sketch-sample-resolve step; charges the cluster ledger.
@@ -145,52 +129,50 @@ def select_outgoing_edges(
         ``+inf`` (or None) keeps everything.
     want_weights:
         If True, label-query replies carry the edge weight (64 extra bits).
-    prune:
-        Pre-filter component-internal incidences and sketch the surviving
-        frontier directly at component granularity.  ``None`` (default)
-        reads :func:`sketch_prune_default`; ``False`` runs the legacy
-        part-level pipeline verbatim.  **Exactness proof** — the pruned
-        component sketches are byte-identical to the unpruned ones:
-
-        1. *Internal pairs cancel.*  An edge ``{u, v}`` with
-           ``labels[u] == labels[v]`` appears as two incidences carrying
-           the same canonical slot with opposite signs (the min-endpoint
-           owner gets +1).  Equal slots receive the same per-repetition
-           sampling depth and the same fingerprint power ``r^slot``, so at
-           component granularity — where both incidences land in the same
-           group — every accumulator sees ``+x`` and ``-x`` of the *same
-           exact integer*: counts and id-sums are exact signed int64, and
-           the fingerprint accumulators are exact signed sums of 30-bit
-           halves reduced to the canonical representative mod
-           ``p = 2^61 - 1``.  Dropping the pair changes no accumulator
-           value.  Under an MST weight bound both halves share the owner
-           component, hence the same bound and the same edge weight, so
-           they are always kept or dropped *together* — surviving internal
-           incidences still cancel pairwise.
-        2. *Part grouping commutes with aggregation.*  Sketch linearity:
-           grouping incidences by part and then summing parts into
-           components (``aggregate``) produces exact int64 counts/sums and
-           canonical mod-p fingerprints of the same residues as grouping
-           the incidences by component directly, so the two pipelines emit
-           identical bytes and the part-level pass can be skipped.
-
-        Every downstream consumer (nonzero test, sample, label queries)
-        reads only the component bundle, and every ledger charge depends
-        only on the part/proxy structure and ``spec.message_bits`` — never
-        on sketch *contents* — so selections, rounds, and RunReport
-        envelopes are byte-identical either way.  Pinned by
-        ``tests/core/test_pruning.py``.
     inc_cross:
         Pre-computed ``labels[cluster.inc_owner] !=
         labels[cluster.inc_other]`` (must belong to ``labels``); recomputed
         if omitted.  Amortizable across iterations exactly like
-        ``inc_part``.  Ignored when pruning is off.
+        ``inc_part``.
+
+    Notes
+    -----
+    The paper's pipeline sketches every incidence per part, ships the part
+    sketches, and sums them per component at the proxy.  This step instead
+    drops component-internal incidences and groups the rest directly by
+    component.  **Exactness proof** — the component sketches are
+    byte-identical to the part-level ones:
+
+    1. *Internal pairs cancel.*  An edge ``{u, v}`` with
+       ``labels[u] == labels[v]`` appears as two incidences carrying the
+       same canonical slot with opposite signs (the min-endpoint owner gets
+       +1).  Equal slots receive the same per-repetition sampling depth and
+       the same fingerprint power ``r^slot``, so at component granularity —
+       where both incidences land in the same group — every accumulator
+       sees ``+x`` and ``-x`` of the *same exact integer*: counts and
+       id-sums are exact signed int64, and the fingerprint accumulators are
+       exact signed sums of 30-bit halves reduced to the canonical
+       representative mod ``p = 2^61 - 1``.  Dropping the pair changes no
+       accumulator value.  Under an MST weight bound both halves share the
+       owner component, hence the same bound and the same edge weight, so
+       they are always kept or dropped *together* — surviving internal
+       incidences still cancel pairwise.
+    2. *Part grouping commutes with aggregation.*  Sketch linearity:
+       grouping incidences by part and then summing parts into components
+       (``aggregate``) produces exact int64 counts/sums and canonical mod-p
+       fingerprints of the same residues as grouping the incidences by
+       component directly, so the part-level pass can be skipped.
+
+    Every downstream consumer (nonzero test, sample, label queries) reads
+    only the per-component nonzero flags and samples, and every ledger
+    charge depends only on the part/proxy structure and
+    ``spec.message_bits`` — never on sketch *contents* — so selections,
+    rounds, and RunReport envelopes are byte-identical to the part-level
+    pipeline.  Pinned against it by ``tests/core/test_pruning.py``.
     """
     n, k = cluster.n, cluster.k
     if parts is None:
         parts = PartIndex.build(labels, cluster.partition)
-    if prune is None:
-        prune = sketch_prune_default()
     seed = shared.sketch_seed(phase) if sketch_seed is None else sketch_seed
     spec = SketchSpec.for_graph(n, seed, repetitions=repetitions, hash_family=hash_family)
     shared.charge_sketch_seed_distribution(cluster.ledger, phase)
@@ -203,22 +185,8 @@ def select_outgoing_edges(
         bound = np.asarray(weight_bound_per_comp, dtype=np.float64)
         if bound.shape != (parts.n_components,):
             raise ValueError("weight_bound_per_comp must align with components")
-    if prune:
-        if inc_cross is None:
-            inc_cross = labels[cluster.inc_owner] != labels[cluster.inc_other]
-        inc_comp = parts.comp_of_part[inc_part]
-        keep = inc_cross
-        if bound is not None:
-            keep = keep & (cluster.inc_weight < bound[inc_comp])
-        ctx = SketchContext(spec, cluster.inc_slot[keep], cluster.inc_sign[keep])
-        comp_group = inc_comp[keep]
-    else:
-        ctx = SketchContext(spec, cluster.inc_slot, cluster.inc_sign)
-        mask = None
-        if bound is not None:
-            inc_comp = parts.comp_of_part[inc_part]
-            mask = cluster.inc_weight < bound[inc_comp]
-        part_bundle = ctx.group_sums(inc_part, parts.n_parts, mask=mask)
+    if inc_cross is None:
+        inc_cross = labels[cluster.inc_owner] != labels[cluster.inc_other]
 
     # 2. Ship part sketches to component proxies (Lemma 1 pattern).
     stream = shared.proxy_stream(phase, iteration)
@@ -232,15 +200,9 @@ def select_outgoing_edges(
         spec.message_bits,
     )
 
-    # 3. Proxy-side combination and sampling (Lemma 2).  With pruning the
-    # frontier incidences were grouped at component granularity directly
-    # (byte-identical to part-then-aggregate; see the docstring proof).
-    if prune:
-        comp_bundle = ctx.group_sums(comp_group, parts.n_components)
-    else:
-        comp_bundle = part_bundle.aggregate(parts.comp_of_part, parts.n_components)
-    nonzero = comp_bundle.nonzero_mask()
-    sample = comp_bundle.sample()
+    # 3. Proxy-side combination and sampling (Lemma 2), computed for steps
+    # 1 and 3 at once at component granularity (see the proof above).
+    nonzero, sample = _sample_components(cluster, spec, parts, inc_part, inc_cross, bound)
     found = sample.found
 
     c = parts.n_components
@@ -283,6 +245,51 @@ def select_outgoing_edges(
         foreign_vertex=foreign,
         neighbor_label=neighbor_label,
         edge_weight=weight,
+    )
+
+
+def _sample_components(
+    cluster: KMachineCluster,
+    spec: SketchSpec,
+    parts: PartIndex,
+    inc_part: np.ndarray,
+    inc_cross: np.ndarray,
+    bound: np.ndarray | None,
+) -> tuple[np.ndarray, SampleResult]:
+    """Per component: is its cut sketch nonzero, and one sampled cut edge.
+
+    Sketches the cross-component incidences under ``bound`` grouped by
+    component, with rows only for the *live* components — those owning at
+    least one kept incidence.  ``present`` marks them and ``cumsum(present)
+    - 1`` numbers them densely in component order, in O(E + C) with no
+    sort.  **Exactness:** a sketch row depends only on the incidences of
+    its own group, and :meth:`~repro.sketch.l0.SketchBundle.nonzero_mask`
+    and :meth:`~repro.sketch.l0.SketchBundle.sample` decide each row on
+    its own, so a live component reads the same flag and sample from its
+    compact row as from its row in the full ``(C, R, L)`` tensor.  Every
+    other component's full row is all zero, which reads ``nonzero=False``
+    and ``found=False, slot=-1, sign=0`` — exactly the values it is given
+    here without being sketched.
+    """
+    inc_comp = parts.comp_of_part[inc_part]
+    keep = inc_cross
+    if bound is not None:
+        keep = keep & (cluster.inc_weight < bound[inc_comp])
+    comp_group = inc_comp[keep]
+    c = parts.n_components
+    present = np.bincount(comp_group, minlength=c) > 0
+    compact = np.cumsum(present) - 1
+    ctx = SketchContext(spec, cluster.inc_slot[keep], cluster.inc_sign[keep])
+    bundle = ctx.group_sums(compact[comp_group], int(np.count_nonzero(present)))
+    live = bundle.sample()
+
+    def widen(values: np.ndarray, fill) -> np.ndarray:
+        out = np.full(c, fill, dtype=values.dtype)
+        out[present] = values
+        return out
+
+    return widen(bundle.nonzero_mask(), False), SampleResult(
+        widen(live.found, False), widen(live.slots, -1), widen(live.signs, 0)
     )
 
 

@@ -182,7 +182,16 @@ class SketchSpec:
 
 @dataclass
 class SketchBundle:
-    """Sketches of ``G`` groups: triples of shape ``(G, R, L)``.
+    """Sketches of ``G`` groups: triples of shape ``(G, R, L')``.
+
+    ``L'`` is at most ``spec.levels`` and at least 1.  Levels ``L'`` and up
+    are **identically zero** and not stored: :meth:`SketchContext.group_sums`
+    builds the level axis only as deep as the deepest incidence it sketched,
+    because a level no incidence reaches has an empty suffix sum.  Every
+    operation reads a missing level as zero — :meth:`add` zero-pads to the
+    longer operand, and :meth:`sample` / :meth:`nonzero_mask` find no
+    candidate and no fingerprint there — so a bundle means the same sketch
+    at any ``L'`` that covers its nonzero levels.
 
     Supports the two linear operations the algorithms need: entrywise
     addition (:meth:`add`) and regrouping (:meth:`aggregate`), plus the
@@ -190,9 +199,9 @@ class SketchBundle:
     """
 
     spec: SketchSpec
-    counts: np.ndarray  # int64 (G, R, L)
-    sums: np.ndarray  # int64 (G, R, L), exact signed slot-id sums
-    fps: np.ndarray  # uint64 (G, R, L), values in [0, p)
+    counts: np.ndarray  # int64 (G, R, L')
+    sums: np.ndarray  # int64 (G, R, L'), exact signed slot-id sums
+    fps: np.ndarray  # uint64 (G, R, L'), values in [0, p)
 
     @property
     def n_groups(self) -> int:
@@ -200,17 +209,24 @@ class SketchBundle:
         return int(self.counts.shape[0])
 
     def add(self, other: "SketchBundle") -> "SketchBundle":
-        """Entrywise sum (sketch linearity; groups must align)."""
+        """Entrywise sum (sketch linearity; groups must align).
+
+        The shallower operand's missing levels are zero, so its stored
+        levels add onto the first levels of the deeper one.
+        """
         if other.spec != self.spec:
             raise ValueError("cannot add sketches with different specs")
-        if other.counts.shape != self.counts.shape:
+        if other.counts.shape[:2] != self.counts.shape[:2]:
             raise ValueError("group shapes differ")
-        return SketchBundle(
-            spec=self.spec,
-            counts=self.counts + other.counts,
-            sums=self.sums + other.sums,
-            fps=addmod(self.fps, other.fps),
-        )
+        deep, shallow = self, other
+        if other.counts.shape[2] > self.counts.shape[2]:
+            deep, shallow = other, self
+        levels = shallow.counts.shape[2]
+        counts, sums, fps = deep.counts.copy(), deep.sums.copy(), deep.fps.copy()
+        counts[:, :, :levels] += shallow.counts
+        sums[:, :, :levels] += shallow.sums
+        fps[:, :, :levels] = addmod(fps[:, :, :levels], shallow.fps)
+        return SketchBundle(spec=self.spec, counts=counts, sums=sums, fps=fps)
 
     def aggregate(self, group_map: np.ndarray, n_out: int) -> "SketchBundle":
         """Sum rows into ``n_out`` new groups: row g -> group_map[g].
@@ -247,52 +263,65 @@ class SketchBundle:
     def sample(self) -> "SampleResult":
         """Recover one surviving slot per group where possible.
 
-        Scans all (repetition, level) cells for verified one-sparse
-        recoveries and returns, per group, the recovery from the deepest
-        valid level of the first succeeding repetition (deep levels have
-        the fewest survivors, giving the closest-to-uniform choice).
+        Considers the (repetition, level) cells holding a one-sparse
+        candidate in the order repetition ascending, level descending, and
+        returns per group the first candidate whose fingerprint verifies
+        (deep levels have the fewest survivors, giving the
+        closest-to-uniform choice).
+
+        **Head first.**  Verification is the costly step (a powmod per
+        candidate), and a group's first candidate almost always verifies:
+        a multi-slot cell passes ``|c| == 1`` only by accident, while the
+        levels just above a one-sparse level often hold the *same* single
+        slot again.  So one batched powmod verifies only each group's first
+        candidate, and a second batch verifies every remaining candidate
+        of the few groups whose first one failed.  The first verified
+        candidate in that order is the same cell whichever way it was
+        found, so the result equals verifying every candidate at once.
         """
         g, r, l = self.counts.shape
-        c = self.counts
-        cand = np.abs(c) == 1
-        slots_all = self.sums * c  # c in {-1,+1} on candidate cells
-        n2 = np.int64(self.spec.n) * np.int64(self.spec.n)
-        cand &= (slots_all >= 0) & (slots_all < n2)
         found = np.zeros(g, dtype=bool)
         out_slot = np.full(g, -1, dtype=np.int64)
         out_sign = np.zeros(g, dtype=np.int64)
-        if not cand.any():
+        # Reversing the level axis makes np.nonzero's C order the wanted
+        # order: group, repetition ascending, level descending.
+        gi, ri, li = np.nonzero(np.abs(self.counts[:, :, ::-1]) == 1)
+        li = (l - 1) - li
+        signs = self.counts[gi, ri, li]
+        slots = self.sums[gi, ri, li] * signs  # c in {-1,+1}: slot = c * s
+        in_range = (slots >= 0) & (slots < np.int64(self.spec.n) * np.int64(self.spec.n))
+        gi, ri, li, slots, signs = (a[in_range] for a in (gi, ri, li, slots, signs))
+        if gi.size == 0:
             return SampleResult(found, out_slot, out_sign)
-        gi, ri, li = np.nonzero(cand)
-        slots = slots_all[gi, ri, li].astype(np.uint64)
-        signs = c[gi, ri, li]
-        fps = self.fps[gi, ri, li]
-        # Verify fingerprints for all candidates in one batched powmod:
-        # the base differs per repetition, so gather each candidate's base
-        # by its repetition index (powmod is elementwise, so this computes
-        # the same values the per-repetition loop did).
         bits = max_slot_bits(self.spec.n)
         bases = np.array(
             [self.spec.fingerprint_base(rep) for rep in range(r)], dtype=np.uint64
         )
-        expected = powmod(bases[ri], slots, max_exp_bits=bits)
-        neg = signs < 0
-        exp_signed = expected.copy()
-        exp_signed[neg] = (_P - expected[neg]) % _P
-        ok = fps == exp_signed
-        if not ok.any():
-            return SampleResult(found, out_slot, out_sign)
-        gi, ri, li, slots, signs = gi[ok], ri[ok], li[ok], slots[ok], signs[ok]
-        # Order candidates: repetition ascending, level descending; take the
-        # first per group.
-        order = np.lexsort(((l - 1 - li), ri, gi))
-        gi_o = gi[order]
-        first = np.ones(gi_o.size, dtype=bool)
-        first[1:] = gi_o[1:] != gi_o[:-1]
-        pick = order[first]
-        found[gi[pick]] = True
-        out_slot[gi[pick]] = slots[pick].astype(np.int64)
-        out_sign[gi[pick]] = signs[pick]
+
+        def verified(sel: np.ndarray) -> np.ndarray:
+            # One batched powmod; each candidate's base is its repetition's.
+            exps = slots[sel].astype(np.uint64)
+            expected = powmod(bases[ri[sel]], exps, max_exp_bits=bits)
+            neg = signs[sel] < 0
+            expected[neg] = (_P - expected[neg]) % _P
+            return self.fps[gi[sel], ri[sel], li[sel]] == expected
+
+        head = np.ones(gi.size, dtype=bool)
+        head[1:] = gi[1:] != gi[:-1]
+        heads = np.flatnonzero(head)
+        ok = heads[verified(heads)]
+        retry = np.ones(g, dtype=bool)
+        retry[gi[ok]] = False
+        rest = np.flatnonzero(~head & retry[gi])
+        if rest.size:
+            ok_rest = rest[verified(rest)]
+            # First verified per group: rest is still in candidate order.
+            first = np.ones(ok_rest.size, dtype=bool)
+            first[1:] = gi[ok_rest[1:]] != gi[ok_rest[:-1]]
+            ok = np.concatenate([ok, ok_rest[first]])
+        found[gi[ok]] = True
+        out_slot[gi[ok]] = slots[ok]
+        out_sign[gi[ok]] = signs[ok]
         return SampleResult(found, out_slot, out_sign)
 
 
@@ -323,8 +352,11 @@ class SketchContext:
     assignment (component labels) and the sketch randomness (per phase) do.
     ``SketchContext`` therefore precomputes, per repetition, each
     incidence's sampling level and fingerprint contribution, after which
-    *any* grouping can be sketched with three scatter-adds
-    (:meth:`group_sums`).  This keeps per-phase work O(R * E) with small
+    *any* grouping can be sketched by :meth:`group_sums`: four
+    ``bincount`` scatters over the R * E selected (incidence, repetition)
+    entries into a ``(G, R, L')`` tensor, ``L'`` being one past the deepest
+    selected incidence.  Construction is O(R * E) and each
+    :meth:`group_sums` call O(R * (E_selected + G * L')) with small
     constants — the optimization that makes large sweeps feasible.
 
     In model terms each machine computes this context restricted to its own
@@ -446,11 +478,20 @@ class SketchContext:
         ``mask`` (optional) drops incidences — used by the MST edge
         elimination, which zeroes out slots whose edge weight exceeds the
         current threshold (Section 3.1).
+
+        Returns a ``(n_groups, R, L')`` bundle with ``L' = max(1, deepest
+        selected depth + 1)``, not ``spec.levels``: level ``l`` sums the
+        incidences of depth ``>= l``, so every level past the deepest
+        selected incidence is identically zero and is left out (see
+        :class:`SketchBundle`).  The cost is O(R * E_selected) for the
+        scatters plus O(n_groups * R * L') for the suffix sums and the
+        mod-p recombination — it follows the live incidences and the
+        groups asked for, not the full level range.
         """
         gi = np.asarray(group_idx, dtype=np.int64)
         if gi.shape != self.slots.shape:
             raise ValueError("group_idx must have one entry per incidence")
-        r, l = self.spec.repetitions, self.spec.levels
+        r = self.spec.repetitions
         if mask is None:
             g_sel, sign_sel, slots_sel = gi, self.signs, self.slots
             d, f = self.depths, self.fp_contrib
@@ -459,6 +500,9 @@ class SketchContext:
             g_sel, sign_sel, slots_sel = gi[sel], self.signs[sel], self.slots[sel]
             d, f = self.depths[:, sel], self.fp_contrib[:, sel]
         e_sel = g_sel.size
+        # The level trim, decided once on the whole selection so that every
+        # shard chunk below scatters into the same (n_groups, R, l) shape.
+        l = int(d.max()) + 1 if e_sel else 1
 
         def scatter_chunk(gs, signs, slots_c, d_c, f_c):
             """The four scatter-adds over one incidence chunk (pre-cumsum).

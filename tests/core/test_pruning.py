@@ -1,17 +1,20 @@
-"""Property suite: late-phase incidence pruning is byte-invisible.
+"""Property suite: live-data sketching is byte-invisible.
 
-``select_outgoing_edges(prune=True)`` drops component-internal incidence
-pairs before sketching; the docstring in :mod:`repro.core.outgoing`
-proves their contributions cancel exactly, so the pruned and legacy
-paths must agree on every output byte — selections, ledger charges, and
-full-run envelopes — across graph families x seeds x phase depths.
-Hypothesis drives the family/seed/phase axes; any counterexample it
-finds is a hole in the cancellation proof, not measurement noise.
+``select_outgoing_edges`` drops component-internal incidence pairs, groups
+the rest by component and sketches only the components that own one; the
+docstrings in :mod:`repro.core.outgoing` prove all of it exact.  So it
+must agree on every output byte — selections, ledger charges, and full-run
+envelopes — with :func:`_part_level_oracle`, the paper's unpruned pipeline
+(every incidence grouped by part, then ``aggregate``, then ``sample``),
+across graph families x seeds x phase depths.  Hypothesis drives the
+family/seed/phase axes; any counterexample it finds is a hole in the
+proofs, not measurement noise.
 """
 
 from __future__ import annotations
 
-import os
+from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,8 +25,10 @@ from repro import generators as gen
 from repro.cluster.cluster import KMachineCluster
 from repro.cluster.shared_random import SharedRandomness
 from repro.core.labels import initial_labels
-from repro.core.outgoing import select_outgoing_edges, sketch_prune_default
+from repro.core import outgoing
+from repro.core.outgoing import select_outgoing_edges
 from repro.runtime import ClusterConfig, RunConfig, Session
+from repro.sketch.l0 import SketchContext
 
 #: name -> graph factory; spans dense random, high-diameter, and
 #: multi-component families (the late-phase shapes differ in each).
@@ -35,6 +40,27 @@ FAMILIES = {
         [gen.path_graph(30), gen.cycle_graph(30), gen.gnm_random(30, 60, seed=seed)]
     ),
 }
+
+
+def _part_level_oracle(cluster, spec, parts, inc_part, inc_cross, bound):
+    """The unpruned pipeline: all incidences by part, then aggregate, then sample."""
+    ctx = SketchContext(spec, cluster.inc_slot, cluster.inc_sign)
+    mask = None
+    if bound is not None:
+        mask = cluster.inc_weight < bound[parts.comp_of_part[inc_part]]
+    part_bundle = ctx.group_sums(inc_part, parts.n_parts, mask=mask)
+    comp_bundle = part_bundle.aggregate(parts.comp_of_part, parts.n_components)
+    return comp_bundle.nonzero_mask(), comp_bundle.sample()
+
+
+@contextmanager
+def _sketching(live: bool):
+    """Run the block on the live-data path, or on the part-level oracle."""
+    if live:
+        yield
+    else:
+        with mock.patch.object(outgoing, "_sample_components", _part_level_oracle):
+            yield
 
 
 def _selection_state(sel) -> tuple:
@@ -87,15 +113,16 @@ def _merge(labels: np.ndarray, sel) -> np.ndarray:
 )
 @settings(max_examples=25, deadline=None)
 def test_selection_bytes_identical_across_phases(family, seed, phases):
-    """Pruned == legacy at every phase of a Boruvka-style label evolution."""
+    """Live == part-level at every phase of a Boruvka-style label evolution."""
     g = FAMILIES[family](seed)
     labels = initial_labels(g.n)
     for phase in range(1, phases + 1):
         states, ledgers = [], []
-        for prune in (False, True):
+        for live in (False, True):
             cl = KMachineCluster.create(g, k=4, seed=seed)
             shared = SharedRandomness(master_seed=seed, n=g.n, k=4)
-            sel = select_outgoing_edges(cl, shared, labels, phase=phase, prune=prune)
+            with _sketching(live):
+                sel = select_outgoing_edges(cl, shared, labels, phase=phase)
             states.append(_selection_state(sel))
             ledgers.append(_ledger_state(cl))
         assert states[0] == states[1], f"selection diverged at phase {phase}"
@@ -108,7 +135,7 @@ def test_selection_bytes_identical_across_phases(family, seed, phases):
 @given(seed=st.integers(min_value=0, max_value=50))
 @settings(max_examples=15, deadline=None)
 def test_selection_identical_under_weight_bound(seed):
-    """The MST path: per-component weight bounds prune asymmetrically."""
+    """The MST path: per-component weight bounds drop incidences asymmetrically."""
     g = gen.with_unique_weights(gen.gnm_random(80, 240, seed=seed), seed=seed)
     labels = (np.arange(g.n, dtype=np.int64) % 8) * (g.n // 8)
     labels = np.sort(labels)  # 8 components, canonical smallest-member labels
@@ -116,18 +143,13 @@ def test_selection_identical_under_weight_bound(seed):
     rng = np.random.default_rng(seed)
     bound = rng.uniform(0.2, 1.0, size=n_comp)
     states = []
-    for prune in (False, True):
+    for live in (False, True):
         cl = KMachineCluster.create(g, k=4, seed=seed)
         shared = SharedRandomness(master_seed=seed, n=g.n, k=4)
-        sel = select_outgoing_edges(
-            cl,
-            shared,
-            labels,
-            phase=2,
-            weight_bound_per_comp=bound,
-            want_weights=True,
-            prune=prune,
-        )
+        with _sketching(live):
+            sel = select_outgoing_edges(
+                cl, shared, labels, phase=2, weight_bound_per_comp=bound, want_weights=True
+            )
         states.append(_selection_state(sel))
     assert states[0] == states[1]
 
@@ -136,22 +158,13 @@ def test_selection_identical_under_weight_bound(seed):
 @given(family=st.sampled_from(sorted(FAMILIES)), seed=st.integers(min_value=0, max_value=20))
 @settings(max_examples=10, deadline=None)
 def test_full_run_envelopes_identical(algorithm, family, seed):
-    """End to end: REPRO_SKETCH_PRUNE=0 and the default produce the same bytes."""
+    """End to end: the part-level oracle and the live-data path produce the same bytes."""
     g = FAMILIES[family](seed)
     if algorithm == "mst":
         g = gen.with_unique_weights(g, seed=seed)
     cfg = RunConfig(seed=seed, cluster=ClusterConfig(k=4))
-    saved = os.environ.get("REPRO_SKETCH_PRUNE")
-    try:
-        os.environ["REPRO_SKETCH_PRUNE"] = "0"
-        assert not sketch_prune_default()
-        legacy = Session(g, config=cfg).run(algorithm).to_json(include_timing=False)
-        os.environ.pop("REPRO_SKETCH_PRUNE")
-        assert sketch_prune_default()
-        pruned = Session(g, config=cfg).run(algorithm).to_json(include_timing=False)
-    finally:
-        if saved is None:
-            os.environ.pop("REPRO_SKETCH_PRUNE", None)
-        else:
-            os.environ["REPRO_SKETCH_PRUNE"] = saved
-    assert legacy == pruned
+    envelopes = []
+    for live in (False, True):
+        with _sketching(live):
+            envelopes.append(Session(g, config=cfg).run(algorithm).to_json(include_timing=False))
+    assert envelopes[0] == envelopes[1]

@@ -161,7 +161,14 @@ def _oracle_aggregate(bundle: SketchBundle, gm, n_out) -> SketchBundle:
     return SketchBundle(bundle.spec, counts, sums, _combine_halves(lo, hi))
 
 
+def _full_depth(b: SketchBundle) -> SketchBundle:
+    """``b`` with its trimmed (identically zero) levels stored explicitly."""
+    pad = ((0, 0), (0, 0), (0, b.spec.levels - b.counts.shape[2]))
+    return SketchBundle(b.spec, np.pad(b.counts, pad), np.pad(b.sums, pad), np.pad(b.fps, pad))
+
+
 def _assert_bundles_equal(a: SketchBundle, b: SketchBundle) -> None:
+    a, b = _full_depth(a), _full_depth(b)
     assert np.array_equal(a.counts, b.counts)
     assert np.array_equal(a.sums, b.sums)
     assert np.array_equal(a.fps, b.fps)

@@ -161,7 +161,16 @@ class TestLinearity:
         b1 = sketch_of_vertex_set(n, [(0, 5)], {0}, spec)
         b2 = sketch_of_vertex_set(n, [(1, 6)], {1}, spec)
         s = b1.add(b2)
-        assert np.array_equal(s.counts, b1.counts + b2.counts)
+        # Bundles store levels only down to their deepest incidence; the
+        # missing levels are zero, so the sum zero-pads the shallower one.
+        depth = max(b1.counts.shape[2], b2.counts.shape[2])
+        assert s.counts.shape[2] == depth
+
+        def pad(a):
+            return np.pad(a, ((0, 0), (0, 0), (0, depth - a.shape[2])))
+
+        assert np.array_equal(s.counts, pad(b1.counts) + pad(b2.counts))
+        assert np.array_equal(s.fps, b2.add(b1).fps)
 
     def test_add_rejects_spec_mismatch(self):
         n = 12

@@ -1,0 +1,338 @@
+"""Live-data sketching equals the full-depth dense sketch, byte for byte.
+
+Outgoing-edge selection sketches only live data: it gives sketch rows only
+to the components that own a kept incidence
+(:func:`repro.core.outgoing._sample_components`), ``group_sums`` builds the
+level axis only down to the deepest selected incidence, and ``sample``
+verifies each group's first candidate before any other.  This suite pins
+all three against an independent oracle: every group gets a row, every
+level of ``spec.levels`` is stored, the cells are accumulated one
+incidence at a time with Python integers, and every candidate is verified
+with Python's ``pow``.  Hypothesis covers random incidence lists, untouched
+groups, masks, weight bounds, a single group, empty selections and
+incidences forced to the maximum depth; the remaining tests pin the sample
+fallback order, linearity on trimmed bundles, and the level trim under
+sharded execution.
+"""
+
+from __future__ import annotations
+
+from types import SimpleNamespace
+from unittest import mock
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core import outgoing
+from repro.sketch.field import MERSENNE_P
+from repro.sketch.l0 import SampleResult, SketchBundle, SketchContext, SketchSpec
+from repro.util.parallel import MIN_SHARD_ITEMS, parallel_default, parallel_shards
+
+P = MERSENNE_P
+
+
+# --------------------------------------------------------------------------
+# The oracle: full-depth dense tensors, every candidate verified
+# --------------------------------------------------------------------------
+
+
+def _dense_oracle(ctx: SketchContext, group, n_groups: int, keep) -> SketchBundle:
+    """Every group and every level; one incidence at a time, exact ints."""
+    r, l = ctx.spec.repetitions, ctx.spec.levels
+    counts = np.zeros((n_groups, r, l), dtype=np.int64)
+    sums = np.zeros((n_groups, r, l), dtype=np.int64)
+    fps = np.zeros((n_groups, r, l), dtype=np.uint64)
+    for i in np.flatnonzero(keep):
+        g, sign, slot = int(group[i]), int(ctx.signs[i]), int(ctx.slots[i])
+        for rep in range(r):
+            fp = int(ctx.fp_contrib[rep, i])
+            for lev in range(int(ctx.depths[rep, i]) + 1):
+                counts[g, rep, lev] += sign
+                sums[g, rep, lev] += sign * slot
+                fps[g, rep, lev] = (int(fps[g, rep, lev]) + sign * fp) % P
+    return SketchBundle(ctx.spec, counts, sums, fps)
+
+
+def _sample_oracle(b: SketchBundle) -> SampleResult:
+    """First verified candidate per group, repetition up, level down."""
+    g, r, l = b.counts.shape
+    n2 = b.spec.n * b.spec.n
+    found = np.zeros(g, dtype=bool)
+    slots = np.full(g, -1, dtype=np.int64)
+    signs = np.zeros(g, dtype=np.int64)
+    for gi in range(g):
+        cells = ((rep, lev) for rep in range(r) for lev in reversed(range(l)))
+        for rep, lev in cells:
+            c = int(b.counts[gi, rep, lev])
+            slot = c * int(b.sums[gi, rep, lev])
+            if abs(c) != 1 or not 0 <= slot < n2:
+                continue
+            want = pow(b.spec.fingerprint_base(rep), slot, P)
+            if int(b.fps[gi, rep, lev]) == (want if c > 0 else (P - want) % P):
+                found[gi], slots[gi], signs[gi] = True, slot, c
+                break
+    return SampleResult(found, slots, signs)
+
+
+def _oracle_add(a: SketchBundle, b: SketchBundle) -> SketchBundle:
+    fps = (a.fps.astype(object) + b.fps.astype(object)) % P
+    return SketchBundle(a.spec, a.counts + b.counts, a.sums + b.sums, fps.astype(np.uint64))
+
+
+def _oracle_aggregate(b: SketchBundle, gm: np.ndarray, n_out: int) -> SketchBundle:
+    out = [np.zeros((n_out,) + b.counts.shape[1:], dtype=object) for _ in range(3)]
+    for acc, rows in zip(out, (b.counts, b.sums, b.fps)):
+        np.add.at(acc, gm, rows.astype(object))
+    counts, sums, fps = out
+    return SketchBundle(
+        b.spec, counts.astype(np.int64), sums.astype(np.int64), (fps % P).astype(np.uint64)
+    )
+
+
+def _full_depth(b: SketchBundle) -> SketchBundle:
+    """``b`` with its trimmed (identically zero) levels stored explicitly."""
+    pad = ((0, 0), (0, 0), (0, b.spec.levels - b.counts.shape[2]))
+    return SketchBundle(b.spec, np.pad(b.counts, pad), np.pad(b.sums, pad), np.pad(b.fps, pad))
+
+
+def _assert_same_bundle(a: SketchBundle, b: SketchBundle) -> None:
+    a, b = _full_depth(a), _full_depth(b)
+    assert a.counts.tobytes() == b.counts.tobytes()
+    assert a.sums.tobytes() == b.sums.tobytes()
+    assert a.fps.tobytes() == b.fps.tobytes()
+
+
+def _sample_bytes(s: SampleResult) -> tuple:
+    return s.found.tobytes(), s.slots.tobytes(), s.signs.tobytes()
+
+
+def _deep_context(deep_slots: np.ndarray):
+    """A SketchContext whose incidences on ``deep_slots`` sit at max depth.
+
+    Forcing by slot keeps equal slots at equal depths, as hashing does.
+    """
+
+    class DeepContext(SketchContext):
+        def __init__(self, spec, slots, signs):
+            super().__init__(spec, slots, signs)
+            self.depths[:, np.isin(self.slots, deep_slots)] = spec.levels - 1
+
+    return DeepContext
+
+
+# --------------------------------------------------------------------------
+# Random incidence lists
+# --------------------------------------------------------------------------
+
+
+@st.composite
+def _incidences(draw):
+    n = draw(st.integers(min_value=2, max_value=48))
+    m = draw(st.integers(min_value=0, max_value=30))
+    u = np.array(draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m)), dtype=np.int64)
+    v = np.array(draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m)), dtype=np.int64)
+    if draw(st.booleans()):
+        # The cluster layout: both endpoints own an incidence, mirrored halves.
+        owners, others = np.concatenate([u, v]), np.concatenate([v, u])
+        signs = np.where(owners < others, 1, -1).astype(np.int64)
+    else:
+        owners, others = u, v
+        signs = np.array(
+            draw(st.lists(st.sampled_from([-1, 1]), min_size=m, max_size=m)), dtype=np.int64
+        )
+    slots = (np.minimum(owners, others) * n + np.maximum(owners, others)).astype(np.uint64)
+    return n, slots, signs, owners
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), inc=_incidences())
+def test_compact_trimmed_sample_matches_dense_oracle(data, inc):
+    """Selection's (nonzero, sample) equals the full-depth dense oracle's."""
+    n, slots, signs, owners = inc
+    e = slots.size
+    n_groups = data.draw(st.integers(min_value=1, max_value=8), label="n_groups")
+    # Incidences land on a subset of the groups; the rest stay untouched.
+    used = np.array(
+        data.draw(
+            st.lists(st.integers(0, n_groups - 1), min_size=1, max_size=n_groups, unique=True)
+        )
+    )
+    if data.draw(st.booleans(), label="group by owner"):
+        # Component-like groups: an edge inside one cancels to a zero row.
+        group = used[owners % used.size]
+    else:
+        group = np.array([data.draw(st.sampled_from(used)) for _ in range(e)], dtype=np.int64)
+    mask_kind = data.draw(st.sampled_from(["all", "empty", "random"]))
+    if mask_kind == "random":
+        cross = np.array([data.draw(st.booleans()) for _ in range(e)], dtype=bool)
+    else:
+        cross = np.full(e, mask_kind == "all")
+    weights = np.array([data.draw(st.floats(0.0, 1.0)) for _ in range(e)], dtype=np.float64)
+    bound = None
+    if data.draw(st.booleans(), label="weight bound"):
+        bound = np.array([data.draw(st.floats(0.0, 1.0)) for _ in range(n_groups)])
+    deep = np.unique(slots[[data.draw(st.booleans()) for _ in range(e)]]) if e else slots
+    spec = SketchSpec.for_graph(
+        n,
+        seed=data.draw(st.integers(0, 1 << 30)),
+        repetitions=data.draw(st.integers(1, 3)),
+        hash_family=data.draw(st.sampled_from(["prf", "polynomial"])),
+    )
+    context = _deep_context(deep)
+
+    keep = cross if bound is None else cross & (weights < bound[group])
+    oracle = _dense_oracle(context(spec, slots, signs), group, n_groups, keep)
+    want_nonzero = np.any(oracle.fps[:, :, 0] != 0, axis=1)
+
+    cluster = SimpleNamespace(inc_slot=slots, inc_sign=signs, inc_weight=weights)
+    parts = SimpleNamespace(comp_of_part=np.arange(n_groups, dtype=np.int64), n_components=n_groups)
+    with mock.patch.object(outgoing, "SketchContext", context), parallel_shards(None):
+        nonzero, sample = outgoing._sample_components(cluster, spec, parts, group, cross, bound)
+    assert nonzero.tobytes() == want_nonzero.tobytes()
+    assert _sample_bytes(sample) == _sample_bytes(_sample_oracle(oracle))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), inc=_incidences())
+def test_trimmed_group_sums_add_and_aggregate_match_oracle(data, inc):
+    """group_sums, add and aggregate on trimmed bundles equal the dense ones."""
+    n, slots, signs, _ = inc
+    e = slots.size
+    n_groups = data.draw(st.integers(min_value=1, max_value=5))
+    group = np.array([data.draw(st.integers(0, n_groups - 1)) for _ in range(e)], dtype=np.int64)
+    # Two masks give two bundles trimmed to (usually) different depths.
+    mask_a = np.array([data.draw(st.booleans()) for _ in range(e)], dtype=bool)
+    mask_b = np.array([data.draw(st.booleans()) for _ in range(e)], dtype=bool)
+    spec = SketchSpec.for_graph(n, seed=data.draw(st.integers(0, 1 << 30)), repetitions=2)
+    ctx = SketchContext(spec, slots, signs)
+    with parallel_shards(None):
+        a = ctx.group_sums(group, n_groups, mask=mask_a)
+        b = ctx.group_sums(group, n_groups, mask=mask_b)
+    want_a = _dense_oracle(ctx, group, n_groups, mask_a)
+    want_b = _dense_oracle(ctx, group, n_groups, mask_b)
+    _assert_same_bundle(a, want_a)
+    _assert_same_bundle(b, want_b)
+    deepest = int(ctx.depths[:, mask_a].max()) + 1 if mask_a.any() else 1
+    assert a.counts.shape == (n_groups, 2, deepest)
+
+    _assert_same_bundle(a.add(b), _oracle_add(want_a, want_b))
+    _assert_same_bundle(b.add(a), _oracle_add(want_a, want_b))
+    n_out = data.draw(st.integers(min_value=1, max_value=3))
+    gm = np.array([data.draw(st.integers(0, n_out - 1)) for _ in range(n_groups)], dtype=np.int64)
+    _assert_same_bundle(a.aggregate(gm, n_out), _oracle_aggregate(want_a, gm, n_out))
+    assert _sample_bytes(a.sample()) == _sample_bytes(_sample_oracle(want_a))
+
+
+def test_single_group_and_empty_selection():
+    n = 20
+    slots = np.array([1 * n + 4, 2 * n + 9, 3 * n + 7], dtype=np.uint64)
+    signs = np.array([1, 1, -1], dtype=np.int64)
+    spec = SketchSpec.for_graph(n, seed=5, repetitions=3)
+    ctx = SketchContext(spec, slots, signs)
+    zeros, everything = np.zeros(3, dtype=np.int64), np.ones(3, dtype=bool)
+    _assert_same_bundle(ctx.group_sums(zeros, 1), _dense_oracle(ctx, zeros, 1, everything))
+    # Nothing selected: one level, all zero, nothing found.
+    empty = ctx.group_sums(np.zeros(3, dtype=np.int64), 4, mask=np.zeros(3, dtype=bool))
+    assert empty.counts.shape == (4, 3, 1)
+    assert not empty.nonzero_mask().any()
+    assert not empty.sample().found.any()
+    # No live component at all: nothing is sketched, every row reads empty.
+    cluster = SimpleNamespace(inc_slot=slots, inc_sign=signs, inc_weight=np.zeros(3))
+    parts = SimpleNamespace(comp_of_part=np.arange(2, dtype=np.int64), n_components=2)
+    nonzero, sample = outgoing._sample_components(
+        cluster, spec, parts, np.array([0, 1, 1]), np.zeros(3, dtype=bool), None
+    )
+    assert not nonzero.any() and not sample.found.any()
+    assert sample.slots.tolist() == [-1, -1] and sample.signs.tolist() == [0, 0]
+
+
+def test_live_zero_row_keeps_its_place():
+    # Component 0 is live but its two incidences cancel; 1 is untouched;
+    # 2 owns one cut incidence.  Each must read its own row back.
+    n = 20
+    slots = np.array([1 * n + 4, 1 * n + 4, 3 * n + 7], dtype=np.uint64)
+    signs = np.array([1, -1, 1], dtype=np.int64)
+    spec = SketchSpec.for_graph(n, seed=6, repetitions=3)
+    group = np.array([0, 0, 2], dtype=np.int64)
+    cluster = SimpleNamespace(inc_slot=slots, inc_sign=signs, inc_weight=np.zeros(3))
+    parts = SimpleNamespace(comp_of_part=np.arange(3, dtype=np.int64), n_components=3)
+    nonzero, sample = outgoing._sample_components(
+        cluster, spec, parts, group, np.ones(3, dtype=bool), None
+    )
+    assert nonzero.tolist() == [False, False, True]
+    oracle = _dense_oracle(SketchContext(spec, slots, signs), group, 3, np.ones(3, dtype=bool))
+    assert _sample_bytes(sample) == _sample_bytes(_sample_oracle(oracle))
+    assert sample.found.tolist() == [False, False, True]
+
+
+# --------------------------------------------------------------------------
+# The sample fallback: head first, then the rest of the failed groups
+# --------------------------------------------------------------------------
+
+
+def test_sample_falls_back_past_a_failed_head():
+    n = 16
+    spec = SketchSpec.for_graph(n, seed=3, repetitions=2)
+    r0, r1 = spec.fingerprint_base(0), spec.fingerprint_base(1)
+    shape = (5, 2, 4)
+    counts = np.zeros(shape, dtype=np.int64)
+    sums = np.zeros(shape, dtype=np.int64)
+    fps = np.zeros(shape, dtype=np.uint64)
+
+    def cell(g, rep, lev, slot, sign, fp):
+        counts[g, rep, lev], sums[g, rep, lev], fps[g, rep, lev] = sign, sign * slot, fp
+
+    bad = 12345  # no r^slot of these slots
+    # Group 0: head (rep 0, level 3) fails; a shallower level of rep 0 verifies.
+    cell(0, 0, 3, 17, 1, bad)
+    cell(0, 0, 2, 21, 1, pow(r0, 21, P))
+    cell(0, 1, 3, 40, 1, pow(r1, 40, P))
+    # Group 1: rep 0's only candidate fails; rep 1 verifies (sign -1).
+    cell(1, 0, 1, 33, 1, bad)
+    cell(1, 1, 0, 50, -1, P - pow(r1, 50, P))
+    # Group 2: candidates, none verifies.  Group 3: no candidate at all.
+    cell(2, 0, 3, 18, 1, bad)
+    cell(2, 1, 2, 19, -1, bad)
+    # Group 4: head verifies; a deeper-order candidate that also verifies is ignored.
+    cell(4, 0, 1, 70, -1, P - pow(r0, 70, P))
+    cell(4, 1, 3, 71, 1, pow(r1, 71, P))
+    # A non-candidate cell (|c| = 2) above group 4's head changes nothing.
+    counts[4, 0, 3], sums[4, 0, 3], fps[4, 0, 3] = 2, 5, 7
+
+    bundle = SketchBundle(spec, counts, sums, fps)
+    got = bundle.sample()
+    assert got.found.tolist() == [True, True, False, False, True]
+    assert got.slots.tolist() == [21, 50, -1, -1, 70]
+    assert got.signs.tolist() == [1, -1, 0, 0, -1]
+    assert _sample_bytes(got) == _sample_bytes(_sample_oracle(bundle))
+
+
+# --------------------------------------------------------------------------
+# Sharded group_sums: one level trim for every chunk
+# --------------------------------------------------------------------------
+
+
+def test_sharded_group_sums_trims_every_chunk_alike():
+    n = 1024
+    e = 3 * MIN_SHARD_ITEMS
+    rng = np.random.default_rng(11)
+    u, v = rng.integers(0, n, e), rng.integers(0, n, e)
+    slots = (np.minimum(u, v) * n + np.maximum(u, v)).astype(np.uint64)
+    signs = rng.choice([-1, 1], size=e).astype(np.int64)
+    spec = SketchSpec.for_graph(n, seed=8, repetitions=2)
+    ctx = SketchContext(spec, slots, signs)
+    # Only the last incidence (in the last chunk) reaches the deepest level.
+    ctx.depths[:] = np.minimum(ctx.depths, spec.levels - 3)
+    ctx.depths[:, -1] = spec.levels - 1
+    group = rng.integers(0, 37, e).astype(np.int64)
+    mask = rng.random(e) < 0.9
+    mask[-1] = True
+    serial = ctx.group_sums(group, 37, mask=mask)
+    with parallel_shards(max(2, parallel_default() or 2)) as pool:
+        assert len(pool.ranges(int(mask.sum()))) >= 2
+        sharded = ctx.group_sums(group, 37, mask=mask)
+    assert serial.counts.shape == (37, 2, spec.levels)
+    assert sharded.counts.shape == serial.counts.shape
+    _assert_same_bundle(sharded, serial)
+    assert _sample_bytes(sharded.sample()) == _sample_bytes(serial.sample())
