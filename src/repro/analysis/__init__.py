@@ -1,6 +1,5 @@
-"""Experiment support: scaling fits, text tables, sweep running."""
+"""Experiment support: scaling fits and text tables (``Session.sweep`` runs the grids)."""
 
-from repro.analysis.experiments import aggregate, run_sweep
 from repro.analysis.scaling import (
     PowerLawFit,
     fit_power_law,
@@ -11,11 +10,9 @@ from repro.analysis.tables import format_table, print_table
 
 __all__ = [
     "PowerLawFit",
-    "aggregate",
     "fit_power_law",
     "fit_power_law_stripped",
     "format_table",
     "print_table",
     "ratio_table",
-    "run_sweep",
 ]

@@ -12,7 +12,6 @@ import repro.bench.suites.corpus  # noqa: F401
 import repro.bench.suites.crossover  # noqa: F401
 import repro.bench.suites.dynamic  # noqa: F401
 import repro.bench.suites.lowerbound  # noqa: F401
-import repro.bench.suites.parallel  # noqa: F401
 import repro.bench.suites.scaling  # noqa: F401
 import repro.bench.suites.scenarios  # noqa: F401
 import repro.bench.suites.service  # noqa: F401

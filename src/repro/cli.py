@@ -275,14 +275,6 @@ def _add_run_options(p: argparse.ArgumentParser) -> None:
         "--partition-seed", type=int, default=None, help="pin the vertex-partition seed"
     )
     cfg.add_argument(
-        "--parallel",
-        type=int,
-        default=None,
-        metavar="N",
-        help="in-run shard workers (byte-identical output at any N; "
-        "default: REPRO_PARALLEL or serial)",
-    )
-    cfg.add_argument(
         "--param",
         action="append",
         type=_parse_param,
@@ -344,7 +336,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         graph = _corpus_graph(args)
     else:
         graph = _build_graph(args, seed)
-    report = Session(graph, config=config, parallel=args.parallel).run(args.algorithm)
+    report = Session(graph, config=config).run(args.algorithm)
     print(report.summary())
     if args.json:
         _emit_json([report], args.json, as_array=False)
@@ -359,7 +351,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     seed = resolve_seed(None, config.seed)
-    session = Session(config=config, parallel=args.parallel)
+    session = Session(config=config)
     if args.corpus is not None:
         if args.ns:
             raise ValueError("--corpus pins one input; it cannot sweep --ns")
@@ -507,7 +499,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             graph_cache_size=args.graph_cache,
             max_requests=args.max_requests,
             corpus=CorpusManager(args.corpus_root),
-            parallel=args.parallel,
         )
         host, port = await service.start(args.host, args.port)
         print(
@@ -617,7 +608,6 @@ def _cmd_bench_list(_args: argparse.Namespace) -> int:
 
 def _cmd_bench_run(args: argparse.Namespace) -> int:
     from repro.bench import list_benchmarks, run_all
-    from repro.runtime.parallel import parallel_shards
 
     if args.all:
         names = list_benchmarks()
@@ -638,17 +628,16 @@ def _cmd_bench_run(args: argparse.Namespace) -> int:
         print("profiling enabled: BENCH_*.json artifacts are NOT written")
         if args.profile_out is not None:
             print(f"raw cProfile dumps go to {args.profile_out}")
-    with parallel_shards(args.parallel):
-        results = run_all(
-            names,
-            tier=tier,
-            seed=args.seed,
-            out_dir=out_dir,
-            progress=progress,
-            force=args.force,
-            profile_top=args.profile_top if profiling else None,
-            profile_out=args.profile_out,
-        )
+    results = run_all(
+        names,
+        tier=tier,
+        seed=args.seed,
+        out_dir=out_dir,
+        progress=progress,
+        force=args.force,
+        profile_top=args.profile_top if profiling else None,
+        profile_out=args.profile_out,
+    )
     for result in results:
         print(result.summary())
     return 0
@@ -759,14 +748,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         help="corpus directory for corpus-entry requests "
         "(default: $REPRO_CORPUS_DIR or ./corpus); shared across workers",
-    )
-    p_serve.add_argument(
-        "--parallel",
-        type=int,
-        default=None,
-        metavar="N",
-        help="in-run shard workers per session worker (byte-identical "
-        "reports at any N; default: REPRO_PARALLEL or serial)",
     )
     p_serve.set_defaults(func=_cmd_serve)
 
@@ -950,14 +931,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         help="with --profile: also write raw per-cell cProfile dumps to DIR "
         "as <bench>__<cell>.prof (implies --profile)",
-    )
-    pb_run.add_argument(
-        "--parallel",
-        type=int,
-        default=None,
-        metavar="N",
-        help="in-run shard workers for every cell (byte-identical metrics "
-        "at any N; default: REPRO_PARALLEL or serial)",
     )
     pb_run.set_defaults(func=_cmd_bench_run)
 

@@ -41,7 +41,6 @@ service's key-affinity worker pool does.
 
 from __future__ import annotations
 
-import contextlib
 import threading
 from collections import OrderedDict
 from dataclasses import replace
@@ -51,7 +50,6 @@ from repro.cluster.cluster import KMachineCluster
 from repro.cluster.partition import build_partition
 from repro.graphs.graph import Graph
 from repro.runtime.config import ClusterConfig, RunConfig, resolve_seed
-from repro.runtime.parallel import ShardPool, parallel_default, parallel_shards, sharded
 from repro.runtime.registry import GraphContext, get_algorithm
 from repro.runtime.report import RunReport
 
@@ -138,15 +136,14 @@ def _worker_cluster(graph: Graph, config: RunConfig, seed: int) -> KMachineClust
     return cluster
 
 
-def _sweep_worker(payload: tuple[Graph, str, dict, int, int | None]) -> RunReport:
-    """Process-pool entry point: run one grid point, sharded if requested."""
-    graph, algorithm, config_dict, seed, parallel = payload
+def _sweep_worker(payload: tuple[Graph, str, dict, int]) -> RunReport:
+    """Process-pool entry point: run one grid point in this worker process."""
+    graph, algorithm, config_dict, seed = payload
     config = RunConfig.from_dict(config_dict)
     spec = get_algorithm(algorithm)
-    with parallel_shards(parallel):
-        if spec.graph_only:
-            return spec.run(GraphContext(graph=graph, k=config.cluster.k), config, seed=seed)
-        return spec.run(_worker_cluster(graph, config, seed), config, seed=seed)
+    if spec.graph_only:
+        return spec.run(GraphContext(graph=graph, k=config.cluster.k), config, seed=seed)
+    return spec.run(_worker_cluster(graph, config, seed), config, seed=seed)
 
 
 class Session:
@@ -173,12 +170,9 @@ class Session:
         first use at the default root; *sharing* one manager across
         sessions (as the service does across its workers) makes their
         loads coalesce onto a single mmap open.
-    parallel:
-        Default in-run shard workers for :meth:`run`/:meth:`sweep` (see
-        :mod:`repro.runtime.parallel`): ``N > 1`` shards each run's sketch
-        kernels over a session-owned thread pool with byte-identical
-        results, ``1`` forces serial, ``None`` (default) defers to
-        ``REPRO_PARALLEL`` or any ambient ``parallel_shards`` context.
+
+    Each run executes serially in the calling thread; the only parallelism
+    is ``sweep(processes=N)``, which spreads grid points over processes.
     """
 
     def __init__(
@@ -189,10 +183,8 @@ class Session:
         cache_size: int = 32,
         max_clusters: int | None = None,
         corpus=None,
-        parallel: int | None = None,
     ) -> None:
         self._corpus = corpus
-        self.parallel = parallel if parallel is None else max(1, int(parallel))
         self.graph = self.resolve_graph(graph)
         self.config = (config if config is not None else RunConfig()).validate()
         self.cache_size = max(1, int(cache_size if max_clusters is None else max_clusters))
@@ -205,8 +197,6 @@ class Session:
         self._evictions = 0
         self._pool = None
         self._pool_width = 0
-        self._shard_pool: ShardPool | None = None
-        self._shard_width = 0
 
     # -- corpus resolution --------------------------------------------------
 
@@ -350,12 +340,8 @@ class Session:
         with self._lock:
             pool, self._pool = self._pool, None
             self._pool_width = 0
-            shards, self._shard_pool = self._shard_pool, None
-            self._shard_width = 0
         if pool is not None:
             pool.shutdown(wait=True, cancel_futures=True)
-        if shards is not None:
-            shards.shutdown()
 
     def __enter__(self) -> "Session":
         return self
@@ -379,34 +365,6 @@ class Session:
                 self._pool = concurrent.futures.ProcessPoolExecutor(max_workers=processes)
                 self._pool_width = processes
             return self._pool
-
-    def _shard_context(self, parallel: int | None):
-        """The shard-pool context for one run (see ``parallel`` precedence).
-
-        Explicit argument > session default > ``REPRO_PARALLEL`` > inherit
-        whatever ``parallel_shards`` context is already active.  The pool
-        is session-owned and reused across runs of the same width
-        (replaced on a width change, shut down in :meth:`close`); results
-        are byte-identical at every width, so the choice is pure wall
-        time.
-        """
-        w = parallel if parallel is not None else self.parallel
-        if w is None:
-            w = parallel_default()
-        if w is None:
-            return contextlib.nullcontext()
-        w = max(1, int(w))
-        if w <= 1:
-            return sharded(None)
-        with self._lock:
-            if self._shard_pool is not None and self._shard_width != w:
-                old, self._shard_pool = self._shard_pool, None
-                self._shard_width = 0
-                old.shutdown()
-            if self._shard_pool is None:
-                self._shard_pool = ShardPool(w)
-                self._shard_width = w
-            return sharded(self._shard_pool)
 
     # -- running -----------------------------------------------------------
 
@@ -436,13 +394,8 @@ class Session:
         scenario=None,
         n: int | None = None,
         epoch: int = 0,
-        parallel: int | None = None,
     ) -> RunReport:
         """Run one registered algorithm and return its :class:`RunReport`.
-
-        ``parallel`` selects the in-run shard worker count (precedence and
-        byte-identity contract in :meth:`_shard_context` /
-        :mod:`repro.runtime.parallel`).
 
         Seed precedence: ``seed`` here > ``config.seed`` > the default —
         the resolved value seeds both the partition (unless
@@ -490,11 +443,9 @@ class Session:
                     f"algorithm {algorithm!r} builds its own machines; epoch= does not apply"
                 )
             # The algorithm builds its own machines; no cluster to cache.
-            with self._shard_context(parallel):
-                return spec.run(GraphContext(graph=g, k=cfg.cluster.k), cfg, seed=resolved)
+            return spec.run(GraphContext(graph=g, k=cfg.cluster.k), cfg, seed=resolved)
         cluster = self.cluster_for(g, cfg.cluster, resolved, epoch=epoch)
-        with self._shard_context(parallel):
-            return spec.run(cluster, cfg, seed=resolved)
+        return spec.run(cluster, cfg, seed=resolved)
 
     def sweep(
         self,
@@ -508,7 +459,6 @@ class Session:
         config: RunConfig | None = None,
         processes: int | None = None,
         scenario=None,
-        parallel: int | None = None,
     ) -> list[RunReport]:
         """Run ``algorithm`` over the grid ``ns x ks x seeds``; return all reports.
 
@@ -523,10 +473,6 @@ class Session:
             ``None`` or ``1`` runs sequentially in-process; ``> 1`` fans the
             grid out over a process pool.  Report order always matches the
             grid order (n-major, then k, then seed).
-        parallel:
-            In-run shard workers per grid point (byte-identical results at
-            any width; see :mod:`repro.runtime.parallel`).  Composes with
-            ``processes``: each pool worker shards its own runs.
         scenario:
             Registered scenario name (or instance): its partition scheme
             and fault plan overlay the config, and — when neither
@@ -570,9 +516,8 @@ class Session:
                 for s in seed_list:
                     jobs.append((g, cfg, s))
 
-        para = self.parallel if parallel is None else parallel
         if processes is not None and processes > 1:
-            payloads = [(g, algorithm, cfg.to_dict(), s, para) for g, cfg, s in jobs]
+            payloads = [(g, algorithm, cfg.to_dict(), s) for g, cfg, s in jobs]
             pool = self._pool_for(processes)
             try:
                 return list(pool.map(_sweep_worker, payloads))
@@ -591,13 +536,12 @@ class Session:
         use_cache = ns is None
         spec = get_algorithm(algorithm)
         reports = []
-        with self._shard_context(parallel):
-            for g, cfg, s in jobs:
-                if spec.graph_only:
-                    target = GraphContext(graph=g, k=cfg.cluster.k)
-                elif use_cache:
-                    target = self.cluster_for(g, cfg.cluster, s)
-                else:
-                    target = _build_cluster(g, cfg, s)
-                reports.append(spec.run(target, cfg, seed=s))
+        for g, cfg, s in jobs:
+            if spec.graph_only:
+                target = GraphContext(graph=g, k=cfg.cluster.k)
+            elif use_cache:
+                target = self.cluster_for(g, cfg.cluster, s)
+            else:
+                target = _build_cluster(g, cfg, s)
+            reports.append(spec.run(target, cfg, seed=s))
         return reports

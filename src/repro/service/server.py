@@ -56,11 +56,10 @@ class _Worker:
         max_clusters: int,
         graph_cache_size: int,
         corpus=None,
-        parallel: int | None = None,
     ) -> None:
         self.index = index
         self.corpus = corpus
-        self.session = Session(max_clusters=max_clusters, corpus=corpus, parallel=parallel)
+        self.session = Session(max_clusters=max_clusters, corpus=corpus)
         self.executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix=f"repro-service-{index}"
         )
@@ -139,12 +138,9 @@ class GraphService:
         single load LRU, so same-entry requests on different workers
         still open one mmap.  ``None`` leaves corpus requests resolving
         through a per-call default manager.
-    parallel:
-        In-run shard workers per session (``Session(parallel=...)``, see
-        :mod:`repro.runtime.parallel`): each request's sketch kernels
-        shard over the worker session's thread pool with byte-identical
-        reports, so the response envelopes are independent of the
-        setting.  ``None`` defers to ``REPRO_PARALLEL``.
+
+    Runs execute only on the workers, one request at a time per worker on
+    its single executor thread; nothing inside a run is parallel.
     """
 
     def __init__(
@@ -155,14 +151,12 @@ class GraphService:
         graph_cache_size: int = 16,
         max_requests: int | None = None,
         corpus=None,
-        parallel: int | None = None,
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self._corpus = corpus
         self._workers = [
-            _Worker(i, max_clusters, graph_cache_size, corpus, parallel)
-            for i in range(int(workers))
+            _Worker(i, max_clusters, graph_cache_size, corpus) for i in range(int(workers))
         ]
         self._max_requests = max_requests
         self._server: asyncio.AbstractServer | None = None

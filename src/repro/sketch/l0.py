@@ -47,7 +47,6 @@ from repro.sketch.edgespace import max_slot_bits
 from repro.sketch.field import MERSENNE_P, addmod, mulmod, powmod
 from repro.sketch.kernels import group_rows, segment_sum
 from repro.sketch.kwise import batch_values
-from repro.util.parallel import MIN_SHARD_ITEMS, active_pool
 from repro.util.rng import derive_seed
 
 __all__ = ["SketchSpec", "SketchContext", "SketchBundle", "SampleResult"]
@@ -387,38 +386,22 @@ class SketchContext:
         # randomness (coefficients / PRF keys) is derived exactly as the
         # per-rep loop did, only the field arithmetic is 2-D.
         seeds = [derive_seed(spec.seed, 0x1E, rep) for rep in range(r)]
-        powers = self._power_kernel(eval_slots.size)
-
-        def per_slot(chunk: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            h = batch_values(seeds, bits + 4, spec.hash_family, chunk)
-            # Descending thresholds T[l] = p >> l; depth = (#thresholds >
-            # h) - 1 with #{j < L: h < p >> j} = clip(61 - floor(log2(h +
-            # 1)), 0, L) (see _count_levels_above) — a handful of passes
-            # independent of L, replacing the per-level searchsorted of
-            # the per-repetition loop.
-            gt = _count_levels_above(h, l)
-            return np.clip(gt - 1, 0, l - 1), powers(chunk)
-
-        pool = active_pool()
-        if pool is None or eval_slots.size < MIN_SHARD_ITEMS:
-            depths, fp = per_slot(eval_slots)
-        else:
-            # Shard over the incidence axis: every per-slot quantity is
-            # elementwise in the slot id, so chunk outputs concatenated in
-            # chunk order are the unchunked arrays byte for byte (the
-            # power-table/direct-powmod choice is made once on the full
-            # size above, shared by all chunks).
-            chunks = pool.map_ranges(lambda lo, hi: per_slot(eval_slots[lo:hi]), eval_slots.size)
-            depths = np.concatenate([d for d, _ in chunks], axis=1)
-            fp = np.concatenate([f for _, f in chunks], axis=1)
+        h = batch_values(seeds, bits + 4, spec.hash_family, eval_slots)
+        # Descending thresholds T[l] = p >> l; depth = (#thresholds > h) - 1
+        # with #{j < L: h < p >> j} = clip(61 - floor(log2(h + 1)), 0, L)
+        # (see _count_levels_above) — a handful of passes independent of L,
+        # replacing the per-level searchsorted of the per-repetition loop.
+        depths = np.clip(_count_levels_above(h, l) - 1, 0, l - 1)
+        del h  # (R, E) hashes: free them before the power pass allocates
+        fp = self._slot_powers(eval_slots)
         if mirrored:
             depths = np.concatenate([depths, depths], axis=1)
             fp = np.concatenate([fp, fp], axis=1)
         self.depths = depths
         self.fp_contrib = fp
 
-    def _power_kernel(self, total_slots: int):
-        """A ``chunk -> r^slot mod p`` kernel sized for ``total_slots``.
+    def _slot_powers(self, slots: np.ndarray) -> np.ndarray:
+        """``r^slot mod p`` per (repetition, slot), shape ``(R, slots.size)``.
 
         ``slot = x*n + y`` with ``x, y < n`` gives
         ``r^slot = (r^n)^x * r^y``.  Each ``r^n`` comes from a scalar-
@@ -434,9 +417,7 @@ class SketchContext:
         table it would barely read.  Both paths compute the canonical
         representative of the same field element ``r^slot mod p``, so the
         choice is invisible in the output bytes (pinned by the sketch
-        exactness suites).  The path decision and any table build happen
-        once here, on the *total* size; the returned closure is what the
-        shard workers call per chunk.
+        exactness suites).
         """
         n = self.spec.n
         r = self.spec.repetitions
@@ -444,23 +425,15 @@ class SketchContext:
         bases = np.array(
             [self.spec.fingerprint_base(rep) for rep in range(r)], dtype=np.uint64
         )
-        if total_slots * 2 * bits < 2 * n:
-            return lambda slots: powmod(bases[:, None], slots[None, :], max_exp_bits=bits)
+        if slots.size * 2 * bits < 2 * n:
+            return powmod(bases[:, None], slots[None, :], max_exp_bits=bits)
         # r^n per base via Python bigint modpow: at R elements the numpy
         # square-and-multiply loop is pure dispatch overhead.
         r_n = np.array([pow(int(b), n, MERSENNE_P) for b in bases], dtype=np.uint64)
         table = _power_table(np.concatenate([bases, r_n]), n)  # (2R, n)
-
-        def from_table(slots: np.ndarray) -> np.ndarray:
-            x = (slots // np.uint64(n)).astype(np.int64)
-            y = (slots % np.uint64(n)).astype(np.int64)
-            return mulmod(table[r:, x], table[:r, y])
-
-        return from_table
-
-    def _slot_powers(self, slots: np.ndarray) -> np.ndarray:
-        """r^slot mod p per (repetition, slot) — see :meth:`_power_kernel`."""
-        return self._power_kernel(slots.size)(slots)
+        x = (slots // np.uint64(n)).astype(np.int64)
+        y = (slots % np.uint64(n)).astype(np.int64)
+        return mulmod(table[r:, x], table[:r, y])
 
     @property
     def n_incidences(self) -> int:
@@ -500,69 +473,35 @@ class SketchContext:
             g_sel, sign_sel, slots_sel = gi[sel], self.signs[sel], self.slots[sel]
             d, f = self.depths[:, sel], self.fp_contrib[:, sel]
         e_sel = g_sel.size
-        # The level trim, decided once on the whole selection so that every
-        # shard chunk below scatters into the same (n_groups, R, l) shape.
+        # The level trim: levels past the deepest selected incidence are zero.
         l = int(d.max()) + 1 if e_sel else 1
+        # Incidence at depth d lives in levels 0..d; accumulate into the flat
+        # (group, repetition, depth) bin — all repetitions at once — then
+        # suffix-sum over the level axis.  Bins never mix repetitions, so
+        # each receives at most e_sel incidences (the exactness bound the
+        # bincount kernel checks against).
+        size = n_groups * r * l
+        shape = (n_groups, r, l)
+        flat = (
+            (g_sel[None, :] * np.int64(r) + np.arange(r, dtype=np.int64)[:, None]) * np.int64(l)
+            + d
+        ).ravel()
 
-        def scatter_chunk(gs, signs, slots_c, d_c, f_c):
-            """The four scatter-adds over one incidence chunk (pre-cumsum).
+        def scatter(weights: np.ndarray, max_abs: int) -> np.ndarray:
+            tiled = np.broadcast_to(weights, (r, e_sel)).ravel() if weights.ndim == 1 else weights.ravel()
+            return segment_sum(tiled, flat, size, max_abs=max_abs, max_count=e_sel).reshape(shape)
 
-            Incidence at depth d lives in levels 0..d; accumulate into the
-            flat (group, repetition, depth) bin — all repetitions at once —
-            then suffix-sum over the level axis at the end.  Bins never mix
-            repetitions, so each receives at most the chunk's incidence
-            count (the exactness bound the bincount kernel checks against).
-            """
-            e_c = gs.size
-            size = n_groups * r * l
-            shape = (n_groups, r, l)
-            flat = (
-                (gs[None, :] * np.int64(r) + np.arange(r, dtype=np.int64)[:, None])
-                * np.int64(l)
-                + d_c
-            ).ravel()
-
-            def scatter(weights: np.ndarray, max_abs: int) -> np.ndarray:
-                tiled = np.broadcast_to(weights, (r, e_c)).ravel() if weights.ndim == 1 else weights.ravel()
-                return segment_sum(
-                    tiled, flat, size, max_abs=max_abs, max_count=e_c
-                ).reshape(shape)
-
-            counts = scatter(signs, 1)
-            # Id-sums: one scatter with max|w| = n^2 - 1.  Within the
-            # float64 horizon this is a single exact bincount; far beyond
-            # it (huge incidence lists on huge n) the kernel falls back to
-            # the int64 np.add.at reference — exact either way.
-            slot_signed = slots_c.view(np.int64) * signs  # slots < n^2 < 2^63: view-safe
-            sums = scatter(slot_signed, max(1, int(self.spec.n) ** 2 - 1))
-            f64 = f_c.view(np.int64)  # values < p < 2^63: reinterpret, no copy
-            fps_lo = scatter((f64 & _LOW30) * signs[None, :], _MAX_LO)
-            fps_hi = scatter((f64 >> np.int64(30)) * signs[None, :], _MAX_HI_FP)
-            return counts, sums, fps_lo, fps_hi
-
-        pool = active_pool()
-        if pool is None or e_sel < MIN_SHARD_ITEMS:
-            counts, sums, fps_lo, fps_hi = scatter_chunk(g_sel, sign_sel, slots_sel, d, f)
-        else:
-            # Shard the scatter over the incidence axis.  Every per-chunk
-            # partial is an exact signed int64 accumulator (counts,
-            # id-sums, and the 30-bit fingerprint halves), so summing the
-            # partials in chunk order reproduces the unchunked scatter
-            # byte for byte — integer addition is associative; the
-            # canonical mod-p reduction happens once below, after the
-            # merge, exactly as in the serial path.
-            parts = pool.map_ranges(
-                lambda lo, hi: scatter_chunk(
-                    g_sel[lo:hi], sign_sel[lo:hi], slots_sel[lo:hi], d[:, lo:hi], f[:, lo:hi]
-                ),
-                e_sel,
-            )
-            counts, sums, fps_lo, fps_hi = parts[0]  # fresh chunk arrays: in-place merge is safe
-            for pc, ps, plo, phi in parts[1:]:
-                counts += pc
-                sums += ps
-                fps_lo += plo
-                fps_hi += phi
+        counts = scatter(sign_sel, 1)
+        # Id-sums: one scatter with max|w| = n^2 - 1.  Within the float64
+        # horizon this is a single exact bincount; far beyond it (huge
+        # incidence lists on huge n) the kernel falls back to the int64
+        # np.add.at reference — exact either way.
+        slot_signed = slots_sel.view(np.int64) * sign_sel  # slots < n^2 < 2^63: view-safe
+        sums = scatter(slot_signed, max(1, int(self.spec.n) ** 2 - 1))
+        f64 = f.view(np.int64)  # values < p < 2^63: reinterpret, no copy
+        fps_lo = scatter((f64 & _LOW30) * sign_sel[None, :], _MAX_LO)
+        fps_hi = scatter((f64 >> np.int64(30)) * sign_sel[None, :], _MAX_HI_FP)
+        del flat, slot_signed  # per-incidence bins: free them before the dense passes
         # Suffix-cumulative over levels: level l = sum over depths >= l.
         counts = np.flip(np.cumsum(np.flip(counts, axis=2), axis=2), axis=2)
         sums = np.flip(np.cumsum(np.flip(sums, axis=2), axis=2), axis=2)

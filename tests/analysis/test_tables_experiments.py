@@ -1,10 +1,9 @@
-"""Tests for table rendering and the sweep runner."""
+"""Tests for table rendering."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.analysis.experiments import aggregate, run_sweep
 from repro.analysis.tables import format_table
 
 
@@ -26,27 +25,3 @@ class TestFormatTable:
         with pytest.raises(ValueError):
             format_table(["a", "b"], [[1]])
 
-
-class TestRunSweep:
-    def test_grid_times_seeds(self):
-        calls = []
-
-        def runner(n, k, seed):
-            calls.append((n, k, seed))
-            return {"rounds": n * k + seed}
-
-        recs = run_sweep({"n": [10, 20], "k": [2, 4]}, runner, seeds=[0, 1])
-        assert len(recs) == 8
-        assert {"n", "k", "seed", "rounds"} <= set(recs[0].keys())
-        assert (10, 2, 0) in calls
-
-    def test_aggregate_means(self):
-        recs = [
-            {"k": 2, "rounds": 10.0},
-            {"k": 2, "rounds": 20.0},
-            {"k": 4, "rounds": 5.0},
-        ]
-        agg = aggregate(recs, group_by=["k"], fields=["rounds"])
-        assert agg[0]["k"] == 2 and agg[0]["rounds"] == 15.0
-        assert agg[0]["n_samples"] == 2
-        assert agg[1]["rounds"] == 5.0

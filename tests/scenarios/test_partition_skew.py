@@ -149,5 +149,5 @@ class TestSessionPlumbing:
         config = RunConfig(
             seed=1, cluster=ClusterConfig(k=4, partition=PartitionConfig(scheme="powerlaw"))
         )
-        report = _sweep_worker((g, "connectivity", config.to_dict(), 1, None))
+        report = _sweep_worker((g, "connectivity", config.to_dict(), 1))
         assert report.config["cluster"]["partition"]["scheme"] == "powerlaw"

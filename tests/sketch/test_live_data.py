@@ -11,8 +11,8 @@ incidence at a time with Python integers, and every candidate is verified
 with Python's ``pow``.  Hypothesis covers random incidence lists, untouched
 groups, masks, weight bounds, a single group, empty selections and
 incidences forced to the maximum depth; the remaining tests pin the sample
-fallback order, linearity on trimmed bundles, and the level trim under
-sharded execution.
+fallback order, linearity on trimmed bundles, and the level trim on a
+large input.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from hypothesis import strategies as st
 from repro.core import outgoing
 from repro.sketch.field import MERSENNE_P
 from repro.sketch.l0 import SampleResult, SketchBundle, SketchContext, SketchSpec
-from repro.util.parallel import MIN_SHARD_ITEMS, parallel_default, parallel_shards
 
 P = MERSENNE_P
 
@@ -187,7 +186,7 @@ def test_compact_trimmed_sample_matches_dense_oracle(data, inc):
 
     cluster = SimpleNamespace(inc_slot=slots, inc_sign=signs, inc_weight=weights)
     parts = SimpleNamespace(comp_of_part=np.arange(n_groups, dtype=np.int64), n_components=n_groups)
-    with mock.patch.object(outgoing, "SketchContext", context), parallel_shards(None):
+    with mock.patch.object(outgoing, "SketchContext", context):
         nonzero, sample = outgoing._sample_components(cluster, spec, parts, group, cross, bound)
     assert nonzero.tobytes() == want_nonzero.tobytes()
     assert _sample_bytes(sample) == _sample_bytes(_sample_oracle(oracle))
@@ -206,9 +205,8 @@ def test_trimmed_group_sums_add_and_aggregate_match_oracle(data, inc):
     mask_b = np.array([data.draw(st.booleans()) for _ in range(e)], dtype=bool)
     spec = SketchSpec.for_graph(n, seed=data.draw(st.integers(0, 1 << 30)), repetitions=2)
     ctx = SketchContext(spec, slots, signs)
-    with parallel_shards(None):
-        a = ctx.group_sums(group, n_groups, mask=mask_a)
-        b = ctx.group_sums(group, n_groups, mask=mask_b)
+    a = ctx.group_sums(group, n_groups, mask=mask_a)
+    b = ctx.group_sums(group, n_groups, mask=mask_b)
     want_a = _dense_oracle(ctx, group, n_groups, mask_a)
     want_b = _dense_oracle(ctx, group, n_groups, mask_b)
     _assert_same_bundle(a, want_a)
@@ -309,30 +307,27 @@ def test_sample_falls_back_past_a_failed_head():
 
 
 # --------------------------------------------------------------------------
-# Sharded group_sums: one level trim for every chunk
+# A large input: one incidence alone sets the level trim
 # --------------------------------------------------------------------------
 
 
-def test_sharded_group_sums_trims_every_chunk_alike():
+def test_large_group_sums_trims_to_its_one_deepest_incidence():
     n = 1024
-    e = 3 * MIN_SHARD_ITEMS
+    e = 24_576
     rng = np.random.default_rng(11)
     u, v = rng.integers(0, n, e), rng.integers(0, n, e)
     slots = (np.minimum(u, v) * n + np.maximum(u, v)).astype(np.uint64)
     signs = rng.choice([-1, 1], size=e).astype(np.int64)
     spec = SketchSpec.for_graph(n, seed=8, repetitions=2)
     ctx = SketchContext(spec, slots, signs)
-    # Only the last incidence (in the last chunk) reaches the deepest level.
+    # Only the last incidence reaches the deepest level.
     ctx.depths[:] = np.minimum(ctx.depths, spec.levels - 3)
     ctx.depths[:, -1] = spec.levels - 1
     group = rng.integers(0, 37, e).astype(np.int64)
     mask = rng.random(e) < 0.9
     mask[-1] = True
-    serial = ctx.group_sums(group, 37, mask=mask)
-    with parallel_shards(max(2, parallel_default() or 2)) as pool:
-        assert len(pool.ranges(int(mask.sum()))) >= 2
-        sharded = ctx.group_sums(group, 37, mask=mask)
-    assert serial.counts.shape == (37, 2, spec.levels)
-    assert sharded.counts.shape == serial.counts.shape
-    _assert_same_bundle(sharded, serial)
-    assert _sample_bytes(sharded.sample()) == _sample_bytes(serial.sample())
+    got = ctx.group_sums(group, 37, mask=mask)
+    assert got.counts.shape == (37, 2, spec.levels)
+    want = _dense_oracle(ctx, group, 37, mask)
+    _assert_same_bundle(got, want)
+    assert _sample_bytes(got.sample()) == _sample_bytes(_sample_oracle(want))
