@@ -3,11 +3,18 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.bench import get_benchmark, list_benchmarks, register_benchmark
 from repro.bench.registry import BENCH_GROUPS
+from repro.bench.result import BenchResult, bench_filename, cell_key
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
+# Committed baselines: the quick tier at the root (what ``repro bench
+# compare .`` gates against) and the full tier under benchmarks/results/.
+BASELINE_DIRS = {"quick": REPO_ROOT, "full": REPO_ROOT / "benchmarks" / "results"}
 
 
 def test_registry_is_populated():
@@ -40,6 +47,23 @@ def test_tier_selection(name):
     assert spec.cells_for("quick") == spec.quick_cells
     with pytest.raises(ValueError, match="tier"):
         spec.cells_for("nope")
+
+
+@pytest.mark.parametrize("name", list_benchmarks())
+def test_committed_baselines_record_the_registered_grids(name):
+    spec = get_benchmark(name)
+    for tier, directory in BASELINE_DIRS.items():
+        result = BenchResult.load(directory / bench_filename(name))
+        assert (result.bench, result.tier) == (name, tier)
+        recorded = [cell_key(cell.params) for cell in result.cells]
+        assert recorded == [cell_key(cell) for cell in spec.cells_for(tier)]
+
+
+def test_every_committed_baseline_names_a_registered_benchmark():
+    registered = {bench_filename(name) for name in list_benchmarks()}
+    for directory in BASELINE_DIRS.values():
+        committed = {p.name for p in directory.glob("BENCH_*.json")}
+        assert committed == registered, directory
 
 
 def test_unknown_name_lists_options():

@@ -2,7 +2,8 @@
 
 Same ``RunConfig`` + seed must yield byte-identical ``RunReport`` JSON
 (modulo wall time) across runs — for connectivity and MST, across fresh
-Sessions and across explicit clusters.  A failure here means either the
+Sessions, across explicit clusters, and between a sweep's grid points and
+standalone runs.  A failure here means either the
 algorithms picked up a hidden source of nondeterminism or the envelope
 serialization stopped being canonical.
 """
@@ -51,3 +52,20 @@ def test_different_seeds_differ():
     # Same answer, but the runs must not be bit-identical transcripts.
     assert a.result["n_components"] == b.result["n_components"]
     assert a.to_json(include_timing=False) != b.to_json(include_timing=False)
+
+
+@pytest.mark.parametrize("algorithm", ["connectivity", "mst"])
+def test_sweep_points_equal_standalone_runs(algorithm):
+    """A sweep reuses cached clusters across its grid; every point must
+    still match a run of that (k, seed) on a fresh Session."""
+    g = _graph(weighted=algorithm == "mst")
+    cfg = RunConfig(cluster=ClusterConfig(k=4))
+    swept = Session(g, config=cfg).sweep(algorithm, ks=(2, 4), seeds=(1, 2))
+    alone = [
+        Session(g, config=RunConfig(cluster=ClusterConfig(k=k))).run(algorithm, seed=seed)
+        for k in (2, 4)
+        for seed in (1, 2)
+    ]
+    assert [r.to_json(include_timing=False) for r in swept] == [
+        r.to_json(include_timing=False) for r in alone
+    ]

@@ -1,0 +1,158 @@
+"""Per-incidence sketch randomness, checked against its definition.
+
+``SketchContext`` gives each incidence, per repetition, a sampling depth
+and a fingerprint contribution ``r^slot mod p``.  Its construction takes
+shortcuts that must never show in the output: the depth comes from a
+float bit-length instead of a per-level comparison sweep, ``_slot_powers``
+picks a direct batched powmod or the stacked ``(r, r^n)`` power tables
+from the slot count alone, and a mirrored incidence list (the same slot
+block twice, as clusters build it) is evaluated on one half only.  Every
+path is checked here against Python integers: ``pow`` for the powers and
+the threshold definition ``h < p >> l`` for the depths.
+"""
+
+from __future__ import annotations
+
+from unittest import mock
+
+import numpy as np
+import pytest
+
+from repro.sketch import l0
+from repro.sketch.edgespace import incident_slots_and_signs, max_slot_bits
+from repro.sketch.field import MERSENNE_P
+from repro.sketch.kwise import batch_values
+from repro.sketch.l0 import SketchContext, SketchSpec
+from repro.util.rng import derive_seed
+
+P = MERSENNE_P
+
+# Sizes at which both power paths are reachable.
+NS = (17, 1024, 40_000)
+
+
+def _direct_limit(n: int) -> int:
+    """Largest slot count that takes the direct powmod (``E * bits < n``)."""
+    return -(-n // max_slot_bits(n)) - 1
+
+
+def _slots(n: int, size: int, seed: int) -> np.ndarray:
+    """``size`` slot ids: the corners of the id range first, then random ids."""
+    corners = [n * n - 1, 0, n, n - 1, n * (n - 1), 1]
+    rest = np.random.default_rng(seed).integers(0, n * n, max(0, size - len(corners)))
+    return np.concatenate([np.array(corners[:size], dtype=np.int64), rest]).astype(np.uint64)
+
+
+def _empty_context(n: int) -> SketchContext:
+    spec = SketchSpec.for_graph(n, seed=5)
+    return SketchContext(spec, np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.int64))
+
+
+def _pow_oracle(spec: SketchSpec, slots: np.ndarray) -> np.ndarray:
+    bases = [spec.fingerprint_base(rep) for rep in range(spec.repetitions)]
+    rows = [[pow(b, int(s), P) for s in slots] for b in bases]
+    return np.array(rows, dtype=np.uint64).reshape(spec.repetitions, slots.size)
+
+
+def _depth_oracle(spec: SketchSpec, slots: np.ndarray) -> np.ndarray:
+    """Deepest level ``l`` with ``h < p >> l``, from the hash values themselves."""
+    seeds = [derive_seed(spec.seed, 0x1E, rep) for rep in range(spec.repetitions)]
+    h = batch_values(seeds, max_slot_bits(spec.n) + 4, spec.hash_family, slots)
+    depths = np.zeros(h.shape, dtype=np.int64)
+    for idx, value in np.ndenumerate(h):
+        above = sum(int(value) < (P >> lev) for lev in range(spec.levels))
+        depths[idx] = min(max(above - 1, 0), spec.levels - 1)
+    return depths
+
+
+# --------------------------------------------------------------------------
+# Fingerprint powers: the direct path and the table path
+# --------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", NS)
+@pytest.mark.parametrize("path", ["direct", "table"])
+def test_slot_powers_match_python_pow(path, n):
+    ctx = _empty_context(n)
+    size = _direct_limit(n) + (path == "table")
+    slots = _slots(n, size, seed=n)
+    with mock.patch.object(l0, "_power_table", wraps=l0._power_table) as table:
+        got = ctx._slot_powers(slots)
+    assert table.called == (path == "table")
+    assert got.dtype == np.uint64 and got.shape == (ctx.spec.repetitions, size)
+    assert np.array_equal(got, _pow_oracle(ctx.spec, slots))
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 8, 9, 100])
+def test_power_table_rows_are_successive_powers(size):
+    bases = np.array([0, 1, 2, P - 1, 0x1234_5678_9ABC], dtype=np.uint64)
+    table = l0._power_table(bases, size)
+    assert table.dtype == np.uint64 and table.shape == (bases.size, size)
+    want = [[pow(int(b), j, P) for j in range(size)] for b in bases]
+    assert table.tolist() == want
+
+
+# --------------------------------------------------------------------------
+# Sampling depths: the bit-length shortcut against the level thresholds
+# --------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("levels", [1, 22, 61])
+def test_count_levels_above_matches_the_thresholds(levels):
+    # Every threshold p >> j and its neighbours, powers of two and their
+    # neighbours (where the float conversion rounds up), and both ends.
+    values = {0, 1, P - 1, P - 2}
+    for j in range(62):
+        for v in (P >> j, 1 << j):
+            values.update(x for x in (v - 1, v, v + 1) if 0 <= x < P)
+    h = np.array(sorted(values), dtype=np.uint64)
+    want = [sum(int(x) < (P >> j) for j in range(levels)) for x in h]
+    assert l0._count_levels_above(h, levels).tolist() == want
+
+
+@pytest.mark.parametrize("family", ["polynomial", "prf"])
+def test_context_matches_its_definition(family):
+    n = 300
+    rng = np.random.default_rng(4)
+    u, v = rng.integers(0, n, 900), rng.integers(0, n, 900)
+    owners, others = np.concatenate([u, v]), np.concatenate([v, u])
+    slots, signs = incident_slots_and_signs(n, owners, others)
+    spec = SketchSpec.for_graph(n, seed=12, hash_family=family)
+    ctx = SketchContext(spec, slots, signs)
+    assert ctx.depths.shape == ctx.fp_contrib.shape == (spec.repetitions, slots.size)
+    assert np.array_equal(ctx.depths, _depth_oracle(spec, ctx.slots))
+    assert np.array_equal(ctx.fp_contrib, _pow_oracle(spec, ctx.slots))
+
+
+# --------------------------------------------------------------------------
+# Construction is pointwise: any split of the incidence list agrees
+# --------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("layout", ["mirrored", "differs_in_last", "odd_length"])
+def test_split_construction_matches_whole(layout):
+    n = 1024
+    spec = SketchSpec.for_graph(n, seed=9)
+    a = _slots(n, 400, seed=1)
+    b = a.copy()
+    if layout == "differs_in_last":
+        b[-1] = (b[-1] + np.uint64(1)) % np.uint64(n * n)
+    elif layout == "odd_length":
+        b = b[:-1]
+    signs = np.ones(a.size + b.size, dtype=np.int64)
+    evaluated = []
+    real = SketchContext._slot_powers
+
+    def spy(self, slots):
+        evaluated.append(slots.size)
+        return real(self, slots)
+
+    with mock.patch.object(SketchContext, "_slot_powers", spy):
+        whole = SketchContext(spec, np.concatenate([a, b]), signs)
+    # Only the mirrored layout is evaluated on one half.
+    assert evaluated == [a.size if layout == "mirrored" else a.size + b.size]
+    left = SketchContext(spec, a, signs[: a.size])
+    right = SketchContext(spec, b, signs[a.size :])
+    for field in ("depths", "fp_contrib"):
+        halves = [getattr(left, field), getattr(right, field)]
+        assert np.array_equal(getattr(whole, field), np.concatenate(halves, axis=1)), field
