@@ -64,6 +64,9 @@ def _success_rate(n, m, split_frac, trials, reps, graph_seed):
     others = np.concatenate([g.edges_v, g.edges_u])
     slots, signs = incident_slots_and_signs(n, owners, others)
     cut = int(split_frac * n)
+    # Grouped by owner, as outgoing-edge selection groups by component: an
+    # edge inside a group puts a same-slot +- pair into its cells, so cells
+    # holding several incidences reach sample_groups' exact check here.
     group = np.where(owners < cut, 0, 1).astype(np.int64)
     crossing = {
         (int(u), int(v)) for u, v in zip(g.edges_u, g.edges_v) if (u < cut) != (v < cut)
@@ -71,8 +74,7 @@ def _success_rate(n, m, split_frac, trials, reps, graph_seed):
     ok = valid = 0
     for seed in range(trials):
         spec = SketchSpec.for_graph(n, seed=seed, repetitions=reps, hash_family="prf")
-        ctx = SketchContext(spec, slots, signs)
-        res = ctx.group_sums(group, 2).sample()
+        _, res = SketchContext(spec, slots, signs).sample_groups(group, 2)
         if res.found[0]:
             ok += 1
             lo, hi = decode_slot(n, np.array([res.slots[0]]))
@@ -113,8 +115,9 @@ def _sketch_success(cell: dict, seed: int) -> dict:
     seed=5,
 )
 def _sketch_throughput(cell: dict, seed: int) -> dict:
-    # Wall time is the headline here: record only the sketch-construction
-    # hot path, not the graph/incidence setup.
+    # Wall time is the headline here: record only the simulator hot path
+    # (context construction and sample_groups, as outgoing-edge selection
+    # runs them), not the graph/incidence setup.
     n = cell["n"]
     g = generators.gnm_random(n, cell["m"], seed=seed)
     owners = np.concatenate([g.edges_u, g.edges_v])
@@ -125,11 +128,10 @@ def _sketch_throughput(cell: dict, seed: int) -> dict:
         n, seed=seed, repetitions=cell["repetitions"], hash_family="prf"
     )
     t0 = time.perf_counter()
-    ctx = SketchContext(spec, slots, signs)
-    bundle = ctx.group_sums(group, cell["groups"])
+    nonzero, _ = SketchContext(spec, slots, signs).sample_groups(group, cell["groups"])
     wall = time.perf_counter() - t0
     return {
-        "n_groups": int(bundle.n_groups),
+        "n_groups": int(nonzero.size),
         "incidences": int(slots.size),
         "_wall_time_s": wall,
     }

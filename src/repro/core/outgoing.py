@@ -24,7 +24,8 @@ incidence pairs, groups the surviving cut incidences directly at component
 granularity, and gives sketch rows only to the components that own one of
 them.  Each shortcut is exact — the resulting nonzero flags and samples are
 byte-identical to the part-level pipeline of the paper's steps 1-3 (proofs in
-:func:`select_outgoing_edges` and :func:`_sample_components`), so every
+:func:`select_outgoing_edges` and
+:meth:`~repro.sketch.l0.SketchContext.sample_groups`), so every
 downstream decision, ledger charge, and committed baseline is unchanged;
 only the kernel work shrinks with the frontier.
 """
@@ -259,38 +260,20 @@ def _sample_components(
     """Per component: is its cut sketch nonzero, and one sampled cut edge.
 
     Sketches the cross-component incidences under ``bound`` grouped by
-    component, with rows only for the *live* components — those owning at
-    least one kept incidence.  ``present`` marks them and ``cumsum(present)
-    - 1`` numbers them densely in component order, in O(E + C) with no
-    sort.  **Exactness:** a sketch row depends only on the incidences of
-    its own group, and :meth:`~repro.sketch.l0.SketchBundle.nonzero_mask`
-    and :meth:`~repro.sketch.l0.SketchBundle.sample` decide each row on
-    its own, so a live component reads the same flag and sample from its
-    compact row as from its row in the full ``(C, R, L)`` tensor.  Every
-    other component's full row is all zero, which reads ``nonzero=False``
-    and ``found=False, slot=-1, sign=0`` — exactly the values it is given
-    here without being sketched.
+    component.  :meth:`~repro.sketch.l0.SketchContext.sample_groups`
+    returns, byte for byte, the nonzero flags and samples of the dense
+    ``(C, R, L)`` bundle (its docstring proves it) while evaluating only the
+    *live* components — those owning at least one kept incidence — and,
+    past repetition 0, only the ones still without a verified sample.  A
+    component owning no kept incidence reads ``nonzero=False`` and
+    ``found=False, slot=-1, sign=0``, as its all-zero dense row does.
     """
     inc_comp = parts.comp_of_part[inc_part]
     keep = inc_cross
     if bound is not None:
         keep = keep & (cluster.inc_weight < bound[inc_comp])
-    comp_group = inc_comp[keep]
-    c = parts.n_components
-    present = np.bincount(comp_group, minlength=c) > 0
-    compact = np.cumsum(present) - 1
     ctx = SketchContext(spec, cluster.inc_slot[keep], cluster.inc_sign[keep])
-    bundle = ctx.group_sums(compact[comp_group], int(np.count_nonzero(present)))
-    live = bundle.sample()
-
-    def widen(values: np.ndarray, fill) -> np.ndarray:
-        out = np.full(c, fill, dtype=values.dtype)
-        out[present] = values
-        return out
-
-    return widen(bundle.nonzero_mask(), False), SampleResult(
-        widen(live.found, False), widen(live.slots, -1), widen(live.signs, 0)
-    )
+    return ctx.sample_groups(inc_comp[keep], parts.n_components)
 
 
 def _edge_weights(cluster: KMachineCluster, us: np.ndarray, vs: np.ndarray) -> np.ndarray:

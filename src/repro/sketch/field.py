@@ -27,7 +27,6 @@ __all__ = [
     "mulmod",
     "powmod",
     "poly_eval",
-    "poly_eval_rows",
 ]
 
 #: p = 2^61 - 1, the 9th Mersenne prime.
@@ -159,27 +158,3 @@ def poly_eval(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
         acc = addmod(mulmod(acc, x), c)
     return acc
 
-
-def poly_eval_rows(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Evaluate ``R`` polynomials at the same points: ``(R, E)`` output.
-
-    ``coeffs`` is ``uint64[(R, d)]`` (one polynomial per row, ``[:, -1]``
-    the leading coefficients) and ``x`` is ``uint64[E]``.  Row ``i`` of the
-    result equals ``poly_eval(coeffs[i], x)`` exactly — the same Horner
-    recurrence evaluated on an ``(R, E)`` array, so a batch of sketch
-    repetitions costs ``d`` vectorized mulmods total instead of ``R * d``
-    small ones (the dominant win of the batched
-    :class:`~repro.sketch.l0.SketchContext` construction).
-    """
-    coeffs = np.asarray(coeffs, dtype=np.uint64)
-    x = np.asarray(x, dtype=np.uint64)
-    if coeffs.ndim != 2:
-        raise ValueError("coeffs must be 2-D: one polynomial per row")
-    r, d = coeffs.shape
-    if d == 0:
-        return np.zeros((r, x.size), dtype=np.uint64)
-    acc = np.empty((r, x.size), dtype=np.uint64)
-    acc[...] = coeffs[:, -1:]
-    for i in range(d - 2, -1, -1):
-        acc = addmod(mulmod(acc, x[None, :]), coeffs[:, i : i + 1])
-    return acc

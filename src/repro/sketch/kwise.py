@@ -22,10 +22,10 @@ from typing import Protocol
 
 import numpy as np
 
-from repro.sketch.field import MERSENNE_P, poly_eval, poly_eval_rows
+from repro.sketch.field import MERSENNE_P, poly_eval
 from repro.util.rng import SeedStream, derive_seed, splitmix64
 
-__all__ = ["HashFamily", "PolynomialHash", "SplitMix64Hash", "batch_values", "make_hash"]
+__all__ = ["HashFamily", "PolynomialHash", "SplitMix64Hash", "make_hash"]
 
 
 class HashFamily(Protocol):
@@ -94,29 +94,3 @@ def make_hash(seed: int, independence: int, family: str = "polynomial") -> HashF
         return SplitMix64Hash(seed, independence)
     raise ValueError(f"unknown hash family {family!r}; use 'polynomial' or 'prf'")
 
-
-def batch_values(
-    seeds: list[int], independence: int, family: str, keys: np.ndarray
-) -> np.ndarray:
-    """Evaluate ``len(seeds)`` independent hashes over the same keys at once.
-
-    Row ``i`` of the ``uint64[(R, E)]`` result equals
-    ``make_hash(seeds[i], independence, family).values(keys)`` exactly —
-    the per-seed randomness (coefficient draws / PRF keys) is derived
-    identically; only the evaluation is batched into 2-D field arithmetic.
-    This is the repetition-batching entry point of the sketch hot path:
-    one call replaces the per-repetition Python loop that dominated
-    :class:`~repro.sketch.l0.SketchContext` construction (DESIGN.md §9).
-    """
-    keys = np.asarray(keys, dtype=np.uint64)
-    if family == "polynomial":
-        coeffs = np.stack(
-            [PolynomialHash(seed, independence).coeffs for seed in seeds]
-        )
-        return poly_eval_rows(coeffs, keys % np.uint64(MERSENNE_P))
-    if family == "prf":
-        prf_keys = np.array(
-            [SplitMix64Hash(seed, independence)._key for seed in seeds], dtype=np.uint64
-        )
-        return splitmix64(keys[None, :] ^ prf_keys[:, None]) % np.uint64(MERSENNE_P)
-    raise ValueError(f"unknown hash family {family!r}; use 'polynomial' or 'prf'")

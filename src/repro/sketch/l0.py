@@ -40,13 +40,14 @@ row aggregation — which return the same integers the original
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from repro.sketch.edgespace import max_slot_bits
 from repro.sketch.field import MERSENNE_P, addmod, mulmod, powmod
 from repro.sketch.kernels import group_rows, segment_sum
-from repro.sketch.kwise import batch_values
+from repro.sketch.kwise import make_hash
 from repro.util.rng import derive_seed
 
 __all__ = ["SketchSpec", "SketchContext", "SketchBundle", "SampleResult"]
@@ -108,6 +109,28 @@ def _combine_halves(acc_lo: np.ndarray, acc_hi: np.ndarray) -> np.ndarray:
     hi_m = (acc_hi % np.int64(MERSENNE_P)).astype(np.uint64)
     hi_shifted = (hi_m >> np.uint64(31)) + ((hi_m & _MASK31) << np.uint64(30))
     return addmod(hi_shifted, lo_m)
+
+
+def _cells(bins: np.ndarray, shape: tuple[int, int], weights=None, max_abs: int = 1) -> np.ndarray:
+    """Per-cell sums of ``weights`` (occupancy when None), prefix-summed along rows.
+
+    ``bins`` index a ``(rows, columns)`` tensor whose columns run from the
+    deepest level up; a depth-``d`` incidence belongs to levels ``0..d``, so
+    the prefix sum along a row turns per-depth totals into level sums.
+    """
+    size = shape[0] * shape[1]
+    if weights is None:
+        flat = np.bincount(bins, minlength=size)
+    else:
+        flat = segment_sum(weights, bins, size, max_abs=max_abs)
+    return np.cumsum(flat.reshape(shape), axis=1)
+
+
+def _firsts(keys: np.ndarray) -> np.ndarray:
+    """``True`` at the first element of every run of equal sorted ``keys``."""
+    head = np.ones(keys.size, dtype=bool)
+    head[1:] = keys[1:] != keys[:-1]
+    return head
 
 
 @dataclass(frozen=True)
@@ -345,18 +368,21 @@ class SampleResult:
 
 
 class SketchContext:
-    """Per-phase randomness evaluated once over a fixed incidence list.
+    """Per-phase randomness over a fixed incidence list.
 
     The graph's incidence list (slot, sign) never changes; only the group
     assignment (component labels) and the sketch randomness (per phase) do.
-    ``SketchContext`` therefore precomputes, per repetition, each
-    incidence's sampling level and fingerprint contribution, after which
-    *any* grouping can be sketched by :meth:`group_sums`: four
-    ``bincount`` scatters over the R * E selected (incidence, repetition)
-    entries into a ``(G, R, L')`` tensor, ``L'`` being one past the deepest
-    selected incidence.  Construction is O(R * E) and each
-    :meth:`group_sums` call O(R * (E_selected + G * L')) with small
-    constants — the optimization that makes large sweeps feasible.
+    Per repetition, an incidence's sampling depth (:meth:`_depths`) and
+    fingerprint power ``r^slot`` (:meth:`_powers`) are pure functions of
+    its slot, so the context evaluates them only where a result reads
+    them, and construction itself does no per-incidence work:
+
+    * :meth:`sample_groups` — outgoing-edge selection — evaluates one
+      repetition at a time, only for the groups still without a verified
+      sample, and computes fingerprints only at the cells a decision reads;
+    * :meth:`group_sums` — the dense Lemma-2 reference the tests compare
+      against — reads the ``(R, E)`` arrays :attr:`depths` and
+      :attr:`fp_contrib`, built on first use from the same two functions.
 
     In model terms each machine computes this context restricted to its own
     incidences; because the computation is pointwise over incidences, the
@@ -370,75 +396,211 @@ class SketchContext:
         self.signs = np.asarray(signs, dtype=np.int64)
         if self.slots.shape != self.signs.shape or self.slots.ndim != 1:
             raise ValueError("slots and signs must be 1-D of equal length")
-        r, l = spec.repetitions, spec.levels
-        bits = max_slot_bits(spec.n)
-        # Per-slot work (hash, depth, fingerprint power) depends only on
-        # the slot id.  Clusters build incidence lists as two mirrored
-        # halves — concat(u, v) owners against concat(v, u) others — so
-        # the slot array is typically the same block twice; detecting that
-        # (one vectorized compare) halves the whole construction, and the
-        # results are expanded back to per-incidence arrays unchanged.
-        e = self.slots.size
-        half = e // 2
-        mirrored = e >= 2 and e % 2 == 0 and np.array_equal(self.slots[:half], self.slots[half:])
-        eval_slots = self.slots[:half] if mirrored else self.slots
-        # All repetitions batch into one (R, E) hash evaluation: per-rep
-        # randomness (coefficients / PRF keys) is derived exactly as the
-        # per-rep loop did, only the field arithmetic is 2-D.
-        seeds = [derive_seed(spec.seed, 0x1E, rep) for rep in range(r)]
-        h = batch_values(seeds, bits + 4, spec.hash_family, eval_slots)
-        # Descending thresholds T[l] = p >> l; depth = (#thresholds > h) - 1
-        # with #{j < L: h < p >> j} = clip(61 - floor(log2(h + 1)), 0, L)
-        # (see _count_levels_above) — a handful of passes independent of L,
-        # replacing the per-level searchsorted of the per-repetition loop.
-        depths = np.clip(_count_levels_above(h, l) - 1, 0, l - 1)
-        del h  # (R, E) hashes: free them before the power pass allocates
-        fp = self._slot_powers(eval_slots)
-        if mirrored:
-            depths = np.concatenate([depths, depths], axis=1)
-            fp = np.concatenate([fp, fp], axis=1)
-        self.depths = depths
-        self.fp_contrib = fp
 
-    def _slot_powers(self, slots: np.ndarray) -> np.ndarray:
-        """``r^slot mod p`` per (repetition, slot), shape ``(R, slots.size)``.
+    def _depths(self, rep: int, slots: np.ndarray) -> np.ndarray:
+        """Sampling depth of each slot in repetition ``rep`` (int64).
 
-        ``slot = x*n + y`` with ``x, y < n`` gives
-        ``r^slot = (r^n)^x * r^y``.  Each ``r^n`` comes from a scalar-
-        exponent square-and-multiply on the R bases at once; both tables
-        (base rows and base^n rows) then build in a *single* stacked
-        doubling pass — O(R * n) mulmods over O(log n) vectorized passes
-        instead of O(R * E log n) powmods, with the per-call overhead of
-        one table construction rather than 2R.
+        A slot survives to level ``l`` while its hash ``h < p >> l``; with
+        ``#{l < L: h < p >> l}`` from :func:`_count_levels_above`, its depth
+        is that count minus one, clipped to ``[0, L)``.
+        """
+        spec = self.spec
+        seed = derive_seed(spec.seed, 0x1E, rep)
+        h = make_hash(seed, max_slot_bits(spec.n) + 4, spec.hash_family).values(slots)
+        return np.clip(_count_levels_above(h, spec.levels) - 1, 0, spec.levels - 1)
 
-        Small slot sets (the pruned late-phase frontier) skip the tables:
-        below roughly ``E * log(n^2) < 2n`` element-multiplications the
-        direct batched square-and-multiply is cheaper than building a
-        table it would barely read.  Both paths compute the canonical
-        representative of the same field element ``r^slot mod p``, so the
-        choice is invisible in the output bytes (pinned by the sketch
-        exactness suites).
+    def _powers(self, rep: int, slots: np.ndarray) -> np.ndarray:
+        """``r^slot mod p`` per slot, ``r`` the base of repetition ``rep``.
+
+        Python's ``pow`` costs about 0.28 us per exponent bit per slot.
+        The alternative is a ``(2, n)`` table of ``r^y`` and ``(r^n)^x``
+        (``slot = x*n + y``) by doubling, then one gathered ``mulmod`` per
+        slot: about 150 us plus 0.07 us per table entry plus 0.07 us per
+        slot (2-CPU Xeon, NumPy 2.4).  ``pow`` therefore wins while
+        ``4 * bits * size < n + 2048``.  Both give the canonical
+        representative of the same field element.
         """
         n = self.spec.n
-        r = self.spec.repetitions
-        bits = max_slot_bits(self.spec.n)
-        bases = np.array(
-            [self.spec.fingerprint_base(rep) for rep in range(r)], dtype=np.uint64
-        )
-        if slots.size * 2 * bits < 2 * n:
-            return powmod(bases[:, None], slots[None, :], max_exp_bits=bits)
-        # r^n per base via Python bigint modpow: at R elements the numpy
-        # square-and-multiply loop is pure dispatch overhead.
-        r_n = np.array([pow(int(b), n, MERSENNE_P) for b in bases], dtype=np.uint64)
-        table = _power_table(np.concatenate([bases, r_n]), n)  # (2R, n)
+        base = self.spec.fingerprint_base(rep)
+        if 4 * max_slot_bits(n) * slots.size < n + 2048:
+            return np.array([pow(base, s, MERSENNE_P) for s in slots.tolist()], dtype=np.uint64)
+        table = _power_table(np.array([base, pow(base, n, MERSENNE_P)], dtype=np.uint64), n)
         x = (slots // np.uint64(n)).astype(np.int64)
         y = (slots % np.uint64(n)).astype(np.int64)
-        return mulmod(table[r:, x], table[:r, y])
+        return mulmod(table[1, x], table[0, y])
+
+    def _every_incidence(self, per_rep, rep: int) -> np.ndarray:
+        """``per_rep(rep, slots)`` for every incidence of the context.
+
+        Clusters build incidence lists as two mirrored halves — concat(u, v)
+        owners against concat(v, u) others — so the slot array is often the
+        same block twice; one vectorized compare detects that, and the
+        per-slot function then runs on one half only.
+        """
+        e = self.slots.size
+        half = e // 2
+        if e >= 2 and e % 2 == 0 and np.array_equal(self.slots[:half], self.slots[half:]):
+            values = per_rep(rep, self.slots[:half])
+            return np.concatenate([values, values])
+        return per_rep(rep, self.slots)
+
+    def _every_repetition(self, per_rep) -> np.ndarray:
+        """``per_rep(rep, slots)`` for every repetition and incidence, ``(R, E)``."""
+        rows = [self._every_incidence(per_rep, rep) for rep in range(self.spec.repetitions)]
+        return np.stack(rows).reshape(self.spec.repetitions, self.slots.size)
+
+    @cached_property
+    def depths(self) -> np.ndarray:
+        """``int64[(R, E)]`` sampling depths (built on first use)."""
+        return self._every_repetition(self._depths)
+
+    @cached_property
+    def fp_contrib(self) -> np.ndarray:
+        """``uint64[(R, E)]`` fingerprint powers ``r^slot`` (built on first use)."""
+        return self._every_repetition(self._powers)
 
     @property
     def n_incidences(self) -> int:
         """Number of (slot, sign) incidences in the context."""
         return int(self.slots.size)
+
+    def sample_groups(self, group_idx: np.ndarray, n_groups: int) -> tuple[np.ndarray, SampleResult]:
+        """Per group, the sketch's nonzero flag and its l0 sample.
+
+        Incidence ``i`` belongs to group ``group_idx[i]``.  Returns exactly
+        ``(bundle.nonzero_mask(), bundle.sample())`` of ``bundle =
+        group_sums(group_idx, n_groups)``, byte for byte, without building
+        that bundle.  Repetition ``r`` is evaluated — hash, depth, and the
+        count, occupancy and id-sum scatters with their suffix sums over a
+        ``(G_r, L)`` tensor — only for the ``G_r`` groups that repetitions
+        below ``r`` left without a verified sample (and the rare groups
+        whose nonzero flag rule 4 still leaves open, whose samples are kept
+        as first found).  Fingerprints are computed only where a decision
+        reads them.  Every rule below rests on one fact: a group's cells
+        depend only on its own incidences, so leaving other groups out
+        changes none of them.
+
+        1. **Repetition order.**  ``sample`` returns a group's first
+           verified candidate in the order repetition ascending, level
+           descending.  A group verified in repetition ``r`` has its answer
+           there whatever later repetitions hold, so they skip it.  Levels
+           past the deepest evaluated incidence are zero and hold no
+           candidate (``c = 0``), so the tensor stops there.
+        2. **Single occupancy.**  Occupancy is the unweighted count of a
+           cell's incidences (one ``bincount`` over the same bins).  A cell
+           holding exactly one incidence ``i`` has ``c = sign_i``,
+           ``s = sign_i * slot_i`` and fingerprint ``sign_i * r^slot_i``:
+           it is a candidate, its slot ``c * s = slot_i`` is in range, and
+           its fingerprint equals the value verification expects.  It
+           verifies without being computed.
+        3. **Exact multi-occupancy cells.**  A candidate holding several
+           incidences verifies or not by its fingerprint, the sum of
+           ``sign_i * r^slot_i mod p`` over the group's incidences of depth
+           at least its level.  That sum is computed from exactly those
+           incidences with the dense path's exact 30-bit-split arithmetic
+           and compared with the same expected value, so it gives the same
+           answer.  Only candidates ahead of the group's first
+           single-occupancy candidate are checked: that one verifies, so
+           nothing after it can come first.  Occupancy never falls in
+           candidate order, so only groups with no single-occupancy
+           candidate in a repetition have any.
+        4. **Nonzero.**  ``nonzero_mask`` is True where any repetition's
+           level-0 fingerprint, which sums all of the group's incidences,
+           is nonzero.  With no incidence every fingerprint is 0: False.
+           With one it is ``+-r^slot``, never 0 for ``r`` in ``[2, p)``
+           and ``p`` prime: True.  Otherwise repetition 0's fingerprint is
+           read, and a later repetition's only where every earlier one
+           vanished.
+        """
+        gi = np.asarray(group_idx, dtype=np.int64)
+        if gi.shape != self.slots.shape:
+            raise ValueError("group_idx must have one entry per incidence")
+        n2 = self.spec.n * self.spec.n
+        occupancy = np.bincount(gi, minlength=n_groups)
+        nonzero = occupancy == 1
+        undecided = occupancy > 1  # nonzero flag still open (rule 4)
+        pending = occupancy > 0  # no verified sample yet (rule 1)
+        found = np.zeros(n_groups, dtype=bool)
+        out_slot = np.full(n_groups, -1, dtype=np.int64)
+        out_sign = np.zeros(n_groups, dtype=np.int64)
+        g, slots, signs = gi, self.slots, self.signs
+        for rep in range(self.spec.repetitions):
+            live = pending | undecided
+            if not live.any():
+                break
+            if rep:
+                keep = live[g]
+                g, slots, signs = g[keep], slots[keep], signs[keep]
+                depth = self._depths(rep, slots)
+            else:  # every incidence is live in repetition 0
+                depth = self._every_incidence(self._depths, 0)
+            rows = np.flatnonzero(live)
+            row_of = np.zeros(n_groups, dtype=np.int64)
+            row_of[rows] = np.arange(rows.size)
+            row = row_of[g]
+            l = int(depth.max()) + 1
+            # Columns run from the deepest level up, so C order is sample's
+            # candidate order: group, then level descending.
+            col = (l - 1) - depth
+            shape = (rows.size, l)
+            bins = row * l + col
+            counts = _cells(bins, shape, signs)
+            occupied = _cells(bins, shape)
+            signed = slots.view(np.int64) * signs  # slots < n^2 < 2^63
+            sums = _cells(bins, shape, signed, max(1, n2 - 1))
+            cr, cc = np.nonzero(np.abs(counts) == 1)
+            c = counts[cr, cc]
+            slot = sums[cr, cc] * c
+            ok = (slot >= 0) & (slot < n2)
+            cr, cc, c, slot = cr[ok], cc[ok], c[ok], slot[ok]
+            single = occupied[cr, cc] == 1
+            first_single = np.flatnonzero(single)
+            first_single = first_single[_firsts(cr[first_single])]
+            limit = np.full(rows.size, cr.size)
+            limit[cr[first_single]] = first_single
+            check = np.flatnonzero(~single & (np.arange(cr.size) < limit[cr]))
+            checked_row = np.zeros(rows.size, dtype=bool)
+            checked_row[cr[check]] = True
+            # One power batch serves rule 3's checks and rule 4's flags.
+            need = undecided.copy()
+            need[rows[checked_row]] = True
+            if need.any():
+                if rep:
+                    power = np.zeros(g.size, dtype=np.uint64)
+                    powered = need[g]
+                    power[powered] = self._powers(rep, slots[powered])
+                else:  # nearly every incidence of repetition 0 needs its power
+                    power = self._every_incidence(self._powers, 0)
+            if undecided.any():
+                fp0 = _modp_scatter_sum(power, signs, g, n_groups)
+                nonzero |= undecided & (fp0 != 0)
+                undecided &= fp0 == 0
+            winners = [first_single]
+            if check.size:
+                sub = checked_row[row]
+                k_row = np.cumsum(checked_row) - 1
+                k_shape = (int(k_row[-1]) + 1, l)
+                k_bins = k_row[row[sub]] * l + col[sub]
+                f = power[sub].view(np.int64)  # values < p < 2^63
+                lo = _cells(k_bins, k_shape, (f & _LOW30) * signs[sub], _MAX_LO)
+                hi = _cells(k_bins, k_shape, (f >> np.int64(30)) * signs[sub], _MAX_HI_FP)
+                cells = (k_row[cr[check]], cc[check])
+                fp = _combine_halves(lo[cells], hi[cells])
+                expected = self._powers(rep, slot[check].astype(np.uint64))
+                neg = c[check] < 0
+                expected[neg] = (_P - expected[neg]) % _P
+                verified = check[fp == expected]
+                winners.append(verified[_firsts(cr[verified])])
+            # A checked candidate precedes its row's first single one, so a
+            # verified one is written last and wins.
+            for win in winners:
+                win = win[pending[rows[cr[win]]]]
+                groups = rows[cr[win]]
+                found[groups] = True
+                out_slot[groups] = slot[win]
+                out_sign[groups] = c[win]
+            pending &= ~found
+        return nonzero, SampleResult(found, out_slot, out_sign)
 
     def group_sums(
         self,

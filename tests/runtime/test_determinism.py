@@ -6,9 +6,15 @@ Sessions, across explicit clusters, and between a sweep's grid points and
 standalone runs.  A failure here means either the
 algorithms picked up a hidden source of nondeterminism or the envelope
 serialization stopped being canonical.
+
+Three large runs are also pinned to recorded SHA-256 digests of their whole
+envelopes, so a change that returns a different but still valid forest or
+labelling fails here even when every model cost stays the same.
 """
 
 from __future__ import annotations
+
+import hashlib
 
 import pytest
 
@@ -69,3 +75,33 @@ def test_sweep_points_equal_standalone_runs(algorithm):
     assert [r.to_json(include_timing=False) for r in swept] == [
         r.to_json(include_timing=False) for r in alone
     ]
+
+
+#: (algorithm, n, m, weighted, SHA-256 of the envelope): G(n, m) built and
+#: run with seed 1 on k = 8 machines.  These are the inputs of the wall-clock
+#: benchmark's conn-sparse, conn-dense and mst-sparse workloads.
+LARGE_RUNS = {
+    "conn-sparse": (
+        "connectivity", 32768, 3 * 32768, False,
+        "3c1bae7f1d614fd5aa920d0959111e2c09c40e73613cbe2a7460ec7ae1271e88",
+    ),
+    "conn-dense": (
+        "connectivity", 4096, 48 * 4096, False,
+        "06bdc12ad6923ac495f88e018258ae5f2c3e0120967f381c1ac168e70b2910b0",
+    ),
+    "mst-sparse": (
+        "mst", 8192, 4 * 8192, True,
+        "a31eff5a79a35a099100431d3319340cb0258980a7d7b9a8c11e69ebd69c083c",
+    ),
+}  # fmt: skip
+
+
+@pytest.mark.parametrize("name", sorted(LARGE_RUNS))
+def test_large_run_envelopes_are_pinned(name):
+    algorithm, n, m, weighted, digest = LARGE_RUNS[name]
+    g = generators.gnm_random(n, m, seed=1)
+    if weighted:
+        g = generators.with_unique_weights(g, seed=1)
+    report = Session().run(algorithm, g, config=RunConfig(seed=1, cluster=ClusterConfig(k=8)))
+    envelope = report.to_json(include_timing=False).encode()
+    assert hashlib.sha256(envelope).hexdigest() == digest

@@ -1,18 +1,24 @@
 """Live-data sketching equals the full-depth dense sketch, byte for byte.
 
-Outgoing-edge selection sketches only live data: it gives sketch rows only
-to the components that own a kept incidence
-(:func:`repro.core.outgoing._sample_components`), ``group_sums`` builds the
-level axis only down to the deepest selected incidence, and ``sample``
+Outgoing-edge selection sketches only live data:
+:meth:`~repro.sketch.l0.SketchContext.sample_groups` evaluates only the
+components that own a kept incidence
+(:func:`repro.core.outgoing._sample_components`), one repetition at a time
+and only for the components still without a verified sample, and reads
+fingerprints only at the cells a decision depends on; ``group_sums`` builds
+the level axis only down to the deepest selected incidence, and ``sample``
 verifies each group's first candidate before any other.  This suite pins
-all three against an independent oracle: every group gets a row, every
+all of it against an independent oracle: every group gets a row, every
 level of ``spec.levels`` is stored, the cells are accumulated one
 incidence at a time with Python integers, and every candidate is verified
 with Python's ``pow``.  Hypothesis covers random incidence lists, untouched
 groups, masks, weight bounds, a single group, empty selections and
-incidences forced to the maximum depth; the remaining tests pin the sample
-fallback order, linearity on trimmed bundles, and the level trim on a
-large input.
+incidences forced to the maximum depth; deterministic cases reach each
+exact branch of ``sample_groups`` (a multi-occupancy candidate that
+verifies, a level-0 fingerprint that vanishes on a nonzero vector, a group
+with no single-occupancy candidate in any repetition); the remaining tests
+pin the sample fallback order, linearity on trimmed bundles, and the level
+trim on a large input.
 """
 
 from __future__ import annotations
@@ -109,13 +115,16 @@ def _sample_bytes(s: SampleResult) -> tuple:
 def _deep_context(deep_slots: np.ndarray):
     """A SketchContext whose incidences on ``deep_slots`` sit at max depth.
 
-    Forcing by slot keeps equal slots at equal depths, as hashing does.
+    The override is the per-repetition depth function that both the dense
+    ``depths`` and ``sample_groups`` read.  Forcing by slot keeps equal
+    slots at equal depths, as hashing does.
     """
 
     class DeepContext(SketchContext):
-        def __init__(self, spec, slots, signs):
-            super().__init__(spec, slots, signs)
-            self.depths[:, np.isin(self.slots, deep_slots)] = spec.levels - 1
+        def _depths(self, rep, slots):
+            depths = super()._depths(rep, slots)
+            depths[np.isin(slots, deep_slots)] = self.spec.levels - 1
+            return depths
 
     return DeepContext
 
@@ -262,6 +271,87 @@ def test_live_zero_row_keeps_its_place():
     oracle = _dense_oracle(SketchContext(spec, slots, signs), group, 3, np.ones(3, dtype=bool))
     assert _sample_bytes(sample) == _sample_bytes(_sample_oracle(oracle))
     assert sample.found.tolist() == [False, False, True]
+
+
+# --------------------------------------------------------------------------
+# The exact branches of sample_groups, each reached on purpose
+# --------------------------------------------------------------------------
+
+
+def _check_against_oracle(ctx: SketchContext, group: np.ndarray, n_groups: int):
+    """``sample_groups`` equals the oracle; return its outputs and the oracle bundle."""
+    nonzero, sample = ctx.sample_groups(group, n_groups)
+    oracle = _dense_oracle(ctx, group, n_groups, np.ones(group.size, dtype=bool))
+    assert nonzero.tolist() == np.any(oracle.fps[:, :, 0] != 0, axis=1).tolist()
+    assert _sample_bytes(sample) == _sample_bytes(_sample_oracle(oracle))
+    return nonzero, sample, oracle
+
+
+def test_multi_occupancy_candidate_verifies():
+    # Groups 0 and 2: a same-slot +- pair and one survivor, all at max
+    # depth in every repetition, so the first candidate holds three
+    # incidences with count +-1; the fingerprint +-r^b (resp. -r^d)
+    # verifies.  Group 1 is an ordinary group of two incidences.
+    n = 40
+    a, b, c, d = 3 * n + 17, 5 * n + 9, 13 * n + 21, 2 * n + 33
+    slots = np.array([a, a, b, 7 * n + 8, 11 * n + 30, c, d, c], dtype=np.uint64)
+    signs = np.array([1, -1, 1, 1, -1, -1, -1, 1], dtype=np.int64)
+    group = np.array([0, 0, 0, 1, 1, 2, 2, 2], dtype=np.int64)
+    spec = SketchSpec.for_graph(n, seed=13, repetitions=3)
+    ctx = _deep_context(np.array([a, b, c, d], dtype=np.uint64))(spec, slots, signs)
+    assert (ctx.depths[:, [0, 1, 2, 5, 6, 7]] == spec.levels - 1).all()
+    nonzero, sample, _ = _check_against_oracle(ctx, group, 3)
+    assert nonzero.tolist() == [True, True, True]
+    assert (sample.found[0], sample.slots[0], sample.signs[0]) == (True, b, 1)
+    assert (sample.found[2], sample.slots[2], sample.signs[2]) == (True, d, -1)
+
+
+def test_nonzero_reads_a_later_repetition_where_level0_vanishes():
+    # With r = p - 1 in repetition 0, r^slot = +-1 by the slot's parity.
+    # Group 0's two even slots of opposite sign give a level-0 fingerprint
+    # of 1 - 1 = 0 on a nonzero vector, so repetition 1 decides its flag.
+    # Its sample still comes from repetition 0, although repetition 1 puts
+    # the other incidence deepest.  Group 1 is a true zero (a same-slot +-
+    # pair): every repetition vanishes.  Group 2 holds one incidence:
+    # nonzero with no fingerprint.
+    n = 40
+    slots = np.array([2 * n + 4, 6 * n + 10, 9 * n + 13, 9 * n + 13, 4 * n + 7], dtype=np.uint64)
+    signs = np.array([1, -1, 1, -1, 1], dtype=np.int64)
+    group = np.array([0, 0, 1, 1, 2], dtype=np.int64)
+    spec = SketchSpec.for_graph(n, seed=22, repetitions=3)
+    real = SketchSpec.fingerprint_base
+
+    def base(self, rep):
+        return P - 1 if rep == 0 else real(self, rep)
+
+    with mock.patch.object(SketchSpec, "fingerprint_base", base):
+        ctx = SketchContext(spec, slots, signs)
+        nonzero, sample, oracle = _check_against_oracle(ctx, group, 3)
+    assert oracle.fps[0, 0, 0] == 0 and oracle.fps[0, 1, 0] != 0
+    assert nonzero.tolist() == [True, False, True]
+    depths = ctx.depths[:2, :2]
+    assert depths[0, 1] > depths[0, 0] and depths[1, 0] > depths[1, 1]
+    assert (sample.found[0], sample.slots[0], sample.signs[0]) == (True, 6 * n + 10, -1)
+    assert not sample.found[1]
+
+
+def test_group_without_single_occupancy_in_any_repetition():
+    # Group 0: a +- pair on slot a plus +s1, +s2, -s3, all at max depth, so
+    # every level of every repetition holds all five incidences: count +1
+    # and slot s1 + s2 - s3, never a single-occupancy cell.  Each of those
+    # candidates is checked exactly and fails.  Group 1 is ordinary.
+    n = 40
+    a, s1, s2, s3 = 1 * n + 2, 5 * n + 6, 7 * n + 8, 3 * n + 4
+    deep = np.array([a, s1, s2, s3], dtype=np.uint64)
+    slots = np.array([a, a, s1, s2, s3, 8 * n + 9, 12 * n + 20], dtype=np.uint64)
+    signs = np.array([1, -1, 1, 1, -1, -1, 1], dtype=np.int64)
+    group = np.array([0, 0, 0, 0, 0, 1, 1], dtype=np.int64)
+    spec = SketchSpec.for_graph(n, seed=34, repetitions=4)
+    ctx = _deep_context(deep)(spec, slots, signs)
+    nonzero, sample, oracle = _check_against_oracle(ctx, group, 2)
+    assert (oracle.counts[0] == 1).all() and (oracle.sums[0] == s1 + s2 - s3).all()
+    assert nonzero.tolist() == [True, True]
+    assert not sample.found[0] and sample.found[1]
 
 
 # --------------------------------------------------------------------------

@@ -1,14 +1,15 @@
 """Per-incidence sketch randomness, checked against its definition.
 
 ``SketchContext`` gives each incidence, per repetition, a sampling depth
-and a fingerprint contribution ``r^slot mod p``.  Its construction takes
-shortcuts that must never show in the output: the depth comes from a
-float bit-length instead of a per-level comparison sweep, ``_slot_powers``
-picks a direct batched powmod or the stacked ``(r, r^n)`` power tables
-from the slot count alone, and a mirrored incidence list (the same slot
-block twice, as clusters build it) is evaluated on one half only.  Every
-path is checked here against Python integers: ``pow`` for the powers and
-the threshold definition ``h < p >> l`` for the depths.
+(``_depths``) and a fingerprint contribution ``r^slot mod p``
+(``_powers``), evaluated only when a result reads them.  Their shortcuts
+must never show in the output: the depth comes from a float bit-length
+instead of a per-level comparison sweep, ``_powers`` picks Python's
+``pow`` or the ``(r, r^n)`` power table from the batch size and ``n``,
+and a mirrored incidence list (the same slot block twice, as clusters
+build it) is evaluated on one half only.  Every path is checked here
+against Python integers: ``pow`` for the powers and the threshold
+definition ``h < p >> l`` for the depths.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import pytest
 from repro.sketch import l0
 from repro.sketch.edgespace import incident_slots_and_signs, max_slot_bits
 from repro.sketch.field import MERSENNE_P
-from repro.sketch.kwise import batch_values
+from repro.sketch.kwise import make_hash
 from repro.sketch.l0 import SketchContext, SketchSpec
 from repro.util.rng import derive_seed
 
@@ -31,9 +32,9 @@ P = MERSENNE_P
 NS = (17, 1024, 40_000)
 
 
-def _direct_limit(n: int) -> int:
-    """Largest slot count that takes the direct powmod (``E * bits < n``)."""
-    return -(-n // max_slot_bits(n)) - 1
+def _pow_limit(n: int) -> int:
+    """Largest batch that takes Python's ``pow`` (``4 * bits * size < n + 2048``)."""
+    return -(-(n + 2048) // (4 * max_slot_bits(n))) - 1
 
 
 def _slots(n: int, size: int, seed: int) -> np.ndarray:
@@ -57,7 +58,8 @@ def _pow_oracle(spec: SketchSpec, slots: np.ndarray) -> np.ndarray:
 def _depth_oracle(spec: SketchSpec, slots: np.ndarray) -> np.ndarray:
     """Deepest level ``l`` with ``h < p >> l``, from the hash values themselves."""
     seeds = [derive_seed(spec.seed, 0x1E, rep) for rep in range(spec.repetitions)]
-    h = batch_values(seeds, max_slot_bits(spec.n) + 4, spec.hash_family, slots)
+    bits = max_slot_bits(spec.n) + 4
+    h = np.stack([make_hash(seed, bits, spec.hash_family).values(slots) for seed in seeds])
     depths = np.zeros(h.shape, dtype=np.int64)
     for idx, value in np.ndenumerate(h):
         above = sum(int(value) < (P >> lev) for lev in range(spec.levels))
@@ -66,7 +68,7 @@ def _depth_oracle(spec: SketchSpec, slots: np.ndarray) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
-# Fingerprint powers: the direct path and the table path
+# Fingerprint powers: Python's pow and the power table
 # --------------------------------------------------------------------------
 
 
@@ -74,11 +76,11 @@ def _depth_oracle(spec: SketchSpec, slots: np.ndarray) -> np.ndarray:
 @pytest.mark.parametrize("path", ["direct", "table"])
 def test_slot_powers_match_python_pow(path, n):
     ctx = _empty_context(n)
-    size = _direct_limit(n) + (path == "table")
+    size = _pow_limit(n) + (path == "table")
     slots = _slots(n, size, seed=n)
     with mock.patch.object(l0, "_power_table", wraps=l0._power_table) as table:
-        got = ctx._slot_powers(slots)
-    assert table.called == (path == "table")
+        got = np.stack([ctx._powers(rep, slots) for rep in range(ctx.spec.repetitions)])
+    assert table.call_count == (ctx.spec.repetitions if path == "table" else 0)
     assert got.dtype == np.uint64 and got.shape == (ctx.spec.repetitions, size)
     assert np.array_equal(got, _pow_oracle(ctx.spec, slots))
 
@@ -124,6 +126,19 @@ def test_context_matches_its_definition(family):
     assert np.array_equal(ctx.fp_contrib, _pow_oracle(spec, ctx.slots))
 
 
+def test_construction_evaluates_nothing():
+    # Depths and powers are built on first use, not by the constructor.
+    n = 1024
+    spec = SketchSpec.for_graph(n, seed=9)
+    slots = _slots(n, 400, seed=2)
+    with (
+        mock.patch.object(SketchContext, "_depths") as depths,
+        mock.patch.object(SketchContext, "_powers") as powers,
+    ):
+        SketchContext(spec, slots, np.ones(slots.size, dtype=np.int64))
+    assert not depths.called and not powers.called
+
+
 # --------------------------------------------------------------------------
 # Construction is pointwise: any split of the incidence list agrees
 # --------------------------------------------------------------------------
@@ -141,18 +156,19 @@ def test_split_construction_matches_whole(layout):
         b = b[:-1]
     signs = np.ones(a.size + b.size, dtype=np.int64)
     evaluated = []
-    real = SketchContext._slot_powers
+    real = SketchContext._powers
 
-    def spy(self, slots):
+    def spy(self, rep, slots):
         evaluated.append(slots.size)
-        return real(self, slots)
+        return real(self, rep, slots)
 
-    with mock.patch.object(SketchContext, "_slot_powers", spy):
-        whole = SketchContext(spec, np.concatenate([a, b]), signs)
+    whole = SketchContext(spec, np.concatenate([a, b]), signs)
+    with mock.patch.object(SketchContext, "_powers", spy):
+        whole_powers = whole.fp_contrib
     # Only the mirrored layout is evaluated on one half.
-    assert evaluated == [a.size if layout == "mirrored" else a.size + b.size]
+    size = a.size if layout == "mirrored" else a.size + b.size
+    assert evaluated == [size] * spec.repetitions
     left = SketchContext(spec, a, signs[: a.size])
     right = SketchContext(spec, b, signs[a.size :])
-    for field in ("depths", "fp_contrib"):
-        halves = [getattr(left, field), getattr(right, field)]
-        assert np.array_equal(getattr(whole, field), np.concatenate(halves, axis=1)), field
+    assert np.array_equal(whole_powers, np.concatenate([left.fp_contrib, right.fp_contrib], axis=1))
+    assert np.array_equal(whole.depths, np.concatenate([left.depths, right.depths], axis=1))
