@@ -21,14 +21,8 @@ wins the rounds bill and cells where it loses) or the study says nothing.
 from __future__ import annotations
 
 from repro.bench.registry import register_benchmark
-from repro.graphs import generators
+from repro.corpus.families import sized_graph
 from repro.runtime import ClusterConfig, LogDiamConfig, RunConfig, Session
-
-
-def _crossover_graph(family: str, n: int, seed: int):
-    if family == "gnm":
-        return generators.gnm_random(n, 3 * n, seed=seed)
-    return generators.worst_case_graph(family, n, seed=seed)
 
 
 @register_benchmark(
@@ -62,7 +56,7 @@ def _crossover_graph(family: str, n: int, seed: int):
     seed=7,
 )
 def _crossover_logdiam(cell: dict, seed: int) -> dict:
-    g = _crossover_graph(cell["family"], cell["n"], seed)
+    g = sized_graph(cell["family"], cell["n"], seed)
     config = RunConfig(
         seed=seed,
         cluster=ClusterConfig(

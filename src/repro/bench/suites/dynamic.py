@@ -26,7 +26,7 @@ import math
 from repro.bench.registry import register_benchmark
 from repro.bench.runner import metrics_from_report
 from repro.core.dynamic import MaintainedForest, generate_batch
-from repro.graphs import generators
+from repro.corpus.families import sized_graph
 from repro.runtime.config import ClusterConfig, RunConfig
 from repro.runtime.session import Session
 from repro.scenarios.updates import UpdateBatch, UpdatePlan, batch_seed
@@ -37,14 +37,7 @@ __all__: list[str] = []
 
 def _input_graph(n: int, seed: int, family: str):
     """The benchmark input at size ``n``, with unique weights attached."""
-    gseed = derive_seed(seed, n, 0x5CE)
-    if family == "gnm":
-        g = generators.gnm_random(n, 3 * n, seed=gseed)
-    else:
-        g = generators.worst_case_graph(family, n, seed=gseed)
-    if not g.weighted:
-        g = generators.with_unique_weights(g, seed=gseed)
-    return g
+    return sized_graph(family, n, derive_seed(seed, n, 0x5CE), weighted=True)
 
 
 #: Update plans of one batch kind each, shared by both tiers: the benign

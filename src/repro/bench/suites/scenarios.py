@@ -29,7 +29,7 @@ import numpy as np
 from repro.bench.registry import register_benchmark
 from repro.bench.runner import metrics_from_report
 from repro.cluster.partition import PARTITION_SCHEMES, PartitionConfig, build_partition
-from repro.graphs import generators
+from repro.corpus.families import sized_graph
 from repro.graphs import reference as ref
 from repro.runtime.config import ChurnPlan, ClusterConfig, FaultPlan, RunConfig
 from repro.runtime.session import Session
@@ -46,17 +46,13 @@ def _input_graph(n: int, seed: int, kind: str = "gnm"):
     orders whose correlation with graph structure the ``locality`` scheme
     models (ROADMAP: its hostility only shows on structured ids).  Grid
     cells must request a perfect-square ``n`` so the recorded params name
-    the graph actually built (same rounding idiom as the CLI ``--graph
-    grid`` path in :mod:`repro.cli`).
+    the graph actually built (the ``grid`` size rule rounds to the
+    nearest square).
     """
-    if kind == "grid":
-        side = max(2, int(round(n**0.5)))
-        if side * side != n:
-            raise ValueError(f"grid cells need a perfect-square n, got {n}")
-        return generators.grid2d(side, side)
-    if kind == "path":
-        return generators.path_graph(n)
-    return generators.gnm_random(n, 3 * n, seed=derive_seed(seed, n, 0x5CE))
+    g = sized_graph(kind, n, derive_seed(seed, n, 0x5CE))
+    if g.n != n:
+        raise ValueError(f"{kind} cells need a perfect-square n, got {n}")
+    return g
 
 
 @register_benchmark(

@@ -53,7 +53,9 @@ import json
 import sys
 from typing import Sequence
 
-from repro.graphs import generators
+from repro.corpus.families import sizeable_families
+from repro.corpus.inputs import resolve_input
+from repro.corpus.manager import CorpusManager
 from repro.graphs.graph import Graph
 from repro.runtime import (
     ClusterConfig,
@@ -73,24 +75,6 @@ _CLUSTER_DEFAULTS = ClusterConfig()
 
 __all__ = ["main"]
 
-#: Graph families constructible from (n, m, seed) on the command line
-#: (the worst-case scenario families are addressable directly too).
-GRAPH_KINDS = (
-    "gnm",
-    "path",
-    "cycle",
-    "star",
-    "grid",
-    "powerlaw",
-    "geometric",
-    "lollipop",
-    "barbell",
-    "expander_bridge",
-    "disjoint_cliques",
-    "star_of_paths",
-)
-
-
 def _scenario_of(args: argparse.Namespace):
     """The resolved --scenario (or None), via the scenario registry."""
     name = getattr(args, "scenario", None)
@@ -101,57 +85,29 @@ def _scenario_of(args: argparse.Namespace):
     return get_scenario(name)
 
 
-def _corpus_params(args: argparse.Namespace, kind: str, n: int) -> dict:
-    """Map the flat CLI knobs onto a corpus family's declared parameters.
+def _input_graph(args: argparse.Namespace, seed: int, *, n: int | None = None) -> Graph:
+    """The run's input graph (size overridable for sweeps).
 
-    One dict per family — this is the single remaining piece of per-family
-    CLI knowledge; the builders themselves live behind the
-    :data:`~repro.corpus.families.CORPUS_FAMILIES` registry.
+    One call into :func:`~repro.corpus.inputs.resolve_input`, the resolver
+    the service and ``Session`` share: ``--corpus`` > ``--graph`` >
+    ``--scenario`` > ``gnm``, graph seed derived from ``--graph-seed`` or
+    the run seed, and weights when ``--weighted`` asks or the algorithm
+    requires them.  ``--m`` and ``--radius`` override the family's params.
     """
-    if kind == "gnm":
-        return {"n": n, "m": int(args.m if args.m is not None else 3 * n)}
-    if kind == "grid":
-        side = max(2, int(round(n**0.5)))
-        return {"rows": side, "cols": side}
-    if kind == "powerlaw":
-        return {"n": n, "attach": 2}
-    if kind == "geometric":
-        return {"n": n, "radius": float(args.radius)}
-    return {"n": n}
-
-
-def _build_graph(args: argparse.Namespace, seed: int, *, n: int | None = None) -> Graph:
-    """Build the input graph named by ``--graph`` (size overridable for sweeps).
-
-    With ``--scenario`` and no explicit ``--graph``, the scenario's graph
-    family wins (an explicit ``--graph`` overrides it).  Every named kind
-    dispatches through the corpus family registry
-    (:data:`~repro.corpus.families.CORPUS_FAMILIES`), so CLI inputs obey
-    the same generator contract ``repro corpus`` materializes; weights are
-    overlaid here with the historical graph-seed semantics (the run seed
-    salts weights even on unseeded shape families).
-    """
-    from repro.corpus.families import get_family
-
-    n = int(args.n if n is None else n)
-    kind = args.graph
-    gseed = args.graph_seed if args.graph_seed is not None else seed
-    scenario = _scenario_of(args)
-    if scenario is not None and kind is None:
-        g = scenario.make_graph(n, gseed)
-    else:
-        kind = "gnm" if kind is None else kind
-        family = get_family(kind)
-        g = family.generate(_corpus_params(args, kind, n), seed=gseed)
-    params = dict(args.param or [])
-    needs_weights = (
-        args.weighted
-        or get_algorithm(args.algorithm).requires_weights
-        or bool(params.get("mst"))  # rep's MST variant needs weights too
+    overrides = {"m": args.m, "radius": args.radius}
+    return resolve_input(
+        n=int(args.n if n is None else n),
+        seed=seed,
+        family=args.graph,
+        scenario=args.scenario,
+        corpus=args.corpus,
+        weighted=args.weighted,
+        algorithm=args.algorithm,
+        params=dict(args.param or []),
+        graph_seed=args.graph_seed,
+        overrides={key: value for key, value in overrides.items() if value is not None},
+        manager=CorpusManager(args.corpus_root),
     )
-    if needs_weights and not g.weighted:
-        g = generators.with_unique_weights(g, seed=gseed)
-    return g
 
 
 def _parse_param(text: str):
@@ -200,9 +156,10 @@ def _add_run_options(p: argparse.ArgumentParser) -> None:
     graph = p.add_argument_group("graph construction")
     graph.add_argument(
         "--graph",
-        choices=GRAPH_KINDS,
+        choices=sizeable_families(),
         default=None,
-        help="graph family (default gnm; overrides the --scenario family)",
+        help="graph family, any sizeable corpus family (default gnm; overrides "
+        "the --scenario family)",
     )
     graph.add_argument(
         "--scenario",
@@ -227,9 +184,14 @@ def _add_run_options(p: argparse.ArgumentParser) -> None:
     )
     graph.add_argument("--n", type=int, default=1000, help="vertices (default 1000)")
     graph.add_argument("--m", type=int, default=None, help="edges for gnm (default 3n)")
-    graph.add_argument("--radius", type=float, default=0.08, help="radius for geometric")
     graph.add_argument(
-        "--graph-seed", type=int, default=None, help="graph seed (default: the run seed)"
+        "--radius", type=float, default=None, help="radius for geometric (default 0.08)"
+    )
+    graph.add_argument(
+        "--graph-seed",
+        type=int,
+        default=None,
+        help="seed the graph seed derives from (default: the run seed)",
     )
     graph.add_argument(
         "--weighted", action="store_true", help="force unique edge weights on the input"
@@ -304,38 +266,14 @@ def _cmd_list(_args: argparse.Namespace) -> int:
     width = max(len(n) for n in names)
     for name in names:
         spec = get_algorithm(name)
-        weights = " [weighted]" if spec.requires_weights else ""
+        weights = " [weighted]" if spec.needs_weights() else ""
         print(f"{name:<{width}}  {spec.kind:<8}  {spec.summary}{weights}")
     return 0
 
 
-def _corpus_graph(args: argparse.Namespace) -> Graph:
-    """Load ``--corpus ENTRY`` memory-mapped, enforcing weight requirements."""
-    from repro.corpus.manager import CorpusManager
-
-    manager = CorpusManager(args.corpus_root)
-    graph = manager.load(args.corpus)
-    params = dict(args.param or [])
-    needs_weights = (
-        args.weighted
-        or get_algorithm(args.algorithm).requires_weights
-        or bool(params.get("mst"))
-    )
-    if needs_weights and not graph.weighted:
-        raise ValueError(
-            f"corpus entry {args.corpus!r} is unweighted but this run needs "
-            "weights; materialize a weighted=true cell instead"
-        )
-    return graph
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    seed = resolve_seed(None, config.seed)
-    if args.corpus is not None:
-        graph = _corpus_graph(args)
-    else:
-        graph = _build_graph(args, seed)
+    graph = _input_graph(args, resolve_seed(None, config.seed))
     report = Session(graph, config=config).run(args.algorithm)
     print(report.summary())
     if args.json:
@@ -352,23 +290,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     seed = resolve_seed(None, config.seed)
     session = Session(config=config)
-    if args.corpus is not None:
-        if args.ns:
-            raise ValueError("--corpus pins one input; it cannot sweep --ns")
-        reports = session.sweep(
-            args.algorithm,
-            seeds=args.seeds,
-            ks=args.ks,
-            graph=_corpus_graph(args),
-            processes=args.processes,
-        )
-    elif args.ns:
+    if args.corpus is not None and args.ns:
+        raise ValueError("--corpus pins one input; it cannot sweep --ns")
+    if args.ns:
         reports = session.sweep(
             args.algorithm,
             seeds=args.seeds,
             ks=args.ks,
             ns=args.ns,
-            graph_factory=lambda n: _build_graph(args, seed, n=n),
+            graph_factory=lambda n: _input_graph(args, seed, n=n),
             processes=args.processes,
         )
     else:
@@ -376,7 +306,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             args.algorithm,
             seeds=args.seeds,
             ks=args.ks,
-            graph=_build_graph(args, seed),
+            graph=_input_graph(args, seed),
             processes=args.processes,
         )
     for report in reports:

@@ -13,16 +13,22 @@ Snippet 1) applied to :mod:`repro.graphs.generators`: every family
 * **respects seeds, or declares it doesn't** — ``seeded=True`` families
   must produce distinct graphs for distinct seeds, while
   ``seeded=False`` families normalize every seed to 0 *before* the
-  builder runs (the contract :class:`~repro.graphs.generators.WorstCaseFamily`
-  introduced, now enforced uniformly — including for the plain random
-  families that previously had no registry entry at all).
+  builder runs, so seed-stability holds by construction.
 
-:data:`CORPUS_FAMILIES` wraps every generator in the repository: the
-named deterministic builders (``path`` .. ``grid``), the worst-case
-registry, the random families (``gnm`` .. ``random_tree``), the planted
-constructions, and the Figure-1 lower-bound graph.  Each family also
-accepts a ``weighted`` flag (unique weights seeded by the family's
-normalized seed) so one corpus entry can feed MST and connectivity alike.
+:data:`CORPUS_FAMILIES` is the only family registry: it wraps every
+generator in the repository — the named deterministic builders
+(``path`` .. ``grid``), the worst-case families (``lollipop`` ..
+``star_of_paths``), the random families (``gnm`` .. ``random_tree``),
+the planted constructions, and the Figure-1 lower-bound graph.  Each
+family also accepts a ``weighted`` flag (unique weights seeded by the
+family's normalized seed) so one corpus entry can feed MST and
+connectivity alike.
+
+Every family except ``lower_bound`` also has a *size rule*
+(``n -> params``), and :func:`sized_graph` builds a named family at a
+requested vertex count.  The benchmark suites call it directly; the CLI,
+the service and the scenarios call it through
+:func:`repro.corpus.inputs.resolve_input`.
 """
 
 from __future__ import annotations
@@ -44,6 +50,8 @@ __all__ = [
     "get_family",
     "list_families",
     "parse_spec",
+    "sizeable_families",
+    "sized_graph",
 ]
 
 
@@ -119,6 +127,10 @@ class CorpusFamily:
         The family's default generation grid — the small param cells
         ``repro corpus gen`` (and the CI corpus-smoke leg) materialize
         when no explicit spec is given.
+    size_rule:
+        ``n -> params`` at a requested vertex count, for
+        :func:`sized_graph`.  Defaults to ``{"n": n}`` for a family that
+        declares ``n``; ``None`` leaves the family unsizeable.
     """
 
     name: str
@@ -127,6 +139,7 @@ class CorpusFamily:
     params: tuple[CorpusParam, ...]
     builder: Callable[..., Graph]
     grid: tuple[dict, ...] = ()
+    size_rule: Callable[[int], dict] | None = None
 
     def __post_init__(self) -> None:
         if not any(p.name == "weighted" for p in self.params):
@@ -135,6 +148,8 @@ class CorpusFamily:
                 "params",
                 self.params + (CorpusParam("weighted", "bool", False),),
             )
+        if self.size_rule is None and any(p.name == "n" for p in self.params):
+            object.__setattr__(self, "size_rule", _size_n)
 
     # -- the self-description line ----------------------------------------
 
@@ -258,14 +273,49 @@ def _build_lower_bound(*, seed: int, bits: int) -> Graph:
     return g
 
 
-def _worst_case(name: str) -> Callable[..., Graph]:
-    """A worst-case registry entry as a corpus builder (same seed contract)."""
-    entry = generators.WORST_CASE_FAMILIES[name]
+def _size_n(n: int) -> dict:
+    return {"n": n}
 
-    def _build(*, seed: int, n: int) -> Graph:
-        return entry.build(n, seed)
 
-    return _build
+def _size_gnm(n: int) -> dict:
+    return {"n": n, "m": 3 * n}
+
+
+def _size_grid(n: int) -> dict:
+    side = max(2, int(round(n**0.5)))
+    return {"rows": side, "cols": side}
+
+
+# The worst-case families scale their shape from one requested n and may
+# round to their natural granularity (whole cliques, whole arms).
+
+
+def _build_lollipop(*, seed: int, n: int) -> Graph:
+    del seed
+    clique = max(2, n // 2)
+    return generators.lollipop(clique, max(1, n - clique))
+
+
+def _build_barbell(*, seed: int, n: int) -> Graph:
+    del seed
+    clique = max(2, n // 3)
+    return generators.barbell(clique, max(1, n - 2 * clique + 1))
+
+
+def _build_expander_bridge(*, seed: int, n: int) -> Graph:
+    return generators.expander_bridge(max(8, n), seed=seed)
+
+
+def _build_disjoint_cliques(*, seed: int, n: int) -> Graph:
+    del seed
+    size = max(2, int(np.sqrt(n)))
+    return generators.disjoint_cliques(max(1, n // size), size)
+
+
+def _build_star_of_paths(*, seed: int, n: int) -> Graph:
+    del seed
+    arms = max(1, int(np.sqrt(n)))
+    return generators.star_of_paths(arms, max(1, (n - 1) // arms))
 
 
 def _int_param(name: str, default: int) -> CorpusParam:
@@ -310,35 +360,36 @@ CORPUS_FAMILIES: dict[str, CorpusFamily] = {
             "grid", "rows x cols grid; diameter rows+cols-2", seeded=False,
             params=(_int_param("rows", 16), _int_param("cols", 16)),
             builder=_build_grid, grid=({"rows": 14, "cols": 14},),
+            size_rule=_size_grid,
         ),
-        # The worst-case registry, under the same (already enforced) contract.
+        # Worst-case families: the scenario engine's input axis.
         CorpusFamily(
-            "lollipop", generators.WORST_CASE_FAMILIES["lollipop"].summary,
+            "lollipop", "clique with a path tail: dense core, Theta(n) diameter",
             seeded=False, params=(_int_param("n", 256),),
-            builder=_worst_case("lollipop"), grid=_n_grid(192),
+            builder=_build_lollipop, grid=_n_grid(192),
         ),
         CorpusFamily(
-            "barbell", generators.WORST_CASE_FAMILIES["barbell"].summary,
+            "barbell", "two cliques joined by a path: one forced slow merge",
             seeded=False, params=(_int_param("n", 256),),
-            builder=_worst_case("barbell"), grid=_n_grid(192),
+            builder=_build_barbell, grid=_n_grid(192),
         ),
         CorpusFamily(
             "expander_bridge",
-            generators.WORST_CASE_FAMILIES["expander_bridge"].summary,
+            "two seeded expanders joined by a single bridge edge",
             seeded=True, params=(_int_param("n", 256),),
-            builder=_worst_case("expander_bridge"), grid=_n_grid(192),
+            builder=_build_expander_bridge, grid=_n_grid(192),
         ),
         CorpusFamily(
             "disjoint_cliques",
-            generators.WORST_CASE_FAMILIES["disjoint_cliques"].summary,
+            "~sqrt(n) cliques of ~sqrt(n): many components, no merging",
             seeded=False, params=(_int_param("n", 256),),
-            builder=_worst_case("disjoint_cliques"), grid=_n_grid(192),
+            builder=_build_disjoint_cliques, grid=_n_grid(192),
         ),
         CorpusFamily(
             "star_of_paths",
-            generators.WORST_CASE_FAMILIES["star_of_paths"].summary,
+            "~sqrt(n) paths glued at a hub: high diameter, hot center",
             seeded=False, params=(_int_param("n", 256),),
-            builder=_worst_case("star_of_paths"), grid=_n_grid(192),
+            builder=_build_star_of_paths, grid=_n_grid(192),
         ),
         # Random families — previously outside any registry, so their
         # seed-respecting behavior was an untested accident (ISSUE 9).
@@ -347,6 +398,7 @@ CORPUS_FAMILIES: dict[str, CorpusFamily] = {
             seeded=True, params=(_int_param("n", 256), _int_param("m", 768)),
             builder=generators.gnm_random,
             grid=({"n": 192, "m": 576}, {"n": 192, "m": 576, "weighted": True}),
+            size_rule=_size_gnm,
         ),
         CorpusFamily(
             "gnp", "Erdos-Renyi G(n, p) via binomial edge count",
@@ -426,3 +478,37 @@ def get_family(name: str) -> CorpusFamily:
             f"unknown corpus family {name!r}; "
             f"available: {', '.join(sorted(CORPUS_FAMILIES))}"
         ) from None
+
+
+def sizeable_families() -> list[str]:
+    """Sorted names of the families :func:`sized_graph` can build."""
+    return sorted(name for name, fam in CORPUS_FAMILIES.items() if fam.size_rule)
+
+
+def sized_graph(
+    family: str,
+    n: int,
+    seed: int = 0,
+    *,
+    weighted: bool = False,
+    params: Mapping | None = None,
+) -> Graph:
+    """Build ``family`` at (approximate) vertex count ``n`` and graph seed ``seed``.
+
+    The family's size rule gives its params, ``params`` overrides them,
+    and :meth:`CorpusFamily.generate` builds the instance.  ``weighted``
+    overlays unique weights seeded by the raw ``seed``, so even a
+    shape-deterministic family gets per-seed weights; the ``weighted``
+    *param* of a corpus entry stays at the normalized seed instead,
+    because the entry's digest is its content address.
+    """
+    fam = get_family(family)
+    if fam.size_rule is None:
+        raise ValueError(
+            f"family {family!r} has no size rule; "
+            f"sizeable families: {', '.join(sizeable_families())}"
+        )
+    g = fam.generate({**fam.size_rule(int(n)), **(params or {})}, seed)
+    if weighted and not g.weighted:
+        g = generators.with_unique_weights(g, seed=seed)
+    return g

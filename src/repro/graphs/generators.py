@@ -23,9 +23,6 @@ paper's bounds stress:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
-
 import numpy as np
 
 from repro.graphs.builder import GraphBuilder
@@ -33,8 +30,6 @@ from repro.graphs.graph import Graph
 from repro.util.rng import derive_seed
 
 __all__ = [
-    "WORST_CASE_FAMILIES",
-    "WorstCaseFamily",
     "barbell",
     "binary_tree",
     "complete_graph",
@@ -58,7 +53,6 @@ __all__ = [
     "star_of_paths",
     "with_random_weights",
     "with_unique_weights",
-    "worst_case_graph",
 ]
 
 
@@ -228,114 +222,6 @@ def expander_bridge(n: int, degree: int = 6, seed: int = 0) -> Graph:
     b.add_edges(right.edges_u + half, right.edges_v + half)
     b.add_edges(np.array([0], dtype=np.int64), np.array([half], dtype=np.int64))
     return b.build()
-
-
-# --------------------------------------------------------------------------
-# Worst-case family registry (the scenario engine's input axis)
-# --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class WorstCaseFamily:
-    """One worst-case input family with an explicit seed contract.
-
-    Every family builds through the uniform ``(n, seed)`` signature, but
-    only ``seeded`` families actually consume the seed; the rest are
-    *shape-deterministic* — the instance is a pure function of ``n``.
-    :meth:`build` enforces that contract by normalizing the seed to 0
-    for shape-deterministic families, so two calls that differ only in
-    seed are byte-identical by construction rather than by accident
-    (previously the unseeded builders silently discarded their seed
-    argument, which left the contract implicit and untested).
-
-    ``n`` is approximate: the builder scales the family's shape
-    parameters from the single requested size and may round to the
-    family's natural granularity (e.g. whole cliques or whole arms).
-    """
-
-    name: str
-    builder: Callable[[int, int], Graph]
-    seeded: bool
-    summary: str
-
-    def build(self, n: int, seed: int = 0) -> Graph:
-        """Build the instance at (approximate) size ``n``."""
-        return self.builder(n, int(seed) if self.seeded else 0)
-
-
-def _lollipop_family(n: int, seed: int) -> Graph:
-    del seed  # shape-deterministic (registry entry: seeded=False)
-    clique = max(2, n // 2)
-    return lollipop(clique, max(1, n - clique))
-
-
-def _barbell_family(n: int, seed: int) -> Graph:
-    del seed  # shape-deterministic
-    clique = max(2, n // 3)
-    return barbell(clique, max(1, n - 2 * clique + 1))
-
-
-def _expander_bridge_family(n: int, seed: int) -> Graph:
-    return expander_bridge(max(8, n), seed=seed)
-
-
-def _disjoint_cliques_family(n: int, seed: int) -> Graph:
-    del seed  # shape-deterministic
-    size = max(2, int(np.sqrt(n)))
-    return disjoint_cliques(max(1, n // size), size)
-
-
-def _star_of_paths_family(n: int, seed: int) -> Graph:
-    del seed  # shape-deterministic
-    arms = max(1, int(np.sqrt(n)))
-    return star_of_paths(arms, max(1, (n - 1) // arms))
-
-
-#: Family name -> :class:`WorstCaseFamily`.  Iteration and ``sorted()``
-#: over this dict yield the family names, as before the entries grew
-#: their seed contract.
-WORST_CASE_FAMILIES = {
-    f.name: f
-    for f in (
-        WorstCaseFamily(
-            "lollipop", _lollipop_family, seeded=False,
-            summary="clique with a path tail: dense core, Theta(n) diameter",
-        ),
-        WorstCaseFamily(
-            "barbell", _barbell_family, seeded=False,
-            summary="two cliques joined by a path: one forced slow merge",
-        ),
-        WorstCaseFamily(
-            "expander_bridge", _expander_bridge_family, seeded=True,
-            summary="two seeded expanders joined by a single bridge edge",
-        ),
-        WorstCaseFamily(
-            "disjoint_cliques", _disjoint_cliques_family, seeded=False,
-            summary="~sqrt(n) cliques of ~sqrt(n): many components, no merging",
-        ),
-        WorstCaseFamily(
-            "star_of_paths", _star_of_paths_family, seeded=False,
-            summary="~sqrt(n) paths glued at a hub: high diameter, hot center",
-        ),
-    )
-}
-
-
-def worst_case_graph(family: str, n: int, seed: int = 0) -> Graph:
-    """Build worst-case ``family`` at (approximate) size ``n``.
-
-    The registry the scenario engine, the CLI and the differential tests
-    share; see :data:`WORST_CASE_FAMILIES` for the available names.  The
-    seed only matters for ``seeded`` families (``expander_bridge``); the
-    shape-deterministic ones ignore it by contract.
-    """
-    try:
-        entry = WORST_CASE_FAMILIES[family]
-    except KeyError:
-        raise KeyError(
-            f"unknown worst-case family {family!r}; "
-            f"available: {', '.join(sorted(WORST_CASE_FAMILIES))}"
-        ) from None
-    return entry.build(n, seed)
 
 
 # --------------------------------------------------------------------------

@@ -279,12 +279,11 @@ def _run_referee(cluster, config: RunConfig, seed: int) -> RunnerOutput:
     summary="Baseline: random edge partition model, Theta~(n/k) filter-and-convert "
     "(params: mst=true for the footnote-5 MST variant)",
     kind="baseline",
+    requires_weights=lambda params: bool(params.get("mst")),
     graph_only=True,
 )
 def _run_rep(cluster, config: RunConfig, seed: int) -> RunnerOutput:
     fn = rep_mst if config.params.get("mst") else rep_connectivity
-    if fn is rep_mst and not cluster.graph.weighted:
-        raise ConfigError("rep with params['mst']=true requires a weighted graph")
     if config.cluster.partition_seed is not None:
         # REP scatters *edges*, not vertices; a pinned vertex-partition seed
         # cannot apply, and silently recording it would corrupt provenance.

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Mapping
 
 from repro.runtime.config import ConfigError, RunConfig, resolve_seed
 from repro.runtime.report import RunReport, jsonify, ledger_totals
@@ -93,16 +93,26 @@ class RunnerOutput:
 
 @dataclass(frozen=True)
 class AlgorithmSpec:
-    """A registered algorithm: metadata plus the uniform run entry point."""
+    """A registered algorithm: metadata plus the uniform run entry point.
+
+    ``requires_weights`` is ``True`` when every run needs a weighted
+    graph, or a predicate over ``RunConfig.params`` when only some do
+    (``rep`` with ``mst=true``); :meth:`needs_weights` evaluates it.
+    """
 
     name: str
     summary: str
     kind: str  # 'paper' | 'baseline'
-    requires_weights: bool
+    requires_weights: bool | Callable[[Mapping], bool]
     runner: Callable[..., RunnerOutput]
     graph_only: bool = False
     supports_updates: bool = False
     supports_logdiam: bool = False
+
+    def needs_weights(self, params: Mapping | None = None) -> bool:
+        """Whether a run with algorithm ``params`` needs a weighted graph."""
+        rule = self.requires_weights
+        return bool(rule(params or {}) if callable(rule) else rule)
 
     def run(
         self,
@@ -138,7 +148,7 @@ class AlgorithmSpec:
                 "only neighborhood-doubling algorithms (connectivity_logdiam) "
                 "accept one"
             )
-        if self.requires_weights and not cluster.graph.weighted:
+        if self.needs_weights(cfg.params) and not cluster.graph.weighted:
             raise ConfigError(
                 f"algorithm {self.name!r} requires a weighted graph; "
                 "apply generators.with_unique_weights() or supply weights"
@@ -215,13 +225,15 @@ def register_algorithm(
     *,
     summary: str,
     kind: str = "paper",
-    requires_weights: bool = False,
+    requires_weights: bool | Callable[[Mapping], bool] = False,
     graph_only: bool = False,
     supports_updates: bool = False,
     supports_logdiam: bool = False,
 ) -> Callable[[Callable[..., RunnerOutput]], Callable[..., RunnerOutput]]:
     """Decorator: register ``fn(cluster, config, seed) -> RunnerOutput`` under ``name``.
 
+    ``requires_weights`` is a bool, or a predicate over the run's params
+    for an algorithm that needs weights only in some modes.
     ``graph_only`` marks algorithms that ignore the caller's cluster layout
     (they build their own machines internally, like the REP baseline); the
     Session then skips cluster construction and passes a

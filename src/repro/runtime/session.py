@@ -158,12 +158,9 @@ class Session:
     config:
         Default :class:`RunConfig`; individual calls may override it.  The
         session never mutates it.
-    cache_size:
-        Maximum cached clusters (LRU eviction beyond this), so long-lived
-        sessions over many graphs stay bounded.
     max_clusters:
-        Alias for ``cache_size`` (wins when both are given) — the name the
-        service layer exposes; the default preserves the historical bound.
+        Maximum cached clusters (LRU eviction beyond this, at least one),
+        so long-lived sessions over many graphs stay bounded.
     corpus:
         Optional :class:`~repro.corpus.manager.CorpusManager` used to
         resolve ``corpus:`` graph identities.  Omitted, one is created on
@@ -180,14 +177,13 @@ class Session:
         graph: "Graph | str | None" = None,
         *,
         config: RunConfig | None = None,
-        cache_size: int = 32,
-        max_clusters: int | None = None,
+        max_clusters: int = 32,
         corpus=None,
     ) -> None:
         self._corpus = corpus
         self.graph = self.resolve_graph(graph)
         self.config = (config if config is not None else RunConfig()).validate()
-        self.cache_size = max(1, int(cache_size if max_clusters is None else max_clusters))
+        self.max_clusters = max(1, int(max_clusters))
         # key -> (graph ref, cluster); the graph ref keeps id(graph) stable.
         # Ordered most-recently-used last; all access goes through _lock.
         self._clusters: OrderedDict[tuple, tuple[Graph, KMachineCluster]] = OrderedDict()
@@ -228,11 +224,6 @@ class Session:
         raise TypeError(f"graph must be a Graph, 'corpus:<entry-id>' str or None, got {graph!r}")
 
     # -- cluster lifecycle -------------------------------------------------
-
-    @property
-    def max_clusters(self) -> int:
-        """The cluster-cache bound (same value as ``cache_size``)."""
-        return self.cache_size
 
     def cluster_for(
         self,
@@ -297,7 +288,7 @@ class Session:
                 cluster.reset_ledger()
                 return cluster
             self._clusters[key] = (graph, cluster)
-            while len(self._clusters) > self.cache_size:
+            while len(self._clusters) > self.max_clusters:
                 self._clusters.popitem(last=False)
                 self._evictions += 1
         return cluster
@@ -315,7 +306,7 @@ class Session:
                 "misses": self._misses,
                 "evictions": self._evictions,
                 "size": len(self._clusters),
-                "max_clusters": self.cache_size,
+                "max_clusters": self.max_clusters,
             }
             if self._corpus is not None:
                 info["corpus"] = self._corpus.cache_info()
@@ -426,8 +417,14 @@ class Session:
             base = config if config is not None else self.config
             config = sc.apply(base.validate())
             if graph is None and (sc.family is not None or self.graph is None):
-                graph = sc.make_graph(
-                    256 if n is None else int(n), resolve_seed(seed, config.seed)
+                from repro.corpus.inputs import resolve_input
+
+                graph = resolve_input(
+                    scenario=sc,
+                    n=256 if n is None else int(n),
+                    seed=resolve_seed(seed, config.seed),
+                    algorithm=algorithm,
+                    params=config.params,
                 )
             elif n is not None:
                 raise ValueError(
@@ -492,11 +489,19 @@ class Session:
             base = config if config is not None else self.config
             config = sc.apply(base.validate())
             if graph is None and graph_factory is None:
+                from repro.corpus.inputs import resolve_input
+
                 gseed = resolve_seed(None, config.seed)
+
+                def scenario_graph(size: int) -> Graph:
+                    return resolve_input(
+                        scenario=sc, n=size, seed=gseed, algorithm=algorithm, params=config.params
+                    )
+
                 if ns is not None:
-                    graph_factory = lambda size: sc.make_graph(size, gseed)  # noqa: E731
+                    graph_factory = scenario_graph
                 elif sc.family is not None or self.graph is None:
-                    graph = sc.make_graph(256, gseed)
+                    graph = scenario_graph(256)
         if ns is not None and graph_factory is None:
             raise ValueError("sweeping ns requires graph_factory(n) -> Graph")
         base_cfg = (config if config is not None else self.config).validate()

@@ -3,9 +3,9 @@
 A :class:`Scenario` bundles the adversarial axes the ROADMAP's
 "as many scenarios as you can imagine" demands:
 
-* a **graph family** — one of the worst-case families in
-  :data:`repro.graphs.generators.WORST_CASE_FAMILIES` (or a benign
-  ``gnm`` default for fault-only scenarios),
+* a **graph family** — a sizeable family of
+  :data:`repro.corpus.families.CORPUS_FAMILIES`, usually a worst-case
+  one (or a benign ``gnm`` default for fault-only scenarios),
 * a **partition scheme** — a :class:`~repro.cluster.partition.PartitionConfig`
   placement (uniform / powerlaw / locality / adversarial_heavy),
 * a **fault plan** — a :class:`~repro.scenarios.faults.FaultPlan` for the
@@ -30,13 +30,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from repro.cluster.partition import PartitionConfig
-from repro.graphs import generators
+from repro.corpus.inputs import resolve_input
 from repro.graphs.graph import Graph
 from repro.runtime.config import RunConfig
 from repro.scenarios.churn import ChurnEvent, ChurnPlan
 from repro.scenarios.faults import FaultPlan
 from repro.scenarios.updates import UpdateBatch, UpdatePlan
-from repro.util.rng import derive_seed
 
 __all__ = ["Scenario", "get_scenario", "list_scenarios", "register_scenario"]
 
@@ -52,8 +51,9 @@ class Scenario:
     name / summary:
         Registry name and a one-line description for listings.
     family:
-        Graph-family axis: a :data:`~repro.graphs.generators.WORST_CASE_FAMILIES`
-        key, or ``None`` when the scenario does not constrain the input —
+        Graph-family axis: a sizeable
+        :data:`~repro.corpus.families.CORPUS_FAMILIES` key, or ``None``
+        when the scenario does not constrain the input —
         a family-less scenario (faults/skew only) runs on whatever graph
         the caller supplies, falling back to benign G(n, 3n) when asked
         to build one.
@@ -83,15 +83,12 @@ class Scenario:
     weighted: bool = True
 
     def make_graph(self, n: int, seed: int = 0) -> Graph:
-        """Build this scenario's input graph at (approximate) size ``n``."""
-        gseed = derive_seed(seed, 0x5CE0)
-        if self.family is None:
-            g = generators.gnm_random(n, 3 * n, seed=gseed)
-        else:
-            g = generators.worst_case_graph(self.family, n, seed=gseed)
-        if self.weighted and not g.weighted:
-            g = generators.with_unique_weights(g, seed=gseed)
-        return g
+        """Build this scenario's input at (approximate) size ``n`` for run seed ``seed``.
+
+        Resolved by :func:`~repro.corpus.inputs.resolve_input`, like every
+        named input, so a served ``{scenario: name}`` gets the same graph.
+        """
+        return resolve_input(scenario=self, n=n, seed=seed)
 
     def to_dict(self) -> dict:
         """The full plan as JSON-ready data (``repro scenarios show``).

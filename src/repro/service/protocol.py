@@ -13,10 +13,10 @@ server executes it, the load generator draws seeded mixes of it, and its
 :meth:`~RunRequest.cluster_key` — the canonical *(graph family | scenario,
 n, seed, k, partition scheme, epoch)* identity — is what in-flight
 coalescing, key-affinity dispatch and the hit-rate accounting all key on.
-The graph/config construction here mirrors ``Session.run``'s scenario path
-byte-for-byte (same seed derivation, same overlay semantics), which is
-what makes a served envelope identical to an uncoalesced local run —
-pinned by ``tests/service/test_server.py``.
+The input graph comes from :func:`~repro.corpus.inputs.resolve_input`,
+the resolver ``Session.run`` and the CLI share, and the config overlay
+is ``Session.run``'s, which is what makes a served envelope identical to
+an uncoalesced local run — pinned by ``tests/service/test_server.py``.
 """
 
 from __future__ import annotations
@@ -28,16 +28,16 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 from repro.cluster.partition import PARTITION_SCHEMES, PartitionConfig
-from repro.graphs import generators
+from repro.corpus.families import CorpusParam, sizeable_families
+from repro.corpus.inputs import resolve_input
 from repro.graphs.graph import Graph
 from repro.runtime.config import ClusterConfig, RunConfig
-from repro.util.rng import derive_seed
+from repro.runtime.registry import get_algorithm
 
 __all__ = [
     "MAX_FRAME_BYTES",
     "ProtocolError",
     "RunRequest",
-    "SERVICE_FAMILIES",
     "encode_frame",
     "read_frame",
     "write_frame",
@@ -50,9 +50,9 @@ MAX_FRAME_BYTES = 32 * 1024 * 1024
 
 _HEADER = struct.Struct(">I")
 
-#: Graph families a request may name directly (scenarios may add theirs).
-SERVICE_FAMILIES = ("gnm", "path", "cycle", "star", "grid") + tuple(
-    sorted(generators.WORST_CASE_FAMILIES)
+#: Strict decoders for the request fields that shape its input and cluster.
+_IDENTITY_FIELDS = tuple(CorpusParam(name, "int", 0) for name in ("n", "seed", "k", "epoch")) + (
+    CorpusParam("weighted", "bool", True),
 )
 
 
@@ -107,9 +107,10 @@ class RunRequest:
     algorithm:
         Runtime-registry name to execute (``repro list``).
     family:
-        Input graph family (:data:`SERVICE_FAMILIES`); ``None`` means the
-        scenario's family, falling back to benign ``gnm`` — exactly the
-        precedence of ``Session.run(scenario=...)``.
+        Input graph family, any sizeable corpus family
+        (:func:`~repro.corpus.families.sizeable_families`); ``None`` means
+        the scenario's family, falling back to benign ``gnm`` — the
+        precedence of :func:`~repro.corpus.inputs.resolve_input`.
     scenario:
         Optional registered scenario name; its partition / fault / churn
         axes overlay the request's config via ``Scenario.apply``.
@@ -126,7 +127,7 @@ class RunRequest:
         Attach unique edge weights to the input (default on, like
         :class:`~repro.scenarios.registry.Scenario`, so one cached graph
         serves weighted and unweighted algorithms alike); forced on when
-        the algorithm requires weights.
+        the algorithm with its params requires weights.
     updates:
         Optional :class:`~repro.scenarios.updates.UpdatePlan` as its
         ``to_dict`` form — an edge-update stream to replay against a
@@ -164,9 +165,9 @@ class RunRequest:
         """Raise :class:`ProtocolError` on the first invalid field."""
         if not isinstance(self.algorithm, str) or not self.algorithm:
             raise ProtocolError(f"algorithm must be a non-empty string, got {self.algorithm!r}")
-        if self.family is not None and self.family not in SERVICE_FAMILIES:
+        if self.family is not None and self.family not in sizeable_families():
             raise ProtocolError(
-                f"family must be one of {SERVICE_FAMILIES} or null, got {self.family!r}"
+                f"family must be one of {sizeable_families()} or null, got {self.family!r}"
             )
         if self.scenario is not None and not isinstance(self.scenario, str):
             raise ProtocolError(f"scenario must be a string or null, got {self.scenario!r}")
@@ -242,14 +243,12 @@ class RunRequest:
         }
         if unknown:
             raise ProtocolError(f"unknown request fields: {', '.join(sorted(unknown))}")
-        for key in ("n", "seed", "k", "epoch"):
-            if key in d and d[key] is not None:
+        for spec in _IDENTITY_FIELDS:
+            if spec.name in d:
                 try:
-                    d[key] = int(d[key])
-                except (TypeError, ValueError):
-                    raise ProtocolError(f"{key} must be an integer, got {d[key]!r}") from None
-        if "weighted" in d:
-            d["weighted"] = bool(d["weighted"])
+                    d[spec.name] = spec.coerce(d[spec.name])
+                except ValueError as exc:
+                    raise ProtocolError(str(exc)) from None
         if d.get("params") is None:
             d.pop("params", None)
         return cls(**d).validate()
@@ -302,12 +301,15 @@ class RunRequest:
 
         For a corpus request the stored entry decides; the flag here is
         advisory (the entry id inside :meth:`graph_key` already pins the
-        exact arrays, weights included).
+        exact arrays, weights included), so it leaves out params-dependent
+        needs and the keys of served corpus traffic stay as they were.
         """
+        spec = get_algorithm(self.algorithm)
+        if self.corpus is not None:
+            return bool(self.weighted or spec.needs_weights())
         sc = self.resolved_scenario()
-        if sc is not None and self.family is None and self.corpus is None:
-            return bool(sc.weighted)
-        return bool(self.weighted or _requires_weights(self.algorithm))
+        asked = sc.weighted if sc is not None and self.family is None else self.weighted
+        return bool(asked or spec.needs_weights(self.params))
 
     def graph_key(self) -> str:
         """Canonical identity of the input graph this request needs."""
@@ -336,65 +338,28 @@ class RunRequest:
     def build_graph(self, corpus=None) -> Graph:
         """Build this request's input graph (deterministic in the request).
 
-        A ``corpus`` request loads its entry memory-mapped through the
-        given :class:`~repro.corpus.manager.CorpusManager` (the service
-        threads its shared manager here); the entry must already carry
-        weights if the algorithm requires them — weights are part of the
-        materialized input, not overlaid per request.  A scenario request
-        delegates to ``Scenario.make_graph`` (so the envelope matches
-        ``Session.run(scenario=...)`` byte-for-byte); a plain family uses
-        the same ``derive_seed(seed, 0x5CE0)`` graph-seed derivation,
-        making ``family="lollipop"`` identical to an ad-hoc
-        ``Scenario(family="lollipop")``.
+        Resolved by :func:`~repro.corpus.inputs.resolve_input`, the same
+        call ``Session.run`` and the CLI make, so ``family="lollipop"``
+        builds the graph of ``repro run --graph lollipop`` and of an
+        ad-hoc ``Scenario(family="lollipop")``.  A ``corpus`` request
+        loads its entry memory-mapped through the given
+        :class:`~repro.corpus.manager.CorpusManager` (the service threads
+        its shared manager here); an unknown entry, or one without the
+        weights the algorithm requires, is a :class:`ProtocolError`.
         """
-        if self.corpus is not None:
-            if corpus is None:
-                from repro.corpus.manager import CorpusManager
-
-                corpus = CorpusManager()
-            try:
-                g = corpus.load(self.corpus)
-            except KeyError as exc:
-                raise ProtocolError(str(exc)) from None
-            # The request's `weighted` flag shapes *generated* inputs; a
-            # corpus entry is immutable, so only a hard algorithm
-            # requirement can reject it.
-            if _requires_weights(self.algorithm) and not g.weighted:
-                raise ProtocolError(
-                    f"algorithm {self.algorithm!r} requires weights but corpus "
-                    f"entry {self.corpus!r} is unweighted; materialize a "
-                    "weighted=true cell instead"
-                )
-            return g
-        sc = self.resolved_scenario()
-        if sc is not None and self.family is None:
-            return sc.make_graph(self.n, self.seed)
-        gseed = derive_seed(self.seed, 0x5CE0)
-        family = self.family or "gnm"
-        if family == "gnm":
-            g = generators.gnm_random(self.n, 3 * self.n, seed=gseed)
-        elif family == "path":
-            g = generators.path_graph(self.n)
-        elif family == "cycle":
-            g = generators.cycle_graph(self.n)
-        elif family == "star":
-            g = generators.star_graph(self.n)
-        elif family == "grid":
-            side = max(2, int(round(self.n**0.5)))
-            g = generators.grid2d(side, side)
-        else:
-            g = generators.worst_case_graph(family, self.n, seed=gseed)
-        needs_weights = self.weighted or _requires_weights(self.algorithm)
-        if needs_weights and not g.weighted:
-            g = generators.with_unique_weights(g, seed=gseed)
-        return g
-
-
-def _requires_weights(algorithm: str) -> bool:
-    """Whether the registered algorithm needs edge weights (False if unknown)."""
-    from repro.runtime.registry import get_algorithm
-
-    try:
-        return bool(get_algorithm(algorithm).requires_weights)
-    except KeyError:
-        return False
+        try:
+            return resolve_input(
+                n=self.n,
+                seed=self.seed,
+                family=self.family,
+                scenario=self.scenario,
+                corpus=self.corpus,
+                weighted=self.weighted,
+                algorithm=self.algorithm,
+                params=self.params,
+                manager=corpus,
+            )
+        except (KeyError, ValueError) as exc:
+            if self.corpus is None:
+                raise
+            raise ProtocolError(str(exc)) from None

@@ -27,14 +27,22 @@ import json
 import numpy as np
 import pytest
 
-from repro.corpus.families import CORPUS_FAMILIES, CorpusFamily, get_family, parse_spec
+from repro.corpus.families import (
+    CORPUS_FAMILIES,
+    CorpusFamily,
+    get_family,
+    parse_spec,
+    sizeable_families,
+    sized_graph,
+)
 from repro.corpus.manager import CorpusManager
-from repro.graphs.generators import WORST_CASE_FAMILIES
 from repro.runtime import ClusterConfig, RunConfig, Session
 
 FAMILIES = tuple(sorted(CORPUS_FAMILIES))
 SEEDED = tuple(name for name in FAMILIES if CORPUS_FAMILIES[name].seeded)
 UNSEEDED = tuple(name for name in FAMILIES if not CORPUS_FAMILIES[name].seeded)
+#: The scenario engine's input axis: shapes scaled from one requested n.
+WORST_CASE = ("barbell", "disjoint_cliques", "expander_bridge", "lollipop", "star_of_paths")
 
 
 def _edge_bytes(g) -> tuple[bytes, bytes, bytes, int]:
@@ -56,12 +64,8 @@ class TestRegistryShape:
             "path", "cycle", "star", "complete", "tree", "grid",
             "gnm", "gnp", "geometric", "powerlaw", "random_tree",
             "planted_components", "planted_cut", "diameter2", "lower_bound",
-        } | set(WORST_CASE_FAMILIES)
+        } | set(WORST_CASE)
         assert set(CORPUS_FAMILIES) == expected
-
-    def test_worst_case_seeded_flags_are_copied(self):
-        for name, entry in WORST_CASE_FAMILIES.items():
-            assert CORPUS_FAMILIES[name].seeded == entry.seeded
 
     def test_random_families_are_seeded(self):
         for name in ("gnm", "gnp", "geometric", "powerlaw", "random_tree",
@@ -198,3 +202,56 @@ class TestConsumerEquivalence:
         a = json.dumps(served.to_dict(include_timing=False), sort_keys=True)
         b = json.dumps(reference.to_dict(include_timing=False), sort_keys=True)
         assert a == b
+
+
+class TestSizedGraph:
+    """:func:`sized_graph` scales each family from one requested n."""
+
+    #: Requested sizes; families round to their own granularity (clique
+    #: splits, path arm counts) but must track the request monotonically.
+    LADDER = (12, 24, 40, 60, 100, 137, 200)
+
+    def test_every_family_but_lower_bound_is_sizeable(self):
+        assert set(sizeable_families()) == set(FAMILIES) - {"lower_bound"}
+        with pytest.raises(ValueError, match="size rule"):
+            sized_graph("lower_bound", 64)
+
+    def test_only_expander_bridge_is_seeded_among_worst_case_families(self):
+        # The contract the differential suites encode: only the expander
+        # construction draws randomness.  Adding a seeded family is fine,
+        # but must be a conscious change here too.
+        assert {f for f in WORST_CASE if CORPUS_FAMILIES[f].seeded} == {"expander_bridge"}
+
+    @pytest.mark.parametrize("family", WORST_CASE)
+    def test_vertex_count_monotone_and_near_request(self, family):
+        sizes = [sized_graph(family, n, 3).n for n in self.LADDER]
+        assert all(a <= b for a, b in zip(sizes, sizes[1:])), (
+            f"{family} vertex counts not monotone over {self.LADDER}: {sizes}"
+        )
+        for n, got in zip(self.LADDER, sizes):
+            assert n // 2 <= got <= n, f"{family} at requested n={n} produced {got} vertices"
+
+    @pytest.mark.parametrize("family", WORST_CASE)
+    def test_edges_are_valid(self, family):
+        g = sized_graph(family, 60, 1)
+        if g.edges_u.size:
+            assert int(g.edges_u.min()) >= 0 and int(g.edges_v.min()) >= 0
+            assert int(g.edges_u.max()) < g.n and int(g.edges_v.max()) < g.n
+            assert not np.any(g.edges_u == g.edges_v), f"{family} has self-loops"
+
+    def test_weights_use_the_raw_seed(self):
+        # An unseeded shape still gets per-seed weights from sized_graph,
+        # while the corpus ``weighted`` param keeps the normalized seed.
+        a, b = sized_graph("path", 40, 1, weighted=True), sized_graph("path", 40, 2, weighted=True)
+        assert a.edges_u.tobytes() == b.edges_u.tobytes()
+        assert a.weights.tobytes() != b.weights.tobytes()
+        fam = CORPUS_FAMILIES["path"]
+        assert _edge_bytes(fam.generate({"n": 40, "weighted": True}, 1)) == _edge_bytes(
+            fam.generate({"n": 40, "weighted": True}, 2)
+        )
+
+    def test_params_override_the_size_rule(self):
+        assert sized_graph("gnm", 50, 0).m == 150
+        assert sized_graph("gnm", 50, 0, params={"m": 70}).m == 70
+        with pytest.raises(ValueError, match="no parameter"):
+            sized_graph("path", 50, 0, params={"m": 70})

@@ -56,7 +56,7 @@ class TestClusterCache:
         assert session.cluster_for(graph, CFG.cluster, 4) is not c1
 
     def test_cache_is_bounded(self, graph):
-        session = Session(graph, config=CFG, cache_size=2)
+        session = Session(graph, config=CFG, max_clusters=2)
         for seed in range(4):
             session.cluster_for(graph, CFG.cluster, seed)
         assert len(session._clusters) == 2

@@ -53,10 +53,7 @@ def test_lru_evicts_least_recently_used():
 
 
 def test_max_clusters_aliases_cache_size():
-    assert Session(cache_size=5).max_clusters == 5
     assert Session(max_clusters=7).max_clusters == 7
-    # The service-facing name wins when both are given.
-    assert Session(cache_size=5, max_clusters=7).cache_size == 7
     # Degenerate bounds clamp to one cached cluster, never zero.
     assert Session(max_clusters=0).max_clusters == 1
 

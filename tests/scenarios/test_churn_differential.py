@@ -16,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.corpus.families import sized_graph
 from repro.graphs import generators
 from repro.graphs import reference as ref
 from repro.runtime import ClusterConfig, RunConfig, Session
@@ -135,7 +136,7 @@ def test_churn_composes_with_worst_case_families_and_skew():
 
     storm = get_scenario("churn_storm")
     for seed in SEEDS:
-        g = generators.worst_case_graph("lollipop", N_DEFAULT, seed=seed)
+        g = sized_graph("lollipop", N_DEFAULT, seed)
         cfg = storm.apply(
             RunConfig(
                 seed=seed,

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro.cluster.partition import PARTITION_SCHEMES, PartitionConfig
+from repro.corpus.families import sized_graph
 from repro.graphs import generators
 from repro.graphs import reference as ref
 from repro.runtime import ClusterConfig, RunConfig, Session
@@ -27,7 +28,7 @@ STANDARD_FAULTS = FaultPlan(
     drop_prob=0.1, dup_prob=0.02, stall_prob=0.05, max_stall_rounds=2
 )
 
-FAMILIES = tuple(sorted(generators.WORST_CASE_FAMILIES))
+FAMILIES = ("barbell", "disjoint_cliques", "expander_bridge", "lollipop", "star_of_paths")
 SEEDS = tuple(range(5))
 K = 4
 
@@ -43,10 +44,7 @@ _VERIFY_PROBLEMS = ("bipartiteness", "cycle_containment", "st_connectivity")
 
 
 def _graph_for(family: str, seed: int, *, n: int = N_DEFAULT, weighted: bool = False):
-    g = generators.worst_case_graph(family, n, seed=seed)
-    if weighted:
-        g = generators.with_unique_weights(g, seed=seed)
-    return g
+    return sized_graph(family, n, seed, weighted=weighted)
 
 
 def _config(scheme: str, seed: int, **kwargs) -> RunConfig:

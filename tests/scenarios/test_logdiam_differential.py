@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 from repro.cluster.partition import PARTITION_SCHEMES, PartitionConfig
+from repro.corpus.families import sized_graph
 from repro.graphs import generators
 from repro.graphs import reference as ref
 from repro.runtime import ClusterConfig, ConfigError, LogDiamConfig, RunConfig, Session
@@ -30,7 +31,7 @@ from repro.scenarios.updates import UpdateBatch, UpdatePlan
 #: Benign end of the fault axis: light drops, short stalls.
 MILD_FAULTS = FaultPlan(drop_prob=0.05, dup_prob=0.01, stall_prob=0.02, max_stall_rounds=1)
 
-FAMILIES = tuple(sorted(generators.WORST_CASE_FAMILIES))
+FAMILIES = ("barbell", "disjoint_cliques", "expander_bridge", "lollipop", "star_of_paths")
 SEEDS = (0, 1, 2)
 K = 4
 N = 40
@@ -51,7 +52,7 @@ def _config(seed: int, scheme: str | None = None, **kwargs) -> RunConfig:
 )
 def test_labels_match_reference_across_families(family, logdiam):
     for seed in SEEDS:
-        g = generators.worst_case_graph(family, N, seed=seed)
+        g = sized_graph(family, N, seed)
         expected = ref.connected_components(g).tolist()
         report = Session(g, config=_config(seed, logdiam=logdiam)).run(
             "connectivity_logdiam"
@@ -66,7 +67,7 @@ def test_labels_match_reference_across_families(family, logdiam):
 @pytest.mark.parametrize("scheme", PARTITION_SCHEMES)
 def test_composes_with_partition_skew(scheme):
     for seed in SEEDS:
-        g = generators.worst_case_graph("star_of_paths", N, seed=seed)
+        g = sized_graph("star_of_paths", N, seed)
         report = Session(g, config=_config(seed, scheme=scheme)).run(
             "connectivity_logdiam"
         )
@@ -74,7 +75,7 @@ def test_composes_with_partition_skew(scheme):
 
 
 def test_composes_with_faults():
-    g = generators.worst_case_graph("lollipop", N, seed=1)
+    g = sized_graph("lollipop", N, 1)
     clean_cfg = _config(1)
     faulted_cfg = clean_cfg.with_overrides(faults=MILD_FAULTS)
     clean = Session(g, config=clean_cfg).run("connectivity_logdiam")
@@ -87,7 +88,7 @@ def test_composes_with_faults():
 
 
 def test_runs_are_byte_deterministic():
-    g = generators.worst_case_graph("barbell", N, seed=2)
+    g = sized_graph("barbell", N, 2)
     cfg = _config(2, scheme="adversarial_heavy", logdiam=LogDiamConfig(space_bound=4))
     first = Session(g, config=cfg).run("connectivity_logdiam")
     second = Session(g, config=cfg).run("connectivity_logdiam")
@@ -95,7 +96,7 @@ def test_runs_are_byte_deterministic():
 
 
 def test_space_bound_reported_and_budget_caps_iterations():
-    g = generators.worst_case_graph("star_of_paths", 60, seed=0)
+    g = sized_graph("star_of_paths", 60, 0)
     report = Session(
         g, config=_config(0, logdiam=LogDiamConfig(space_bound=4, doubling_budget=2))
     ).run("connectivity_logdiam")

@@ -6,6 +6,7 @@ import pytest
 
 from repro.cli import main
 from repro.cluster.partition import PartitionConfig
+from repro.corpus.families import sized_graph
 from repro.graphs import generators
 from repro.graphs import reference as ref
 from repro.runtime import ClusterConfig, RunConfig, Session
@@ -81,15 +82,17 @@ class TestRegistry:
 
 
 class TestWorstCaseFamilies:
-    @pytest.mark.parametrize("family", sorted(generators.WORST_CASE_FAMILIES))
+    @pytest.mark.parametrize(
+        "family", ("barbell", "disjoint_cliques", "expander_bridge", "lollipop", "star_of_paths")
+    )
     def test_family_builds_at_requested_scale(self, family):
-        g = generators.worst_case_graph(family, 64, seed=3)
+        g = sized_graph(family, 64, 3)
         assert 0 < g.n <= 80
         assert g.m > 0
 
     def test_unknown_family_rejected(self):
         with pytest.raises(KeyError, match="available:"):
-            generators.worst_case_graph("moebius", 64)
+            sized_graph("moebius", 64)
 
     def test_lollipop_shape(self):
         g = generators.lollipop(10, 5)
@@ -253,7 +256,7 @@ class TestCli:
         assert code == 0
         assert "connectivity on" in capsys.readouterr().out
 
-    def test_run_with_worst_case_graph_kind(self, capsys):
+    def test_run_with_worst_case_family(self, capsys):
         assert main(["run", "connectivity", "--n", "60", "--graph", "star_of_paths"]) == 0
         assert "n_components=1" in capsys.readouterr().out
 

@@ -24,8 +24,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import generators
 from repro.core.dynamic import MaintainedForest, generate_batch, inverse_updates
+from repro.corpus.families import sized_graph
 from repro.graphs import reference as ref
 from repro.runtime import ClusterConfig, RunConfig, Session, UpdatePlan
 from repro.runtime.config import ConfigError
@@ -47,14 +47,7 @@ STORM = UpdatePlan(
 
 
 def _graph(seed: int = 5, n: int = 120, family: str = "gnm"):
-    gseed = derive_seed(seed, n, 0x5CE)
-    if family == "gnm":
-        g = generators.gnm_random(n, 3 * n, seed=gseed)
-    else:
-        g = generators.worst_case_graph(family, n, seed=gseed)
-    if not g.weighted:
-        g = generators.with_unique_weights(g, seed=gseed)
-    return g
+    return sized_graph(family, n, derive_seed(seed, n, 0x5CE), weighted=True)
 
 
 def _config(updates, seed: int = 5, **kwargs) -> RunConfig:

@@ -90,6 +90,16 @@ def test_request_from_dict_coerces_ints():
     assert (req.n, req.k, req.seed) == (128, 8, 1)
 
 
+def test_request_from_dict_decodes_weighted_strictly():
+    assert RunRequest.from_dict({"weighted": "false"}).weighted is False
+
+
+@pytest.mark.parametrize("fields", [{"n": 64.9}, {"seed": True}])
+def test_request_from_dict_rejects_lossy_ints(fields):
+    with pytest.raises(ProtocolError, match="expects int"):
+        RunRequest.from_dict(fields)
+
+
 def test_request_rejects_unknown_fields():
     with pytest.raises(ProtocolError, match="unknown"):
         RunRequest.from_dict({"n": 64, "bogus": 1})
