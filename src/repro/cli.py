@@ -95,19 +95,26 @@ def _input_graph(args: argparse.Namespace, seed: int, *, n: int | None = None) -
     requires them.  ``--m`` and ``--radius`` override the family's params.
     """
     overrides = {"m": args.m, "radius": args.radius}
-    return resolve_input(
+    graph = resolve_input(
         n=int(args.n if n is None else n),
-        seed=seed,
+        seed=args.graph_seed if args.graph_seed is not None else seed,
         family=args.graph,
         scenario=args.scenario,
         corpus=args.corpus,
         weighted=args.weighted,
         algorithm=args.algorithm,
         params=dict(args.param or []),
-        graph_seed=args.graph_seed,
         overrides={key: value for key, value in overrides.items() if value is not None},
         manager=CorpusManager(args.corpus_root),
     )
+    if args.weighted and not graph.weighted:
+        # Only a corpus entry comes back unweighted: its bytes are fixed,
+        # so --weighted cannot overlay weights on it.
+        raise ValueError(
+            f"--weighted: corpus entry {args.corpus!r} is unweighted; "
+            "materialize a weighted=true cell instead"
+        )
+    return graph
 
 
 def _parse_param(text: str):
@@ -194,7 +201,9 @@ def _add_run_options(p: argparse.ArgumentParser) -> None:
         help="seed the graph seed derives from (default: the run seed)",
     )
     graph.add_argument(
-        "--weighted", action="store_true", help="force unique edge weights on the input"
+        "--weighted",
+        action="store_true",
+        help="force unique edge weights on the input (a --corpus entry must carry them)",
     )
     cfg = p.add_argument_group("run configuration")
     cfg.add_argument(
@@ -347,7 +356,7 @@ def _cmd_scenarios_list(_args: argparse.Namespace) -> int:
 
 
 def _cmd_corpus_list(args: argparse.Namespace) -> int:
-    from repro.corpus import CORPUS_FAMILIES, CorpusManager
+    from repro.corpus import CORPUS_FAMILIES
 
     if args.entries:
         manager = CorpusManager(args.root)
@@ -367,7 +376,7 @@ def _cmd_corpus_list(args: argparse.Namespace) -> int:
 
 
 def _cmd_corpus_gen(args: argparse.Namespace) -> int:
-    from repro.corpus import CorpusManager, parse_spec
+    from repro.corpus import parse_spec
 
     manager = CorpusManager(args.root)
     if args.specs:
@@ -387,8 +396,6 @@ def _cmd_corpus_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_corpus_verify(args: argparse.Namespace) -> int:
-    from repro.corpus import CorpusManager
-
     manager = CorpusManager(args.root)
     checked = failed = 0
     for entry_id, error in manager.verify_all(regenerate=not args.no_regenerate):
@@ -409,8 +416,6 @@ def _cmd_corpus_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_corpus_info(args: argparse.Namespace) -> int:
-    from repro.corpus import CorpusManager
-
     manager = CorpusManager(args.root)
     print(json.dumps(manager.info(args.entry), indent=2, sort_keys=True))
     return 0
@@ -419,7 +424,6 @@ def _cmd_corpus_info(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
-    from repro.corpus.manager import CorpusManager
     from repro.service.server import GraphService
 
     async def _amain() -> int:

@@ -95,15 +95,16 @@ class RunnerOutput:
 class AlgorithmSpec:
     """A registered algorithm: metadata plus the uniform run entry point.
 
-    ``requires_weights`` is ``True`` when every run needs a weighted
-    graph, or a predicate over ``RunConfig.params`` when only some do
-    (``rep`` with ``mst=true``); :meth:`needs_weights` evaluates it.
+    ``weights_rule`` is a predicate over ``RunConfig.params`` that says
+    whether a run needs a weighted graph (constant for most algorithms;
+    ``rep`` needs weights only with ``mst=true``).  Read it through
+    :meth:`needs_weights`.
     """
 
     name: str
     summary: str
     kind: str  # 'paper' | 'baseline'
-    requires_weights: bool | Callable[[Mapping], bool]
+    weights_rule: Callable[[Mapping], bool]
     runner: Callable[..., RunnerOutput]
     graph_only: bool = False
     supports_updates: bool = False
@@ -111,8 +112,7 @@ class AlgorithmSpec:
 
     def needs_weights(self, params: Mapping | None = None) -> bool:
         """Whether a run with algorithm ``params`` needs a weighted graph."""
-        rule = self.requires_weights
-        return bool(rule(params or {}) if callable(rule) else rule)
+        return bool(self.weights_rule(params or {}))
 
     def run(
         self,
@@ -256,7 +256,9 @@ def register_algorithm(
             name=name,
             summary=summary,
             kind=kind,
-            requires_weights=requires_weights,
+            weights_rule=(
+                requires_weights if callable(requires_weights) else lambda params: requires_weights
+            ),
             runner=fn,
             graph_only=graph_only,
             supports_updates=supports_updates,

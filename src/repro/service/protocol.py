@@ -29,7 +29,7 @@ from typing import Any, Mapping
 
 from repro.cluster.partition import PARTITION_SCHEMES, PartitionConfig
 from repro.corpus.families import CorpusParam, sizeable_families
-from repro.corpus.inputs import resolve_input
+from repro.corpus.inputs import generated_input, resolve_input
 from repro.graphs.graph import Graph
 from repro.runtime.config import ClusterConfig, RunConfig
 from repro.runtime.registry import get_algorithm
@@ -299,17 +299,22 @@ class RunRequest:
     def effective_weighted(self) -> bool:
         """Whether the built graph carries weights (see :meth:`build_graph`).
 
-        For a corpus request the stored entry decides; the flag here is
-        advisory (the entry id inside :meth:`graph_key` already pins the
-        exact arrays, weights included), so it leaves out params-dependent
-        needs and the keys of served corpus traffic stay as they were.
+        A generated input follows the resolver's own rule
+        (:func:`~repro.corpus.inputs.generated_input`).  For a corpus
+        request the stored entry decides; the flag here is advisory (the
+        entry id inside :meth:`graph_key` already pins the exact arrays,
+        weights included), so it leaves out params-dependent needs and
+        the keys of served corpus traffic stay as they were.
         """
-        spec = get_algorithm(self.algorithm)
         if self.corpus is not None:
-            return bool(self.weighted or spec.needs_weights())
-        sc = self.resolved_scenario()
-        asked = sc.weighted if sc is not None and self.family is None else self.weighted
-        return bool(asked or spec.needs_weights(self.params))
+            return bool(self.weighted or get_algorithm(self.algorithm).needs_weights())
+        return generated_input(
+            family=self.family,
+            scenario=self.scenario,
+            weighted=self.weighted,
+            algorithm=self.algorithm,
+            params=self.params,
+        )[1]
 
     def graph_key(self) -> str:
         """Canonical identity of the input graph this request needs."""

@@ -95,10 +95,15 @@ class TestRunCorpus:
         assert report.graph["n"] == 64 and report.graph["m"] == 192
         assert report.graph["weighted"] is True
 
-    def test_run_rejects_unweighted_entry_for_weighted_algorithm(self, root, capsys):
+    @pytest.mark.parametrize(
+        "argv",
+        [["mst"], ["rep", "--param", "mst=true"], ["connectivity", "--weighted"]],
+        ids=["mst", "rep-mst", "weighted-flag"],
+    )
+    def test_run_rejects_unweighted_entry_for_weighted_algorithm(self, root, capsys, argv):
         assert main(["corpus", "gen", "path n=40", "--root", root]) == 0
         entry = CorpusManager(root).entries()[0]
-        code = main(["run", "mst", "--corpus", entry.entry_id, "--corpus-root", root])
+        code = main(["run", *argv, "--corpus", entry.entry_id, "--corpus-root", root])
         assert code == 2
         assert "unweighted" in capsys.readouterr().err
 

@@ -15,6 +15,7 @@ from repro.corpus.families import sizeable_families
 from repro.corpus.inputs import resolve_input
 from repro.runtime import ClusterConfig, RunConfig, Session
 from repro.runtime.registry import AlgorithmSpec
+from repro.scenarios.registry import list_scenarios
 from repro.service.protocol import RunRequest
 
 N = 64
@@ -89,3 +90,19 @@ def test_rep_mst_gets_weights_on_every_surface(received):
     ).build_graph()
     assert cli.weighted and served.weighted
     assert _bytes(cli) == _bytes(served)
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize(
+    "algorithm, params", [("connectivity", {}), ("mst", {}), ("rep", {"mst": True})]
+)
+@pytest.mark.parametrize(
+    "names",
+    [{"family": f} for f in sizeable_families()]
+    + [{"scenario": s} for s in list_scenarios()]
+    + [{"scenario": "lollipop", "family": "expander_bridge"}],
+    ids=lambda names: "+".join(f"{key}={value}" for key, value in names.items()),
+)
+def test_graph_key_weight_flag_matches_the_built_graph(names, algorithm, params, weighted):
+    req = RunRequest(algorithm=algorithm, params=params, n=N, seed=3, weighted=weighted, **names)
+    assert req.build_graph().weighted is req.effective_weighted()

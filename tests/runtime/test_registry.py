@@ -58,8 +58,10 @@ class TestDiscovery:
         spec = get_algorithm("connectivity")
         assert spec.name == "connectivity"
         assert spec.kind == "paper"
-        assert not spec.requires_weights
-        assert get_algorithm("mst").requires_weights
+        assert not spec.needs_weights()
+        assert get_algorithm("mst").needs_weights()
+        assert not get_algorithm("rep").needs_weights()
+        assert get_algorithm("rep").needs_weights({"mst": True})
         assert get_algorithm("flooding").kind == "baseline"
 
     def test_unknown_name_lists_options(self):
@@ -80,7 +82,7 @@ class TestEveryAlgorithmRuns:
 
     @pytest.mark.parametrize("name", sorted(EXPECTED))
     def test_runs_and_reports(self, name, graph, weighted_graph):
-        g = weighted_graph if get_algorithm(name).requires_weights else graph
+        g = weighted_graph if get_algorithm(name).needs_weights() else graph
         report = Session(g, config=RunConfig(seed=3, cluster=ClusterConfig(k=4))).run(name)
         assert isinstance(report, RunReport)
         assert report.algorithm == name
@@ -95,7 +97,7 @@ class TestEveryAlgorithmRuns:
         "name", sorted(n for n in EXPECTED if n not in ("mincut", "verify", "rep"))
     )
     def test_component_counts_match_reference(self, name, graph, weighted_graph):
-        g = weighted_graph if get_algorithm(name).requires_weights else graph
+        g = weighted_graph if get_algorithm(name).needs_weights() else graph
         report = Session(g, config=RunConfig(seed=3, cluster=ClusterConfig(k=4))).run(name)
         assert report.result["n_components"] == reference.count_components(g)
 
