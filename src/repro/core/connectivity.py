@@ -33,7 +33,7 @@ from repro.cluster.comm import CommStep
 from repro.cluster.shared_random import SharedRandomness
 from repro.core.drr import build_drr_forest, charge_forest_build, merge_forest
 from repro.core.labels import PartIndex, canonical_labels, initial_labels
-from repro.core.outgoing import select_outgoing_edges
+from repro.core.outgoing import cut_incidences, select_outgoing_edges
 from repro.core.proxy import proxy_of_labels
 from repro.runtime.config import SketchConfig, resolve_sketch
 from repro.util.bits import bits_for_id
@@ -174,13 +174,12 @@ def connected_components_distributed(
     forest_m: list[np.ndarray] = []
     converged = False
     phases = 0
-    # Retry phases leave the labels untouched, so the part structure (and
-    # the incidence -> part mapping) is provably identical to the previous
-    # phase's; both are rebuilt only after a merge actually changed the
-    # labels (DESIGN.md §9).
+    # Retry phases leave the labels untouched, so the part structure is
+    # provably identical to the previous phase's; it is rebuilt, and the
+    # cut-incidence index contracted, only after a merge actually changed
+    # the labels (DESIGN.md §9).
     parts: PartIndex | None = None
-    inc_part: np.ndarray | None = None
-    inc_cross: np.ndarray | None = None
+    cut: np.ndarray | None = None
     # Initial labels are the vertex ids, so the pre-loop component count
     # is exactly n (keeps a max_phases=0 call honest without an upfront
     # np.unique pass).
@@ -192,8 +191,7 @@ def connected_components_distributed(
             shared.charge_phase_distribution(cluster.ledger, phase)
         if parts is None:
             parts = PartIndex.build(labels, cluster.partition)
-            inc_part = parts.part_of_vertex[cluster.inc_owner]
-            inc_cross = labels[cluster.inc_owner] != labels[cluster.inc_other]
+            cut = cut_incidences(cluster, labels, cut)
             n_components = parts.n_components
         selection = select_outgoing_edges(
             cluster,
@@ -201,10 +199,9 @@ def connected_components_distributed(
             labels,
             phase,
             parts=parts,
-            inc_part=inc_part,
+            live=cut,
             repetitions=repetitions,
             hash_family=hash_family,
-            inc_cross=inc_cross,
         )
         _charge_termination_check(cluster, phase)
         if not selection.sketch_nonzero.any():
@@ -251,11 +248,9 @@ def connected_components_distributed(
             forest_u.append(selection.internal_vertex[kids])
             forest_v.append(selection.foreign_vertex[kids])
             forest_m.append(selection.comp_proxy[kids])
-        merge = merge_forest(cluster, shared, labels, forest, phase)
+        merge = merge_forest(cluster, shared, parts, forest, phase)
         labels = merge.labels
-        # One np.unique per merge: components_end here, n_components after
-        # the loop, and next phase's PartIndex all share this count.
-        n_components = int(np.unique(labels).size)
+        n_components = merge.n_components
         stats.append(
             PhaseStats(
                 phase=phase,
@@ -268,8 +263,6 @@ def connected_components_distributed(
             )
         )
         parts = None  # labels changed: rebuild the part structure next phase
-        inc_part = None
-        inc_cross = None
     fu = np.concatenate(forest_u) if forest_u else np.empty(0, dtype=np.int64)
     fv = np.concatenate(forest_v) if forest_v else np.empty(0, dtype=np.int64)
     fm = np.concatenate(forest_m) if forest_m else np.empty(0, dtype=np.int64)

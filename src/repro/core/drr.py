@@ -10,7 +10,9 @@ O(log n) w.h.p. (Lemma 6, Figure 2).
 Merging proceeds level-wise from the leaves (Lemma 5): in each iteration
 every current leaf relabels all of its vertices to its parent's label,
 using a fresh proxy hash h_{j, rho} per iteration so the Lemma-1 balance
-argument applies independently each time.
+argument applies independently each time.  The simulation tracks that
+merge at part granularity and writes the vertex labels once per phase
+(:func:`merge_forest`).
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from repro.cluster.shared_random import SharedRandomness
 from repro.core.labels import PartIndex
 from repro.core.outgoing import OutgoingSelection
 from repro.core.proxy import proxy_of_labels
+from repro.util.arrays import sorted_unique
 from repro.util.bits import bits_for_id
 from repro.util.rng import SeedStream
 
@@ -47,6 +50,8 @@ class DRRForest:
         ``int64[C]``; the parent's label (-1 for roots).
     depth:
         ``int64[C]``; distance to the root of each tree.
+    root:
+        ``int64[C]``; component index of each tree's root.
     """
 
     comp_labels: np.ndarray
@@ -54,6 +59,7 @@ class DRRForest:
     parent: np.ndarray
     parent_label: np.ndarray
     depth: np.ndarray
+    root: np.ndarray
 
     @property
     def n_components(self) -> int:
@@ -100,17 +106,33 @@ def build_drr_forest(
         if kids.size:
             parent_label[kids] = selection.neighbor_label[kids]
             parent[kids] = parts.comp_index_of_labels(parent_label[kids])
-    # Depths: parents have strictly higher (rank, label), so processing
-    # components in decreasing rank order sees every parent first.
-    depth = np.zeros(c, dtype=np.int64)
-    order = np.lexsort((labels, ranks))[::-1]
-    for ci in order:
-        p = parent[ci]
-        if p >= 0:
-            depth[ci] = depth[p] + 1
+    root, depth = _roots_and_depths(parent)
     return DRRForest(
-        comp_labels=labels, ranks=ranks, parent=parent, parent_label=parent_label, depth=depth
+        comp_labels=labels,
+        ranks=ranks,
+        parent=parent,
+        parent_label=parent_label,
+        depth=depth,
+        root=root,
     )
+
+
+def _roots_and_depths(parent: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every node's tree root and its distance to it, by pointer jumping.
+
+    Each node keeps an ancestor pointer and the hop count to it; a pass
+    replaces both with the ancestor's, doubling every pointer's reach, so
+    a forest of depth d takes about log2(d) + 1 passes.  Parents have
+    strictly higher (rank, label), so the pointers form no cycle.
+    """
+    anc = np.where(parent >= 0, parent, np.arange(parent.size, dtype=np.int64))
+    depth = (parent >= 0).astype(np.int64)
+    while True:
+        nxt = anc[anc]
+        if np.array_equal(nxt, anc):
+            return anc, depth
+        depth += depth[anc]
+        anc = nxt
 
 
 def charge_forest_build(
@@ -140,17 +162,22 @@ def charge_forest_build(
 
 @dataclass(frozen=True)
 class MergeOutcome:
-    """Result of merging one phase's DRR forest."""
+    """Result of merging one phase's DRR forest.
+
+    ``n_components`` counts the components after the merge: one per tree
+    root, since every tree collapses into its root.
+    """
 
     labels: np.ndarray
     iterations: int
     rounds: int
+    n_components: int
 
 
 def merge_forest(
     cluster: KMachineCluster,
     shared: SharedRandomness,
-    labels: np.ndarray,
+    parts: PartIndex,
     forest: DRRForest,
     phase: int,
     first_iteration: int = 1,
@@ -163,47 +190,58 @@ def merge_forest(
     machines hosting the leaf's parts; (iii) those machines relabel their
     local vertices.  The loop runs ``max_depth`` times — O(log n) w.h.p.
     by Lemma 6.
+
+    ``parts`` is the part structure the forest was built from.  The merge
+    is simulated at part granularity, and every charge equals the one a
+    per-iteration relabeling of all n vertices makes:
+
+    * A current leaf's component is the leaf plus every descendant merged
+      into it so far, so its parts are the distinct machines among the
+      phase parts it has absorbed: one message per distinct
+      (leaf, machine), sent from the leaf's proxy.
+    * Proxies are a PRF of the label and a leaf still carries its own
+      label, so only the leaves' proxies are evaluated.
+    * A merged leaf's parts pass to its parent; parts that reach a root
+      are final and leave the working set.
+    * The relabeling ends with every vertex holding its tree root's label,
+      so the labels are written once, after the last iteration.
     """
-    labels = np.asarray(labels, dtype=np.int64).copy()
     n, k = cluster.n, cluster.k
-    c = forest.n_components
-    children = forest.n_children.copy()
-    merged = np.zeros(c, dtype=bool)
+    parent = forest.parent
+    children = forest.n_children
     label_bits = bits_for_id(max(n, 2))
+    # Parts still to be relabeled, as (holding forest node, machine) pairs;
+    # a pair repeats once merges bring two of its parts to one node.
+    pending = parent[parts.comp_of_part] >= 0
+    holder = parts.comp_of_part[pending]
+    machine = parts.part_machine[pending]
+    is_leaf = np.zeros(forest.n_components, dtype=bool)
+    leaves = np.nonzero((parent >= 0) & (children == 0))[0]
     iteration = first_iteration
     total_rounds = 0
-    while True:
-        leaves = np.nonzero((~merged) & (forest.parent >= 0) & (children == 0))[0]
-        if leaves.size == 0:
-            break
+    while leaves.size:
         stream = shared.proxy_stream(phase, iteration)
-        cur_parts = PartIndex.build(labels, cluster.partition)
-        comp_proxy = proxy_of_labels(stream, cur_parts.comp_labels, k)
-        # Leaf components still carry their own label (absorbed children
-        # were relabeled *to* them), so each leaf maps to a current
-        # component; broadcast the parent label to all its parts.
-        leaf_comp_idx = cur_parts.comp_index_of_labels(forest.comp_labels[leaves])
-        part_is_leaf = np.isin(cur_parts.comp_of_part, leaf_comp_idx)
-        part_sel = np.nonzero(part_is_leaf)[0]
+        leaf_proxy = proxy_of_labels(stream, forest.comp_labels[leaves], k)
+        is_leaf[leaves] = True
+        at_leaf = is_leaf[holder]
+        is_leaf[leaves] = False
+        key = sorted_unique(holder[at_leaf] * np.int64(k) + machine[at_leaf])
+        leaf, leaf_machine = np.divmod(key, k)
         step = CommStep(cluster.ledger, f"merge-relabel:phase-{phase}-it-{iteration}")
-        step.add(
-            comp_proxy[cur_parts.comp_of_part[part_sel]],
-            cur_parts.part_machine[part_sel],
-            label_bits,
-        )
+        step.add(leaf_proxy[np.searchsorted(leaves, leaf)], leaf_machine, label_bits)
         total_rounds += step.deliver()
-        # Relabel: vertices whose label is a merging leaf's label take the
-        # leaf's parent label (vectorized translation table).
-        old = forest.comp_labels[leaves]
-        new = forest.parent_label[leaves]
-        order = np.argsort(old)
-        old_sorted, new_sorted = old[order], new[order]
-        pos = np.searchsorted(old_sorted, labels)
-        pos_c = np.clip(pos, 0, old_sorted.size - 1)
-        hit = old_sorted[pos_c] == labels
-        labels[hit] = new_sorted[pos_c[hit]]
-        # Forest bookkeeping.
-        merged[leaves] = True
-        np.subtract.at(children, forest.parent[leaves], 1)
+        up = parent[leaf]
+        moving = parent[up] >= 0
+        holder = np.concatenate([holder[~at_leaf], up[moving]])
+        machine = np.concatenate([machine[~at_leaf], leaf_machine[moving]])
+        # A parent becomes a leaf once its last child has merged.
+        np.subtract.at(children, parent[leaves], 1)
+        nxt = sorted_unique(parent[leaves])
+        leaves = nxt[(children[nxt] == 0) & (parent[nxt] >= 0)]
         iteration += 1
-    return MergeOutcome(labels=labels, iterations=iteration - first_iteration, rounds=total_rounds)
+    return MergeOutcome(
+        labels=forest.comp_labels[forest.root[parts.comp_of_vertex]],
+        iterations=iteration - first_iteration,
+        rounds=total_rounds,
+        n_components=int(np.count_nonzero(parent < 0)),
+    )

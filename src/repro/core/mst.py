@@ -41,7 +41,7 @@ from repro.cluster.comm import CommStep
 from repro.cluster.shared_random import SharedRandomness
 from repro.core.drr import build_drr_forest, charge_forest_build, merge_forest
 from repro.core.labels import PartIndex, initial_labels
-from repro.core.outgoing import OutgoingSelection, select_outgoing_edges
+from repro.core.outgoing import OutgoingSelection, cut_incidences, select_outgoing_edges
 from repro.core.proxy import proxies_to_parts
 from repro.runtime.config import SketchConfig, resolve_sketch
 from repro.util.bits import bits_for_id
@@ -154,11 +154,9 @@ def minimum_spanning_tree_distributed(
     phases = 0
     id_bits = bits_for_id(max(n, 2))
     # As in connectivity: retry phases (no merge) keep the labels, so the
-    # part structure, incidence -> part gather, and cross-component mask
-    # carry over unchanged.
+    # part structure and the cut-incidence index carry over unchanged.
     parts = None
-    inc_part = None
-    inc_cross = None
+    cut = None
     for phase in range(1, budget + 1):
         phases = phase
         rounds_before = cluster.ledger.total_rounds
@@ -166,8 +164,7 @@ def minimum_spanning_tree_distributed(
             shared.charge_phase_distribution(cluster.ledger, phase)
         if parts is None:
             parts = PartIndex.build(labels, cluster.partition)
-            inc_part = parts.part_of_vertex[cluster.inc_owner]
-            inc_cross = labels[cluster.inc_owner] != labels[cluster.inc_other]
+            cut = cut_incidences(cluster, labels, cut)
         c = parts.n_components
         bound = np.full(c, np.inf, dtype=np.float64)
         best_slot = np.full(c, -1, dtype=np.int64)
@@ -181,8 +178,19 @@ def minimum_spanning_tree_distributed(
         any_outgoing = False  # did any component's unrestricted sketch exist?
         last_proxy = None
         iterations = 0
+        # The previous call's sketched incidences and effective bounds.
+        sketched = None
+        prev_bound = None
         for t in range(elim_cap):
             iterations = t + 1
+            eff_bound = np.where(active, bound, 0.0)
+            # While no effective bound rose, the incidences this call keeps
+            # are a subset of the previous call's, so filtering those finds
+            # them all.  A bound can rise: an inactive component with a
+            # negative candidate weight gets 0.0.  Then filter the cut.
+            live = cut
+            if sketched is not None and (eff_bound <= prev_bound).all():
+                live = sketched
             selection = select_outgoing_edges(
                 cluster,
                 shared,
@@ -191,13 +199,13 @@ def minimum_spanning_tree_distributed(
                 iteration=t,
                 sketch_seed=derive_seed(shared.sketch_seed(phase), t),
                 parts=parts,
-                inc_part=inc_part,
+                live=live,
                 repetitions=repetitions,
                 hash_family=hash_family,
-                weight_bound_per_comp=np.where(active, bound, 0.0),
+                weight_bound_per_comp=eff_bound,
                 want_weights=True,
-                inc_cross=inc_cross,
             )
+            sketched, prev_bound = selection.sketched, eff_bound
             last_proxy = selection.comp_proxy
             if t == 0:
                 # The unrestricted (bound = inf) sketches tell whether any
@@ -281,16 +289,14 @@ def minimum_spanning_tree_distributed(
                 step.add(last_proxy[kids], cluster.partition.home[ku], bits)
                 step.add(last_proxy[kids], cluster.partition.home[kv], bits)
                 step.deliver()
-        merge = merge_forest(cluster, shared, labels, forest, phase, first_iteration=elim_cap + 1)
+        merge = merge_forest(cluster, shared, parts, forest, phase, first_iteration=elim_cap + 1)
         labels = merge.labels
         parts = None  # labels changed: rebuild the part structure next phase
-        inc_part = None
-        inc_cross = None
         stats.append(
             MSTPhaseStats(
                 phase=phase,
                 components_start=c,
-                components_end=int(np.unique(labels).size),
+                components_end=merge.n_components,
                 elimination_iterations=iterations,
                 mwoe_certified=int(cert.sum()),
                 mwoe_uncertified=int((have_cand & ~cert).sum()),

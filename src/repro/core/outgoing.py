@@ -22,8 +22,11 @@ Live-data sketching
 The step sketches only the live data: it drops *component-internal*
 incidence pairs, groups the surviving cut incidences directly at component
 granularity, and gives sketch rows only to the components that own one of
-them.  Each shortcut is exact — the resulting nonzero flags and samples are
-byte-identical to the part-level pipeline of the paper's steps 1-3 (proofs in
+them.  Callers keep the cut incidences as a sorted index
+(:func:`cut_incidences`) that contracts as components merge, so a step
+scans only the incidences that can still be cut.  Each shortcut is exact —
+the resulting nonzero flags and samples are byte-identical to the
+part-level pipeline of the paper's steps 1-3 (proofs in
 :func:`select_outgoing_edges` and
 :meth:`~repro.sketch.l0.SketchContext.sample_groups`), so every
 downstream decision, ledger charge, and committed baseline is unchanged;
@@ -45,7 +48,7 @@ from repro.sketch.edgespace import decode_slot
 from repro.sketch.l0 import SampleResult, SketchContext, SketchSpec
 from repro.util.bits import bits_for_id
 
-__all__ = ["OutgoingSelection", "select_outgoing_edges"]
+__all__ = ["OutgoingSelection", "cut_incidences", "select_outgoing_edges"]
 
 
 @dataclass(frozen=True)
@@ -72,6 +75,10 @@ class OutgoingSelection:
         ``int64[C]``; current label of the foreign endpoint's component.
     edge_weight:
         ``float64[C]``; sampled edge weight (NaN unless requested & found).
+    sketched:
+        ``int64[I]``; ascending ids of the incidences the step sketched:
+        the cut incidences under the weight bound.  None for a selection
+        no sketch step produced.
     """
 
     parts: PartIndex
@@ -83,6 +90,23 @@ class OutgoingSelection:
     foreign_vertex: np.ndarray
     neighbor_label: np.ndarray
     edge_weight: np.ndarray
+    sketched: np.ndarray | None = None
+
+
+def cut_incidences(
+    cluster: KMachineCluster, labels: np.ndarray, live: np.ndarray | None = None
+) -> np.ndarray:
+    """Ascending ids of the incidences whose endpoints carry different labels.
+
+    ``live``, if given, is the cut index of an earlier labeling that
+    ``labels`` coarsens, and only it is scanned: components only merge, so
+    an incidence internal to a component never becomes a cut incidence
+    again, and filtering the old index leaves the same ascending
+    subsequence a full scan finds.
+    """
+    if live is None:
+        return np.flatnonzero(labels[cluster.inc_owner] != labels[cluster.inc_other])
+    return live[labels[cluster.inc_owner[live]] != labels[cluster.inc_other[live]]]
 
 
 def select_outgoing_edges(
@@ -94,12 +118,11 @@ def select_outgoing_edges(
     iteration: int = 0,
     sketch_seed: int | None = None,
     parts: PartIndex | None = None,
-    inc_part: np.ndarray | None = None,
+    live: np.ndarray | None = None,
     repetitions: int = 6,
     hash_family: str = "prf",
     weight_bound_per_comp: np.ndarray | None = None,
     want_weights: bool = False,
-    inc_cross: np.ndarray | None = None,
 ) -> OutgoingSelection:
     """Run one sketch-sample-resolve step; charges the cluster ledger.
 
@@ -116,12 +139,11 @@ def select_outgoing_edges(
     parts:
         Pre-built :class:`PartIndex` (labels unchanged since built);
         recomputed if omitted.
-    inc_part:
-        Pre-computed ``parts.part_of_vertex[cluster.inc_owner]`` (must
-        belong to ``parts``); recomputed if omitted.  Callers that run
-        several selections against one part structure — MST elimination
-        iterations, connectivity retry phases — pass it to skip the
-        per-call gather.
+    live:
+        Ascending incidence ids, all cut under ``labels``, that include
+        every cut incidence under the weight bound — the phase's
+        :func:`cut_incidences`, or an earlier step's ``sketched`` when no
+        bound has risen since.  Computed from ``labels`` if omitted.
     repetitions / hash_family:
         Sketch parameters (see :class:`~repro.sketch.l0.SketchSpec`).
     weight_bound_per_comp:
@@ -130,11 +152,6 @@ def select_outgoing_edges(
         ``+inf`` (or None) keeps everything.
     want_weights:
         If True, label-query replies carry the edge weight (64 extra bits).
-    inc_cross:
-        Pre-computed ``labels[cluster.inc_owner] !=
-        labels[cluster.inc_other]`` (must belong to ``labels``); recomputed
-        if omitted.  Amortizable across iterations exactly like
-        ``inc_part``.
 
     Notes
     -----
@@ -179,15 +196,13 @@ def select_outgoing_edges(
     shared.charge_sketch_seed_distribution(cluster.ledger, phase)
 
     # 1. Local sketch construction per part (free local computation).
-    if inc_part is None:
-        inc_part = parts.part_of_vertex[cluster.inc_owner]
     bound = None
     if weight_bound_per_comp is not None:
         bound = np.asarray(weight_bound_per_comp, dtype=np.float64)
         if bound.shape != (parts.n_components,):
             raise ValueError("weight_bound_per_comp must align with components")
-    if inc_cross is None:
-        inc_cross = labels[cluster.inc_owner] != labels[cluster.inc_other]
+    if live is None:
+        live = cut_incidences(cluster, labels)
 
     # 2. Ship part sketches to component proxies (Lemma 1 pattern).
     stream = shared.proxy_stream(phase, iteration)
@@ -203,7 +218,7 @@ def select_outgoing_edges(
 
     # 3. Proxy-side combination and sampling (Lemma 2), computed for steps
     # 1 and 3 at once at component granularity (see the proof above).
-    nonzero, sample = _sample_components(cluster, spec, parts, inc_part, inc_cross, bound)
+    sketched, nonzero, sample = _sample_components(cluster, spec, parts, live, bound)
     found = sample.found
 
     c = parts.n_components
@@ -246,6 +261,7 @@ def select_outgoing_edges(
         foreign_vertex=foreign,
         neighbor_label=neighbor_label,
         edge_weight=weight,
+        sketched=sketched,
     )
 
 
@@ -253,13 +269,13 @@ def _sample_components(
     cluster: KMachineCluster,
     spec: SketchSpec,
     parts: PartIndex,
-    inc_part: np.ndarray,
-    inc_cross: np.ndarray,
+    live: np.ndarray,
     bound: np.ndarray | None,
-) -> tuple[np.ndarray, SampleResult]:
-    """Per component: is its cut sketch nonzero, and one sampled cut edge.
+) -> tuple[np.ndarray, np.ndarray, SampleResult]:
+    """The sketched incidences; per component, is its cut sketch nonzero,
+    and one sampled cut edge.
 
-    Sketches the cross-component incidences under ``bound`` grouped by
+    Sketches the cut incidences of ``live`` under ``bound`` grouped by
     component.  :meth:`~repro.sketch.l0.SketchContext.sample_groups`
     returns, byte for byte, the nonzero flags and samples of the dense
     ``(C, R, L)`` bundle (its docstring proves it) while evaluating only the
@@ -268,12 +284,12 @@ def _sample_components(
     component owning no kept incidence reads ``nonzero=False`` and
     ``found=False, slot=-1, sign=0``, as its all-zero dense row does.
     """
-    inc_comp = parts.comp_of_part[inc_part]
-    keep = inc_cross
+    inc_comp = parts.comp_of_vertex[cluster.inc_owner[live]]
     if bound is not None:
-        keep = keep & (cluster.inc_weight < bound[inc_comp])
-    ctx = SketchContext(spec, cluster.inc_slot[keep], cluster.inc_sign[keep])
-    return ctx.sample_groups(inc_comp[keep], parts.n_components)
+        under = cluster.graph.weights[cluster.inc_edge[live]] < bound[inc_comp]
+        live, inc_comp = live[under], inc_comp[under]
+    ctx = SketchContext(spec, cluster.inc_slot[live], cluster.inc_sign[live])
+    return (live, *ctx.sample_groups(inc_comp, parts.n_components))
 
 
 def _edge_weights(cluster: KMachineCluster, us: np.ndarray, vs: np.ndarray) -> np.ndarray:

@@ -27,6 +27,7 @@ import numpy as np
 
 from repro.graphs.builder import GraphBuilder
 from repro.graphs.graph import Graph
+from repro.util.arrays import sorted_unique
 from repro.util.rng import derive_seed
 
 __all__ = [
@@ -247,7 +248,7 @@ def gnm_random(n: int, m: int, seed: int = 0) -> Graph:
         ok = u != v
         lo = np.minimum(u[ok], v[ok])
         hi = np.maximum(u[ok], v[ok])
-        keys = np.unique(np.concatenate([keys, lo * np.int64(n) + hi]))
+        keys = sorted_unique(np.concatenate([keys, lo * np.int64(n) + hi]))
         need = m - keys.size
     if keys.size > m:
         keys = rng.permutation(keys)[:m]

@@ -103,11 +103,10 @@ class Graph:
             keep = np.empty(key_sorted.size, dtype=bool)
             keep[0] = True
             np.not_equal(key_sorted[1:], key_sorted[:-1], out=keep[1:])
+            # Distinct keys ascend, and key = lo * n + hi with hi < n, so
+            # the kept edges are already in (lo, hi) order.
             sel = order[keep]
             lo, hi, w = lo[sel], hi[sel], w[sel]
-            # Re-sort by (lo, hi) for deterministic edge ordering.
-            order2 = np.lexsort((hi, lo))
-            lo, hi, w = lo[order2], hi[order2], w[order2]
         m = lo.size
 
         # Build CSR: sort the 2m directed copies by source vertex; the

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from repro.corpus.families import sized_graph
 from repro.graphs import generators as gen
 from repro.graphs import reference as ref
 
@@ -165,3 +168,31 @@ class TestWeights:
     def test_unique_weights_distinct(self):
         g = gen.with_unique_weights(gen.gnm_random(30, 60, seed=1), seed=1)
         assert np.unique(g.weights).size == g.m
+
+
+#: SHA-256 over the CSR arrays (name, dtype, bytes) of every sizeable
+#: family built by ``sized_graph`` at each n, seed and weight setting below,
+#: in that nesting order.  Graph bytes are corpus content addresses, so a
+#: generator or ``Graph.from_edges`` speed-up must leave this unchanged.
+SIZED_FAMILIES = (
+    "barbell", "complete", "cycle", "diameter2", "disjoint_cliques",
+    "expander_bridge", "geometric", "gnm", "gnp", "grid", "lollipop", "path",
+    "planted_components", "planted_cut", "powerlaw", "random_tree", "star",
+    "star_of_paths", "tree",
+)  # fmt: skip
+SIZED_FAMILY_CSR_SHA256 = "0df7a2161ea0246b65de1504452fcdac14ec7cf2b70f1f581daeb65ff2944be1"
+
+
+def test_sized_family_graph_bytes_are_pinned():
+    h = hashlib.sha256()
+    for family in SIZED_FAMILIES:
+        for n in (16, 64, 137, 500):
+            for seed in (0, 3, 11):
+                for weighted in (False, True):
+                    g = sized_graph(family, n, seed, weighted=weighted)
+                    for name in ("indptr", "indices", "edge_ids", "edges_u", "edges_v", "weights"):
+                        a = np.ascontiguousarray(getattr(g, name))
+                        h.update(name.encode())
+                        h.update(str(a.dtype).encode())
+                        h.update(a.tobytes())
+    assert h.hexdigest() == SIZED_FAMILY_CSR_SHA256

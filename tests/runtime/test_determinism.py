@@ -9,13 +9,15 @@ serialization stopped being canonical.
 
 Three large runs are also pinned to recorded SHA-256 digests of their whole
 envelopes, so a change that returns a different but still valid forest or
-labelling fails here even when every model cost stays the same.
+labelling fails here even when every model cost stays the same.  Twelve MST
+runs on negative, mixed-sign and tied weights are pinned the same way.
 """
 
 from __future__ import annotations
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from repro import generators
@@ -105,3 +107,41 @@ def test_large_run_envelopes_are_pinned(name):
     report = Session().run(algorithm, g, config=RunConfig(seed=1, cluster=ClusterConfig(k=8)))
     envelope = report.to_json(include_timing=False).encode()
     assert hashlib.sha256(envelope).hexdigest() == digest
+
+
+#: (weighting, seed) -> SHA-256 of the MST envelope on G(2000, 6000) with
+#: k = 8, graph and run seeded alike.  Negative and tied weights are where
+#: an elimination call may raise a component's effective bound (an inactive
+#: component's bound becomes 0.0), so they pin the rule that picks which
+#: incidences each elimination call filters.
+ELIMINATION_RUNS = {
+    ("uniform", 1): "d1edd28dbbaeab2fc19705591466c5c3eeb74cb635dea4b73818636b8f50030b",
+    ("uniform", 2): "5401a97d0540aee5a5ad5ebbf53146881d68b1a95654de5822768229567d8324",
+    ("uniform", 3): "a85391a310b33a09f12d304ca4211de3891fbda96a0098c06f7fc22f90e3814f",
+    ("uniform", 4): "815cfda29f357d48b0610cb978a0b4ceb6de9b2181a5a09140ada1e4e3a20c00",
+    ("negative", 1): "cbb53508fc37381518d520413d9b6bf4624608830a1aacbba8802d607402ea4e",
+    ("negative", 2): "ceab89f04c87bff0b79a2c3a1f216b2784774b6d9609f27a7599030d9b67dcb8",
+    ("negative", 3): "5c2f98d362793d601d7c05f69048fc3ce7d3fa5289def9781d812d2e5a2d1639",
+    ("negative", 4): "742d761134aab0bc9c3e1965eea2a174b01d3905cd9592611a0eabd1e591519a",
+    ("tied", 1): "72f8f8a6463effa7110113c4b40d3f21081b0d4ee3d89a30195e05aca0ca8b95",
+    ("tied", 2): "b90fa8f38551af7fa383e1b0b59b901236a691c6e34244f41427e74a55e6292b",
+    ("tied", 3): "61a177e2a513ff04f54ea634482500936bfa8fbe0703af8971e06f37118de31f",
+    ("tied", 4): "17420198fe82e0e282313b96731cec93d91bd97e5a591be62b643d58e7e7e408",
+}
+
+
+def _elimination_input(weighting: str, seed: int):
+    g = generators.gnm_random(2000, 6000, seed=seed)
+    if weighting == "uniform":
+        return generators.with_random_weights(g, seed=seed, low=-1, high=1)
+    if weighting == "negative":
+        return generators.with_random_weights(g, seed=seed, low=-5, high=-1)
+    return g.with_weights((np.arange(g.m) % 3 - 1).astype(np.float64))
+
+
+@pytest.mark.parametrize("weighting, seed", sorted(ELIMINATION_RUNS))
+def test_mst_elimination_envelopes_are_pinned(weighting, seed):
+    g = _elimination_input(weighting, seed)
+    report = Session().run("mst", g, config=RunConfig(seed=seed, cluster=ClusterConfig(k=8)))
+    envelope = report.to_json(include_timing=False).encode()
+    assert hashlib.sha256(envelope).hexdigest() == ELIMINATION_RUNS[weighting, seed]

@@ -129,6 +129,22 @@ def _deep_context(deep_slots: np.ndarray):
     return DeepContext
 
 
+def _incidence_view(slots, signs, weights, group, n_groups: int):
+    """The cluster and part fields ``_sample_components`` reads, for a bare
+    incidence list: incidence ``i`` is edge ``i``, owned by vertex ``i`` of
+    component ``group[i]``."""
+    ids = np.arange(slots.size, dtype=np.int64)
+    cluster = SimpleNamespace(
+        inc_owner=ids,
+        inc_edge=ids,
+        inc_slot=slots,
+        inc_sign=signs,
+        graph=SimpleNamespace(weights=np.asarray(weights, dtype=np.float64)),
+    )
+    parts = SimpleNamespace(comp_of_vertex=np.asarray(group, dtype=np.int64), n_components=n_groups)
+    return cluster, parts
+
+
 # --------------------------------------------------------------------------
 # Random incidence lists
 # --------------------------------------------------------------------------
@@ -193,10 +209,12 @@ def test_compact_trimmed_sample_matches_dense_oracle(data, inc):
     oracle = _dense_oracle(context(spec, slots, signs), group, n_groups, keep)
     want_nonzero = np.any(oracle.fps[:, :, 0] != 0, axis=1)
 
-    cluster = SimpleNamespace(inc_slot=slots, inc_sign=signs, inc_weight=weights)
-    parts = SimpleNamespace(comp_of_part=np.arange(n_groups, dtype=np.int64), n_components=n_groups)
+    cluster, parts = _incidence_view(slots, signs, weights, group, n_groups)
     with mock.patch.object(outgoing, "SketchContext", context):
-        nonzero, sample = outgoing._sample_components(cluster, spec, parts, group, cross, bound)
+        sketched, nonzero, sample = outgoing._sample_components(
+            cluster, spec, parts, np.flatnonzero(cross), bound
+        )
+    assert sketched.tolist() == np.flatnonzero(keep).tolist()
     assert nonzero.tobytes() == want_nonzero.tobytes()
     assert _sample_bytes(sample) == _sample_bytes(_sample_oracle(oracle))
 
@@ -245,10 +263,9 @@ def test_single_group_and_empty_selection():
     assert not empty.nonzero_mask().any()
     assert not empty.sample().found.any()
     # No live component at all: nothing is sketched, every row reads empty.
-    cluster = SimpleNamespace(inc_slot=slots, inc_sign=signs, inc_weight=np.zeros(3))
-    parts = SimpleNamespace(comp_of_part=np.arange(2, dtype=np.int64), n_components=2)
-    nonzero, sample = outgoing._sample_components(
-        cluster, spec, parts, np.array([0, 1, 1]), np.zeros(3, dtype=bool), None
+    cluster, parts = _incidence_view(slots, signs, np.zeros(3), np.array([0, 1, 1]), 2)
+    _, nonzero, sample = outgoing._sample_components(
+        cluster, spec, parts, np.empty(0, dtype=np.int64), None
     )
     assert not nonzero.any() and not sample.found.any()
     assert sample.slots.tolist() == [-1, -1] and sample.signs.tolist() == [0, 0]
@@ -262,11 +279,8 @@ def test_live_zero_row_keeps_its_place():
     signs = np.array([1, -1, 1], dtype=np.int64)
     spec = SketchSpec.for_graph(n, seed=6, repetitions=3)
     group = np.array([0, 0, 2], dtype=np.int64)
-    cluster = SimpleNamespace(inc_slot=slots, inc_sign=signs, inc_weight=np.zeros(3))
-    parts = SimpleNamespace(comp_of_part=np.arange(3, dtype=np.int64), n_components=3)
-    nonzero, sample = outgoing._sample_components(
-        cluster, spec, parts, group, np.ones(3, dtype=bool), None
-    )
+    cluster, parts = _incidence_view(slots, signs, np.zeros(3), group, 3)
+    _, nonzero, sample = outgoing._sample_components(cluster, spec, parts, np.arange(3), None)
     assert nonzero.tolist() == [False, False, True]
     oracle = _dense_oracle(SketchContext(spec, slots, signs), group, 3, np.ones(3, dtype=bool))
     assert _sample_bytes(sample) == _sample_bytes(_sample_oracle(oracle))

@@ -128,6 +128,13 @@ def test_drr_forest_laws(n, seed, edge_frac):
             assert forest.depth[ci] == 0
         if not found[ci]:
             assert forest.parent[ci] == -1
+    # Pointer jumping gives the depths of the rank-order reference loop:
+    # decreasing (rank, label) order visits every parent before its children.
+    expected = np.zeros(c, dtype=np.int64)
+    for ci in np.lexsort((forest.comp_labels, forest.ranks))[::-1]:
+        if forest.parent[ci] >= 0:
+            expected[ci] = expected[forest.parent[ci]] + 1
+    assert np.array_equal(forest.depth, expected)
     # Non-merging components are exactly the roots among found=False plus
     # higher-ranked endpoints; at least one root always exists.
     assert (forest.parent < 0).any()
