@@ -99,7 +99,7 @@ def boruvka_nosketch(
             break
         # Select min-weight outgoing incidence per part (stable lexsort).
         cand = np.nonzero(outgoing)[0]
-        order = np.lexsort((cluster.inc_weight[cand], inc_part[cand]))
+        order = np.lexsort((cluster.inc_weight_of(cand), inc_part[cand]))
         cand_sorted = cand[order]
         part_sorted = inc_part[cand_sorted]
         first = np.ones(cand_sorted.size, dtype=bool)
@@ -114,7 +114,7 @@ def boruvka_nosketch(
         # Leader-side global MWOE per component.
         comp_of_best = parts.comp_of_part[best_part]
         c = parts.n_components
-        order2 = np.lexsort((cluster.inc_weight[best_inc], comp_of_best))
+        order2 = np.lexsort((cluster.inc_weight_of(best_inc), comp_of_best))
         bi = best_inc[order2]
         bc = comp_of_best[order2]
         first2 = np.ones(bi.size, dtype=bool)
@@ -130,7 +130,7 @@ def boruvka_nosketch(
         foreign[mwoe_comp] = inc_other[mwoe_inc]
         nbr[mwoe_comp] = labels[inc_other[mwoe_inc]]
         weight = np.full(c, np.nan, dtype=np.float64)
-        weight[mwoe_comp] = cluster.inc_weight[mwoe_inc]
+        weight[mwoe_comp] = cluster.inc_weight_of(mwoe_inc)
         selection = OutgoingSelection(
             parts=parts,
             comp_proxy=cluster.partition.home[parts.comp_labels],  # leader homes
@@ -155,29 +155,9 @@ def boruvka_nosketch(
         for mid in range(k):
             ann.add(leader_homes, mid, 2 * label_bits)
         ann.deliver()
-        # Apply the merges locally on every machine.
-        old = forest.comp_labels[kids]
-        new = forest.parent_label[kids]
-        # Resolve chains within the phase: follow the translation until a
-        # fixpoint (every machine holds the full table, so this is local).
-        table = dict(zip(old.tolist(), new.tolist()))
-        resolved = {}
-        for o in table:
-            t = table[o]
-            seen = {o}
-            while t in table and t not in seen:
-                seen.add(t)
-                t = table[t]
-            resolved[o] = t
-        old_arr = np.fromiter(resolved.keys(), dtype=np.int64)
-        new_arr = np.fromiter(resolved.values(), dtype=np.int64)
-        order3 = np.argsort(old_arr)
-        old_s, new_s = old_arr[order3], new_arr[order3]
-        pos = np.searchsorted(old_s, labels)
-        pos_c = np.clip(pos, 0, old_s.size - 1)
-        hit = old_s[pos_c] == labels
-        new_labels = labels.copy()
-        new_labels[hit] = new_s[pos_c[hit]]
+        # Apply the merges locally on every machine (every machine holds
+        # the full table): each vertex takes its tree root's label.
+        new_labels = forest.comp_labels[forest.root[parts.comp_of_vertex]]
         changed = new_labels != labels
         labels = new_labels
     eu = np.concatenate(out_u) if out_u else np.empty(0, dtype=np.int64)

@@ -124,8 +124,12 @@ class KMachineCluster:
 
     @property
     def inc_weight(self) -> np.ndarray:
-        """Weights of the incidences' edges (view into graph weights)."""
-        return self.graph.weights[self.inc_edge]
+        """Weights of the incidences' edges."""
+        return self.inc_weight_of(slice(None))
+
+    def inc_weight_of(self, inc: np.ndarray | slice) -> np.ndarray:
+        """Weights of the edges of incidences ``inc`` (ids, mask or slice)."""
+        return self.graph.weights[self.inc_edge[inc]]
 
     @property
     def n_incidences(self) -> int:

@@ -178,19 +178,8 @@ def minimum_spanning_tree_distributed(
         any_outgoing = False  # did any component's unrestricted sketch exist?
         last_proxy = None
         iterations = 0
-        # The previous call's sketched incidences and effective bounds.
-        sketched = None
-        prev_bound = None
         for t in range(elim_cap):
             iterations = t + 1
-            eff_bound = np.where(active, bound, 0.0)
-            # While no effective bound rose, the incidences this call keeps
-            # are a subset of the previous call's, so filtering those finds
-            # them all.  A bound can rise: an inactive component with a
-            # negative candidate weight gets 0.0.  Then filter the cut.
-            live = cut
-            if sketched is not None and (eff_bound <= prev_bound).all():
-                live = sketched
             selection = select_outgoing_edges(
                 cluster,
                 shared,
@@ -199,13 +188,12 @@ def minimum_spanning_tree_distributed(
                 iteration=t,
                 sketch_seed=derive_seed(shared.sketch_seed(phase), t),
                 parts=parts,
-                live=live,
+                live=cut,
                 repetitions=repetitions,
                 hash_family=hash_family,
-                weight_bound_per_comp=eff_bound,
+                weight_bound_per_comp=np.where(active, bound, 0.0),
                 want_weights=True,
             )
-            sketched, prev_bound = selection.sketched, eff_bound
             last_proxy = selection.comp_proxy
             if t == 0:
                 # The unrestricted (bound = inf) sketches tell whether any

@@ -75,10 +75,6 @@ class OutgoingSelection:
         ``int64[C]``; current label of the foreign endpoint's component.
     edge_weight:
         ``float64[C]``; sampled edge weight (NaN unless requested & found).
-    sketched:
-        ``int64[I]``; ascending ids of the incidences the step sketched:
-        the cut incidences under the weight bound.  None for a selection
-        no sketch step produced.
     """
 
     parts: PartIndex
@@ -90,7 +86,6 @@ class OutgoingSelection:
     foreign_vertex: np.ndarray
     neighbor_label: np.ndarray
     edge_weight: np.ndarray
-    sketched: np.ndarray | None = None
 
 
 def cut_incidences(
@@ -140,10 +135,8 @@ def select_outgoing_edges(
         Pre-built :class:`PartIndex` (labels unchanged since built);
         recomputed if omitted.
     live:
-        Ascending incidence ids, all cut under ``labels``, that include
-        every cut incidence under the weight bound — the phase's
-        :func:`cut_incidences`, or an earlier step's ``sketched`` when no
-        bound has risen since.  Computed from ``labels`` if omitted.
+        The phase's :func:`cut_incidences` (labels unchanged since
+        computed); computed from ``labels`` if omitted.
     repetitions / hash_family:
         Sketch parameters (see :class:`~repro.sketch.l0.SketchSpec`).
     weight_bound_per_comp:
@@ -218,7 +211,7 @@ def select_outgoing_edges(
 
     # 3. Proxy-side combination and sampling (Lemma 2), computed for steps
     # 1 and 3 at once at component granularity (see the proof above).
-    sketched, nonzero, sample = _sample_components(cluster, spec, parts, live, bound)
+    nonzero, sample = _sample_components(cluster, spec, parts, live, bound)
     found = sample.found
 
     c = parts.n_components
@@ -261,7 +254,6 @@ def select_outgoing_edges(
         foreign_vertex=foreign,
         neighbor_label=neighbor_label,
         edge_weight=weight,
-        sketched=sketched,
     )
 
 
@@ -271,9 +263,8 @@ def _sample_components(
     parts: PartIndex,
     live: np.ndarray,
     bound: np.ndarray | None,
-) -> tuple[np.ndarray, np.ndarray, SampleResult]:
-    """The sketched incidences; per component, is its cut sketch nonzero,
-    and one sampled cut edge.
+) -> tuple[np.ndarray, SampleResult]:
+    """Per component: is its cut sketch nonzero, and one sampled cut edge.
 
     Sketches the cut incidences of ``live`` under ``bound`` grouped by
     component.  :meth:`~repro.sketch.l0.SketchContext.sample_groups`
@@ -286,10 +277,10 @@ def _sample_components(
     """
     inc_comp = parts.comp_of_vertex[cluster.inc_owner[live]]
     if bound is not None:
-        under = cluster.graph.weights[cluster.inc_edge[live]] < bound[inc_comp]
+        under = cluster.inc_weight_of(live) < bound[inc_comp]
         live, inc_comp = live[under], inc_comp[under]
     ctx = SketchContext(spec, cluster.inc_slot[live], cluster.inc_sign[live])
-    return (live, *ctx.sample_groups(inc_comp, parts.n_components))
+    return ctx.sample_groups(inc_comp, parts.n_components)
 
 
 def _edge_weights(cluster: KMachineCluster, us: np.ndarray, vs: np.ndarray) -> np.ndarray:

@@ -39,6 +39,8 @@ class TestCreate:
     def test_inc_weight_view(self, small_weighted_graph):
         cl = KMachineCluster.create(small_weighted_graph, k=4, seed=2)
         assert np.array_equal(cl.inc_weight, small_weighted_graph.weights[cl.inc_edge])
+        ids = np.array([5, 0, cl.n_incidences - 1, 5], dtype=np.int64)
+        assert np.array_equal(cl.inc_weight_of(ids), cl.inc_weight[ids])
 
 
 class TestDerived:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 # Allow running the tests without an installed package (src layout).
@@ -38,3 +39,22 @@ def small_weighted_graph():
 def cluster8(small_connected_graph):
     """An 8-machine cluster over the small connected graph."""
     return KMachineCluster.create(small_connected_graph, k=8, seed=7)
+
+
+@pytest.fixture(scope="session")
+def rank_order_depths():
+    """The reference DRR depth rule, as a function of a forest.
+
+    It visits components in decreasing (rank, label) order, which sees
+    every parent before its children.
+    """
+
+    def depths(forest):
+        depth = np.zeros(forest.n_components, dtype=np.int64)
+        for ci in np.lexsort((forest.comp_labels, forest.ranks))[::-1]:
+            p = forest.parent[ci]
+            if p >= 0:
+                depth[ci] = depth[p] + 1
+        return depth
+
+    return depths

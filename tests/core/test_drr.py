@@ -19,17 +19,6 @@ from repro.util.bits import bits_for_id
 from repro.util.rng import SeedStream
 
 
-def rank_order_depths(forest):
-    """Reference depths: visit components in decreasing (rank, label)
-    order, which sees every parent before its children."""
-    depth = np.zeros(forest.n_components, dtype=np.int64)
-    for ci in np.lexsort((forest.comp_labels, forest.ranks))[::-1]:
-        p = forest.parent[ci]
-        if p >= 0:
-            depth[ci] = depth[p] + 1
-    return depth
-
-
 def vertex_merge_forest(cluster, shared, labels, forest, phase, first_iteration=1):
     """Reference merge at vertex granularity: every iteration rebuilds the
     part structure of the current labels, charges one message per part of
@@ -175,7 +164,7 @@ class TestLemma6Depth:
 
 
 class TestPointerJumpingDepths:
-    def test_matches_rank_order_loop_on_a_large_forest(self):
+    def test_matches_rank_order_loop_on_a_large_forest(self, rank_order_depths):
         cl, labels, parts, sel = ring_selection(12_000, seed=5)
         forest = build_drr_forest(parts, sel, SeedStream(14))
         assert forest.n_components >= 10_000

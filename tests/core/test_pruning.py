@@ -45,8 +45,7 @@ FAMILIES = {
 def _part_level_oracle(cluster, spec, parts, live, bound):
     """The unpruned pipeline: all incidences by part, then aggregate, then sample.
 
-    It ignores the caller's ``live`` index: the sketched set it reports is
-    every cut incidence under ``bound``, found by a scan of all incidences.
+    It ignores the caller's ``live`` index and sketches every incidence.
     """
     inc_part = parts.part_of_vertex[cluster.inc_owner]
     ctx = SketchContext(spec, cluster.inc_slot, cluster.inc_sign)
@@ -55,9 +54,7 @@ def _part_level_oracle(cluster, spec, parts, live, bound):
         mask = cluster.inc_weight < bound[parts.comp_of_part[inc_part]]
     part_bundle = ctx.group_sums(inc_part, parts.n_parts, mask=mask)
     comp_bundle = part_bundle.aggregate(parts.comp_of_part, parts.n_components)
-    cut = parts.comp_of_vertex[cluster.inc_owner] != parts.comp_of_vertex[cluster.inc_other]
-    sketched = np.flatnonzero(cut if mask is None else cut & mask)
-    return sketched, comp_bundle.nonzero_mask(), comp_bundle.sample()
+    return comp_bundle.nonzero_mask(), comp_bundle.sample()
 
 
 @contextmanager
@@ -82,7 +79,6 @@ def _selection_state(sel) -> tuple:
         sel.foreign_vertex.tobytes(),
         sel.neighbor_label.tobytes(),
         sel.edge_weight.tobytes(),
-        sel.sketched.tobytes(),
     )
 
 

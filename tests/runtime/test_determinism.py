@@ -112,8 +112,8 @@ def test_large_run_envelopes_are_pinned(name):
 #: (weighting, seed) -> SHA-256 of the MST envelope on G(2000, 6000) with
 #: k = 8, graph and run seeded alike.  Negative and tied weights are where
 #: an elimination call may raise a component's effective bound (an inactive
-#: component's bound becomes 0.0), so they pin the rule that picks which
-#: incidences each elimination call filters.
+#: component's bound becomes 0.0), so they pin which incidences each
+#: elimination call sketches.
 ELIMINATION_RUNS = {
     ("uniform", 1): "d1edd28dbbaeab2fc19705591466c5c3eeb74cb635dea4b73818636b8f50030b",
     ("uniform", 2): "5401a97d0540aee5a5ad5ebbf53146881d68b1a95654de5822768229567d8324",

@@ -131,15 +131,14 @@ def _deep_context(deep_slots: np.ndarray):
 
 def _incidence_view(slots, signs, weights, group, n_groups: int):
     """The cluster and part fields ``_sample_components`` reads, for a bare
-    incidence list: incidence ``i`` is edge ``i``, owned by vertex ``i`` of
-    component ``group[i]``."""
-    ids = np.arange(slots.size, dtype=np.int64)
+    incidence list: incidence ``i`` has weight ``weights[i]`` and is owned
+    by vertex ``i`` of component ``group[i]``."""
+    weights = np.asarray(weights, dtype=np.float64)
     cluster = SimpleNamespace(
-        inc_owner=ids,
-        inc_edge=ids,
+        inc_owner=np.arange(slots.size, dtype=np.int64),
         inc_slot=slots,
         inc_sign=signs,
-        graph=SimpleNamespace(weights=np.asarray(weights, dtype=np.float64)),
+        inc_weight_of=lambda inc: weights[inc],
     )
     parts = SimpleNamespace(comp_of_vertex=np.asarray(group, dtype=np.int64), n_components=n_groups)
     return cluster, parts
@@ -211,10 +210,9 @@ def test_compact_trimmed_sample_matches_dense_oracle(data, inc):
 
     cluster, parts = _incidence_view(slots, signs, weights, group, n_groups)
     with mock.patch.object(outgoing, "SketchContext", context):
-        sketched, nonzero, sample = outgoing._sample_components(
+        nonzero, sample = outgoing._sample_components(
             cluster, spec, parts, np.flatnonzero(cross), bound
         )
-    assert sketched.tolist() == np.flatnonzero(keep).tolist()
     assert nonzero.tobytes() == want_nonzero.tobytes()
     assert _sample_bytes(sample) == _sample_bytes(_sample_oracle(oracle))
 
@@ -264,7 +262,7 @@ def test_single_group_and_empty_selection():
     assert not empty.sample().found.any()
     # No live component at all: nothing is sketched, every row reads empty.
     cluster, parts = _incidence_view(slots, signs, np.zeros(3), np.array([0, 1, 1]), 2)
-    _, nonzero, sample = outgoing._sample_components(
+    nonzero, sample = outgoing._sample_components(
         cluster, spec, parts, np.empty(0, dtype=np.int64), None
     )
     assert not nonzero.any() and not sample.found.any()
@@ -280,7 +278,7 @@ def test_live_zero_row_keeps_its_place():
     spec = SketchSpec.for_graph(n, seed=6, repetitions=3)
     group = np.array([0, 0, 2], dtype=np.int64)
     cluster, parts = _incidence_view(slots, signs, np.zeros(3), group, 3)
-    _, nonzero, sample = outgoing._sample_components(cluster, spec, parts, np.arange(3), None)
+    nonzero, sample = outgoing._sample_components(cluster, spec, parts, np.arange(3), None)
     assert nonzero.tolist() == [False, False, True]
     oracle = _dense_oracle(SketchContext(spec, slots, signs), group, 3, np.ones(3, dtype=bool))
     assert _sample_bytes(sample) == _sample_bytes(_sample_oracle(oracle))

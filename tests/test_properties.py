@@ -92,7 +92,7 @@ def test_sketch_aggregation_associativity(n_groups, n_edges, seed):
     edge_frac=st.floats(min_value=0.0, max_value=1.0),
 )
 @settings(max_examples=40, deadline=None)
-def test_drr_forest_laws(n, seed, edge_frac):
+def test_drr_forest_laws(rank_order_depths, n, seed, edge_frac):
     """For any pointer configuration: acyclic, rank-increasing, depth-consistent."""
     rng = np.random.default_rng(seed)
     partition = random_vertex_partition(n, 2, seed)
@@ -128,13 +128,8 @@ def test_drr_forest_laws(n, seed, edge_frac):
             assert forest.depth[ci] == 0
         if not found[ci]:
             assert forest.parent[ci] == -1
-    # Pointer jumping gives the depths of the rank-order reference loop:
-    # decreasing (rank, label) order visits every parent before its children.
-    expected = np.zeros(c, dtype=np.int64)
-    for ci in np.lexsort((forest.comp_labels, forest.ranks))[::-1]:
-        if forest.parent[ci] >= 0:
-            expected[ci] = expected[forest.parent[ci]] + 1
-    assert np.array_equal(forest.depth, expected)
+    # Pointer jumping gives the depths of the rank-order reference loop.
+    assert np.array_equal(forest.depth, rank_order_depths(forest))
     # Non-merging components are exactly the roots among found=False plus
     # higher-ranked endpoints; at least one root always exists.
     assert (forest.parent < 0).any()
