@@ -64,7 +64,6 @@ def boruvka_nosketch(
     pattern, not the answer, is the point of this baseline.
     """
     n, k = cluster.n, cluster.k
-    g = cluster.graph
     labels = initial_labels(n)
     shared = SharedRandomness(master_seed=seed, n=n, k=k)
     label_bits = bits_for_id(max(n, 2))
@@ -78,6 +77,7 @@ def boruvka_nosketch(
     bits_before = cluster.ledger.total_bits
     out_u: list[np.ndarray] = []
     out_v: list[np.ndarray] = []
+    out_w: list[np.ndarray] = []
     phases = 0
     for phase in range(1, budget + 1):
         phases = phase
@@ -148,6 +148,7 @@ def boruvka_nosketch(
             break
         out_u.append(internal[kids])
         out_v.append(foreign[kids])
+        out_w.append(weight[kids])
         # 4. Merge announcement: each merging leader broadcasts
         # (old_label -> new_label) to ALL machines — the Theta~(n/k) step.
         ann = CommStep(cluster.ledger, f"nosketch-announce:phase-{phase}")
@@ -162,12 +163,7 @@ def boruvka_nosketch(
         labels = new_labels
     eu = np.concatenate(out_u) if out_u else np.empty(0, dtype=np.int64)
     ev = np.concatenate(out_v) if out_v else np.empty(0, dtype=np.int64)
-    w = 0.0
-    if eu.size:
-        key = g.edges_u * np.int64(n) + g.edges_v
-        q = np.minimum(eu, ev) * np.int64(n) + np.maximum(eu, ev)
-        pos = np.clip(np.searchsorted(key, q), 0, key.size - 1)
-        w = float(g.weights[pos].sum())
+    ew = np.concatenate(out_w) if out_w else np.empty(0, dtype=np.float64)
     return NoSketchResult(
         labels=labels,
         n_components=int(np.unique(labels).size),
@@ -176,5 +172,5 @@ def boruvka_nosketch(
         total_bits=cluster.ledger.total_bits - bits_before,
         edges_u=eu,
         edges_v=ev,
-        total_weight=w,
+        total_weight=float(ew.sum()),
     )

@@ -19,12 +19,16 @@ The sampled outgoing edges of non-root components form a spanning forest
 of G; they are retained with their owning proxy machine, satisfying the
 relaxed output criterion of Theorem 2(a) ("each edge is output by at least
 one machine").
+
+The phase loop is :func:`boruvka_phases`; Theorem 2's MST
+(:mod:`repro.core.mst`) runs the same loop with its own step 2.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -33,7 +37,7 @@ from repro.cluster.comm import CommStep
 from repro.cluster.shared_random import SharedRandomness
 from repro.core.drr import build_drr_forest, charge_forest_build, merge_forest
 from repro.core.labels import PartIndex, canonical_labels, initial_labels
-from repro.core.outgoing import cut_incidences, select_outgoing_edges
+from repro.core.outgoing import OutgoingSelection, cut_incidences, select_outgoing_edges
 from repro.core.proxy import proxy_of_labels
 from repro.runtime.config import SketchConfig, resolve_sketch
 from repro.util.bits import bits_for_id
@@ -41,6 +45,7 @@ from repro.util.bits import bits_for_id
 __all__ = [
     "ConnectivityResult",
     "PhaseStats",
+    "boruvka_phases",
     "component_sizes_distributed",
     "connected_components_distributed",
     "count_components_distributed",
@@ -164,35 +169,11 @@ def connected_components_distributed(
         ablations isolating other cost terms).
     """
     repetitions, hash_family = resolve_sketch(sketch, repetitions, hash_family)
-    n, k = cluster.n, cluster.k
-    shared = SharedRandomness(master_seed=seed, n=n, k=k)
-    labels = initial_labels(n)
-    budget = max_phases if max_phases is not None else max(1, math.ceil(12 * math.log2(max(n, 2))))
-    stats: list[PhaseStats] = []
-    forest_u: list[np.ndarray] = []
-    forest_v: list[np.ndarray] = []
-    forest_m: list[np.ndarray] = []
-    converged = False
-    phases = 0
-    # Retry phases leave the labels untouched, so the part structure is
-    # provably identical to the previous phase's; it is rebuilt, and the
-    # cut-incidence index contracted, only after a merge actually changed
-    # the labels (DESIGN.md §9).
-    parts: PartIndex | None = None
-    cut: np.ndarray | None = None
-    # Initial labels are the vertex ids, so the pre-loop component count
-    # is exactly n (keeps a max_phases=0 call honest without an upfront
-    # np.unique pass).
-    n_components = int(labels.size)
-    for phase in range(1, budget + 1):
-        phases = phase
-        rounds_before = cluster.ledger.total_rounds
-        if charge_shared_randomness:
-            shared.charge_phase_distribution(cluster.ledger, phase)
-        if parts is None:
-            parts = PartIndex.build(labels, cluster.partition)
-            cut = cut_incidences(cluster, labels, cut)
-            n_components = parts.n_components
+    shared = SharedRandomness(master_seed=seed, n=cluster.n, k=cluster.k)
+
+    def select(phase, labels, parts, cut):
+        # Each component samples one outgoing edge; a zero sketch everywhere
+        # means no outgoing edge remains.
         selection = select_outgoing_edges(
             cluster,
             shared,
@@ -204,65 +185,108 @@ def connected_components_distributed(
             hash_family=hash_family,
         )
         _charge_termination_check(cluster, phase)
-        if not selection.sketch_nonzero.any():
-            # Every component's sketch is the zero vector: no outgoing
-            # edges remain (w.h.p.), so the labels are final.  Note this is
-            # deliberately *not* ``found.any()``: recovery can fail on a
+        return selection, bool(selection.sketch_nonzero.any())
+
+    return boruvka_phases(
+        cluster,
+        shared,
+        select,
+        max_phases=max_phases,
+        charge_shared_randomness=charge_shared_randomness,
+    )
+
+
+def boruvka_phases(
+    cluster: KMachineCluster,
+    shared: SharedRandomness,
+    select: Callable[..., tuple[OutgoingSelection, bool]],
+    *,
+    max_phases: int | None,
+    charge_shared_randomness: bool,
+    merge_from: int = 1,
+    on_forest: Callable[..., None] | None = None,
+) -> ConnectivityResult:
+    """The Boruvka phase loop shared by Theorems 1 and 2 (Section 2.1).
+
+    Section 3.1 builds the MST by changing only the edge each component
+    selects, so the rest lives here: the phase budget, the shared-randomness
+    charge, the part structure and cut-incidence index, the stop-or-retry
+    decision, the DRR build, charge and merge, and the forest edges.
+
+    ``select(phase, labels, parts, cut)`` returns one selection over the
+    components of ``parts`` and whether any outgoing edge remains.
+    ``on_forest(phase, selection, kids)`` sees the merge edges (those of the
+    non-root components ``kids``) before the merge, whose iterations are
+    numbered from ``merge_from``.  The step order is behaviour: fault draws
+    and churn events key on the bulk-step index.
+    """
+    n = cluster.n
+    labels = initial_labels(n)
+    budget = max_phases if max_phases is not None else max(1, math.ceil(12 * math.log2(max(n, 2))))
+    stats: list[PhaseStats] = []
+    forest_u: list[np.ndarray] = []
+    forest_v: list[np.ndarray] = []
+    forest_m: list[np.ndarray] = []
+    converged = False
+    # Retry phases leave the labels untouched, so the part structure is
+    # provably identical to the previous phase's; it is rebuilt, and the
+    # cut-incidence index contracted, only after a merge actually changed
+    # the labels (DESIGN.md §9).
+    parts: PartIndex | None = None
+    cut: np.ndarray | None = None
+    # Initial labels are the vertex ids, so the pre-loop component count
+    # is exactly n (keeps a max_phases=0 call honest without an upfront
+    # np.unique pass).
+    n_components = int(labels.size)
+    for phase in range(1, budget + 1):
+        rounds_before = cluster.ledger.total_rounds
+        if charge_shared_randomness:
+            shared.charge_phase_distribution(cluster.ledger, phase)
+        if parts is None:
+            parts = PartIndex.build(labels, cluster.partition)
+            cut = cut_incidences(cluster, labels, cut)
+            n_components = parts.n_components
+        components_start = n_components
+        selection, any_outgoing = select(phase, labels, parts, cut)
+        drr_max_depth = merge_iterations = 0
+        if selection.found.any():
+            forest = build_drr_forest(parts, selection, shared.rank_stream(phase))
+            charge_forest_build(cluster, selection, forest, phase)
+            # Record the merge edges (non-root components' selected edges):
+            # the proxies already hold them, giving the relaxed output
+            # criterion.
+            kids = np.nonzero(forest.parent >= 0)[0]
+            if kids.size:
+                forest_u.append(selection.internal_vertex[kids])
+                forest_v.append(selection.foreign_vertex[kids])
+                forest_m.append(selection.comp_proxy[kids])
+                if on_forest is not None:
+                    on_forest(phase, selection, kids)
+            merge = merge_forest(cluster, shared, parts, forest, phase, first_iteration=merge_from)
+            labels, n_components = merge.labels, merge.n_components
+            drr_max_depth, merge_iterations = forest.max_depth, merge.iterations
+            parts = None  # labels changed: rebuild the part structure next phase
+        else:
+            # Nothing was selected.  With no outgoing edge left (w.h.p.) the
+            # labels are final; otherwise every sample failed and the phase
+            # is retried with fresh randomness.  ``any_outgoing`` is
+            # deliberately not ``found.any()``: recovery can fail on a
             # nonzero sketch (the l0-sampler's constant failure probability
-            # per repetition), in which case the phase simply retries with
-            # fresh randomness rather than terminating early.
-            converged = True
-            stats.append(
-                PhaseStats(
-                    phase=phase,
-                    components_start=parts.n_components,
-                    components_end=parts.n_components,
-                    edges_sampled=0,
-                    drr_max_depth=0,
-                    merge_iterations=0,
-                    rounds=cluster.ledger.total_rounds - rounds_before,
-                )
-            )
-            break
-        if not selection.found.any():
-            # Outgoing edges exist but every sample failed this phase;
-            # record the (wasted) phase and retry.
-            stats.append(
-                PhaseStats(
-                    phase=phase,
-                    components_start=parts.n_components,
-                    components_end=parts.n_components,
-                    edges_sampled=0,
-                    drr_max_depth=0,
-                    merge_iterations=0,
-                    rounds=cluster.ledger.total_rounds - rounds_before,
-                )
-            )
-            continue
-        forest = build_drr_forest(parts, selection, shared.rank_stream(phase))
-        charge_forest_build(cluster, selection, forest, phase)
-        # Record the merge edges (non-root components' sampled edges): the
-        # proxies already hold them, giving the relaxed output criterion.
-        kids = np.nonzero(forest.parent >= 0)[0]
-        if kids.size:
-            forest_u.append(selection.internal_vertex[kids])
-            forest_v.append(selection.foreign_vertex[kids])
-            forest_m.append(selection.comp_proxy[kids])
-        merge = merge_forest(cluster, shared, parts, forest, phase)
-        labels = merge.labels
-        n_components = merge.n_components
+            # per repetition).
+            converged = not any_outgoing
         stats.append(
             PhaseStats(
                 phase=phase,
-                components_start=parts.n_components,
+                components_start=components_start,
                 components_end=n_components,
                 edges_sampled=int(selection.found.sum()),
-                drr_max_depth=forest.max_depth,
-                merge_iterations=merge.iterations,
+                drr_max_depth=drr_max_depth,
+                merge_iterations=merge_iterations,
                 rounds=cluster.ledger.total_rounds - rounds_before,
             )
         )
-        parts = None  # labels changed: rebuild the part structure next phase
+        if converged:
+            break
     fu = np.concatenate(forest_u) if forest_u else np.empty(0, dtype=np.int64)
     fv = np.concatenate(forest_v) if forest_v else np.empty(0, dtype=np.int64)
     fm = np.concatenate(forest_m) if forest_m else np.empty(0, dtype=np.int64)
@@ -270,7 +294,7 @@ def connected_components_distributed(
         labels=labels,
         n_components=n_components,
         rounds=cluster.ledger.total_rounds,
-        phases=phases,
+        phases=len(stats),
         converged=converged,
         forest_u=fu,
         forest_v=fv,

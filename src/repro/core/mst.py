@@ -39,9 +39,10 @@ import numpy as np
 from repro.cluster.cluster import KMachineCluster
 from repro.cluster.comm import CommStep
 from repro.cluster.shared_random import SharedRandomness
-from repro.core.drr import build_drr_forest, charge_forest_build, merge_forest
-from repro.core.labels import PartIndex, initial_labels
-from repro.core.outgoing import OutgoingSelection, cut_incidences, select_outgoing_edges
+from repro.core.connectivity import boruvka_phases
+# perf/trace.py wraps these names here too; the driver calls the connectivity copies.
+from repro.core.drr import build_drr_forest, charge_forest_build, merge_forest  # noqa: F401
+from repro.core.outgoing import OutgoingSelection, select_outgoing_edges
 from repro.core.proxy import proxies_to_parts
 from repro.runtime.config import SketchConfig, resolve_sketch
 from repro.util.bits import bits_for_id
@@ -81,8 +82,9 @@ class MSTResult:
     certified:
         True if every selected edge was certified as an exact MWOE by the
         zero-sketch test (guaranteed MST when edge weights are unique).
-    labels:
-        Final component labels (for forests on disconnected inputs).
+    labels / n_components:
+        Final component labels (for forests on disconnected inputs) and
+        their number.
     """
 
     edges_u: np.ndarray
@@ -95,6 +97,7 @@ class MSTResult:
     converged: bool
     certified: bool
     labels: np.ndarray
+    n_components: int
     phase_stats: list[MSTPhaseStats] = field(default_factory=list)
 
     @property
@@ -134,37 +137,28 @@ def minimum_spanning_tree_distributed(
     """
     if output not in ("relaxed", "strict"):
         raise ValueError(f"output must be 'relaxed' or 'strict', got {output!r}")
+    if strict_elimination_budget is not None and (
+        not isinstance(strict_elimination_budget, int) or strict_elimination_budget < 1
+    ):
+        raise ValueError(
+            "strict_elimination_budget must be a positive int or None, "
+            f"got {strict_elimination_budget!r}"
+        )
     repetitions, hash_family = resolve_sketch(sketch, repetitions, hash_family)
     n, k = cluster.n, cluster.k
     shared = SharedRandomness(master_seed=seed, n=n, k=k)
-    labels = initial_labels(n)
-    budget = max_phases if max_phases is not None else max(1, math.ceil(12 * math.log2(max(n, 2))))
     elim_cap = (
         strict_elimination_budget
         if strict_elimination_budget is not None
         else 4 * max(1, math.ceil(math.log2(max(n, 2)))) + 8
     )
-    stats: list[MSTPhaseStats] = []
-    out_u: list[np.ndarray] = []
-    out_v: list[np.ndarray] = []
+    # Per phase: the elimination_iterations, mwoe_certified and
+    # mwoe_uncertified fields of its MSTPhaseStats.
+    elimination: list[tuple[int, int, int]] = []
     out_w: list[np.ndarray] = []
-    out_m: list[np.ndarray] = []
-    converged = False
-    certified = True
-    phases = 0
     id_bits = bits_for_id(max(n, 2))
-    # As in connectivity: retry phases (no merge) keep the labels, so the
-    # part structure and the cut-incidence index carry over unchanged.
-    parts = None
-    cut = None
-    for phase in range(1, budget + 1):
-        phases = phase
-        rounds_before = cluster.ledger.total_rounds
-        if charge_shared_randomness:
-            shared.charge_phase_distribution(cluster.ledger, phase)
-        if parts is None:
-            parts = PartIndex.build(labels, cluster.partition)
-            cut = cut_incidences(cluster, labels, cut)
+
+    def select(phase, labels, parts, cut):
         c = parts.n_components
         bound = np.full(c, np.inf, dtype=np.float64)
         best_slot = np.full(c, -1, dtype=np.int64)
@@ -175,11 +169,7 @@ def minimum_spanning_tree_distributed(
         have_cand = np.zeros(c, dtype=bool)
         cert = np.zeros(c, dtype=bool)
         active = np.ones(c, dtype=bool)
-        any_outgoing = False  # did any component's unrestricted sketch exist?
-        last_proxy = None
-        iterations = 0
         for t in range(elim_cap):
-            iterations = t + 1
             selection = select_outgoing_edges(
                 cluster,
                 shared,
@@ -194,7 +184,6 @@ def minimum_spanning_tree_distributed(
                 weight_bound_per_comp=np.where(active, bound, 0.0),
                 want_weights=True,
             )
-            last_proxy = selection.comp_proxy
             if t == 0:
                 # The unrestricted (bound = inf) sketches tell whether any
                 # outgoing edge exists at all — the true termination signal
@@ -228,83 +217,60 @@ def minimum_spanning_tree_distributed(
                 )
             if not active.any():
                 break
-        if active.any():
-            # Fixed-budget mode (or cap hit): surviving candidates are the
-            # paper's w.h.p.-MWOE edges, but uncertified.
-            certified = certified and not (active & have_cand).any()
-        if not have_cand.any():
-            stats.append(
-                MSTPhaseStats(
-                    phase=phase,
-                    components_start=c,
-                    components_end=c,
-                    elimination_iterations=iterations,
-                    mwoe_certified=int(cert.sum()),
-                    mwoe_uncertified=0,
-                    rounds=cluster.ledger.total_rounds - rounds_before,
-                )
-            )
-            if not any_outgoing:
-                converged = True  # zero sketches everywhere: forest is final
-                break
-            continue  # outgoing edges exist but sampling failed; retry phase
-        merged_selection = OutgoingSelection(
+        # Candidates still active when the budget ran out (fixed-budget
+        # mode, or the cap hit) are the paper's w.h.p.-MWOE edges, but
+        # uncertified.
+        elimination.append((t + 1, int(cert.sum()), int((have_cand & ~cert).sum())))
+        mwoe = OutgoingSelection(
             parts=parts,
-            comp_proxy=last_proxy,
-            sketch_nonzero=have_cand.copy(),
-            found=have_cand.copy(),
+            comp_proxy=selection.comp_proxy,
+            sketch_nonzero=have_cand,
+            found=have_cand,
             slot=best_slot,
             internal_vertex=best_internal,
             foreign_vertex=best_foreign,
             neighbor_label=best_label,
             edge_weight=best_weight,
         )
-        forest = build_drr_forest(parts, merged_selection, shared.rank_stream(phase))
-        charge_forest_build(cluster, merged_selection, forest, phase)
-        kids = np.nonzero(forest.parent >= 0)[0]
-        if kids.size:
-            ku = best_internal[kids]
-            kv = best_foreign[kids]
-            out_u.append(ku)
-            out_v.append(kv)
-            out_w.append(best_weight[kids])
-            out_m.append(last_proxy[kids])
-            if output == "strict":
-                # Theorem 2(b): announce each selected edge to the home
-                # machines of both endpoints.
-                bits = 2 * id_bits + 64
-                step = CommStep(cluster.ledger, f"strict-output:phase-{phase}")
-                step.add(last_proxy[kids], cluster.partition.home[ku], bits)
-                step.add(last_proxy[kids], cluster.partition.home[kv], bits)
-                step.deliver()
-        merge = merge_forest(cluster, shared, parts, forest, phase, first_iteration=elim_cap + 1)
-        labels = merge.labels
-        parts = None  # labels changed: rebuild the part structure next phase
-        stats.append(
-            MSTPhaseStats(
-                phase=phase,
-                components_start=c,
-                components_end=merge.n_components,
-                elimination_iterations=iterations,
-                mwoe_certified=int(cert.sum()),
-                mwoe_uncertified=int((have_cand & ~cert).sum()),
-                rounds=cluster.ledger.total_rounds - rounds_before,
-            )
-        )
-    eu = np.concatenate(out_u) if out_u else np.empty(0, dtype=np.int64)
-    ev = np.concatenate(out_v) if out_v else np.empty(0, dtype=np.int64)
+        return mwoe, any_outgoing
+
+    def on_forest(phase, mwoe, kids):
+        out_w.append(mwoe.edge_weight[kids])
+        if output == "strict":
+            # Theorem 2(b): announce each selected edge to the home
+            # machines of both endpoints.
+            home = cluster.partition.home
+            bits = 2 * id_bits + 64
+            step = CommStep(cluster.ledger, f"strict-output:phase-{phase}")
+            step.add(mwoe.comp_proxy[kids], home[mwoe.internal_vertex[kids]], bits)
+            step.add(mwoe.comp_proxy[kids], home[mwoe.foreign_vertex[kids]], bits)
+            step.deliver()
+
+    res = boruvka_phases(
+        cluster,
+        shared,
+        select,
+        max_phases=max_phases,
+        charge_shared_randomness=charge_shared_randomness,
+        merge_from=elim_cap + 1,
+        on_forest=on_forest,
+    )
+    stats = [
+        MSTPhaseStats(s.phase, s.components_start, s.components_end, *counts, s.rounds)
+        for s, counts in zip(res.phase_stats, elimination)
+    ]
     ew = np.concatenate(out_w) if out_w else np.empty(0, dtype=np.float64)
-    em = np.concatenate(out_m) if out_m else np.empty(0, dtype=np.int64)
     return MSTResult(
-        edges_u=eu,
-        edges_v=ev,
+        edges_u=res.forest_u,
+        edges_v=res.forest_v,
         edge_weights=ew,
-        owner_machine=em,
+        owner_machine=res.forest_machine,
         total_weight=float(ew.sum()),
-        rounds=cluster.ledger.total_rounds,
-        phases=phases,
-        converged=converged,
-        certified=certified,
-        labels=labels,
+        rounds=res.rounds,
+        phases=res.phases,
+        converged=res.converged,
+        certified=not any(s.mwoe_uncertified for s in stats),
+        labels=res.labels,
+        n_components=res.n_components,
         phase_stats=stats,
     )

@@ -21,8 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import asdict
 
-import numpy as np
-
 from repro.baselines.boruvka_nosketch import boruvka_nosketch
 from repro.baselines.flooding import flooding_connectivity
 from repro.baselines.referee import referee_connectivity
@@ -120,7 +118,7 @@ def _run_mst(cluster, config: RunConfig, seed: int) -> RunnerOutput:
     )
     return RunnerOutput(
         result={
-            "n_components": int(np.unique(res.labels).size),
+            "n_components": res.n_components,
             "n_edges": res.n_edges,
             "total_weight": res.total_weight,
             "certified": res.certified,

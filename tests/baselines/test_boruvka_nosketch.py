@@ -27,6 +27,9 @@ class TestCorrectness:
         cl = KMachineCluster.create(g, k=4, seed=2)
         res = boruvka_nosketch(cl, seed=2)
         assert res.total_weight == pytest.approx(ref.mst_weight(g, ref.kruskal_mst(g)))
+        # Exactly the sum of the returned edges' weights, in their order.
+        ids = [g.find_edge_id(int(u), int(v)) for u, v in zip(res.edges_u, res.edges_v)]
+        assert res.total_weight == float(g.weights[ids].sum())
 
     def test_disconnected(self):
         g = gen.planted_components(100, 5, seed=3)

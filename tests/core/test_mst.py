@@ -11,6 +11,7 @@ from repro.cluster.cluster import KMachineCluster
 from repro.core.mst import minimum_spanning_tree_distributed
 from repro.graphs import generators as gen
 from repro.graphs import reference as ref
+from repro.runtime import ClusterConfig, RunConfig, Session
 
 
 def run(g, k=8, seed=5, **kw):
@@ -101,6 +102,18 @@ class TestEliminationLoop:
         _, res = run(g, seed=12)
         worst = max(s.elimination_iterations for s in res.phase_stats)
         assert worst <= 4 * np.log2(300) + 8
+
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_budget_below_one_rejected(self, budget):
+        # A budget below 1 would run no elimination call at all, select
+        # nothing and report an edgeless forest as converged and certified.
+        g = gen.with_unique_weights(gen.gnm_random(200, 600, seed=14), seed=14)
+        cl = KMachineCluster.create(g, k=4, seed=14)
+        with pytest.raises(ValueError, match="strict_elimination_budget"):
+            minimum_spanning_tree_distributed(cl, strict_elimination_budget=budget)
+        config = RunConfig(cluster=ClusterConfig(k=4), params={"strict_elimination_budget": budget})
+        with pytest.raises(ValueError, match="strict_elimination_budget"):
+            Session(g, config=config).run("mst")
 
     def test_phase_stats_certified_counts(self):
         g = gen.with_unique_weights(gen.gnm_random(100, 300, seed=13), seed=13)

@@ -10,7 +10,8 @@ serialization stopped being canonical.
 Three large runs are also pinned to recorded SHA-256 digests of their whole
 envelopes, so a change that returns a different but still valid forest or
 labelling fails here even when every model cost stays the same.  Twelve MST
-runs on negative, mixed-sign and tied weights are pinned the same way.
+runs on negative, mixed-sign and tied weights are pinned the same way, and
+so are eighteen runs outside the default settings.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 import pytest
 
 from repro import generators
-from repro.runtime import ClusterConfig, RunConfig, Session
+from repro.runtime import ClusterConfig, RunConfig, Session, SketchConfig
 
 
 def _graph(weighted: bool):
@@ -145,3 +146,61 @@ def test_mst_elimination_envelopes_are_pinned(weighting, seed):
     report = Session().run("mst", g, config=RunConfig(seed=seed, cluster=ClusterConfig(k=8)))
     envelope = report.to_json(include_timing=False).encode()
     assert hashlib.sha256(envelope).hexdigest() == ELIMINATION_RUNS[weighting, seed]
+
+
+#: variant -> (seed s, RunConfig fields, scenario): a run on
+#: with_unique_weights(G(300, 900, seed=s), seed=s) with k = 4 and run seed s.
+_VARIANTS = {
+    "default": (1, {}, None),
+    "repetitions=1": (1, {"sketch": SketchConfig(repetitions=1)}, None),
+    "max_phases=3": (1, {"max_phases": 3}, None),
+    "uncharged-randomness": (1, {"charge_shared_randomness": False}, None),
+    "polynomial": (1, {"sketch": SketchConfig(hash_family="polynomial")}, None),
+    "faulty_links": (1, {}, "faulty_links"),
+    "churn_storm": (1, {}, "churn_storm"),
+    "strict": (1, {"params": {"output": "strict"}}, None),
+    "strict+faulty_links": (1, {"params": {"output": "strict"}}, "faulty_links"),
+    "elimination_budget=2": (1, {"params": {"strict_elimination_budget": 2}}, None),
+    "repetitions=1+elimination_budget=1": (
+        4,
+        {"sketch": SketchConfig(repetitions=1), "params": {"strict_elimination_budget": 1}},
+        None,
+    ),
+}
+
+#: (algorithm, variant) -> SHA-256 of the envelope.  These pin the phase
+#: loops away from their defaults: connectivity retry phases
+#: (repetitions=1), runs cut off unconverged by their phase budget
+#: (max_phases=3), the bulk-step order that fault draws and churn events
+#: key on, MST's strict output, and fixed elimination budgets (the last
+#: variant has three MST retry phases).
+VARIANT_RUNS = {
+    ("connectivity", "default"): "ea584e882fdf506dea9967affd318325595530ed74e95da817a3ce31b5af3efd",
+    ("connectivity", "repetitions=1"): "ece2ee285d859400df80de13fd2c5335abd868b86c996f08711bfeea5fda19a4",
+    ("connectivity", "max_phases=3"): "190423014fb614e3b1c0fcc69d17e780c4f5784eaccc5fcd7f28e84f852eacca",
+    ("connectivity", "uncharged-randomness"): "c21d9c0725cbfb3740de1c0f5259febb31bbf081c702ab226dc99b240e7ff43b",
+    ("connectivity", "polynomial"): "d291d7f2edaf64e07fef8e94160e2f8558ec798c328cb696007e2f724ea4018b",
+    ("connectivity", "faulty_links"): "83f61a9f79584c003586cbbdbb291057ae75b723534850c98b74e57d4ce87acc",
+    ("connectivity", "churn_storm"): "bee78e4dd7e9d8fd74d861f05f1eea0b7b835c586d2e5d47e0abe4d5864a9e4d",
+    ("mst", "default"): "d4fa7af7858efe090afb8583c64d3e1137f3860da084a84c7494aaab96be18ed",
+    ("mst", "repetitions=1"): "f606bb6e49fd760ae68ab21c604070cba4791f3f3fcf4435ffed92ca56666318",
+    ("mst", "max_phases=3"): "56ea52f62a3b929671fd287499c7be841ab494c0ce7fa9797fd8a090146f5bd3",
+    ("mst", "uncharged-randomness"): "520949415be02dd22a9db5313dd518fc30b16ebd0e558ef863f54cf21d55abe0",
+    ("mst", "polynomial"): "08fd44f5fa43ab09c99adcabc8378e45e4f68384126fb34d35fcdd5adb311379",
+    ("mst", "faulty_links"): "851a0b0e5b1f4cf12b39eacc0ad53a5b0ce7dd0bce27af72d85e96730d61f904",
+    ("mst", "churn_storm"): "6f3b682512878eba12005fdd6f50b259a6ce615fbbc42607b4cfe622d915971c",
+    ("mst", "strict"): "f404c4b89b315bd8752e2de9073933ed72f32db2a7681393a7927a74b802e61e",
+    ("mst", "strict+faulty_links"): "59526d31cc9f0e9f1abc4d8d340763ca85fb741127382a7f4548366c8ebd47de",
+    ("mst", "elimination_budget=2"): "1a636982a59bf88067f9db6aaaa01e760555c26bcbdb6cf236fa94912264a901",
+    ("mst", "repetitions=1+elimination_budget=1"): "3ae4aa0d67132140302b3a701b93bc29f5b6c791ea8eac9bc07ce58c596bba27",
+}  # fmt: skip
+
+
+@pytest.mark.parametrize("algorithm, variant", sorted(VARIANT_RUNS))
+def test_variant_envelopes_are_pinned(algorithm, variant):
+    seed, fields, scenario = _VARIANTS[variant]
+    g = generators.with_unique_weights(generators.gnm_random(300, 900, seed=seed), seed=seed)
+    config = RunConfig(seed=seed, cluster=ClusterConfig(k=4), **fields)
+    report = Session().run(algorithm, g, config=config, scenario=scenario)
+    envelope = report.to_json(include_timing=False).encode()
+    assert hashlib.sha256(envelope).hexdigest() == VARIANT_RUNS[algorithm, variant]
