@@ -130,13 +130,7 @@ def _parse_param(text: str):
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    logdiam = None
-    if getattr(args, "space_bound", None) is not None or getattr(
-        args, "doubling_budget", None
-    ) is not None:
-        logdiam = LogDiamConfig(
-            space_bound=args.space_bound, doubling_budget=args.doubling_budget
-        )
+    logdiam = LogDiamConfig(space_bound=args.space_bound, doubling_budget=args.doubling_budget)
     config = RunConfig(
         seed=args.seed,
         sketch=SketchConfig(repetitions=args.repetitions, hash_family=args.hash_family),
@@ -146,7 +140,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
             partition_seed=args.partition_seed,
         ),
         max_phases=args.max_phases,
-        logdiam=logdiam,
+        logdiam=None if logdiam.is_benign else logdiam,
         params=dict(args.param or []),
     ).validate()
     scenario = _scenario_of(args)
@@ -344,12 +338,7 @@ def _cmd_scenarios_list(_args: argparse.Namespace) -> int:
             axes.append(f"graph={sc.family}")
         if sc.partition.scheme != "uniform":
             axes.append(f"partition={sc.partition.scheme}")
-        if sc.faults is not None:
-            axes.append("faults")
-        if sc.churn is not None:
-            axes.append("churn")
-        if sc.updates is not None:
-            axes.append("updates")
+        axes.extend(sc.sections())
         tag = ",".join(axes) or "benign"
         print(f"{name:<{width}}  {tag:<32}  {sc.summary}")
     return 0

@@ -40,6 +40,7 @@ from typing import Any, Mapping
 import numpy as np
 
 from repro.util.rng import SeedStream, derive_seed
+from repro.util.validation import ConfigError, decode
 
 __all__ = [
     "PARTITION_SCHEMES",
@@ -81,19 +82,19 @@ class PartitionConfig:
     heavy_fraction: float = 0.05
 
     def validate(self) -> "PartitionConfig":
-        """Raise ``ValueError`` on invalid fields; return self."""
+        """Raise :class:`ConfigError` on invalid fields; return self."""
         if self.scheme not in PARTITION_SCHEMES:
-            raise ValueError(
+            raise ConfigError(
                 f"scheme must be one of {PARTITION_SCHEMES}, got {self.scheme!r}"
             )
         if not isinstance(self.alpha, (int, float)) or self.alpha < 0:
-            raise ValueError(f"alpha must be a non-negative number, got {self.alpha!r}")
+            raise ConfigError(f"alpha must be a non-negative number, got {self.alpha!r}")
         if not isinstance(self.noise, (int, float)) or not (0.0 <= self.noise <= 1.0):
-            raise ValueError(f"noise must be in [0, 1], got {self.noise!r}")
+            raise ConfigError(f"noise must be in [0, 1], got {self.noise!r}")
         if not isinstance(self.heavy_fraction, (int, float)) or not (
             0.0 < self.heavy_fraction <= 1.0
         ):
-            raise ValueError(
+            raise ConfigError(
                 f"heavy_fraction must be in (0, 1], got {self.heavy_fraction!r}"
             )
         return self
@@ -105,7 +106,7 @@ class PartitionConfig:
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "PartitionConfig":
         """Inverse of :meth:`to_dict`; unknown keys are rejected."""
-        return cls(**dict(data)).validate()
+        return decode(cls, data).validate()
 
 
 @dataclass(frozen=True)

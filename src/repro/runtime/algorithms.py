@@ -75,7 +75,7 @@ def _run_connectivity(cluster, config: RunConfig, seed: int) -> RunnerOutput:
     summary="ASSW'18 rival: neighborhood-doubling connectivity, O(log D) doubling "
     "rounds with space-bounded balls (config.logdiam: space_bound, doubling_budget)",
     kind="paper",
-    supports_logdiam=True,
+    sections=("faults", "churn", "logdiam"),
 )
 def _run_connectivity_logdiam(cluster, config: RunConfig, seed: int) -> RunnerOutput:
     ld = config.logdiam if config.logdiam is not None else LogDiamConfig()
@@ -139,7 +139,7 @@ def _run_mst(cluster, config: RunConfig, seed: int) -> RunnerOutput:
     "rounds per batch against the maintained forest (config.updates)",
     kind="paper",
     requires_weights=True,
-    supports_updates=True,
+    sections=("faults", "churn", "updates"),
 )
 def _run_mst_dynamic(cluster, config: RunConfig, seed: int) -> RunnerOutput:
     res = dynamic_msf_updates(
@@ -279,6 +279,8 @@ def _run_referee(cluster, config: RunConfig, seed: int) -> RunnerOutput:
     kind="baseline",
     requires_weights=lambda params: bool(params.get("mst")),
     graph_only=True,
+    # Churn re-homes vertices; the REP model has no vertex partition.
+    sections=("faults",),
 )
 def _run_rep(cluster, config: RunConfig, seed: int) -> RunnerOutput:
     fn = rep_mst if config.params.get("mst") else rep_connectivity
@@ -291,11 +293,6 @@ def _run_rep(cluster, config: RunConfig, seed: int) -> RunnerOutput:
         raise ConfigError(
             "rep uses a random edge partition; partition schemes are not applicable"
         )
-    if config.churn is not None and not config.churn.is_benign:
-        # Partition epochs re-home *vertices*; the REP model has no vertex
-        # partition to re-shuffle, and silently dropping the plan would
-        # corrupt provenance exactly like a silently ignored skew scheme.
-        raise ConfigError("rep uses a random edge partition; churn plans are not applicable")
     res = fn(
         cluster.graph,
         cluster.k,

@@ -10,7 +10,8 @@ vocabulary as frozen dataclasses:
 * :class:`SketchConfig` — the l0-sampling sketch parameters,
 * :class:`ClusterConfig` — how the input graph is distributed,
 * :class:`RunConfig` — everything one run needs, including the seed and
-  algorithm-specific extras (``params``).
+  algorithm-specific extras (``params``);
+* :data:`SECTIONS` — the optional sections a run may set, declared once.
 
 Seed precedence (highest -> lowest)
 -----------------------------------
@@ -35,11 +36,15 @@ from repro.cluster.partition import PartitionConfig
 from repro.scenarios.churn import ChurnPlan
 from repro.scenarios.faults import FaultPlan
 from repro.scenarios.updates import UpdatePlan
+from repro.util.validation import ConfigError, check_int, decode
 
 __all__ = [
     "DEFAULT_SEED",
+    "OMITTED_WHEN_UNSET",
+    "SECTIONS",
     "ChurnPlan",
     "ClusterConfig",
+    "ConfigError",
     "FaultPlan",
     "LogDiamConfig",
     "PartitionConfig",
@@ -55,10 +60,6 @@ DEFAULT_SEED = 0
 
 #: Accepted sketch hash families (see DESIGN.md, substitution table).
 HASH_FAMILIES = ("prf", "polynomial")
-
-
-class ConfigError(ValueError):
-    """A configuration field failed validation."""
 
 
 def resolve_seed(run_seed: int | None, config_seed: int | None) -> int:
@@ -111,8 +112,7 @@ class SketchConfig:
 
     def validate(self) -> "SketchConfig":
         """Raise :class:`ConfigError` on invalid fields; return self."""
-        if not isinstance(self.repetitions, int) or self.repetitions < 1:
-            raise ConfigError(f"repetitions must be a positive int, got {self.repetitions!r}")
+        check_int("repetitions", self.repetitions, minimum=1)
         if self.hash_family not in HASH_FAMILIES:
             raise ConfigError(
                 f"hash_family must be one of {HASH_FAMILIES}, got {self.hash_family!r}"
@@ -126,9 +126,10 @@ class LogDiamConfig:
 
     The sketch vocabulary above is meaningless to graph exponentiation,
     so its knobs get their own optional section rather than being
-    shoehorned into ``SketchConfig`` — ``RunConfig.logdiam`` is ``None``
-    for every sketch-based run, and only algorithms registered with
-    ``supports_logdiam=True`` accept a non-``None`` section.
+    shoehorned into ``SketchConfig``.  ``RunConfig.logdiam`` is ``None``
+    for every sketch-based run, and only algorithms that read the section
+    accept a non-benign one.  The default (both fields ``None``) is
+    benign.
 
     Attributes
     ----------
@@ -148,19 +149,38 @@ class LogDiamConfig:
 
     def validate(self) -> "LogDiamConfig":
         """Raise :class:`ConfigError` on invalid fields; return self."""
-        if self.space_bound is not None and (
-            not isinstance(self.space_bound, int) or self.space_bound < 1
-        ):
-            raise ConfigError(
-                f"space_bound must be a positive int or None, got {self.space_bound!r}"
-            )
-        if self.doubling_budget is not None and (
-            not isinstance(self.doubling_budget, int) or self.doubling_budget < 1
-        ):
-            raise ConfigError(
-                f"doubling_budget must be a positive int or None, got {self.doubling_budget!r}"
-            )
+        check_int("space_bound", self.space_bound, minimum=1, optional=True)
+        check_int("doubling_budget", self.doubling_budget, minimum=1, optional=True)
         return self
+
+    @property
+    def is_benign(self) -> bool:
+        """True when both knobs are unset (the doubling defaults)."""
+        return self.space_bound is None and self.doubling_budget is None
+
+    @classmethod
+    def from_dict(cls, data: Mapping[str, Any]) -> "LogDiamConfig":
+        """Build and validate from a mapping; unknown keys are rejected."""
+        return decode(cls, data).validate()
+
+
+#: The optional sections of a run: ``RunConfig`` field name -> section type.
+#: Each type validates itself, decodes with ``from_dict`` and reports with
+#: ``is_benign`` when it changes nothing.  ``RunConfig``, the algorithm
+#: registry (``AlgorithmSpec.sections``) and the scenario registry iterate
+#: this table rather than name a section.
+SECTIONS: dict[str, type] = {
+    "faults": FaultPlan,
+    "churn": ChurnPlan,
+    "updates": UpdatePlan,
+    "logdiam": LogDiamConfig,
+}
+
+#: Sections whose ``RunConfig.to_dict`` key is omitted when unset, so the
+#: envelopes of runs that never set them stay byte-identical to the world
+#: before each section existed (DESIGN.md §11).  The others serialize
+#: ``null``.
+OMITTED_WHEN_UNSET = ("updates", "logdiam")
 
 
 @dataclass(frozen=True)
@@ -196,26 +216,15 @@ class ClusterConfig:
 
     def validate(self) -> "ClusterConfig":
         """Raise :class:`ConfigError` on invalid fields; return self."""
-        if not isinstance(self.k, int) or self.k < 2:
-            raise ConfigError(f"k must be an int >= 2, got {self.k!r}")
-        if not isinstance(self.bandwidth_multiplier, int) or self.bandwidth_multiplier < 1:
-            raise ConfigError(
-                f"bandwidth_multiplier must be a positive int, got {self.bandwidth_multiplier!r}"
-            )
-        if self.bandwidth_bits is not None and (
-            not isinstance(self.bandwidth_bits, int) or self.bandwidth_bits < 1
-        ):
-            raise ConfigError(
-                f"bandwidth_bits must be a positive int or None, got {self.bandwidth_bits!r}"
-            )
+        check_int("k", self.k, minimum=2)
+        check_int("bandwidth_multiplier", self.bandwidth_multiplier, minimum=1)
+        check_int("bandwidth_bits", self.bandwidth_bits, minimum=1, optional=True)
+        check_int("partition_seed", self.partition_seed, optional=True)
         if not isinstance(self.partition, PartitionConfig):
             raise ConfigError(
                 f"partition must be a PartitionConfig, got {type(self.partition).__name__}"
             )
-        try:
-            self.partition.validate()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        self.partition.validate()
         return self
 
 
@@ -254,9 +263,8 @@ class RunConfig:
         accept a non-benign plan.  ``None`` is the static input.
     logdiam:
         Optional :class:`LogDiamConfig`; the knob section of the
-        neighborhood-doubling family (``connectivity_logdiam``).  Only
-        algorithms registered with ``supports_logdiam=True`` accept a
-        non-``None`` section; everything else rejects it with
+        neighborhood-doubling family (``connectivity_logdiam``).  Every
+        other algorithm rejects a non-benign section with
         :class:`ConfigError` (DESIGN.md §12).
     params:
         Algorithm-specific extras, e.g. ``{"output": "strict"}`` for MST or
@@ -277,47 +285,24 @@ class RunConfig:
 
     def validate(self) -> "RunConfig":
         """Validate every section; raise :class:`ConfigError` on the first failure."""
-        if self.seed is not None and not isinstance(self.seed, int):
-            raise ConfigError(f"seed must be an int or None, got {self.seed!r}")
-        if self.max_phases is not None and (
-            not isinstance(self.max_phases, int) or self.max_phases < 1
-        ):
-            raise ConfigError(f"max_phases must be a positive int or None, got {self.max_phases!r}")
+        check_int("seed", self.seed, optional=True)
+        check_int("max_phases", self.max_phases, minimum=1, optional=True)
+        if not isinstance(self.charge_shared_randomness, bool):
+            raise ConfigError(
+                f"charge_shared_randomness must be a bool, got {self.charge_shared_randomness!r}"
+            )
         if not isinstance(self.params, dict):
             raise ConfigError(f"params must be a dict, got {type(self.params).__name__}")
-        if self.faults is not None:
-            if not isinstance(self.faults, FaultPlan):
+        for name, kind in SECTIONS.items():
+            section = getattr(self, name)
+            if section is None:
+                continue
+            if not isinstance(section, kind):
                 raise ConfigError(
-                    f"faults must be a FaultPlan or None, got {type(self.faults).__name__}"
+                    f"{name} must be of type {kind.__name__} or None, "
+                    f"got {type(section).__name__}"
                 )
-            try:
-                self.faults.validate()
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from None
-        if self.churn is not None:
-            if not isinstance(self.churn, ChurnPlan):
-                raise ConfigError(
-                    f"churn must be a ChurnPlan or None, got {type(self.churn).__name__}"
-                )
-            try:
-                self.churn.validate()
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from None
-        if self.updates is not None:
-            if not isinstance(self.updates, UpdatePlan):
-                raise ConfigError(
-                    f"updates must be an UpdatePlan or None, got {type(self.updates).__name__}"
-                )
-            try:
-                self.updates.validate()
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from None
-        if self.logdiam is not None:
-            if not isinstance(self.logdiam, LogDiamConfig):
-                raise ConfigError(
-                    f"logdiam must be a LogDiamConfig or None, got {type(self.logdiam).__name__}"
-                )
-            self.logdiam.validate()
+            section.validate()
         self.sketch.validate()
         self.cluster.validate()
         return self
@@ -327,51 +312,23 @@ class RunConfig:
     def to_dict(self) -> dict[str, Any]:
         """A plain, JSON-serializable dict (nested sections included).
 
-        The ``updates`` and ``logdiam`` keys are omitted when unset, so
-        the provenance of runs that don't use them — and therefore their
-        envelopes and the service envelope digests — is byte-identical
-        to the world before each section existed (DESIGN.md §11
-        determinism contract).
+        The keys of :data:`OMITTED_WHEN_UNSET` are left out when unset.
         """
         d = asdict(self)
-        for optional in ("updates", "logdiam"):
-            if d.get(optional) is None:
-                d.pop(optional, None)
+        for name in OMITTED_WHEN_UNSET:
+            if d[name] is None:
+                del d[name]
         return d
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "RunConfig":
         """Inverse of :meth:`to_dict`; unknown keys are rejected."""
-        d = dict(data)
-        sketch = SketchConfig(**d.pop("sketch", {}))
-        cluster_d = dict(d.pop("cluster", {}))
-        partition = cluster_d.pop("partition", None)
-        if partition is not None and not isinstance(partition, PartitionConfig):
-            partition = PartitionConfig(**partition)
-        cluster = ClusterConfig(
-            partition=partition if partition is not None else PartitionConfig(),
-            **cluster_d,
-        )
-        faults = d.pop("faults", None)
-        if faults is not None and not isinstance(faults, FaultPlan):
-            faults = FaultPlan(**faults)
-        churn = d.pop("churn", None)
-        if churn is not None and not isinstance(churn, ChurnPlan):
-            churn = ChurnPlan.from_dict(churn)
-        updates = d.pop("updates", None)
-        if updates is not None and not isinstance(updates, UpdatePlan):
-            updates = UpdatePlan.from_dict(updates)
-        logdiam = d.pop("logdiam", None)
-        if logdiam is not None and not isinstance(logdiam, LogDiamConfig):
-            logdiam = LogDiamConfig(**logdiam)
-        return cls(
-            sketch=sketch,
-            cluster=cluster,
-            faults=faults,
-            churn=churn,
-            updates=updates,
-            logdiam=logdiam,
-            **d,
+        return decode(
+            cls,
+            data,
+            sketch=lambda d: decode(SketchConfig, d),
+            cluster=lambda d: decode(ClusterConfig, d, partition=PartitionConfig.from_dict),
+            **{name: kind.from_dict for name, kind in SECTIONS.items()},
         ).validate()
 
     def with_overrides(self, **kwargs: Any) -> "RunConfig":

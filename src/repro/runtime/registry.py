@@ -28,8 +28,10 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
-from repro.runtime.config import ConfigError, RunConfig, resolve_seed
+from repro.runtime.config import SECTIONS, ConfigError, RunConfig, resolve_seed
 from repro.runtime.report import RunReport, jsonify, ledger_totals
+from repro.scenarios.churn import EpochModel
+from repro.scenarios.faults import FaultModel
 
 __all__ = [
     "AlgorithmSpec",
@@ -42,6 +44,9 @@ __all__ = [
 ]
 
 _REGISTRY: dict[str, "AlgorithmSpec"] = {}
+
+#: The optional config sections an algorithm reads unless registered otherwise.
+DEFAULT_SECTIONS = ("faults", "churn")
 
 
 @dataclass(frozen=True)
@@ -99,6 +104,12 @@ class AlgorithmSpec:
     whether a run needs a weighted graph (constant for most algorithms;
     ``rep`` needs weights only with ``mst=true``).  Read it through
     :meth:`needs_weights`.
+
+    ``sections`` names the optional config sections
+    (:data:`~repro.runtime.config.SECTIONS`) the algorithm reads.  A run
+    that sets any other one to a non-benign value fails with
+    :class:`ConfigError`: an algorithm that silently ignored it would
+    record provenance the run never used.
     """
 
     name: str
@@ -107,8 +118,7 @@ class AlgorithmSpec:
     weights_rule: Callable[[Mapping], bool]
     runner: Callable[..., RunnerOutput]
     graph_only: bool = False
-    supports_updates: bool = False
-    supports_logdiam: bool = False
+    sections: tuple[str, ...] = DEFAULT_SECTIONS
 
     def needs_weights(self, params: Mapping | None = None) -> bool:
         """Whether a run with algorithm ``params`` needs a weighted graph."""
@@ -131,23 +141,14 @@ class AlgorithmSpec:
         """
         cfg = (config if config is not None else RunConfig()).validate()
         resolved = resolve_seed(seed, cfg.seed)
-        if cfg.updates is not None and not cfg.updates.is_benign and not self.supports_updates:
-            # A static algorithm cannot replay an update stream; silently
-            # dropping the plan would corrupt provenance (the rep rule).
-            raise ConfigError(
-                f"algorithm {self.name!r} does not maintain state under updates; "
-                "only update-capable algorithms (mst_dynamic) accept a non-benign "
-                "update plan"
-            )
-        if cfg.logdiam is not None and not self.supports_logdiam:
-            # The logdiam section parameterizes neighborhood doubling;
-            # a sketch-based run that silently ignored it would record
-            # misleading provenance (same rule as the updates plan).
-            raise ConfigError(
-                f"algorithm {self.name!r} ignores the logdiam config section; "
-                "only neighborhood-doubling algorithms (connectivity_logdiam) "
-                "accept one"
-            )
+        for name in SECTIONS:
+            section = getattr(cfg, name)
+            if section is not None and not section.is_benign and name not in self.sections:
+                readers = [spec.name for spec in _REGISTRY.values() if name in spec.sections]
+                raise ConfigError(
+                    f"algorithm {self.name!r} ignores the {name} config section "
+                    f"(read by: {', '.join(sorted(readers))})"
+                )
         if self.needs_weights(cfg.params) and not cluster.graph.weighted:
             raise ConfigError(
                 f"algorithm {self.name!r} requires a weighted graph; "
@@ -156,34 +157,24 @@ class AlgorithmSpec:
         own_ledger = getattr(cluster, "ledger", None)
         steps_before = len(own_ledger.steps) if own_ledger is not None else 0
         received_before = own_ledger.received_bits.copy() if own_ledger is not None else None
-        fault_attached = False
-        if cfg.faults is not None and own_ledger is not None:
-            # Faulted run: every bulk step this run charges pays for the
-            # realized faults; graph-only adapters (internal clusters)
-            # thread cfg.faults themselves.
-            from repro.scenarios.faults import FaultModel
-
-            own_ledger.attach_faults(FaultModel(cfg.faults, resolved))
-            fault_attached = True
-        epoch_attached = False
-        if cfg.churn is not None and own_ledger is not None:
-            # Churned run: partition epochs fire per the plan, migrations
-            # charged as real bulk steps (and through the fault model when
-            # both are set).  The epoch hashing derives from the cluster's
-            # actual partition seed, so the schedule is replayable from the
-            # report envelope alone.
-            from repro.scenarios.churn import ChurnConfigError, EpochModel
-
-            try:
-                model = EpochModel(
+        # Every bulk step this run charges pays for the realized faults, and
+        # epochs fire per the churn plan with migrations charged as real
+        # bulk steps (through the fault model too), hashed from the
+        # cluster's actual partition seed so the envelope replays them.
+        # Graph-only adapters thread cfg.faults themselves.  The epoch
+        # model is built first: it checks the schedule against k and
+        # touches no ledger.
+        faults = epochs = None
+        if own_ledger is not None:
+            if cfg.churn is not None:
+                epochs = EpochModel(
                     cfg.churn, cluster.graph, cluster.partition, cfg.cluster.partition
                 )
-            except ChurnConfigError as exc:
-                if fault_attached:
-                    own_ledger.detach_faults()
-                raise ConfigError(str(exc)) from None
-            own_ledger.attach_epochs(model)
-            epoch_attached = True
+            if cfg.faults is not None:
+                faults = FaultModel(cfg.faults, resolved)
+                own_ledger.attach_faults(faults)
+            if epochs is not None:
+                own_ledger.attach_epochs(epochs)
         try:
             t0 = time.perf_counter()
             out = self.runner(cluster, cfg, resolved)
@@ -199,9 +190,9 @@ class AlgorithmSpec:
                     f"graph-only algorithm {self.name!r} must return ledger totals"
                 )
         finally:
-            if fault_attached:
+            if faults is not None:
                 own_ledger.detach_faults()
-            if epoch_attached:
+            if epochs is not None:
                 own_ledger.detach_epochs()
         return RunReport(
             algorithm=self.name,
@@ -227,8 +218,7 @@ def register_algorithm(
     kind: str = "paper",
     requires_weights: bool | Callable[[Mapping], bool] = False,
     graph_only: bool = False,
-    supports_updates: bool = False,
-    supports_logdiam: bool = False,
+    sections: tuple[str, ...] = DEFAULT_SECTIONS,
 ) -> Callable[[Callable[..., RunnerOutput]], Callable[..., RunnerOutput]]:
     """Decorator: register ``fn(cluster, config, seed) -> RunnerOutput`` under ``name``.
 
@@ -238,15 +228,14 @@ def register_algorithm(
     (they build their own machines internally, like the REP baseline); the
     Session then skips cluster construction and passes a
     :class:`GraphContext`, and the adapter must return ledger totals.
-    ``supports_updates`` marks algorithms that maintain state under a
-    non-benign :class:`~repro.scenarios.updates.UpdatePlan`; every other
-    algorithm rejects such a plan with a :class:`ConfigError`.
-    ``supports_logdiam`` marks algorithms parameterized by the
-    neighborhood-doubling config section (``RunConfig.logdiam``); every
-    other algorithm rejects a non-``None`` section the same way.
+    ``sections`` names the optional config sections the algorithm reads
+    (see :class:`AlgorithmSpec`).
     """
     if kind not in ("paper", "baseline"):
         raise ValueError(f"kind must be 'paper' or 'baseline', got {kind!r}")
+    unknown = [name for name in sections if name not in SECTIONS]
+    if unknown:
+        raise ValueError(f"unknown config sections {unknown}; known: {list(SECTIONS)}")
 
     def decorate(fn: Callable[..., RunnerOutput]) -> Callable[..., RunnerOutput]:
         """Register ``fn`` under ``name`` and return it unchanged."""
@@ -261,8 +250,7 @@ def register_algorithm(
             ),
             runner=fn,
             graph_only=graph_only,
-            supports_updates=supports_updates,
-            supports_logdiam=supports_logdiam,
+            sections=tuple(sections),
         )
         return fn
 

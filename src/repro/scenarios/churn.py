@@ -82,6 +82,7 @@ from typing import Any, Callable, Mapping
 import numpy as np
 
 from repro.util.rng import SeedStream, derive_seed
+from repro.util.validation import ConfigError, check_int, decode, decode_all
 
 __all__ = ["CHURN_KINDS", "ChurnEvent", "ChurnPlan", "EpochModel"]
 
@@ -91,10 +92,6 @@ CHURN_KINDS = ("reshuffle", "remove", "add")
 #: Domain-separation tag for epoch randomness (keeps churn hashing
 #: independent of the partition, fault and algorithm streams).
 _CHURN_TAG = 0xC4E9
-
-
-class ChurnConfigError(ValueError):
-    """A churn-plan field failed validation."""
 
 
 @dataclass(frozen=True)
@@ -119,21 +116,15 @@ class ChurnEvent:
     machine: int | None = None
 
     def validate(self) -> "ChurnEvent":
-        """Raise :class:`ChurnConfigError` on invalid fields; return self."""
-        if not isinstance(self.at_step, int) or self.at_step < 0:
-            raise ChurnConfigError(
-                f"at_step must be a non-negative int, got {self.at_step!r}"
-            )
+        """Raise :class:`ConfigError` on invalid fields; return self."""
+        check_int("at_step", self.at_step, minimum=0)
         if self.kind not in CHURN_KINDS:
-            raise ChurnConfigError(f"kind must be one of {CHURN_KINDS}, got {self.kind!r}")
+            raise ConfigError(f"kind must be one of {CHURN_KINDS}, got {self.kind!r}")
         if self.kind == "reshuffle":
             if self.machine is not None:
-                raise ChurnConfigError("reshuffle events must not name a machine")
+                raise ConfigError("reshuffle events must not name a machine")
         else:
-            if not isinstance(self.machine, int) or self.machine < 0:
-                raise ChurnConfigError(
-                    f"{self.kind} events need a machine id >= 0, got {self.machine!r}"
-                )
+            check_int(f"{self.kind} event machine", self.machine, minimum=0)
         return self
 
 
@@ -169,23 +160,20 @@ class ChurnPlan:
     seed: int | None = None
 
     def validate(self) -> "ChurnPlan":
-        """Raise :class:`ChurnConfigError` on invalid fields; return self."""
+        """Raise :class:`ConfigError` on invalid fields; return self."""
         if not isinstance(self.events, tuple):
-            raise ChurnConfigError(
+            raise ConfigError(
                 f"events must be a tuple of ChurnEvent, got {type(self.events).__name__}"
             )
         for event in self.events:
             if not isinstance(event, ChurnEvent):
-                raise ChurnConfigError(
+                raise ConfigError(
                     f"events must contain ChurnEvent entries, got {type(event).__name__}"
                 )
             event.validate()
         for name in ("vertex_state_bits", "incidence_state_bits"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or v < 1:
-                raise ChurnConfigError(f"{name} must be a positive int, got {v!r}")
-        if self.seed is not None and not isinstance(self.seed, int):
-            raise ChurnConfigError(f"seed must be an int or None, got {self.seed!r}")
+            check_int(name, getattr(self, name), minimum=1)
+        check_int("seed", self.seed, optional=True)
         return self
 
     @property
@@ -202,12 +190,7 @@ class ChurnPlan:
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ChurnPlan":
         """Inverse of :meth:`to_dict`; unknown keys are rejected."""
-        d = dict(data)
-        events = tuple(
-            e if isinstance(e, ChurnEvent) else ChurnEvent(**dict(e))
-            for e in d.pop("events", ())
-        )
-        return cls(events=events, **d).validate()
+        return decode(cls, data, events=lambda events: decode_all(ChurnEvent, events)).validate()
 
 
 @dataclass
@@ -278,21 +261,21 @@ class EpochModel:
                 continue
             m = int(event.machine)  # type: ignore[arg-type]
             if m >= self.k:
-                raise ChurnConfigError(
+                raise ConfigError(
                     f"event names machine {m} but the run has k={self.k} machines"
                 )
             if event.kind == "remove":
                 if not active[m]:
-                    raise ChurnConfigError(f"machine {m} removed twice (step {event.at_step})")
+                    raise ConfigError(f"machine {m} removed twice (step {event.at_step})")
                 if int(active.sum()) <= 2:
-                    raise ChurnConfigError(
+                    raise ConfigError(
                         "removals must leave at least 2 active machines "
                         f"(step {event.at_step})"
                     )
                 active[m] = False
             else:  # add
                 if active[m]:
-                    raise ChurnConfigError(
+                    raise ConfigError(
                         f"machine {m} added while active (step {event.at_step})"
                     )
                 active[m] = True

@@ -56,16 +56,13 @@ from typing import Any, Mapping
 import numpy as np
 
 from repro.util.rng import derive_seed
+from repro.util.validation import ConfigError, check_int, decode
 
 __all__ = ["FaultModel", "FaultPlan", "FaultRecord"]
 
 #: Domain-separation tag for fault randomness (keeps the fault stream
 #: independent of the algorithm and partition streams sharing the seed).
 _FAULT_TAG = 0xFA17
-
-
-class FaultConfigError(ValueError):
-    """A fault-plan field failed validation."""
 
 
 @dataclass(frozen=True)
@@ -109,24 +106,21 @@ class FaultPlan:
     seed: int | None = None
 
     def validate(self) -> "FaultPlan":
-        """Raise :class:`FaultConfigError` on invalid fields; return self."""
+        """Raise :class:`ConfigError` on invalid fields; return self."""
         for name in ("drop_prob", "dup_prob", "delay_prob", "stall_prob"):
             p = getattr(self, name)
             if not isinstance(p, (int, float)) or not (0.0 <= float(p) < 1.0):
-                raise FaultConfigError(f"{name} must be in [0, 1), got {p!r}")
+                raise ConfigError(f"{name} must be in [0, 1), got {p!r}")
         for name in ("max_delay_rounds", "max_stall_rounds"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or v < 0:
-                raise FaultConfigError(f"{name} must be a non-negative int, got {v!r}")
+            check_int(name, getattr(self, name), minimum=0)
         if self.delay_prob > 0 and self.max_delay_rounds < 1:
-            raise FaultConfigError("delay_prob > 0 requires max_delay_rounds >= 1")
+            raise ConfigError("delay_prob > 0 requires max_delay_rounds >= 1")
         if self.stall_prob > 0 and self.max_stall_rounds < 1:
-            raise FaultConfigError("stall_prob > 0 requires max_stall_rounds >= 1")
+            raise ConfigError("stall_prob > 0 requires max_stall_rounds >= 1")
         bf = self.bandwidth_factor
         if not isinstance(bf, (int, float)) or not (0.0 < float(bf) <= 1.0):
-            raise FaultConfigError(f"bandwidth_factor must be in (0, 1], got {bf!r}")
-        if self.seed is not None and not isinstance(self.seed, int):
-            raise FaultConfigError(f"seed must be an int or None, got {self.seed!r}")
+            raise ConfigError(f"bandwidth_factor must be in (0, 1], got {bf!r}")
+        check_int("seed", self.seed, optional=True)
         return self
 
     @property
@@ -147,7 +141,7 @@ class FaultPlan:
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "FaultPlan":
         """Inverse of :meth:`to_dict`; unknown keys are rejected."""
-        return cls(**dict(data)).validate()
+        return decode(cls, data).validate()
 
 
 @dataclass(frozen=True)

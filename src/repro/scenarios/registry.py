@@ -27,12 +27,12 @@ through this registry; tests register ad-hoc scenarios the same way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from repro.cluster.partition import PartitionConfig
 from repro.corpus.inputs import resolve_input
 from repro.graphs.graph import Graph
-from repro.runtime.config import RunConfig
+from repro.runtime.config import SECTIONS, RunConfig
 from repro.scenarios.churn import ChurnEvent, ChurnPlan
 from repro.scenarios.faults import FaultPlan
 from repro.scenarios.updates import UpdateBatch, UpdatePlan
@@ -90,13 +90,22 @@ class Scenario:
         """
         return resolve_input(scenario=self, n=n, seed=seed)
 
+    def sections(self) -> dict:
+        """The config sections this scenario sets, by name (absent axes left out)."""
+        return {
+            name: getattr(self, name)
+            for name in _SECTIONS
+            if getattr(self, name) is not None
+        }
+
     def to_dict(self) -> dict:
         """The full plan as JSON-ready data (``repro scenarios show``).
 
         Every axis serializes through its own ``to_dict`` round-trip form
-        (:class:`PartitionConfig`, :class:`FaultPlan`, :class:`ChurnPlan`),
-        so a reproducibility report can reconstruct the exact hostile
-        condition from this dump alone; absent axes are ``None``.
+        (:class:`PartitionConfig`, :class:`FaultPlan`, :class:`ChurnPlan`,
+        :class:`UpdatePlan`), so a reproducibility report can reconstruct
+        the exact hostile condition from this dump alone; absent axes are
+        ``None``.
         """
         return {
             "name": self.name,
@@ -104,9 +113,8 @@ class Scenario:
             "family": self.family,
             "weighted": self.weighted,
             "partition": self.partition.to_dict(),
-            "faults": None if self.faults is None else self.faults.to_dict(),
-            "churn": None if self.churn is None else self.churn.to_dict(),
-            "updates": None if self.updates is None else self.updates.to_dict(),
+            **dict.fromkeys(_SECTIONS),
+            **{name: plan.to_dict() for name, plan in self.sections().items()},
         }
 
     def apply(self, config: RunConfig) -> RunConfig:
@@ -123,13 +131,14 @@ class Scenario:
         partition = self.partition
         if partition == PartitionConfig():
             partition = config.cluster.partition
-        faults = self.faults if self.faults is not None else config.faults
-        churn = self.churn if self.churn is not None else config.churn
-        updates = self.updates if self.updates is not None else config.updates
         cluster = replace(config.cluster, partition=partition)
-        return config.with_overrides(
-            cluster=cluster, faults=faults, churn=churn, updates=updates
-        ).validate()
+        return config.with_overrides(cluster=cluster, **self.sections()).validate()
+
+
+#: The optional config sections a scenario can carry: those of
+#: :data:`~repro.runtime.config.SECTIONS` it has a field for (the
+#: ``logdiam`` knobs tune an algorithm, not a hostile condition).
+_SECTIONS = tuple(f.name for f in fields(Scenario) if f.name in SECTIONS)
 
 
 def register_scenario(scenario: Scenario) -> Scenario:
@@ -137,12 +146,8 @@ def register_scenario(scenario: Scenario) -> Scenario:
     if scenario.name in _REGISTRY:
         raise ValueError(f"scenario {scenario.name!r} is already registered")
     scenario.partition.validate()
-    if scenario.faults is not None:
-        scenario.faults.validate()
-    if scenario.churn is not None:
-        scenario.churn.validate()
-    if scenario.updates is not None:
-        scenario.updates.validate()
+    for plan in scenario.sections().values():
+        plan.validate()
     _REGISTRY[scenario.name] = scenario
     return scenario
 

@@ -48,6 +48,7 @@ from dataclasses import asdict, dataclass
 from typing import Any, Mapping
 
 from repro.util.rng import derive_seed
+from repro.util.validation import ConfigError, check_int, decode, decode_all
 
 __all__ = ["UPDATE_KINDS", "UpdateBatch", "UpdatePlan", "batch_seed"]
 
@@ -58,10 +59,6 @@ UPDATE_KINDS = ("mix", "tree_delete", "hot_component")
 #: generation independent of the partition, fault, churn and algorithm
 #: streams).
 _UPDATE_TAG = 0xED17
-
-
-class UpdateConfigError(ValueError):
-    """An update-plan field failed validation."""
 
 
 def batch_seed(base_seed: int, index: int) -> int:
@@ -103,17 +100,16 @@ class UpdateBatch:
     insert_fraction: float = 0.5
 
     def validate(self) -> "UpdateBatch":
-        """Raise :class:`UpdateConfigError` on invalid fields; return self."""
+        """Raise :class:`ConfigError` on invalid fields; return self."""
         if self.kind not in UPDATE_KINDS:
-            raise UpdateConfigError(f"kind must be one of {UPDATE_KINDS}, got {self.kind!r}")
-        if not isinstance(self.size, int) or self.size < 1:
-            raise UpdateConfigError(f"size must be a positive int, got {self.size!r}")
+            raise ConfigError(f"kind must be one of {UPDATE_KINDS}, got {self.kind!r}")
+        check_int("size", self.size, minimum=1)
         if (
             not isinstance(self.insert_fraction, (int, float))
             or isinstance(self.insert_fraction, bool)
             or not 0.0 <= float(self.insert_fraction) <= 1.0
         ):
-            raise UpdateConfigError(
+            raise ConfigError(
                 f"insert_fraction must be in [0, 1], got {self.insert_fraction!r}"
             )
         return self
@@ -153,23 +149,20 @@ class UpdatePlan:
     seed: int | None = None
 
     def validate(self) -> "UpdatePlan":
-        """Raise :class:`UpdateConfigError` on invalid fields; return self."""
+        """Raise :class:`ConfigError` on invalid fields; return self."""
         if not isinstance(self.batches, tuple):
-            raise UpdateConfigError(
+            raise ConfigError(
                 f"batches must be a tuple of UpdateBatch, got {type(self.batches).__name__}"
             )
         for batch in self.batches:
             if not isinstance(batch, UpdateBatch):
-                raise UpdateConfigError(
+                raise ConfigError(
                     f"batches must contain UpdateBatch entries, got {type(batch).__name__}"
                 )
             batch.validate()
         for name in ("edge_bits", "sketch_word_bits"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or v < 1:
-                raise UpdateConfigError(f"{name} must be a positive int, got {v!r}")
-        if self.seed is not None and not isinstance(self.seed, int):
-            raise UpdateConfigError(f"seed must be an int or None, got {self.seed!r}")
+            check_int(name, getattr(self, name), minimum=1)
+        check_int("seed", self.seed, optional=True)
         return self
 
     @property
@@ -195,9 +188,4 @@ class UpdatePlan:
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "UpdatePlan":
         """Inverse of :meth:`to_dict`; unknown keys are rejected."""
-        d = dict(data)
-        batches = tuple(
-            b if isinstance(b, UpdateBatch) else UpdateBatch(**dict(b))
-            for b in d.pop("batches", ())
-        )
-        return cls(batches=batches, **d).validate()
+        return decode(cls, data, batches=lambda batches: decode_all(UpdateBatch, batches)).validate()

@@ -31,7 +31,7 @@ from repro.cluster.partition import PARTITION_SCHEMES, PartitionConfig
 from repro.corpus.families import CorpusParam, sizeable_families
 from repro.corpus.inputs import generated_input, resolve_input
 from repro.graphs.graph import Graph
-from repro.runtime.config import ClusterConfig, RunConfig
+from repro.runtime.config import ClusterConfig, RunConfig, UpdatePlan
 from repro.runtime.registry import get_algorithm
 
 __all__ = [
@@ -184,15 +184,9 @@ class RunRequest:
         if not isinstance(self.epoch, int) or self.epoch < 0:
             raise ProtocolError(f"epoch must be a non-negative int, got {self.epoch!r}")
         if self.updates is not None:
-            if not isinstance(self.updates, dict):
-                raise ProtocolError(
-                    f"updates must be an object or null, got {type(self.updates).__name__}"
-                )
-            from repro.scenarios.updates import UpdatePlan
-
             try:
                 UpdatePlan.from_dict(self.updates)
-            except (TypeError, ValueError) as exc:
+            except ValueError as exc:
                 raise ProtocolError(f"invalid update plan: {exc}") from None
         if not isinstance(self.params, dict):
             raise ProtocolError(f"params must be an object, got {type(self.params).__name__}")
@@ -270,15 +264,10 @@ class RunRequest:
         the same composition ``Session.run(..., scenario=...)`` applies,
         so served envelopes carry identical config provenance.
         """
-        updates = None
-        if self.updates is not None:
-            from repro.scenarios.updates import UpdatePlan
-
-            updates = UpdatePlan.from_dict(self.updates)
         base = RunConfig(
             seed=self.seed,
             cluster=ClusterConfig(k=self.k, partition=PartitionConfig(scheme=self.scheme)),
-            updates=updates,
+            updates=None if self.updates is None else UpdatePlan.from_dict(self.updates),
             params=dict(self.params),
         ).validate()
         sc = self.resolved_scenario()

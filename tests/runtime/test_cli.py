@@ -64,6 +64,15 @@ def test_run_logdiam_knobs_rejected_elsewhere(capsys):
     assert "logdiam" in capsys.readouterr().err
 
 
+def test_run_without_logdiam_knobs_records_no_section(tmp_path, capsys):
+    # Unset knobs make a benign section, which the CLI leaves unset so
+    # the envelope carries no logdiam key at all.
+    path = tmp_path / "report.json"
+    code = main(["run", "connectivity_logdiam", "--n", "60", "--k", "4", "--json", str(path)])
+    assert code == 0
+    assert "logdiam" not in RunReport.from_json(path.read_text()).config
+
+
 def test_run_unknown_algorithm_fails_cleanly(capsys):
     assert main(["run", "nope", "--n", "50"]) == 2
     assert "available" in capsys.readouterr().err

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -10,17 +12,23 @@ from repro.core.labels import canonical_labels
 from repro.core.mst import minimum_spanning_tree_distributed
 from repro.graphs import reference
 from repro.runtime import (
+    ChurnPlan,
     ClusterConfig,
     ConfigError,
+    FaultPlan,
+    LogDiamConfig,
     RunConfig,
     RunReport,
     Session,
+    UpdatePlan,
     get_algorithm,
     list_algorithms,
     register_algorithm,
     run_algorithm,
 )
 from repro.runtime.registry import RunnerOutput, _REGISTRY
+from repro.scenarios.churn import ChurnEvent
+from repro.scenarios.updates import UpdateBatch
 
 EXPECTED = {
     "connectivity",
@@ -188,3 +196,55 @@ def test_registry_is_not_mutated_by_lookups():
     list_algorithms()
     get_algorithm("connectivity")
     assert _REGISTRY == before
+
+
+#: One non-benign sample per optional RunConfig section.
+NON_BENIGN_SECTIONS = {
+    "faults": FaultPlan(drop_prob=0.05),
+    "churn": ChurnPlan(events=(ChurnEvent(3, "reshuffle"),)),
+    "updates": UpdatePlan(batches=(UpdateBatch(size=2),)),
+    "logdiam": LogDiamConfig(space_bound=8),
+}
+
+#: The no-op value of each optional section.
+BENIGN_SECTIONS = {
+    "faults": FaultPlan(),
+    "churn": ChurnPlan(),
+    "updates": UpdatePlan(),
+    "logdiam": LogDiamConfig(),
+}
+
+
+def test_section_acceptance_matrix():
+    # A run that sets a non-benign section its algorithm does not read
+    # fails with ConfigError; a benign section is accepted everywhere.
+    g = generators.with_unique_weights(generators.gnm_random(40, 120, seed=0), seed=0)
+    names = list_algorithms()
+
+    def run(name, section, value):
+        config = RunConfig(seed=1, cluster=ClusterConfig(k=4), **{section: value})
+        try:
+            return Session(g, config=config).run(name)
+        except ConfigError:
+            return None
+
+    readers = {
+        section: {name for name in names if run(name, section, value) is not None}
+        for section, value in NON_BENIGN_SECTIONS.items()
+    }
+    assert readers == {
+        "faults": set(names),
+        "churn": set(names) - {"rep"},
+        "updates": {"mst_dynamic"},
+        "logdiam": {"connectivity_logdiam"},
+    }
+    for section, value in BENIGN_SECTIONS.items():
+        for name in names:
+            report = run(name, section, value)
+            assert report is not None, (name, section)
+            assert report.config[section] == asdict(value)
+
+
+def test_unknown_section_rejected_at_registration():
+    with pytest.raises(ValueError, match="unknown config sections"):
+        register_algorithm("x", summary="s", sections=("faults", "update"))

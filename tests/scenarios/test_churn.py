@@ -22,9 +22,9 @@ from repro import generators
 from repro.cluster.cluster import KMachineCluster
 from repro.cluster.partition import PartitionConfig, build_partition
 from repro.graphs import reference as ref
-from repro.runtime import ChurnPlan, ClusterConfig, RunConfig, Session
+from repro.runtime import ChurnPlan, ClusterConfig, FaultPlan, RunConfig, Session, run_algorithm
 from repro.runtime.config import ConfigError
-from repro.scenarios.churn import ChurnConfigError, ChurnEvent, EpochModel
+from repro.scenarios.churn import ChurnEvent, EpochModel
 
 K = 4
 
@@ -67,12 +67,12 @@ class TestChurnPlan:
         ],
     )
     def test_bad_events_rejected(self, event):
-        with pytest.raises(ChurnConfigError):
+        with pytest.raises(ConfigError):
             ChurnPlan(events=(event,)).validate()
 
     @pytest.mark.parametrize("field", ["vertex_state_bits", "incidence_state_bits"])
     def test_state_bits_must_be_positive(self, field):
-        with pytest.raises(ChurnConfigError):
+        with pytest.raises(ConfigError):
             ChurnPlan(**{field: 0}).validate()
 
     def test_nested_config_roundtrip(self):
@@ -97,20 +97,20 @@ class TestEpochModel:
         g = _graph()
         partition = build_partition(g, 2, 0, PartitionConfig())
         plan = ChurnPlan(events=(ChurnEvent(0, "remove", machine=1),))
-        with pytest.raises(ChurnConfigError, match="at least 2 active"):
+        with pytest.raises(ConfigError, match="at least 2 active"):
             EpochModel(plan, g, partition, PartitionConfig())
 
     def test_schedule_validation_machine_bounds(self):
         g = _graph()
         partition = build_partition(g, K, 0, PartitionConfig())
         plan = ChurnPlan(events=(ChurnEvent(0, "remove", machine=K),))
-        with pytest.raises(ChurnConfigError, match="k="):
+        with pytest.raises(ConfigError, match="k="):
             EpochModel(plan, g, partition, PartitionConfig())
 
     def test_double_remove_and_add_active_rejected(self):
         g = _graph()
         partition = build_partition(g, K, 0, PartitionConfig())
-        with pytest.raises(ChurnConfigError, match="removed twice"):
+        with pytest.raises(ConfigError, match="removed twice"):
             EpochModel(
                 ChurnPlan(
                     events=(
@@ -122,7 +122,7 @@ class TestEpochModel:
                 partition,
                 PartitionConfig(),
             )
-        with pytest.raises(ChurnConfigError, match="while active"):
+        with pytest.raises(ConfigError, match="while active"):
             EpochModel(
                 ChurnPlan(events=(ChurnEvent(0, "add", machine=1),)),
                 g,
@@ -282,6 +282,16 @@ class TestChurnedRuns:
         plan = ChurnPlan(events=(ChurnEvent(0, "remove", machine=K + 3),))
         with pytest.raises(ConfigError, match="k="):
             Session(g, config=_config(plan)).run("connectivity")
+
+    def test_rejected_schedule_leaves_the_cluster_clean(self):
+        # The epoch model checks the schedule before any model attaches,
+        # so the rejected run leaves no fault model on the caller's
+        # cluster for its next run to inherit.
+        cluster = KMachineCluster.create(_graph(), k=K, seed=5)
+        plan = ChurnPlan(events=(ChurnEvent(0, "remove", machine=K + 3),))
+        with pytest.raises(ConfigError, match="k="):
+            run_algorithm("connectivity", cluster, _config(plan, faults=FaultPlan(drop_prob=0.1)))
+        assert cluster.ledger.fault_model is None and cluster.ledger.epoch_model is None
 
     def test_sweep_roundtrips_churn_through_process_pool(self):
         g = _graph(n=80)

@@ -8,6 +8,7 @@ import pytest
 from repro.cluster import ClusterTopology, RoundLedger, SyncEngine
 from repro.cluster.engine import Envelope, RoundLimitExceeded
 from repro.protocols.leader import LeaderElectionProgram
+from repro.runtime.config import ConfigError
 from repro.scenarios.faults import FaultModel, FaultPlan
 
 
@@ -44,7 +45,7 @@ class TestFaultPlan:
         assert FaultPlan.from_dict(plan.to_dict()) == plan
 
     def test_from_dict_rejects_unknown_keys(self):
-        with pytest.raises(TypeError):
+        with pytest.raises(ConfigError, match="drop_rate"):
             FaultPlan.from_dict({"drop_rate": 0.1})
 
 

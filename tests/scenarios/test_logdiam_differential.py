@@ -6,10 +6,11 @@ The ISSUE-8 acceptance grid for the new registry entry:
   family x 3 seeds, composed with the benign ends of the hostile axes
   (a mild fault plan, each partition-skew scheme) — truncated *and*
   untruncated, since the space bound changes the simulation path;
-* the ``logdiam`` config section is accepted only by algorithms that
-  opted in (``supports_logdiam``), and connectivity_logdiam rejects the
-  axes it does not compose with (update streams) loudly — a silently
-  ignored knob is how benchmark grids go subtly wrong;
+* a non-benign ``logdiam`` config section is accepted only by
+  algorithms that read it (``AlgorithmSpec.sections``), and
+  connectivity_logdiam rejects the axes it does not compose with
+  (update streams) loudly — a silently ignored knob is how benchmark
+  grids go subtly wrong;
 * :class:`LogDiamConfig` validates, round-trips, and stays *absent*
   from serialized envelopes when unset, so every pre-existing
   ``BENCH_*.json`` stays byte-identical.

@@ -31,7 +31,7 @@ from repro.runtime import ClusterConfig, RunConfig, Session, UpdatePlan
 from repro.runtime.config import ConfigError
 from repro.scenarios.churn import ChurnEvent, ChurnPlan
 from repro.scenarios.faults import FaultPlan
-from repro.scenarios.updates import UpdateBatch, UpdateConfigError, batch_seed
+from repro.scenarios.updates import UpdateBatch, batch_seed
 from repro.util.rng import derive_seed
 
 K = 4
@@ -75,22 +75,22 @@ class TestUpdatePlan:
         ],
     )
     def test_bad_batches_rejected(self, batch):
-        with pytest.raises(UpdateConfigError):
+        with pytest.raises(ConfigError):
             UpdatePlan(batches=(batch,)).validate()
 
     @pytest.mark.parametrize("field", ["edge_bits", "sketch_word_bits"])
     def test_bit_knobs_must_be_positive(self, field):
-        with pytest.raises(UpdateConfigError):
+        with pytest.raises(ConfigError):
             UpdatePlan(**{field: 0}).validate()
 
     def test_unknown_keys_rejected(self):
         payload = STORM.to_dict()
         payload["surprise"] = 1
-        with pytest.raises(TypeError):
+        with pytest.raises(ConfigError, match="surprise"):
             UpdatePlan.from_dict(payload)
         bad_batch = STORM.to_dict()
         bad_batch["batches"][0]["surprise"] = 1
-        with pytest.raises(TypeError):
+        with pytest.raises(ConfigError, match="surprise"):
             UpdatePlan.from_dict(bad_batch)
 
     def test_nested_config_roundtrip(self):
@@ -101,7 +101,7 @@ class TestUpdatePlan:
 
     def test_config_validates_plan(self):
         bad = UpdatePlan(batches=(UpdateBatch(size=0),))
-        with pytest.raises((ConfigError, UpdateConfigError)):
+        with pytest.raises(ConfigError):
             _config(bad).validate()
 
     def test_clean_config_provenance_is_byte_unchanged(self):
