@@ -46,8 +46,8 @@ def main() -> None:
 
     label = "MST (Theorem 2)" if args.mst else "connectivity (Theorem 1)"
     print(f"Sweeping {label} on G(n={n}, m={m}) over k = {ks}...\n")
-    session = Session(g, config=RunConfig(seed=args.seed))
-    reports = session.sweep(algorithm, ks=ks, processes=args.processes)
+    with Session(g, config=RunConfig(seed=args.seed)) as session:
+        reports = session.sweep(algorithm, ks=ks, processes=args.processes)
     rows = [(r.graph["k"], r.rounds, r.result["phases"]) for r in reports]
     base_k, base_rounds = rows[0][0], rows[0][1]
     table_rows = [

@@ -13,49 +13,25 @@ rounds.  It exists to
 Programs implement :class:`MachineProgram`: per round they receive the
 messages fully delivered that round and return new messages to send.
 
-Fault injection: constructing the engine with a
-:class:`~repro.scenarios.faults.FaultPlan` runs the same programs over a
-hostile network — seeded per-link message drops (with automatic FIFO-
-preserving retransmission), duplication, delivery delays, per-round
-machine stalls, and bandwidth throttling.  Payloads are never corrupted
-or permanently lost, and drops preserve per-link ordering, so drop/stall/
-throttle plans cost only rounds.  Duplication repeats messages and delays
-may reorder them; programs exercised under those axes must tolerate
-repeats and reordering (all protocols in this repository do — their
-updates are idempotent maxima/minima).  Exceeding ``max_rounds`` raises
-:class:`RoundLimitExceeded` carrying the accounting so far.
+The engine runs the model's clean network only.  Fault plans and churn
+schedules are charged by the bulk ledger's
+:class:`~repro.scenarios.faults.FaultModel` and
+:class:`~repro.scenarios.churn.EpochModel` (DESIGN.md §7-§8).
 
 Internally the mailbox layer is array-backed (see :class:`_LinkQueue`):
 per-link delivery windows resolve with one bisection over a
-cumulative-bits array, fault axes draw one vectorized sample batch per
-window, and drop retransmission is an O(1) cursor rewind — the documented
-FIFO/retransmit/re-homing semantics are unchanged, only the per-envelope
-Python loops are gone (DESIGN.md §9).
-
-Machine churn: constructing the engine with a
-:class:`~repro.scenarios.churn.ChurnPlan` additionally runs the programs
-on a churning platform — scheduled machine departures park the departed
-machine's arrivals (mailbox re-homing: they are re-delivered, in order,
-when the machine rejoins, under the same deferral semantics fault stalls
-use) and reshuffle events insert a one-round migration barrier for every
-machine.  The churn schedule is deterministic (event-driven, no
-randomness); see DESIGN.md §8.
+cumulative-bits array, so there is no per-envelope Python loop
+(DESIGN.md §9).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Protocol
-
-import numpy as np
+from typing import Any, Protocol
 
 from repro.cluster.topology import ClusterTopology
-from repro.util.rng import derive_seed
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.scenarios.churn import ChurnPlan
-    from repro.scenarios.faults import FaultPlan
 
 __all__ = [
     "Envelope",
@@ -104,37 +80,20 @@ class MachineProgram(Protocol):
 
 @dataclass
 class EngineResult:
-    """Outcome of an engine run.
-
-    The fault counters are zero on a clean network: ``dropped_messages`` /
-    ``duplicated_messages`` / ``delayed_messages`` count per-envelope fault
-    events, ``stalled_rounds`` counts (machine, round) stall slots.  The
-    churn counters are zero on a static platform: ``churn_events`` counts
-    fired :class:`~repro.scenarios.churn.ChurnEvent` boundaries,
-    ``rehomed_messages`` counts arrivals parked for a departed machine's
-    mailbox (re-delivered when it rejoins), ``churn_stall_rounds`` counts
-    (machine, round) slots lost to reshuffle migration barriers.
-    """
+    """Outcome of an engine run."""
 
     rounds: int
     delivered_messages: int
     delivered_bits: int
     terminated: bool
-    dropped_messages: int = 0
-    duplicated_messages: int = 0
-    delayed_messages: int = 0
-    stalled_rounds: int = 0
-    churn_events: int = 0
-    rehomed_messages: int = 0
-    churn_stall_rounds: int = 0
 
 
 class RoundLimitExceeded(RuntimeError):
     """``SyncEngine.run`` hit ``max_rounds`` before the network quiesced.
 
     Carries the accounting so far (``result``, with ``terminated=False``)
-    so callers — and error reports — can see how far the run got and how
-    many fault events it absorbed, instead of a bare failure.
+    so callers — and error reports — can see how far the run got, instead
+    of a bare failure.
     """
 
     def __init__(self, result: EngineResult, max_rounds: int) -> None:
@@ -143,9 +102,7 @@ class RoundLimitExceeded(RuntimeError):
         super().__init__(
             f"engine exceeded max_rounds={max_rounds}: "
             f"{result.delivered_messages} messages "
-            f"({result.delivered_bits} bits) delivered, "
-            f"{result.dropped_messages} dropped, "
-            f"{result.stalled_rounds} machine-rounds stalled"
+            f"({result.delivered_bits} bits) delivered"
         )
 
 
@@ -156,12 +113,10 @@ class _LinkQueue:
     (``envs``) while their sizes live in a parallel *cumulative-bits*
     list (``cum``, where ``cum[i]`` is the total size of ``envs[:i+1]``).
     One round's delivery window is then a single :func:`bisect.bisect_left`
-    instead of a per-envelope loop, partial transmission of the head is
-    the scalar ``consumed`` cursor, and a drop's retransmission (rewinding
-    the window to the failed message, head restarting from its full size)
-    is an O(1) cursor reset rather than a deque splice.  Plain Python ints
-    keep the cumulative values overflow-free and make the tiny-window case
-    (a handful of messages per round) as cheap as the bulk one — the
+    instead of a per-envelope loop, and partial transmission of the head
+    is the scalar ``consumed`` cursor.  Plain Python ints keep the
+    cumulative values overflow-free and make the tiny-window case (a
+    handful of messages per round) as cheap as the bulk one — the
     accumulate/bisect machinery is all C.
     """
 
@@ -193,7 +148,7 @@ class _LinkQueue:
 
     def drain(self, budget: int) -> tuple[list[Envelope], int]:
         """Fully-delivered envelopes within ``budget`` bits, plus the window
-        start index (for :meth:`requeue_from`); the head fragments across
+        start index (for :meth:`delivered_bits`); the head fragments across
         rounds via the ``consumed`` cursor."""
         self._compact()
         start = self.head
@@ -215,16 +170,6 @@ class _LinkQueue:
         self.head = end
         return got, start
 
-    def requeue_from(self, index: int) -> None:
-        """Rewind so ``envs[index]`` is the head, restarted at full size.
-
-        Retransmission after a drop: the dropped message and everything
-        behind it go back on the wire in order (per-link FIFO preserved),
-        and the partial window transmitted this round is lost.
-        """
-        self.head = index
-        self.consumed = self.cum[index - 1] if index else self.offset
-
     def delivered_bits(self, start: int, count: int) -> int:
         """Total size of ``envs[start : start + count]`` (O(1) from cum)."""
         if count <= 0:
@@ -244,94 +189,11 @@ class SyncEngine:
     ----------
     topology:
         The cluster to execute on.
-    faults:
-        Optional :class:`~repro.scenarios.faults.FaultPlan`; ``None`` (or a
-        benign plan) runs the clean network.  Message payloads are never
-        corrupted: drops retransmit, delays defer, duplicates repeat.
-    fault_seed:
-        Keys the fault randomness; the same (plan, seed, programs) replay
-        an identical fault schedule.  A plan that pins its own ``seed``
-        overrides this — the same pinning contract the bulk-ledger
-        :class:`~repro.scenarios.faults.FaultModel` honors.
-    churn:
-        Optional :class:`~repro.scenarios.churn.ChurnPlan`; ``at_step``
-        counts the engine's synchronous rounds here (an event fires at
-        the start of round ``at_step + 1``).  A removed machine stops
-        stepping and its arrivals are parked (mailbox re-homing: they are
-        re-delivered, in order, when the machine rejoins — the existing
-        fault-deferral semantics); a removed machine holding undelivered
-        state that never rejoins keeps the network from quiescing, which
-        surfaces as :class:`RoundLimitExceeded`.  A ``reshuffle`` pauses
-        every machine for one migration-barrier round.  The schedule is
-        event-driven and fully deterministic — no randomness is drawn.
     """
 
-    def __init__(
-        self,
-        topology: ClusterTopology,
-        faults: "FaultPlan | None" = None,
-        fault_seed: int = 0,
-        churn: "ChurnPlan | None" = None,
-    ) -> None:
+    def __init__(self, topology: ClusterTopology) -> None:
         self.topology = topology
-        k = topology.k
-        self._links: dict[tuple[int, int], _LinkQueue] = {}
-        self._k = k
-        base_seed = fault_seed
-        if faults is not None:
-            faults.validate()
-            if faults.seed is not None:
-                base_seed = faults.seed
-            if faults.is_benign:
-                faults = None
-        self.faults = faults
-        self._fault_seed = derive_seed(base_seed, 0xE2F1)
-        if churn is not None:
-            churn.validate()
-            if churn.is_benign:
-                churn = None
-            else:
-                self._check_churn(churn, k)
-        self.churn = churn
-
-    @staticmethod
-    def _check_churn(churn: "ChurnPlan", k: int) -> None:
-        """Validate the event sequence against this engine's k machines.
-
-        The same rules the bulk-accounting :class:`EpochModel` enforces
-        (DESIGN.md §8.1), including the ≥ 2 active machines floor — a
-        plan the ledger path rejects must not quietly deadlock here.
-        """
-        removed = [False] * k
-        active = k
-        for event in sorted(churn.events, key=lambda e: e.at_step):
-            if event.kind == "reshuffle":
-                continue
-            m = int(event.machine)  # type: ignore[arg-type]
-            if m >= k:
-                raise ValueError(f"churn event names machine {m} but the engine has k={k}")
-            if event.kind == "remove":
-                if removed[m]:
-                    raise ValueError(f"machine {m} removed twice (round {event.at_step})")
-                if active <= 2:
-                    raise ValueError(
-                        "removals must leave at least 2 active machines "
-                        f"(round {event.at_step})"
-                    )
-                removed[m] = True
-                active -= 1
-            else:
-                if not removed[m]:
-                    raise ValueError(f"machine {m} added while active (round {event.at_step})")
-                removed[m] = False
-                active += 1
-
-    def _link(self, src: int, dst: int) -> _LinkQueue:
-        q = self._links.get((src, dst))
-        if q is None:
-            q = _LinkQueue()
-            self._links[(src, dst)] = q
-        return q
+        self._k = topology.k
 
     def run(
         self,
@@ -341,8 +203,7 @@ class SyncEngine:
         """Execute until every machine is done and all queues drained.
 
         Machine-local sends (src == dst) are delivered next round without
-        consuming bandwidth (local computation is free in the model) and
-        are exempt from link faults; machine stalls still defer them.
+        consuming bandwidth (local computation is free in the model).
 
         Raises
         ------
@@ -353,31 +214,12 @@ class SyncEngine:
         k = self._k
         if len(programs) != k:
             raise ValueError(f"need exactly {k} programs, got {len(programs)}")
-        plan = self.faults
         bw = self.topology.bandwidth_bits
-        if plan is not None:
-            bw = max(1, int(bw * plan.bandwidth_factor))
-        rng = np.random.default_rng(self._fault_seed) if plan is not None else None
+        # Links are created on first use, which fixes their delivery order.
+        links: defaultdict[tuple[int, int], _LinkQueue] = defaultdict(_LinkQueue)
         delivered_msgs = 0
         delivered_bits = 0
-        dropped = duplicated = delayed = stalled_rounds = 0
         local_pending: list[list[Envelope]] = [[] for _ in range(k)]
-        # Fault state: per-machine remaining stall rounds, per-machine inbox
-        # deferred by a stall, and in-flight delayed envelopes.
-        stall_left = [0] * k
-        deferred: list[list[Envelope]] = [[] for _ in range(k)]
-        delay_buffer: list[tuple[int, int, Envelope]] = []  # (due_round, dst, env)
-        # Churn state: fired-event cursor, departed machines, and pending
-        # reshuffle migration-barrier rounds.
-        churn_events = (
-            tuple(sorted(self.churn.events, key=lambda e: e.at_step))
-            if self.churn is not None
-            else ()
-        )
-        next_event = 0
-        removed = [False] * k
-        pause_left = 0
-        churn_fired = rehomed = churn_stall_rounds = 0
         rounds = 0
 
         def _result(terminated: bool) -> EngineResult:
@@ -386,44 +228,17 @@ class SyncEngine:
                 delivered_messages=delivered_msgs,
                 delivered_bits=delivered_bits,
                 terminated=terminated,
-                dropped_messages=dropped,
-                duplicated_messages=duplicated,
-                delayed_messages=delayed,
-                stalled_rounds=stalled_rounds,
-                churn_events=churn_fired,
-                rehomed_messages=rehomed,
-                churn_stall_rounds=churn_stall_rounds,
             )
 
         for round_no in range(1, max_rounds + 1):
-            # Fire churn events due before this round (at_step counts
-            # completed rounds, so at_step=0 fires before round 1).
-            while next_event < len(churn_events) and churn_events[next_event].at_step < round_no:
-                event = churn_events[next_event]
-                next_event += 1
-                churn_fired += 1
-                if event.kind == "remove":
-                    removed[event.machine] = True  # type: ignore[index]
-                elif event.kind == "add":
-                    removed[event.machine] = False  # type: ignore[index]
-                else:  # reshuffle: one migration-barrier round for everyone
-                    pause_left += 1
             # Deliver: each directed link transmits up to B bits.
             inboxes: list[list[Envelope]] = [[] for _ in range(k)]
             for mid in range(k):
                 if local_pending[mid]:
                     inboxes[mid].extend(local_pending[mid])
                     local_pending[mid] = []
-            if delay_buffer:
-                still_delayed = []
-                for due, dst, env in delay_buffer:
-                    if due <= round_no:
-                        inboxes[dst].append(env)
-                    else:
-                        still_delayed.append((due, dst, env))
-                delay_buffer = still_delayed
             any_traffic = False
-            for (_src, dst), q in self._links.items():
+            for (_src, dst), q in links.items():
                 if q.empty:
                     continue
                 got, start = q.drain(bw)
@@ -431,111 +246,15 @@ class SyncEngine:
                     any_traffic = True
                 if not got:
                     continue
-                if plan is None:
-                    # Clean fast path: one bulk accounting update per link
-                    # window, no per-envelope arithmetic.
-                    delivered_bits += q.delivered_bits(start, len(got))
-                    delivered_msgs += len(got)
-                    inboxes[dst].extend(got)
-                    continue
-                # Fault sampling is batched per delivery window: one draw
-                # array per fault axis instead of one RNG call per message.
-                # Still a pure function of (plan, seed) — replays of the
-                # same run are identical — but the RNG stream is consumed
-                # in a different order than the pre-batching engine, so
-                # seeded fault *realizations* differ across versions; the
-                # documented drop/retransmit/FIFO semantics are unchanged.
-                if plan.drop_prob > 0.0:
-                    hits = np.nonzero(rng.random(len(got)) < plan.drop_prob)[0]
-                    if hits.size:
-                        # Lost on the wire: the transmitted bits are spent
-                        # through the dropped message, and the link aborts
-                        # the rest of this round's window, retransmitting
-                        # from the failed message on — preserving per-link
-                        # FIFO order.
-                        first = int(hits[0])
-                        dropped += 1
-                        delivered_bits += q.delivered_bits(start, first + 1)
-                        delivered_msgs += first
-                        q.requeue_from(start + first)
-                        got = got[:first]
-                    else:
-                        delivered_bits += q.delivered_bits(start, len(got))
-                        delivered_msgs += len(got)
-                else:
-                    delivered_bits += q.delivered_bits(start, len(got))
-                    delivered_msgs += len(got)
-                if not got:
-                    continue
-                if plan.delay_prob > 0.0:
-                    delay_mask = rng.random(len(got)) < plan.delay_prob
-                    if delay_mask.any():
-                        held = [env for env, d in zip(got, delay_mask) if d]
-                        delayed += len(held)
-                        dues = round_no + 1 + rng.integers(
-                            0, plan.max_delay_rounds, size=len(held)
-                        )
-                        delay_buffer.extend(
-                            (int(due), dst, env) for due, env in zip(dues, held)
-                        )
-                        got = [env for env, d in zip(got, delay_mask) if not d]
+                # One bulk accounting update per link window, no
+                # per-envelope arithmetic.
+                delivered_bits += q.delivered_bits(start, len(got))
+                delivered_msgs += len(got)
                 inboxes[dst].extend(got)
-                if plan.dup_prob > 0.0 and got:
-                    # Duplicates: second copies are queued for later rounds,
-                    # occupying real link bandwidth (mirroring the bulk
-                    # model's duplicate_rounds); receivers must tolerate
-                    # repeats.
-                    dup_mask = rng.random(len(got)) < plan.dup_prob
-                    for env, d in zip(got, dup_mask):
-                        if d:
-                            duplicated += 1
-                            q.push(Envelope(env.src, env.dst, env.bits, env.payload))
-            # Compute: every non-stalled machine takes a step.
+            # Compute: every machine takes a step.
             any_sends = False
-            any_stalled = False
-            migration_barrier = pause_left > 0
-            if migration_barrier:
-                pause_left -= 1
             for mid in range(k):
-                if migration_barrier:
-                    # Reshuffle barrier: the whole platform spends the round
-                    # migrating shards; arrivals are deferred like a stall.
-                    # A machine that is *removed* during the barrier is not
-                    # stalling — it is gone: its arrivals count as re-homed,
-                    # not as a barrier slot.
-                    if removed[mid]:
-                        rehomed += len(inboxes[mid])
-                    else:
-                        churn_stall_rounds += 1
-                    any_stalled = True
-                    deferred[mid].extend(inboxes[mid])
-                    continue
-                if removed[mid]:
-                    # Departed machine: its mailbox parks arrivals until the
-                    # machine rejoins (re-homing under the fault-deferral
-                    # semantics); it draws no faults and takes no steps.
-                    # Departure supersedes any fault stall in progress.
-                    stall_left[mid] = 0
-                    rehomed += len(inboxes[mid])
-                    deferred[mid].extend(inboxes[mid])
-                    continue
-                if plan is not None:
-                    if stall_left[mid] == 0 and plan.stall_prob > 0.0:
-                        if rng.random() < plan.stall_prob:
-                            stall_left[mid] = int(rng.integers(1, plan.max_stall_rounds + 1))
-                    if stall_left[mid] > 0:
-                        # Stalled: buffer this round's arrivals, skip the step.
-                        # A skipped step also vetoes the quiescence check
-                        # below — the machine never got to act this round.
-                        stall_left[mid] -= 1
-                        stalled_rounds += 1
-                        any_stalled = True
-                        deferred[mid].extend(inboxes[mid])
-                        continue
                 inbox = inboxes[mid]
-                if deferred[mid]:
-                    inbox = deferred[mid] + inbox
-                    deferred[mid] = []
                 outs = programs[mid].on_round(mid, round_no, inbox)
                 for env in outs:
                     if not (0 <= env.dst < k) or env.src != mid:
@@ -546,23 +265,14 @@ class SyncEngine:
                     if env.dst == mid:
                         local_pending[mid].append(env)
                     else:
-                        self._link(env.src, env.dst).push(env)
+                        links[(env.src, env.dst)].push(env)
             rounds = round_no
-            queues_empty = all(q.empty for q in self._links.values())
+            queues_empty = all(q.empty for q in links.values())
             locals_empty = all(not p for p in local_pending)
-            faults_pending = (
-                bool(delay_buffer) or any(deferred) or any(stall_left) or any_stalled
-            )
             all_done = all(programs[mid].is_done(mid) for mid in range(k))
-            if all_done and queues_empty and locals_empty and not any_sends and not faults_pending:
+            if all_done and queues_empty and locals_empty and not any_sends:
                 return _result(True)
-            if (
-                not any_traffic
-                and not any_sends
-                and queues_empty
-                and locals_empty
-                and not faults_pending
-            ):
+            if not any_traffic and not any_sends and queues_empty and locals_empty:
                 # Quiescent but not all done: programs are stuck waiting.
                 return _result(all_done)
         raise RoundLimitExceeded(_result(False), max_rounds)

@@ -65,16 +65,20 @@ def _topology(graph: Graph, cc: ClusterConfig):
     return ClusterTopology(k=cc.k, bandwidth_bits=cc.bandwidth_bits)
 
 
-def _build_cluster(graph: Graph, config: RunConfig, seed: int) -> KMachineCluster:
-    """Create the cluster a run needs, applying the partition-seed default."""
-    cc = config.cluster
-    partition_seed = cc.partition_seed if cc.partition_seed is not None else seed
+def _partition_seed(cc: ClusterConfig, seed: int) -> int:
+    """The pinned ``cc.partition_seed``, else the run seed."""
+    return cc.partition_seed if cc.partition_seed is not None else seed
+
+
+def _build_cluster(graph: Graph, cc: ClusterConfig, seed: int, epoch: int = 0) -> KMachineCluster:
+    """Create the cluster a run needs at partition epoch ``epoch``."""
+    partition_seed = _partition_seed(cc, seed)
     return KMachineCluster.create(
         graph,
         cc.k,
         partition_seed,
         bandwidth_multiplier=cc.bandwidth_multiplier,
-        partition=build_partition(graph, cc.k, partition_seed, cc.partition),
+        partition=build_partition(graph, cc.k, partition_seed, cc.partition, epoch=epoch),
         topology=_topology(graph, cc),
     )
 
@@ -115,11 +119,10 @@ def _worker_cluster(graph: Graph, config: RunConfig, seed: int) -> KMachineClust
     resets the ledger first, as the session cache does.
     """
     cc = config.cluster
-    partition_seed = cc.partition_seed if cc.partition_seed is not None else seed
     key = (
         _graph_fingerprint(graph),
         cc.k,
-        partition_seed,
+        _partition_seed(cc, seed),
         cc.bandwidth_multiplier,
         cc.bandwidth_bits,
         cc.partition,
@@ -129,7 +132,7 @@ def _worker_cluster(graph: Graph, config: RunConfig, seed: int) -> KMachineClust
         _WORKER_CLUSTERS.move_to_end(key)
         cluster.reset_ledger()
         return cluster
-    cluster = _build_cluster(graph, config, seed)
+    cluster = _build_cluster(graph, cc, seed)
     _WORKER_CLUSTERS[key] = cluster
     while len(_WORKER_CLUSTERS) > _WORKER_CLUSTER_CAP:
         _WORKER_CLUSTERS.popitem(last=False)
@@ -247,13 +250,10 @@ class Session:
         hit/miss counts are only deterministic when same-key calls are
         serialized, as in the service's key-affinity workers.
         """
-        partition_seed = (
-            cluster_config.partition_seed if cluster_config.partition_seed is not None else seed
-        )
         key = (
             id(graph),
             cluster_config.k,
-            partition_seed,
+            _partition_seed(cluster_config, seed),
             cluster_config.bandwidth_multiplier,
             cluster_config.bandwidth_bits,
             cluster_config.partition,
@@ -268,16 +268,7 @@ class Session:
                 cluster.reset_ledger()
                 return cluster
         # Build outside the lock so distinct keys can build concurrently.
-        cluster = KMachineCluster.create(
-            graph,
-            cluster_config.k,
-            partition_seed,
-            bandwidth_multiplier=cluster_config.bandwidth_multiplier,
-            partition=build_partition(
-                graph, cluster_config.k, partition_seed, cluster_config.partition, epoch=epoch
-            ),
-            topology=_topology(graph, cluster_config),
-        )
+        cluster = _build_cluster(graph, cluster_config, seed, epoch)
         with self._lock:
             self._misses += 1
             current = self._clusters.get(key)
@@ -547,6 +538,6 @@ class Session:
             elif use_cache:
                 target = self.cluster_for(g, cfg.cluster, s)
             else:
-                target = _build_cluster(g, cfg, s)
+                target = _build_cluster(g, cfg.cluster, s)
             reports.append(spec.run(target, cfg, seed=s))
         return reports

@@ -5,8 +5,7 @@ how do rounds degrade, under hostile conditions" into a registry-driven,
 reproducible axis of every run (DESIGN.md §7):
 
 * :mod:`repro.scenarios.faults` — typed, seeded fault plans
-  (drop/duplicate/delay/stall/throttle) woven into the round ledger and
-  the per-round mailbox engine.
+  (drop/duplicate/delay/stall/throttle) woven into the round ledger.
 * :mod:`repro.scenarios.churn` — the dynamic adversary: typed schedules
   of partition epochs (mid-run re-shuffles, machine removals/rejoins)
   with migration traffic charged as real bandwidth (DESIGN.md §8).

@@ -67,11 +67,8 @@ identical epochs.  The byte-determinism contract of
 :class:`~repro.runtime.report.RunReport` extends to churned runs.
 
 The exact per-round mailbox engine (:class:`~repro.cluster.engine.SyncEngine`)
-applies the same plan at message granularity instead (``at_step`` counts
-engine rounds there): removed machines stop stepping and their arrivals
-are deferred — re-homed to the mailbox of the rejoined machine — under
-the existing fault-deferral semantics, and a reshuffle pauses every
-machine for one migration barrier round; see there.
+runs the static platform only: :class:`EpochModel` is the one place a
+plan is applied.
 """
 
 from __future__ import annotations
@@ -101,8 +98,7 @@ class ChurnEvent:
     Attributes
     ----------
     at_step:
-        The bulk communication step the event fires *before* (0-indexed;
-        the mailbox engine counts its synchronous rounds instead).
+        The bulk communication step the event fires *before* (0-indexed).
         Events scheduled past the run's last step simply never fire.
     kind:
         One of :data:`CHURN_KINDS`.

@@ -45,7 +45,8 @@ priced O(1) protocol fragments) pass through unfaulted — their cost is a
 citation, not a simulation.
 
 The exact per-round mailbox engine (:class:`~repro.cluster.engine.SyncEngine`)
-applies the same plan at message granularity instead; see there.
+runs the clean network only: :class:`FaultModel` is the one place a plan
+is applied.
 """
 
 from __future__ import annotations

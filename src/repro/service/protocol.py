@@ -230,6 +230,8 @@ class RunRequest:
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "RunRequest":
         """Inverse of :meth:`to_dict`; unknown keys are rejected."""
+        if not isinstance(data, Mapping):
+            raise ProtocolError(f"request must be an object, got {type(data).__name__}")
         d = dict(data)
         unknown = set(d) - {
             "algorithm", "family", "scenario", "n", "seed", "k",

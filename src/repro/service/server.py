@@ -318,7 +318,7 @@ class GraphService:
         self._by_op[op] = self._by_op.get(op, 0) + 1
         try:
             if op == "run":
-                spec = RunRequest.from_dict(msg.get("request") or {})
+                spec = _request_of(msg)
                 body = await self._execute(spec)
                 await write_frame(
                     writer, {"ok": True, "final": True, "op": op, "id": req_id, **body}
@@ -388,7 +388,7 @@ class GraphService:
         point is an independent coalescible request, so a sweep warms the
         same caches run traffic hits.
         """
-        spec = RunRequest.from_dict(msg.get("request") or {})
+        spec = _request_of(msg)
         ks = [int(x) for x in (msg.get("ks") or [spec.k])]
         seeds = [int(x) for x in (msg.get("seeds") or [spec.seed])]
         count = 0
@@ -404,6 +404,12 @@ class GraphService:
             writer,
             {"ok": True, "final": True, "op": "sweep", "id": req_id, "count": count},
         )
+
+
+def _request_of(msg: dict) -> RunRequest:
+    """The frame's request; only an absent or null one means the default."""
+    data = msg.get("request")
+    return RunRequest.from_dict({} if data is None else data)
 
 
 def _error_frame(req_id, exc: BaseException, *, op: str) -> dict:

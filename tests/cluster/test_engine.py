@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import pytest
+
 from repro.cluster.engine import Envelope, SyncEngine
 from repro.cluster.topology import ClusterTopology
 
@@ -107,15 +109,11 @@ def test_invalid_envelope_rejected():
         def is_done(self, machine):
             return True
 
-    import pytest
-
     with pytest.raises(ValueError, match="invalid envelope"):
         SyncEngine(ClusterTopology(k=2, bandwidth_bits=8)).run([Liar(), Liar()])
 
 
 def test_program_count_checked():
-    import pytest
-
     with pytest.raises(ValueError):
         SyncEngine(ClusterTopology(k=3, bandwidth_bits=8)).run([PingPong()])
 
@@ -191,8 +189,6 @@ def test_zero_bit_envelope_behind_exact_budget_waits_a_round():
 
 
 def test_max_rounds_cutoff_raises_with_partial_accounting():
-    import pytest
-
     from repro.cluster.engine import RoundLimitExceeded
 
     @dataclass
@@ -213,3 +209,91 @@ def test_max_rounds_cutoff_raises_with_partial_accounting():
     assert exc.result.rounds == 5
     assert exc.result.delivered_messages > 0
     assert "max_rounds=5" in str(exc)
+
+
+def test_reuse_after_cutoff_starts_clean():
+    """Envelopes left queued by a cut-off run never reach the next run."""
+    from repro.cluster.engine import RoundLimitExceeded
+
+    @dataclass
+    class Burst:
+        count: int
+        received: list = field(default_factory=list)
+
+        def on_round(self, machine, round_no, inbox):
+            self.received.extend(inbox)
+            if machine == 0 and round_no == 1:
+                return [Envelope(0, 1, 8, i) for i in range(self.count)]
+            return []
+
+        def is_done(self, machine):
+            return True
+
+    engine = SyncEngine(ClusterTopology(k=2, bandwidth_bits=8))
+    with pytest.raises(RoundLimitExceeded) as excinfo:
+        engine.run([Burst(10), Burst(10)], max_rounds=3)
+    assert excinfo.value.result.delivered_messages == 2
+    silent = [Burst(0), Burst(0)]
+    result = engine.run(silent)
+    assert result.terminated
+    assert (result.rounds, result.delivered_messages) == (1, 0)
+    assert silent[1].received == []
+
+
+def test_broadcast_echo_delivers_each_payload_once():
+    """Machine 0 greets every peer in round 1; each peer acks what it got."""
+    k = 4
+    received: list[list[tuple[int, object]]] = [[] for _ in range(k)]
+
+    @dataclass
+    class Broadcast:
+        def on_round(self, machine, round_no, inbox):
+            received[machine].extend((round_no, env.payload) for env in inbox)
+            if machine == 0 and round_no == 1:
+                return [Envelope(0, dst, 32, f"hello-{dst}") for dst in range(1, k)]
+            if machine != 0:
+                return [Envelope(machine, 0, 16, f"ack-{machine}") for _ in inbox]
+            return []
+
+        def is_done(self, machine):
+            return True
+
+    engine = SyncEngine(ClusterTopology(k=k, bandwidth_bits=256))
+    result = engine.run([Broadcast() for _ in range(k)])
+    assert result.terminated
+    assert result.rounds == 3
+    assert result.delivered_messages == 2 * (k - 1)
+    assert result.delivered_bits == (k - 1) * (32 + 16)
+    for dst in range(1, k):
+        assert received[dst] == [(2, f"hello-{dst}")]
+    assert received[0] == [(3, f"ack-{src}") for src in range(1, k)]
+
+
+@pytest.mark.parametrize("bandwidth_bits", [8, 16, 32])
+def test_link_delivers_in_fifo_order_within_bandwidth(bandwidth_bits):
+    """Twenty 8-bit messages on one link arrive in send order, B/8 a round."""
+
+    @dataclass
+    class Sender:
+        arrivals: list = field(default_factory=list)
+
+        def on_round(self, machine, round_no, inbox):
+            self.arrivals.extend((round_no, env.payload) for env in inbox)
+            if machine == 0 and round_no == 1:
+                return [Envelope(0, 1, 8, seq) for seq in range(20)]
+            return []
+
+        def is_done(self, machine):
+            return True
+
+    receiver = Sender()
+    engine = SyncEngine(ClusterTopology(k=2, bandwidth_bits=bandwidth_bits))
+    result = engine.run([Sender(), receiver])
+    per_round = bandwidth_bits // 8
+    assert result.terminated
+    assert result.rounds == 1 + 20 // per_round
+    assert result.delivered_bits == 160
+    assert [seq for _, seq in receiver.arrivals] == list(range(20))
+    assert [round_no for round_no, _ in receiver.arrivals] == [
+        2 + seq // per_round for seq in range(20)
+    ]

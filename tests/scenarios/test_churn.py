@@ -130,6 +130,69 @@ class TestEpochModel:
                 PartitionConfig(),
             )
 
+    def test_schedule_validation_counts_active_across_events(self):
+        g = _graph()
+        partition = build_partition(g, K, 0, PartitionConfig())
+        three_removals = ChurnPlan(
+            events=tuple(ChurnEvent(step, "remove", machine=step) for step in range(3))
+        )
+        with pytest.raises(ConfigError, match=r"at least 2 active machines \(step 2\)"):
+            EpochModel(three_removals, g, partition, PartitionConfig())
+        # A rejoin in between frees a slot for the third removal.
+        rejoin = ChurnPlan(
+            events=(
+                ChurnEvent(0, "remove", machine=0),
+                ChurnEvent(1, "remove", machine=1),
+                ChurnEvent(2, "add", machine=0),
+                ChurnEvent(3, "remove", machine=2),
+            )
+        )
+        EpochModel(rejoin, g, partition, PartitionConfig())
+
+    def test_benign_plan_fires_nothing(self):
+        g, model = self._model(ChurnPlan())
+        charged = []
+        for _ in range(5):
+            model.begin_step(lambda *a: charged.append(a) or 1)
+        assert charged == [] and model.records == []
+        assert model.epoch == 0
+        load = np.ones((K, K), dtype=np.int64)
+        assert model.remap(load) is load
+
+    def test_events_past_the_last_step_never_fire(self):
+        plan = ChurnPlan(events=(ChurnEvent(50, "reshuffle"),))
+        g, model = self._model(plan)
+        for _ in range(10):
+            model.begin_step(lambda *a: 1)
+        totals = model.totals()
+        assert (totals["n_epochs"], totals["events_fired"], totals["events_scheduled"]) == (1, 0, 1)
+
+    def test_add_migrates_a_share_onto_the_rejoining_machine(self):
+        plan = ChurnPlan(
+            events=(ChurnEvent(0, "remove", machine=1), ChurnEvent(1, "add", machine=1))
+        )
+        g, model = self._model(plan)
+        charged = []
+        model.begin_step(lambda label, load, msgs: charged.append(load.copy()) or 1)
+        assert not (model.home == 1).any()
+        model.begin_step(lambda label, load, msgs: charged.append(load.copy()) or 1)
+        assert [r["active_machines"] for r in model.records] == [K - 1, K]
+        # Every migrating vertex lands on the rejoining machine, which ends
+        # up holding exactly the vertices that moved.
+        add_load = charged[1]
+        assert add_load[:, 1].sum() == add_load.sum() > 0
+        assert int((model.home == 1).sum()) == model.records[1]["migrated_vertices"]
+
+    def test_reshuffle_spans_only_active_machines(self):
+        plan = ChurnPlan(events=(ChurnEvent(0, "remove", machine=1), ChurnEvent(1, "reshuffle")))
+        g, model = self._model(plan)
+        model.begin_step(lambda *a: 1)
+        model.begin_step(lambda *a: 1)
+        counts = np.bincount(model.home, minlength=K)
+        assert counts[1] == 0
+        assert (np.delete(counts, 1) > 0).all()
+        assert model.records[1]["active_machines"] == K - 1
+
     def test_remove_migrates_exactly_the_departed_shard(self):
         plan = ChurnPlan(events=(ChurnEvent(0, "remove", machine=1),))
         g, model = self._model(plan)

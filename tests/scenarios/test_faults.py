@@ -1,13 +1,11 @@
-"""Unit tests for the fault layer: plans, models, ledger and engine weaving."""
+"""Unit tests for the fault layer: plans, models and ledger weaving."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.cluster import ClusterTopology, RoundLedger, SyncEngine
-from repro.cluster.engine import Envelope, RoundLimitExceeded
-from repro.protocols.leader import LeaderElectionProgram
+from repro.cluster import ClusterTopology, RoundLedger
 from repro.runtime.config import ConfigError
 from repro.scenarios.faults import FaultModel, FaultPlan
 
@@ -98,6 +96,30 @@ class TestFaultModel:
         assert steps == sorted(steps)
         assert parent.totals()["faults"] == child.totals()["faults"] == model.totals()
 
+    def test_duplicates_never_exceed_the_scheduled_rounds(self):
+        model = FaultModel(FaultPlan(dup_prob=0.5), run_seed=1)
+        records = [model.apply("s", base_rounds=10, throttle_rounds=0, k=4) for _ in range(10)]
+        assert all(r is not None and 1 <= r.duplicate_rounds <= 10 for r in records)
+        assert all(r.extra_rounds == r.duplicate_rounds for r in records)
+
+    def test_delays_stay_within_the_cap(self):
+        model = FaultModel(FaultPlan(delay_prob=0.9, max_delay_rounds=3), run_seed=1)
+        for _ in range(20):
+            model.apply("s", base_rounds=10, throttle_rounds=0, k=4)
+        delays = [e.delay_rounds for e in model.events]
+        assert delays and all(1 <= d <= 3 for d in delays)
+        assert model.totals()["delay_rounds"] == sum(delays)
+
+    def test_stalls_name_a_machine_and_stay_within_the_cap(self):
+        model = FaultModel(FaultPlan(stall_prob=0.9, max_stall_rounds=2), run_seed=1)
+        for _ in range(20):
+            model.apply("s", base_rounds=10, throttle_rounds=0, k=3)
+        assert model.events
+        assert all(1 <= e.stall_rounds <= 2 for e in model.events)
+        assert all(0 <= e.stalled_machine < 3 for e in model.events)
+        # Over this schedule every one of the three machines stalls at least once.
+        assert {e.stalled_machine for e in model.events} == {0, 1, 2}
+
 
 class TestLedgerFaults:
     def _ledger(self):
@@ -139,154 +161,36 @@ class TestLedgerFaults:
         ledger.attach_faults(FaultModel(FaultPlan(drop_prob=0.9), run_seed=0))
         assert ledger.charge_rounds("cited", 3) == 3
 
+    def test_benign_model_charges_clean_rounds(self):
+        clean = self._ledger()
+        benign = self._ledger()
+        benign.attach_faults(FaultModel(FaultPlan(), run_seed=3))
+        for bits in (8, 64, 80):
+            expected = clean.charge_load_matrix("s", self._load(bits))
+            assert benign.charge_load_matrix("s", self._load(bits)) == expected
+        assert all(step.fault_rounds == 0 for step in benign.steps)
+        assert benign.totals()["faults"]["n_events"] == 0
 
-class TestEngineFaults:
-    PLAN = FaultPlan(
-        drop_prob=0.3,
-        dup_prob=0.1,
-        delay_prob=0.2,
-        max_delay_rounds=3,
-        stall_prob=0.1,
-        max_stall_rounds=2,
-        bandwidth_factor=0.5,
-    )
-
-    def test_leader_election_survives_heavy_faults(self):
-        topo = ClusterTopology(k=5, bandwidth_bits=256)
-        clean = [LeaderElectionProgram(5, seed=9) for _ in range(5)]
-        SyncEngine(topo).run(clean)
-        faulty = [LeaderElectionProgram(5, seed=9) for _ in range(5)]
-        result = SyncEngine(topo, faults=self.PLAN, fault_seed=4).run(faulty)
-        assert result.terminated
-        assert {p.leader for p in faulty} == {clean[0].leader}
-        assert result.dropped_messages > 0
-        assert result.stalled_rounds > 0
-
-    def test_fault_schedule_is_deterministic(self):
-        topo = ClusterTopology(k=5, bandwidth_bits=256)
-
-        def run_once():
-            programs = [LeaderElectionProgram(5, seed=9) for _ in range(5)]
-            return SyncEngine(topo, faults=self.PLAN, fault_seed=4).run(programs)
-
-        a, b = run_once(), run_once()
-        assert (a.rounds, a.delivered_messages, a.delivered_bits) == (
-            b.rounds,
-            b.delivered_messages,
-            b.delivered_bits,
-        )
-        assert (a.dropped_messages, a.duplicated_messages, a.delayed_messages) == (
-            b.dropped_messages,
-            b.duplicated_messages,
-            b.delayed_messages,
+    def test_every_axis_costs_rounds_reproducibly(self):
+        plan = FaultPlan(
+            drop_prob=0.3,
+            dup_prob=0.1,
+            delay_prob=0.2,
+            max_delay_rounds=3,
+            stall_prob=0.1,
+            max_stall_rounds=2,
+            bandwidth_factor=0.5,
         )
 
-    def test_benign_plan_is_clean_path(self):
-        topo = ClusterTopology(k=2, bandwidth_bits=64)
-        engine = SyncEngine(topo, faults=FaultPlan(), fault_seed=3)
-        assert engine.faults is None  # normalized away
+        def charged():
+            ledger = self._ledger()
+            ledger.attach_faults(FaultModel(plan, run_seed=4))
+            rounds = [ledger.charge_load_matrix("s", self._load(80)) for _ in range(10)]
+            return rounds, ledger.totals()["faults"]
 
-    def test_drops_preserve_per_link_fifo_order(self):
-        # The link layer aborts the round's window at the first drop and
-        # retransmits from the failed message on, so a receiver never sees
-        # messages from one sender out of order under a drop-only plan.
-        class Sender:
-            def __init__(self):
-                self.sent = False
-
-            def on_round(self, machine, round_no, inbox):
-                if machine == 0 and not self.sent:
-                    self.sent = True
-                    return [Envelope(0, 1, 8, seq) for seq in range(20)]
-                return []
-
-            def is_done(self, machine):
-                return True
-
-        class Receiver(Sender):
-            def __init__(self):
-                super().__init__()
-                self.seen = []
-
-            def on_round(self, machine, round_no, inbox):
-                self.seen.extend(env.payload for env in inbox)
-                return super().on_round(machine, round_no, inbox)
-
-        topo = ClusterTopology(k=2, bandwidth_bits=16)
-        recv = Receiver()
-        plan = FaultPlan(drop_prob=0.4)
-        result = SyncEngine(topo, faults=plan, fault_seed=2).run([Sender(), recv])
-        assert result.terminated
-        assert result.dropped_messages > 0
-        assert recv.seen == sorted(recv.seen) == list(range(20))
-
-    def test_duplicates_consume_bandwidth_and_repeat(self):
-        class Blast:
-            def __init__(self):
-                self.sent = False
-                self.got = []
-
-            def on_round(self, machine, round_no, inbox):
-                self.got.extend(env.payload for env in inbox)
-                if machine == 0 and not self.sent:
-                    self.sent = True
-                    return [Envelope(0, 1, 8, i) for i in range(10)]
-                return []
-
-            def is_done(self, machine):
-                return True
-
-        topo = ClusterTopology(k=2, bandwidth_bits=8)  # one message per round
-        clean_recv = Blast()
-        clean = SyncEngine(topo).run([Blast(), clean_recv])
-        dup_recv = Blast()
-        dup = SyncEngine(topo, faults=FaultPlan(dup_prob=0.5), fault_seed=1).run(
-            [Blast(), dup_recv]
-        )
-        assert dup.duplicated_messages > 0
-        # Each duplicate is a real transmission on a saturated link: more
-        # rounds and more delivered bits than the clean run.
-        assert dup.rounds > clean.rounds
-        assert dup.delivered_bits > clean.delivered_bits
-        # Every original payload arrives; extras are repeats, not inventions.
-        assert set(dup_recv.got) == set(range(10))
-        assert len(dup_recv.got) == 10 + dup.duplicated_messages
-
-    def test_faulted_run_costs_more_rounds(self):
-        topo = ClusterTopology(k=5, bandwidth_bits=64)
-        clean = SyncEngine(topo).run([LeaderElectionProgram(5, seed=2) for _ in range(5)])
-        plan = FaultPlan(drop_prob=0.4, bandwidth_factor=0.25)
-        faulted = SyncEngine(topo, faults=plan, fault_seed=1).run(
-            [LeaderElectionProgram(5, seed=2) for _ in range(5)]
-        )
-        assert faulted.rounds > clean.rounds
-
-
-class TestRoundLimitExceeded:
-    def test_fault_stalled_run_reports_cleanly(self):
-        # The regression the ISSUE names: a run kept busy by faults must
-        # surface a dedicated exception carrying the accounting so far,
-        # not a silent partial result.
-        class Echo:
-            started = False
-
-            def on_round(self, machine, round_no, inbox):
-                if machine == 0 and not self.started:
-                    self.started = True
-                    return [Envelope(0, 1, 8, "hello")]
-                return [Envelope(machine, env.src, 8, "echo") for env in inbox]
-
-            def is_done(self, machine):
-                return False
-
-        topo = ClusterTopology(k=2, bandwidth_bits=8)
-        plan = FaultPlan(stall_prob=0.5, max_stall_rounds=2, drop_prob=0.3)
-        with pytest.raises(RoundLimitExceeded) as excinfo:
-            SyncEngine(topo, faults=plan, fault_seed=0).run([Echo(), Echo()], max_rounds=40)
-        exc = excinfo.value
-        assert exc.max_rounds == 40
-        assert exc.result.rounds == 40
-        assert not exc.result.terminated
-        assert exc.result.stalled_rounds > 0 or exc.result.dropped_messages > 0
-        assert "max_rounds=40" in str(exc)
-        assert "stalled" in str(exc)
+        rounds, faults = charged()
+        assert (rounds, faults) == charged()
+        # Ten clean steps of 80 bits over an 8-bit link cost 100 rounds.
+        assert sum(rounds) == 100 + faults["fault_rounds"]
+        assert faults["throttle_rounds"] == 100
+        assert faults["dropped_rounds"] > 0

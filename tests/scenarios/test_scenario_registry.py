@@ -177,21 +177,6 @@ class TestSessionScenario:
         with pytest.raises(ValueError, match="n="):
             session.run("connectivity", scenario="faulty_links", n=50)
 
-    def test_engine_honors_plan_pinned_seed(self):
-        from repro.cluster import ClusterTopology, SyncEngine
-        from repro.protocols.leader import LeaderElectionProgram
-
-        topo = ClusterTopology(k=4, bandwidth_bits=128)
-        plan = FaultPlan(drop_prob=0.4, seed=42)
-
-        def run(fault_seed):
-            programs = [LeaderElectionProgram(4, seed=3) for _ in range(4)]
-            r = SyncEngine(topo, faults=plan, fault_seed=fault_seed).run(programs)
-            return (r.rounds, r.dropped_messages, r.delivered_bits)
-
-        # The plan pinned its own seed: fault_seed must not matter.
-        assert run(0) == run(1) == run(99)
-
 
 class TestCli:
     def test_scenarios_list(self, capsys):

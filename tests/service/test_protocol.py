@@ -100,6 +100,12 @@ def test_request_from_dict_rejects_lossy_ints(fields):
         RunRequest.from_dict(fields)
 
 
+@pytest.mark.parametrize("data", [[["n", 64], ["k", 8]], [], 0, False, "", "abc"])
+def test_request_from_dict_rejects_non_objects(data):
+    with pytest.raises(ProtocolError, match="request must be an object"):
+        RunRequest.from_dict(data)
+
+
 def test_request_rejects_unknown_fields():
     with pytest.raises(ProtocolError, match="unknown"):
         RunRequest.from_dict({"n": 64, "bogus": 1})

@@ -130,15 +130,17 @@ def test_bad_request_answers_error_and_keeps_connection():
             {"op": "run", "id": 1, "request": {"n": 2}},
             {"op": "run", "id": 2, "request": {"algorithm": "nope", "n": 64}},
             {"op": "nosuchop", "id": 3},
+            {"op": "run", "id": 5, "request": [["n", 64]]},
             {"op": "ping", "id": 4},
         )
 
-    bad_n, bad_algo, bad_op, ping = _serve(drive)
+    bad_n, bad_algo, bad_op, bad_shape, ping = _serve(drive)
     assert bad_n[-1]["ok"] is False and bad_n[-1]["id"] == 1
     assert "n must be" in bad_n[-1]["error"]["message"]
     assert bad_algo[-1]["ok"] is False and bad_algo[-1]["error"]["type"] == "KeyError"
     assert bad_op[-1]["ok"] is False and "unknown op" in bad_op[-1]["error"]["message"]
-    assert ping[-1]["ok"] is True  # three failures later, the link still works
+    assert bad_shape[-1]["ok"] is False and bad_shape[-1]["error"]["type"] == "ProtocolError"
+    assert ping[-1]["ok"] is True  # four failures later, the link still works
 
 
 def test_wire_corruption_drops_connection_with_error_frame():
