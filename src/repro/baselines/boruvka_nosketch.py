@@ -134,7 +134,6 @@ def boruvka_nosketch(
         selection = OutgoingSelection(
             parts=parts,
             comp_proxy=cluster.partition.home[parts.comp_labels],  # leader homes
-            sketch_nonzero=found,
             found=found,
             slot=np.full(c, -1, dtype=np.int64),
             internal_vertex=internal,

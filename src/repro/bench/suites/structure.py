@@ -74,7 +74,7 @@ def _success_rate(n, m, split_frac, trials, reps, graph_seed):
     ok = valid = 0
     for seed in range(trials):
         spec = SketchSpec.for_graph(n, seed=seed, repetitions=reps, hash_family="prf")
-        _, res = SketchContext(spec, slots, signs).sample_groups(group, 2)
+        res = SketchContext(spec, slots, signs).sample_groups(group, 2)
         if res.found[0]:
             ok += 1
             lo, hi = decode_slot(n, np.array([res.slots[0]]))
@@ -116,8 +116,8 @@ def _sketch_success(cell: dict, seed: int) -> dict:
 )
 def _sketch_throughput(cell: dict, seed: int) -> dict:
     # Wall time is the headline here: record only the simulator hot path
-    # (context construction and sample_groups, as outgoing-edge selection
-    # runs them), not the graph/incidence setup.
+    # (context construction and sample_groups, as every outgoing-edge
+    # selection runs them), not the graph/incidence setup.
     n = cell["n"]
     g = generators.gnm_random(n, cell["m"], seed=seed)
     owners = np.concatenate([g.edges_u, g.edges_v])
@@ -128,10 +128,10 @@ def _sketch_throughput(cell: dict, seed: int) -> dict:
         n, seed=seed, repetitions=cell["repetitions"], hash_family="prf"
     )
     t0 = time.perf_counter()
-    nonzero, _ = SketchContext(spec, slots, signs).sample_groups(group, cell["groups"])
+    sample = SketchContext(spec, slots, signs).sample_groups(group, cell["groups"])
     wall = time.perf_counter() - t0
     return {
-        "n_groups": int(nonzero.size),
+        "n_groups": int(sample.found.size),
         "incidences": int(slots.size),
         "_wall_time_s": wall,
     }
@@ -150,7 +150,6 @@ def _ring_forest(n, seed):
     sel = OutgoingSelection(
         parts=parts,
         comp_proxy=np.zeros(c, dtype=np.int64),
-        sketch_nonzero=np.ones(c, dtype=bool),
         found=np.ones(c, dtype=bool),
         slot=np.zeros(c, dtype=np.int64),
         internal_vertex=parts.comp_labels.copy(),

@@ -173,8 +173,9 @@ def connected_components_distributed(
 
     def select(phase, labels, parts, cut):
         # Each component samples one outgoing edge; a zero sketch everywhere
-        # means no outgoing edge remains.
-        selection = select_outgoing_edges(
+        # means no outgoing edge remains.  boruvka_phases reads that only when
+        # nothing was sampled, so only then is the zero test computed.
+        selection, nonzero = select_outgoing_edges(
             cluster,
             shared,
             labels,
@@ -185,7 +186,7 @@ def connected_components_distributed(
             hash_family=hash_family,
         )
         _charge_termination_check(cluster, phase)
-        return selection, bool(selection.sketch_nonzero.any())
+        return selection, bool(selection.found.any() or nonzero().any())
 
     return boruvka_phases(
         cluster,
@@ -214,7 +215,8 @@ def boruvka_phases(
     decision, the DRR build, charge and merge, and the forest edges.
 
     ``select(phase, labels, parts, cut)`` returns one selection over the
-    components of ``parts`` and whether any outgoing edge remains.
+    components of ``parts`` and whether any outgoing edge remains; the
+    latter is read only when the selection found no edge.
     ``on_forest(phase, selection, kids)`` sees the merge edges (those of the
     non-root components ``kids``) before the merge, whose iterations are
     numbered from ``merge_from``.  The step order is behaviour: fault draws

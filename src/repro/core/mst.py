@@ -170,7 +170,7 @@ def minimum_spanning_tree_distributed(
         cert = np.zeros(c, dtype=bool)
         active = np.ones(c, dtype=bool)
         for t in range(elim_cap):
-            selection = select_outgoing_edges(
+            selection, nonzero = select_outgoing_edges(
                 cluster,
                 shared,
                 labels,
@@ -181,17 +181,20 @@ def minimum_spanning_tree_distributed(
                 live=cut,
                 repetitions=repetitions,
                 hash_family=hash_family,
-                weight_bound_per_comp=np.where(active, bound, 0.0),
+                # A finished component keeps no incidence, whatever the sign
+                # of its MWOE's weight.
+                weight_bound_per_comp=np.where(active, bound, -np.inf),
                 want_weights=True,
             )
+            sketch_nonzero = nonzero()
             if t == 0:
                 # The unrestricted (bound = inf) sketches tell whether any
                 # outgoing edge exists at all — the true termination signal
                 # (sampling failures are retried, not treated as absence).
-                any_outgoing = bool(selection.sketch_nonzero.any())
+                any_outgoing = bool(sketch_nonzero.any())
             # Components whose restricted sketch vanished: current candidate
             # is certified as the exact MWOE (or no outgoing edge exists).
-            done_now = active & ~selection.sketch_nonzero
+            done_now = active & ~sketch_nonzero
             cert[done_now & have_cand] = True
             active &= ~done_now
             # Components that sampled a strictly lighter edge: adopt it.
@@ -224,7 +227,6 @@ def minimum_spanning_tree_distributed(
         mwoe = OutgoingSelection(
             parts=parts,
             comp_proxy=selection.comp_proxy,
-            sketch_nonzero=have_cand,
             found=have_cand,
             slot=best_slot,
             internal_vertex=best_internal,

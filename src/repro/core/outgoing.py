@@ -25,17 +25,31 @@ granularity, and gives sketch rows only to the components that own one of
 them.  Callers keep the cut incidences as a sorted index
 (:func:`cut_incidences`) that contracts as components merge, so a step
 scans only the incidences that can still be cut.  Each shortcut is exact —
-the resulting nonzero flags and samples are byte-identical to the
+the resulting samples and nonzero flags are byte-identical to the
 part-level pipeline of the paper's steps 1-3 (proofs in
-:func:`select_outgoing_edges` and
-:meth:`~repro.sketch.l0.SketchContext.sample_groups`), so every
+:func:`select_outgoing_edges`,
+:meth:`~repro.sketch.l0.SketchContext.sample_groups` and
+:meth:`~repro.sketch.l0.SketchContext.nonzero_groups`), so every
 downstream decision, ledger charge, and committed baseline is unchanged;
 only the kernel work shrinks with the frontier.
+
+The zero test
+-------------
+The sketch answers two questions per component: a sampled outgoing edge,
+and whether the (possibly weight-restricted) cut vector is zero.  Every
+step needs the first; the phase loops read the second only to stop or
+retry a phase in which nothing was sampled (connectivity) and to certify
+each elimination call's MWOEs (MST).  So a step samples, and returns the
+zero test beside its selection as a zero-argument callable that computes
+the flags when called.  The callable holds the step's cut incidences; they
+are freed when the caller drops it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -61,9 +75,6 @@ class OutgoingSelection:
         The :class:`PartIndex` the step ran on.
     comp_proxy:
         ``int64[C]``; the proxy machine of each component this iteration.
-    sketch_nonzero:
-        ``bool[C]``; True where the (possibly weight-restricted) component
-        sketch is nonzero — i.e. an outgoing edge exists w.h.p.
     found:
         ``bool[C]``; True where one-sparse recovery produced a verified edge.
     slot:
@@ -79,7 +90,6 @@ class OutgoingSelection:
 
     parts: PartIndex
     comp_proxy: np.ndarray
-    sketch_nonzero: np.ndarray
     found: np.ndarray
     slot: np.ndarray
     internal_vertex: np.ndarray
@@ -118,8 +128,13 @@ def select_outgoing_edges(
     hash_family: str = "prf",
     weight_bound_per_comp: np.ndarray | None = None,
     want_weights: bool = False,
-) -> OutgoingSelection:
+) -> tuple[OutgoingSelection, Callable[[], np.ndarray]]:
     """Run one sketch-sample-resolve step; charges the cluster ledger.
+
+    Returns the selection and the step's zero test: a zero-argument
+    callable giving ``bool[C]``, True where the (possibly weight-restricted)
+    component sketch is nonzero — i.e. an outgoing edge exists w.h.p.  It
+    is computed only when called (see the module docstring).
 
     Parameters
     ----------
@@ -174,7 +189,7 @@ def select_outgoing_edges(
        fingerprints of the same residues as grouping the incidences by
        component directly, so the part-level pass can be skipped.
 
-    Every downstream consumer (nonzero test, sample, label queries) reads
+    Every downstream consumer (zero test, sample, label queries) reads
     only the per-component nonzero flags and samples, and every ledger
     charge depends only on the part/proxy structure and
     ``spec.message_bits`` — never on sketch *contents* — so selections,
@@ -211,7 +226,7 @@ def select_outgoing_edges(
 
     # 3. Proxy-side combination and sampling (Lemma 2), computed for steps
     # 1 and 3 at once at component granularity (see the proof above).
-    nonzero, sample = _sample_components(cluster, spec, parts, live, bound)
+    sample, nonzero = _sample_components(cluster, spec, parts, live, bound)
     found = sample.found
 
     c = parts.n_components
@@ -244,10 +259,9 @@ def select_outgoing_edges(
             )
             weight[idx] = _edge_weights(cluster, eu, ev)
 
-    return OutgoingSelection(
+    selection = OutgoingSelection(
         parts=parts,
         comp_proxy=comp_proxy,
-        sketch_nonzero=nonzero,
         found=found,
         slot=sample.slots,
         internal_vertex=internal,
@@ -255,6 +269,7 @@ def select_outgoing_edges(
         neighbor_label=neighbor_label,
         edge_weight=weight,
     )
+    return selection, nonzero
 
 
 def _sample_components(
@@ -263,24 +278,27 @@ def _sample_components(
     parts: PartIndex,
     live: np.ndarray,
     bound: np.ndarray | None,
-) -> tuple[np.ndarray, SampleResult]:
-    """Per component: is its cut sketch nonzero, and one sampled cut edge.
+) -> tuple[SampleResult, Callable[[], np.ndarray]]:
+    """Per component: one sampled cut edge, and the zero test of its cut sketch.
 
     Sketches the cut incidences of ``live`` under ``bound`` grouped by
     component.  :meth:`~repro.sketch.l0.SketchContext.sample_groups`
-    returns, byte for byte, the nonzero flags and samples of the dense
-    ``(C, R, L)`` bundle (its docstring proves it) while evaluating only the
-    *live* components — those owning at least one kept incidence — and,
-    past repetition 0, only the ones still without a verified sample.  A
-    component owning no kept incidence reads ``nonzero=False`` and
-    ``found=False, slot=-1, sign=0``, as its all-zero dense row does.
+    returns, byte for byte, the samples of the dense ``(C, R, L)`` bundle
+    (its docstring proves it) while evaluating only the *live* components
+    — those owning at least one kept incidence — and, past repetition 0,
+    only the ones still without a verified sample.  The returned callable
+    runs :meth:`~repro.sketch.l0.SketchContext.nonzero_groups`, the
+    bundle's nonzero flags, on the same incidences.  A component owning no
+    kept incidence reads ``found=False, slot=-1, sign=0`` and
+    ``nonzero=False``, as its all-zero dense row does.
     """
     inc_comp = parts.comp_of_vertex[cluster.inc_owner[live]]
     if bound is not None:
         under = cluster.inc_weight_of(live) < bound[inc_comp]
         live, inc_comp = live[under], inc_comp[under]
     ctx = SketchContext(spec, cluster.inc_slot[live], cluster.inc_sign[live])
-    return ctx.sample_groups(inc_comp, parts.n_components)
+    c = parts.n_components
+    return ctx.sample_groups(inc_comp, c), partial(ctx.nonzero_groups, inc_comp, c)
 
 
 def _edge_weights(cluster: KMachineCluster, us: np.ndarray, vs: np.ndarray) -> np.ndarray:

@@ -380,6 +380,9 @@ class SketchContext:
     * :meth:`sample_groups` — outgoing-edge selection — evaluates one
       repetition at a time, only for the groups still without a verified
       sample, and computes fingerprints only at the cells a decision reads;
+    * :meth:`nonzero_groups` — the zero test, run only where a caller
+      reads it — computes level-0 fingerprints, a later repetition's only
+      for the groups whose earlier ones all vanished;
     * :meth:`group_sums` — the dense Lemma-2 reference the tests compare
       against — reads the ``(R, E)`` arrays :attr:`depths` and
       :attr:`fp_contrib`, built on first use from the same two functions.
@@ -464,18 +467,17 @@ class SketchContext:
         """Number of (slot, sign) incidences in the context."""
         return int(self.slots.size)
 
-    def sample_groups(self, group_idx: np.ndarray, n_groups: int) -> tuple[np.ndarray, SampleResult]:
-        """Per group, the sketch's nonzero flag and its l0 sample.
+    def sample_groups(self, group_idx: np.ndarray, n_groups: int) -> SampleResult:
+        """Per group, the sketch's l0 sample.
 
         Incidence ``i`` belongs to group ``group_idx[i]``.  Returns exactly
-        ``(bundle.nonzero_mask(), bundle.sample())`` of ``bundle =
-        group_sums(group_idx, n_groups)``, byte for byte, without building
-        that bundle.  Repetition ``r`` is evaluated — hash, depth, and the
-        count, occupancy and id-sum scatters with their suffix sums over a
-        ``(G_r, L)`` tensor — only for the ``G_r`` groups that repetitions
-        below ``r`` left without a verified sample (and the rare groups
-        whose nonzero flag rule 4 still leaves open, whose samples are kept
-        as first found).  Fingerprints are computed only where a decision
+        ``bundle.sample()`` of ``bundle = group_sums(group_idx, n_groups)``,
+        byte for byte, without building that bundle; the bundle's
+        ``nonzero_mask()`` is :meth:`nonzero_groups`.  Repetition ``r`` is
+        evaluated — hash, depth, and the count, occupancy and id-sum
+        scatters with their suffix sums over a ``(G_r, L)`` tensor — only
+        for the ``G_r`` groups that repetitions below ``r`` left without a
+        verified sample.  Fingerprints are computed only where a decision
         reads them.  Every rule below rests on one fact: a group's cells
         depend only on its own incidences, so leaving other groups out
         changes none of them.
@@ -503,38 +505,32 @@ class SketchContext:
            single-occupancy candidate are checked: that one verifies, so
            nothing after it can come first.  Occupancy never falls in
            candidate order, so only groups with no single-occupancy
-           candidate in a repetition have any.
-        4. **Nonzero.**  ``nonzero_mask`` is True where any repetition's
-           level-0 fingerprint, which sums all of the group's incidences,
-           is nonzero.  With no incidence every fingerprint is 0: False.
-           With one it is ``+-r^slot``, never 0 for ``r`` in ``[2, p)``
-           and ``p`` prime: True.  Otherwise repetition 0's fingerprint is
-           read, and a later repetition's only where every earlier one
-           vanished.
+           candidate in a repetition have any.  A cell sums the incidences
+           of its own column and the columns before it, so an incidence
+           whose column lies past its row's last checked column reaches no
+           checked cell.  Only the incidences at or before that column get
+           a power, in one ``_powers`` batch with the candidates' expected
+           values.
         """
         gi = np.asarray(group_idx, dtype=np.int64)
         if gi.shape != self.slots.shape:
             raise ValueError("group_idx must have one entry per incidence")
         n2 = self.spec.n * self.spec.n
-        occupancy = np.bincount(gi, minlength=n_groups)
-        nonzero = occupancy == 1
-        undecided = occupancy > 1  # nonzero flag still open (rule 4)
-        pending = occupancy > 0  # no verified sample yet (rule 1)
+        pending = np.bincount(gi, minlength=n_groups) > 0  # no verified sample yet
         found = np.zeros(n_groups, dtype=bool)
         out_slot = np.full(n_groups, -1, dtype=np.int64)
         out_sign = np.zeros(n_groups, dtype=np.int64)
         g, slots, signs = gi, self.slots, self.signs
         for rep in range(self.spec.repetitions):
-            live = pending | undecided
-            if not live.any():
+            if not pending.any():
                 break
             if rep:
-                keep = live[g]
+                keep = pending[g]
                 g, slots, signs = g[keep], slots[keep], signs[keep]
                 depth = self._depths(rep, slots)
             else:  # every incidence is live in repetition 0
                 depth = self._every_incidence(self._depths, 0)
-            rows = np.flatnonzero(live)
+            rows = np.flatnonzero(pending)
             row_of = np.zeros(n_groups, dtype=np.int64)
             row_of[rows] = np.arange(rows.size)
             row = row_of[g]
@@ -559,34 +555,25 @@ class SketchContext:
             limit = np.full(rows.size, cr.size)
             limit[cr[first_single]] = first_single
             check = np.flatnonzero(~single & (np.arange(cr.size) < limit[cr]))
-            checked_row = np.zeros(rows.size, dtype=bool)
-            checked_row[cr[check]] = True
-            # One power batch serves rule 3's checks and rule 4's flags.
-            need = undecided.copy()
-            need[rows[checked_row]] = True
-            if need.any():
-                if rep:
-                    power = np.zeros(g.size, dtype=np.uint64)
-                    powered = need[g]
-                    power[powered] = self._powers(rep, slots[powered])
-                else:  # nearly every incidence of repetition 0 needs its power
-                    power = self._every_incidence(self._powers, 0)
-            if undecided.any():
-                fp0 = _modp_scatter_sum(power, signs, g, n_groups)
-                nonzero |= undecided & (fp0 != 0)
-                undecided &= fp0 == 0
             winners = [first_single]
             if check.size:
-                sub = checked_row[row]
-                k_row = np.cumsum(checked_row) - 1
+                # Checks come in candidate order, so a row's last one has its
+                # largest column; rows without a check reach nothing (-1).
+                last = np.ones(check.size, dtype=bool)
+                last[:-1] = cr[check[1:]] != cr[check[:-1]]
+                reach = np.full(rows.size, -1, dtype=np.int64)
+                reach[cr[check[last]]] = cc[check[last]]
+                sub = col <= reach[row]
+                k_row = np.cumsum(reach >= 0) - 1
                 k_shape = (int(k_row[-1]) + 1, l)
                 k_bins = k_row[row[sub]] * l + col[sub]
-                f = power[sub].view(np.int64)  # values < p < 2^63
+                power = self._powers(rep, np.concatenate([slots[sub], slot[check].view(np.uint64)]))
+                f = power[: k_bins.size].view(np.int64)  # values < p < 2^63
                 lo = _cells(k_bins, k_shape, (f & _LOW30) * signs[sub], _MAX_LO)
                 hi = _cells(k_bins, k_shape, (f >> np.int64(30)) * signs[sub], _MAX_HI_FP)
                 cells = (k_row[cr[check]], cc[check])
                 fp = _combine_halves(lo[cells], hi[cells])
-                expected = self._powers(rep, slot[check].astype(np.uint64))
+                expected = power[k_bins.size :]
                 neg = c[check] < 0
                 expected[neg] = (_P - expected[neg]) % _P
                 verified = check[fp == expected]
@@ -594,13 +581,47 @@ class SketchContext:
             # A checked candidate precedes its row's first single one, so a
             # verified one is written last and wins.
             for win in winners:
-                win = win[pending[rows[cr[win]]]]
                 groups = rows[cr[win]]
                 found[groups] = True
                 out_slot[groups] = slot[win]
                 out_sign[groups] = c[win]
             pending &= ~found
-        return nonzero, SampleResult(found, out_slot, out_sign)
+        return SampleResult(found, out_slot, out_sign)
+
+    def nonzero_groups(self, group_idx: np.ndarray, n_groups: int) -> np.ndarray:
+        """Per group, whether its sketched vector is (w.h.p.) nonzero.
+
+        Returns exactly ``group_sums(group_idx, n_groups).nonzero_mask()``,
+        byte for byte, without building that bundle: True where any
+        repetition's level-0 fingerprint, which sums all of the group's
+        incidences, is nonzero.  With no incidence every fingerprint is 0:
+        False.  With one it is ``+-r^slot``, never 0 for ``r`` in ``[2, p)``
+        and ``p`` prime: True.  Otherwise repetition 0's fingerprint is
+        computed, over every incidence at once (on one half of a mirrored
+        list), and a later repetition's only for the groups where every
+        earlier one vanished.  A group's fingerprint depends only on its
+        own incidences, so leaving the other groups out changes none.
+        """
+        gi = np.asarray(group_idx, dtype=np.int64)
+        if gi.shape != self.slots.shape:
+            raise ValueError("group_idx must have one entry per incidence")
+        occupancy = np.bincount(gi, minlength=n_groups)
+        nonzero = occupancy == 1
+        undecided = occupancy > 1
+        g, slots, signs = gi, self.slots, self.signs
+        for rep in range(self.spec.repetitions):
+            if not undecided.any():
+                break
+            if rep:
+                keep = undecided[g]
+                g, slots, signs = g[keep], slots[keep], signs[keep]
+                power = self._powers(rep, slots)
+            else:
+                power = self._every_incidence(self._powers, 0)
+            fp0 = _modp_scatter_sum(power, signs, g, n_groups)
+            nonzero |= undecided & (fp0 != 0)
+            undecided &= fp0 == 0
+        return nonzero
 
     def group_sums(
         self,

@@ -74,7 +74,6 @@ def ring_selection(n, k=4, seed=1):
     sel = OutgoingSelection(
         parts=parts,
         comp_proxy=np.zeros(c, dtype=np.int64),
-        sketch_nonzero=np.ones(c, dtype=bool),
         found=np.ones(c, dtype=bool),
         slot=np.zeros(c, dtype=np.int64),
         internal_vertex=parts.comp_labels.copy(),
@@ -127,7 +126,6 @@ class TestForestStructure:
         sel = OutgoingSelection(
             parts=parts,
             comp_proxy=np.zeros(c, dtype=np.int64),
-            sketch_nonzero=np.zeros(c, dtype=bool),
             found=np.zeros(c, dtype=bool),
             slot=np.full(c, -1, dtype=np.int64),
             internal_vertex=np.full(c, -1, dtype=np.int64),
@@ -241,7 +239,6 @@ def random_selection(cluster, labels, seed, found_frac):
     sel = OutgoingSelection(
         parts=parts,
         comp_proxy=np.zeros(c, dtype=np.int64),
-        sketch_nonzero=found.copy(),
         found=found,
         slot=np.full(c, -1, dtype=np.int64),
         internal_vertex=internal,

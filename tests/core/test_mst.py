@@ -121,6 +121,18 @@ class TestEliminationLoop:
         for s in res.phase_stats:
             assert s.mwoe_uncertified == 0  # fixpoint mode certifies everything
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_shifting_every_weight_changes_no_round(self, seed):
+        # The algorithm only compares weights, so it must not care where
+        # zero lies: a finished component whose MWOE is negative samples no
+        # more edges than one whose MWOE is positive.
+        g = gen.with_random_weights(gen.gnm_random(400, 1200, seed=seed), seed=seed, low=-5, high=5)
+        _, res = run(g, k=4, seed=seed)
+        _, shifted = run(g.with_weights(g.weights + 100.0), k=4, seed=seed)
+        assert (res.rounds, res.phases) == (shifted.rounds, shifted.phases)
+        assert np.array_equal(res.edges_u, shifted.edges_u)
+        assert np.array_equal(res.edges_v, shifted.edges_v)
+
 
 @given(
     n=st.integers(min_value=10, max_value=80),

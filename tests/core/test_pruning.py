@@ -45,7 +45,8 @@ FAMILIES = {
 def _part_level_oracle(cluster, spec, parts, live, bound):
     """The unpruned pipeline: all incidences by part, then aggregate, then sample.
 
-    It ignores the caller's ``live`` index and sketches every incidence.
+    It ignores the caller's ``live`` index and sketches every incidence; its
+    zero test is the component bundle's ``nonzero_mask``.
     """
     inc_part = parts.part_of_vertex[cluster.inc_owner]
     ctx = SketchContext(spec, cluster.inc_slot, cluster.inc_sign)
@@ -54,7 +55,7 @@ def _part_level_oracle(cluster, spec, parts, live, bound):
         mask = cluster.inc_weight < bound[parts.comp_of_part[inc_part]]
     part_bundle = ctx.group_sums(inc_part, parts.n_parts, mask=mask)
     comp_bundle = part_bundle.aggregate(parts.comp_of_part, parts.n_components)
-    return comp_bundle.nonzero_mask(), comp_bundle.sample()
+    return comp_bundle.sample(), comp_bundle.nonzero_mask
 
 
 @contextmanager
@@ -67,12 +68,12 @@ def _sketching(live: bool):
             yield
 
 
-def _selection_state(sel) -> tuple:
-    """Every output byte of a selection, as comparable objects."""
+def _selection_state(sel, nonzero) -> tuple:
+    """Every output byte of a selection and its zero test, as comparable objects."""
     return (
         sel.parts.comp_labels.tobytes(),
         sel.comp_proxy.tobytes(),
-        sel.sketch_nonzero.tobytes(),
+        nonzero().tobytes(),
         sel.found.tobytes(),
         sel.slot.tobytes(),
         sel.internal_vertex.tobytes(),
@@ -126,8 +127,8 @@ def test_selection_bytes_identical_across_phases(family, seed, phases):
             cl = KMachineCluster.create(g, k=4, seed=seed)
             shared = SharedRandomness(master_seed=seed, n=g.n, k=4)
             with _sketching(live):
-                sel = select_outgoing_edges(cl, shared, labels, phase=phase)
-            states.append(_selection_state(sel))
+                sel, nonzero = select_outgoing_edges(cl, shared, labels, phase=phase)
+            states.append(_selection_state(sel, nonzero))
             ledgers.append(_ledger_state(cl))
         assert states[0] == states[1], f"selection diverged at phase {phase}"
         assert ledgers[0] == ledgers[1], f"ledger charges diverged at phase {phase}"
@@ -151,10 +152,10 @@ def test_selection_identical_under_weight_bound(seed):
         cl = KMachineCluster.create(g, k=4, seed=seed)
         shared = SharedRandomness(master_seed=seed, n=g.n, k=4)
         with _sketching(live):
-            sel = select_outgoing_edges(
+            sel, nonzero = select_outgoing_edges(
                 cl, shared, labels, phase=2, weight_bound_per_comp=bound, want_weights=True
             )
-        states.append(_selection_state(sel))
+        states.append(_selection_state(sel, nonzero))
     assert states[0] == states[1]
 
 

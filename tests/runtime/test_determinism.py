@@ -111,23 +111,23 @@ def test_large_run_envelopes_are_pinned(name):
 
 
 #: (weighting, seed) -> SHA-256 of the MST envelope on G(2000, 6000) with
-#: k = 8, graph and run seeded alike.  Negative and tied weights are where
-#: an elimination call may raise a component's effective bound (an inactive
-#: component's bound becomes 0.0), so they pin which incidences each
-#: elimination call sketches.
+#: k = 8, graph and run seeded alike.  On negative and tied weights a
+#: finished component's MWOE can be negative; its effective bound is -inf,
+#: so it keeps no incidence whatever the sign.  These pin which incidences
+#: each elimination call sketches, and with them the label queries.
 ELIMINATION_RUNS = {
-    ("uniform", 1): "d1edd28dbbaeab2fc19705591466c5c3eeb74cb635dea4b73818636b8f50030b",
-    ("uniform", 2): "5401a97d0540aee5a5ad5ebbf53146881d68b1a95654de5822768229567d8324",
-    ("uniform", 3): "a85391a310b33a09f12d304ca4211de3891fbda96a0098c06f7fc22f90e3814f",
-    ("uniform", 4): "815cfda29f357d48b0610cb978a0b4ceb6de9b2181a5a09140ada1e4e3a20c00",
-    ("negative", 1): "cbb53508fc37381518d520413d9b6bf4624608830a1aacbba8802d607402ea4e",
-    ("negative", 2): "ceab89f04c87bff0b79a2c3a1f216b2784774b6d9609f27a7599030d9b67dcb8",
-    ("negative", 3): "5c2f98d362793d601d7c05f69048fc3ce7d3fa5289def9781d812d2e5a2d1639",
-    ("negative", 4): "742d761134aab0bc9c3e1965eea2a174b01d3905cd9592611a0eabd1e591519a",
-    ("tied", 1): "72f8f8a6463effa7110113c4b40d3f21081b0d4ee3d89a30195e05aca0ca8b95",
-    ("tied", 2): "b90fa8f38551af7fa383e1b0b59b901236a691c6e34244f41427e74a55e6292b",
-    ("tied", 3): "61a177e2a513ff04f54ea634482500936bfa8fbe0703af8971e06f37118de31f",
-    ("tied", 4): "17420198fe82e0e282313b96731cec93d91bd97e5a591be62b643d58e7e7e408",
+    ("uniform", 1): "2c52eef3363adcac446ce41d8aa5fcbba194078d9e066946068a0715fc615ddd",
+    ("uniform", 2): "8074e0a84c53be2c81bed95a7fab99c417bfdae436f0ec4d2b6bfd2e4351f908",
+    ("uniform", 3): "cd55788b600480ea4fd65c06a63a0cb07c3212ecb8814187bbb1163401a93745",
+    ("uniform", 4): "4db11b78d0c9b187f2aaaf5e5e9a722bc4237b77ef1a6f7c24c0a54491a4b28a",
+    ("negative", 1): "489941cee6445607fbcfc0a2ea0d80bfe215bdad3f7c5fdc453004297ac7599a",
+    ("negative", 2): "e272f2c397a332a247a830d12550f3a6a386e801ee785c79b6a097b654e1777e",
+    ("negative", 3): "cce406e4e2b22d9c7792a308486c77f03dc0646f55697685eb9230451bb4821b",
+    ("negative", 4): "92e18ba6c6233ccbc94de926ae498dcd8ed885a04abaeb234c08541daee80ac7",
+    ("tied", 1): "7e0c17b526f22c1a2f44e10945a315d7ef704a6cb48655835cf88c408119cc45",
+    ("tied", 2): "5864724dfd90216a0c4640255c07e591a66875108d899dcd8b92d84ee5b12066",
+    ("tied", 3): "72f76453acbc90bfe7dda81f49acae791b47c1ff978788f0be520d9d75e1c993",
+    ("tied", 4): "ea5581f01a4522515d681158f180ab36b133f6f854caad1a8f012cff0c24c8f5",
 }
 
 

@@ -5,7 +5,10 @@ Outgoing-edge selection sketches only live data:
 components that own a kept incidence
 (:func:`repro.core.outgoing._sample_components`), one repetition at a time
 and only for the components still without a verified sample, and reads
-fingerprints only at the cells a decision depends on; ``group_sums`` builds
+fingerprints only at the cells a decision depends on, powering only the
+incidences that reach a checked cell;
+:meth:`~repro.sketch.l0.SketchContext.nonzero_groups`, the zero test, runs
+apart and only when called; ``group_sums`` builds
 the level axis only down to the deepest selected incidence, and ``sample``
 verifies each group's first candidate before any other.  This suite pins
 all of it against an independent oracle: every group gets a row, every
@@ -14,9 +17,11 @@ incidence at a time with Python integers, and every candidate is verified
 with Python's ``pow``.  Hypothesis covers random incidence lists, untouched
 groups, masks, weight bounds, a single group, empty selections and
 incidences forced to the maximum depth; deterministic cases reach each
-exact branch of ``sample_groups`` (a multi-occupancy candidate that
-verifies, a level-0 fingerprint that vanishes on a nonzero vector, a group
-with no single-occupancy candidate in any repetition); the remaining tests
+exact branch of ``sample_groups`` and ``nonzero_groups`` (a multi-occupancy
+candidate that verifies, a level-0 fingerprint that vanishes on a nonzero
+vector, a group with no single-occupancy candidate in any repetition, a
+checked cell whose answer needs the incidences at its own column); the
+remaining tests
 pin the sample fallback order, linearity on trimmed bundles, and the level
 trim on a large input.
 """
@@ -210,10 +215,10 @@ def test_compact_trimmed_sample_matches_dense_oracle(data, inc):
 
     cluster, parts = _incidence_view(slots, signs, weights, group, n_groups)
     with mock.patch.object(outgoing, "SketchContext", context):
-        nonzero, sample = outgoing._sample_components(
+        sample, nonzero = outgoing._sample_components(
             cluster, spec, parts, np.flatnonzero(cross), bound
         )
-    assert nonzero.tobytes() == want_nonzero.tobytes()
+        assert nonzero().tobytes() == want_nonzero.tobytes()
     assert _sample_bytes(sample) == _sample_bytes(_sample_oracle(oracle))
 
 
@@ -262,10 +267,10 @@ def test_single_group_and_empty_selection():
     assert not empty.sample().found.any()
     # No live component at all: nothing is sketched, every row reads empty.
     cluster, parts = _incidence_view(slots, signs, np.zeros(3), np.array([0, 1, 1]), 2)
-    nonzero, sample = outgoing._sample_components(
+    sample, nonzero = outgoing._sample_components(
         cluster, spec, parts, np.empty(0, dtype=np.int64), None
     )
-    assert not nonzero.any() and not sample.found.any()
+    assert not nonzero().any() and not sample.found.any()
     assert sample.slots.tolist() == [-1, -1] and sample.signs.tolist() == [0, 0]
 
 
@@ -278,21 +283,22 @@ def test_live_zero_row_keeps_its_place():
     spec = SketchSpec.for_graph(n, seed=6, repetitions=3)
     group = np.array([0, 0, 2], dtype=np.int64)
     cluster, parts = _incidence_view(slots, signs, np.zeros(3), group, 3)
-    nonzero, sample = outgoing._sample_components(cluster, spec, parts, np.arange(3), None)
-    assert nonzero.tolist() == [False, False, True]
+    sample, nonzero = outgoing._sample_components(cluster, spec, parts, np.arange(3), None)
+    assert nonzero().tolist() == [False, False, True]
     oracle = _dense_oracle(SketchContext(spec, slots, signs), group, 3, np.ones(3, dtype=bool))
     assert _sample_bytes(sample) == _sample_bytes(_sample_oracle(oracle))
     assert sample.found.tolist() == [False, False, True]
 
 
 # --------------------------------------------------------------------------
-# The exact branches of sample_groups, each reached on purpose
+# The exact branches of sample_groups and nonzero_groups, each reached on purpose
 # --------------------------------------------------------------------------
 
 
 def _check_against_oracle(ctx: SketchContext, group: np.ndarray, n_groups: int):
-    """``sample_groups`` equals the oracle; return its outputs and the oracle bundle."""
-    nonzero, sample = ctx.sample_groups(group, n_groups)
+    """``nonzero_groups`` and ``sample_groups`` equal the oracle; return
+    their outputs and the oracle bundle."""
+    nonzero, sample = ctx.nonzero_groups(group, n_groups), ctx.sample_groups(group, n_groups)
     oracle = _dense_oracle(ctx, group, n_groups, np.ones(group.size, dtype=bool))
     assert nonzero.tolist() == np.any(oracle.fps[:, :, 0] != 0, axis=1).tolist()
     assert _sample_bytes(sample) == _sample_bytes(_sample_oracle(oracle))
@@ -364,6 +370,54 @@ def test_group_without_single_occupancy_in_any_repetition():
     assert (oracle.counts[0] == 1).all() and (oracle.sums[0] == s1 + s2 - s3).all()
     assert nonzero.tolist() == [True, True]
     assert not sample.found[0] and sample.found[1]
+
+
+def test_checked_cell_reads_the_incidences_at_its_own_column():
+    # With r = p - 1 in repetition 0, r^slot = +-1 by the slot's parity, so
+    # a multi-slot cell can verify and a later candidate can win after an
+    # earlier one fails.  Group 0, deepest first:
+    #   depth D:   +s1 +s2 -s3 (even, even, odd): count 1, slot 255 (odd),
+    #              fingerprint 1 + 1 + 1 = 3, expected -1: fails;
+    #   depth D-1: +t -u (odd, even): count 1, slot 328 (even),
+    #              fingerprint 3 - 1 - 1 = 1, expected +1: verifies;
+    #   depth D-2: +v +w: count 3, no candidate from here up.
+    # The winning cell is the row's last checked column and needs t and u,
+    # which sit exactly at that column; v and w lie past it and reach no
+    # checked cell.  Group 1 holds one incidence and is never checked.
+    n = 40
+    s1, s2, s3, t, u, v, w = 130, 212, 87, 253, 180, 281, 322
+    slots = np.array([s1, s2, s3, t, u, v, w, 363], dtype=np.uint64)
+    signs = np.array([1, 1, -1, 1, -1, 1, 1, 1], dtype=np.int64)
+    group = np.array([0, 0, 0, 0, 0, 0, 0, 1], dtype=np.int64)
+    spec = SketchSpec.for_graph(n, seed=41, repetitions=3)
+    deepest = spec.levels - 1
+    depth_of = {s1: deepest, s2: deepest, s3: deepest, t: deepest - 1, u: deepest - 1}
+    depth_of.update({v: deepest - 2, w: deepest - 2, 363: deepest - 3})
+
+    class Forced(SketchContext):
+        def _depths(self, rep, slots):
+            return np.array([depth_of[int(s)] for s in slots], dtype=np.int64)
+
+    real_base, real_powers = SketchSpec.fingerprint_base, SketchContext._powers
+    batches = []
+
+    def base(self, rep):
+        return P - 1 if rep == 0 else real_base(self, rep)
+
+    def powers(self, rep, slots):
+        batches.append((rep, slots.tolist()))
+        return real_powers(self, rep, slots)
+
+    with mock.patch.object(SketchSpec, "fingerprint_base", base):
+        ctx = Forced(spec, slots, signs)
+        with mock.patch.object(SketchContext, "_powers", powers):
+            ctx.sample_groups(group, 2)
+        _, sample, oracle = _check_against_oracle(ctx, group, 2)
+    assert (oracle.counts[0, 0, deepest], oracle.fps[0, 0, deepest]) == (1, 3)
+    assert (sample.found[0], sample.slots[0], sample.signs[0]) == (True, 328, 1)
+    # One batch: the five incidences that reach a checked cell, then the
+    # two candidates' expected values.
+    assert batches == [(0, [s1, s2, s3, t, u, 255, 328])]
 
 
 # --------------------------------------------------------------------------

@@ -106,7 +106,6 @@ def test_drr_forest_laws(rank_order_depths, n, seed, edge_frac):
     sel = OutgoingSelection(
         parts=parts,
         comp_proxy=np.zeros(c, dtype=np.int64),
-        sketch_nonzero=found.copy(),
         found=found.copy(),
         slot=np.zeros(c, dtype=np.int64),
         internal_vertex=parts.comp_labels.copy(),
