@@ -132,10 +132,8 @@ def boruvka_nosketch(
         weight = np.full(c, np.nan, dtype=np.float64)
         weight[mwoe_comp] = cluster.inc_weight_of(mwoe_inc)
         selection = OutgoingSelection(
-            parts=parts,
             comp_proxy=cluster.partition.home[parts.comp_labels],  # leader homes
             found=found,
-            slot=np.full(c, -1, dtype=np.int64),
             internal_vertex=internal,
             foreign_vertex=foreign,
             neighbor_label=nbr,

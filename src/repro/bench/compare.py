@@ -33,19 +33,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Thresholds:
-    """Gate configuration.
+    """Gate configuration.  Metrics are always gated exactly.
 
     Attributes
     ----------
-    metric_rel_tol:
-        Relative tolerance on numeric metrics; 0.0 (default) means
-        exact-match — the right gate for a deterministic simulator.
     wall_rel_tol:
         Allowed relative wall-time growth per cell (e.g. ``0.5`` = +50%);
         ``None`` (default) ignores wall time entirely.
     """
 
-    metric_rel_tol: float = 0.0
     wall_rel_tol: float | None = None
 
 
@@ -90,18 +86,10 @@ class Comparison:
         return "\n".join(lines)
 
 
-def _numbers_differ(base: float, cur: float, rel_tol: float) -> bool:
-    if base == cur:
-        return False
-    if rel_tol <= 0.0:
-        return True
-    scale = max(abs(float(base)), abs(float(cur)), 1e-300)
-    return abs(float(cur) - float(base)) / scale > rel_tol
-
-
 def _diff_metrics(
-    bench: str, key: str, base: dict, cur: dict, thresholds: Thresholds
+    bench: str, key: str, base: dict, cur: dict
 ) -> tuple[list[Difference], list[Difference]]:
+    """Lost metrics and changed values regress; new metrics only warn."""
     regressions: list[Difference] = []
     warnings: list[Difference] = []
     for metric in sorted(set(base) | set(cur)):
@@ -111,17 +99,8 @@ def _diff_metrics(
         if metric not in base:
             warnings.append(Difference(bench, key, metric, None, cur[metric], "new metric"))
             continue
-        b, c = base[metric], cur[metric]
-        # Tolerance applies only when BOTH sides are real numbers; a type
-        # drift (number -> string/None/bool) is always an exact mismatch.
-        numeric = all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) for v in (b, c)
-        )
-        if numeric:
-            if _numbers_differ(b, c, thresholds.metric_rel_tol):
-                regressions.append(Difference(bench, key, metric, b, c))
-        elif b != c:
-            regressions.append(Difference(bench, key, metric, b, c))
+        if base[metric] != cur[metric]:
+            regressions.append(Difference(bench, key, metric, base[metric], cur[metric]))
     return regressions, warnings
 
 
@@ -159,7 +138,7 @@ def compare_results(
         if cur_cell is None:
             continue
         cmp.cells_compared += 1
-        regs, warns = _diff_metrics(baseline.bench, key, base_cell.metrics, cur_cell.metrics, th)
+        regs, warns = _diff_metrics(baseline.bench, key, base_cell.metrics, cur_cell.metrics)
         cmp.regressions += regs
         cmp.warnings += warns
         if th.wall_rel_tol is not None and base_cell.wall_time_s > 0:

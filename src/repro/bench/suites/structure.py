@@ -148,10 +148,8 @@ def _ring_forest(n, seed):
     c = parts.n_components
     nxt = (parts.comp_labels + 1) % n
     sel = OutgoingSelection(
-        parts=parts,
         comp_proxy=np.zeros(c, dtype=np.int64),
         found=np.ones(c, dtype=bool),
-        slot=np.zeros(c, dtype=np.int64),
         internal_vertex=parts.comp_labels.copy(),
         foreign_vertex=nxt.copy(),
         neighbor_label=nxt.copy(),

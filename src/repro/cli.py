@@ -569,9 +569,7 @@ def _cmd_bench_run(args: argparse.Namespace) -> int:
 def _cmd_bench_compare(args: argparse.Namespace) -> int:
     from repro.bench import Thresholds, compare_paths
 
-    thresholds = Thresholds(
-        metric_rel_tol=args.rel_tol, wall_rel_tol=args.wall_tolerance
-    )
+    thresholds = Thresholds(wall_rel_tol=args.wall_tolerance)
     comparisons = compare_paths(args.baseline, args.current, thresholds)
     failed = 0
     for cmp in comparisons:
@@ -862,12 +860,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pb_cmp.add_argument("baseline", help="baseline BENCH_*.json file or directory")
     pb_cmp.add_argument("current", help="current BENCH_*.json file or directory")
-    pb_cmp.add_argument(
-        "--rel-tol",
-        type=float,
-        default=0.0,
-        help="relative tolerance on numeric metrics (default 0.0 = exact match)",
-    )
     pb_cmp.add_argument(
         "--wall-tolerance",
         type=float,

@@ -39,7 +39,7 @@ from repro.core.drr import build_drr_forest, charge_forest_build, merge_forest
 from repro.core.labels import PartIndex, canonical_labels, initial_labels
 from repro.core.outgoing import OutgoingSelection, cut_incidences, select_outgoing_edges
 from repro.core.proxy import proxy_of_labels
-from repro.runtime.config import SketchConfig, resolve_sketch
+from repro.runtime.config import SketchConfig
 from repro.util.bits import bits_for_id
 
 __all__ = [
@@ -138,8 +138,6 @@ def connected_components_distributed(
     cluster: KMachineCluster,
     seed: int = 0,
     *,
-    repetitions: int | None = None,
-    hash_family: str | None = None,
     sketch: SketchConfig | None = None,
     max_phases: int | None = None,
     charge_shared_randomness: bool = True,
@@ -156,19 +154,19 @@ def connected_components_distributed(
         The distributed input (graph + partition + topology + ledger).
     seed:
         Master seed of M1's shared randomness.
-    repetitions / hash_family / sketch:
-        Sketch parameters, either as explicit kwargs or one
-        :class:`~repro.runtime.config.SketchConfig` (explicit kwargs win);
-        ``'polynomial'`` gives the provable Theta(log n)-wise independent
-        construction, ``'prf'`` the fast path (ablation-verified, see
-        DESIGN.md).
+    sketch:
+        Sketch parameters; None means ``SketchConfig()``.  An invalid value
+        raises :class:`~repro.runtime.config.ConfigError` before any step
+        is charged.  ``hash_family='polynomial'`` gives the provable
+        Theta(log n)-wise independent construction, ``'prf'`` the fast path
+        (ablation-verified, see DESIGN.md).
     max_phases:
         Phase budget; defaults to the Lemma-7 bound ``ceil(12 log2 n)``.
     charge_shared_randomness:
         Charge the per-phase Section-2.2 dissemination (disable only in
         ablations isolating other cost terms).
     """
-    repetitions, hash_family = resolve_sketch(sketch, repetitions, hash_family)
+    sketch = (sketch if sketch is not None else SketchConfig()).validate()
     shared = SharedRandomness(master_seed=seed, n=cluster.n, k=cluster.k)
 
     def select(phase, labels, parts, cut):
@@ -176,14 +174,7 @@ def connected_components_distributed(
         # means no outgoing edge remains.  boruvka_phases reads that only when
         # nothing was sampled, so only then is the zero test computed.
         selection, nonzero = select_outgoing_edges(
-            cluster,
-            shared,
-            labels,
-            phase,
-            parts=parts,
-            live=cut,
-            repetitions=repetitions,
-            hash_family=hash_family,
+            cluster, shared, labels, phase, sketch=sketch, parts=parts, live=cut
         )
         _charge_termination_check(cluster, phase)
         return selection, bool(selection.found.any() or nonzero().any())

@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.mst import MSTResult, minimum_spanning_tree_distributed
-from repro.runtime.config import SketchConfig, resolve_sketch
+from repro.runtime.config import SketchConfig
 from repro.scenarios.updates import UpdateBatch, UpdatePlan, batch_seed
 
 __all__ = [
@@ -447,8 +447,6 @@ def dynamic_msf_updates(
     seed: int = 0,
     plan: UpdatePlan | None = None,
     *,
-    repetitions: int | None = None,
-    hash_family: str | None = None,
     sketch: SketchConfig | None = None,
     max_phases: int | None = None,
     charge_shared_randomness: bool = True,
@@ -462,16 +460,19 @@ def dynamic_msf_updates(
     ``update:batch:<i>`` bulk step priced by :func:`_batch_load`.  With a
     benign plan the run is byte-identical to ``"mst"`` plus the
     maintained-state bookkeeping — no update steps are charged.
+    ``sketch`` is defaulted and validated on entry as in
+    :func:`~repro.core.connectivity.connected_components_distributed`; the
+    initial build runs with it, and its repetition count prices each
+    replacement search.
     """
     plan = (plan if plan is not None else UpdatePlan()).validate()
-    repetitions, hash_family = resolve_sketch(sketch, repetitions, hash_family)
+    sketch = (sketch if sketch is not None else SketchConfig()).validate()
     ledger = cluster.ledger
     rounds_before = ledger.total_rounds
     initial = minimum_spanning_tree_distributed(
         cluster,
         seed,
-        repetitions=repetitions,
-        hash_family=hash_family,
+        sketch=sketch,
         max_phases=max_phases,
         charge_shared_randomness=charge_shared_randomness,
     )
@@ -487,7 +488,7 @@ def dynamic_msf_updates(
     batch_stats: list[dict] = []
     for i, spec in enumerate(plan.batches):
         records = generate_batch(state, spec, batch_seed(base, i))
-        load = _batch_load(k, home, records, plan, repetitions)
+        load = _batch_load(k, home, records, plan, sketch.repetitions)
         rounds = ledger.charge_load_matrix(
             f"update:batch:{i}", load, messages=sum(1 for r in records if r["applied"])
         )

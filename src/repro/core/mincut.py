@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.cluster.cluster import KMachineCluster
 from repro.core.connectivity import connected_components_distributed
-from repro.runtime.config import SketchConfig, resolve_sketch
+from repro.runtime.config import SketchConfig
 from repro.util.rng import SeedStream, derive_seed
 
 __all__ = ["MinCutResult", "MinCutLevel", "mincut_approx_distributed"]
@@ -69,8 +69,6 @@ def mincut_approx_distributed(
     cluster: KMachineCluster,
     seed: int = 0,
     *,
-    repetitions: int | None = None,
-    hash_family: str | None = None,
     sketch: SketchConfig | None = None,
     max_levels: int | None = None,
     max_phases: int | None = None,
@@ -80,8 +78,9 @@ def mincut_approx_distributed(
 
     This is the implementation behind the ``"mincut"`` registry entry (see
     :mod:`repro.runtime`); prefer ``Session.run("mincut", ...)`` for new
-    code.  Sketch parameters follow the same explicit-kwargs-over-``sketch``
-    precedence as the other core algorithms.
+    code.  ``sketch`` is defaulted and validated on entry as in
+    :func:`~repro.core.connectivity.connected_components_distributed`, and
+    every level's connectivity test runs with it.
 
     The input is treated as unweighted (edge connectivity); weighted
     min-cut reduces to this by standard edge multiplication, which the
@@ -89,7 +88,7 @@ def mincut_approx_distributed(
     ``charge_shared_randomness`` apply to each internal per-level
     connectivity test.
     """
-    repetitions, hash_family = resolve_sketch(sketch, repetitions, hash_family)
+    sketch = (sketch if sketch is not None else SketchConfig()).validate()
     n = cluster.n
     g = cluster.graph
     levels: list[MinCutLevel] = []
@@ -105,8 +104,7 @@ def mincut_approx_distributed(
         res = connected_components_distributed(
             sub,
             seed=derive_seed(seed, 0xC17, i),
-            repetitions=repetitions,
-            hash_family=hash_family,
+            sketch=sketch,
             max_phases=max_phases,
             charge_shared_randomness=charge_shared_randomness,
         )

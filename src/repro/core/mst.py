@@ -44,7 +44,7 @@ from repro.core.connectivity import boruvka_phases
 from repro.core.drr import build_drr_forest, charge_forest_build, merge_forest  # noqa: F401
 from repro.core.outgoing import OutgoingSelection, select_outgoing_edges
 from repro.core.proxy import proxies_to_parts
-from repro.runtime.config import SketchConfig, resolve_sketch
+from repro.runtime.config import SketchConfig
 from repro.util.bits import bits_for_id
 from repro.util.rng import derive_seed
 
@@ -110,8 +110,6 @@ def minimum_spanning_tree_distributed(
     cluster: KMachineCluster,
     seed: int = 0,
     *,
-    repetitions: int | None = None,
-    hash_family: str | None = None,
     sketch: SketchConfig | None = None,
     max_phases: int | None = None,
     strict_elimination_budget: int | None = None,
@@ -122,8 +120,8 @@ def minimum_spanning_tree_distributed(
 
     This is the implementation behind the ``"mst"`` registry entry (see
     :mod:`repro.runtime`); prefer ``Session.run("mst", ...)`` for new code.
-    Sketch parameters follow the same explicit-kwargs-over-``sketch``
-    precedence as :func:`~repro.core.connectivity.connected_components_distributed`.
+    ``sketch`` is defaulted and validated on entry as in
+    :func:`~repro.core.connectivity.connected_components_distributed`.
 
     Parameters
     ----------
@@ -144,7 +142,7 @@ def minimum_spanning_tree_distributed(
             "strict_elimination_budget must be a positive int or None, "
             f"got {strict_elimination_budget!r}"
         )
-    repetitions, hash_family = resolve_sketch(sketch, repetitions, hash_family)
+    sketch = (sketch if sketch is not None else SketchConfig()).validate()
     n, k = cluster.n, cluster.k
     shared = SharedRandomness(master_seed=seed, n=n, k=k)
     elim_cap = (
@@ -161,7 +159,6 @@ def minimum_spanning_tree_distributed(
     def select(phase, labels, parts, cut):
         c = parts.n_components
         bound = np.full(c, np.inf, dtype=np.float64)
-        best_slot = np.full(c, -1, dtype=np.int64)
         best_internal = np.full(c, -1, dtype=np.int64)
         best_foreign = np.full(c, -1, dtype=np.int64)
         best_label = np.full(c, -1, dtype=np.int64)
@@ -177,14 +174,12 @@ def minimum_spanning_tree_distributed(
                 phase,
                 iteration=t,
                 sketch_seed=derive_seed(shared.sketch_seed(phase), t),
+                sketch=sketch,
                 parts=parts,
                 live=cut,
-                repetitions=repetitions,
-                hash_family=hash_family,
                 # A finished component keeps no incidence, whatever the sign
                 # of its MWOE's weight.
                 weight_bound_per_comp=np.where(active, bound, -np.inf),
-                want_weights=True,
             )
             sketch_nonzero = nonzero()
             if t == 0:
@@ -201,7 +196,6 @@ def minimum_spanning_tree_distributed(
             upd = active & selection.found
             if upd.any():
                 idx = np.nonzero(upd)[0]
-                best_slot[idx] = selection.slot[idx]
                 best_internal[idx] = selection.internal_vertex[idx]
                 best_foreign[idx] = selection.foreign_vertex[idx]
                 best_label[idx] = selection.neighbor_label[idx]
@@ -225,10 +219,8 @@ def minimum_spanning_tree_distributed(
         # uncertified.
         elimination.append((t + 1, int(cert.sum()), int((have_cand & ~cert).sum())))
         mwoe = OutgoingSelection(
-            parts=parts,
             comp_proxy=selection.comp_proxy,
             found=have_cand,
-            slot=best_slot,
             internal_vertex=best_internal,
             foreign_vertex=best_foreign,
             neighbor_label=best_label,

@@ -15,7 +15,10 @@ One invocation implements the paper's per-phase selection step:
 For the MST algorithm the same routine runs with a per-component weight
 bound: incidences whose edge weight meets/exceeds the bound are zeroed out
 before sketching (Section 3.1's edge-elimination), and the reply to the
-label query additionally carries the sampled edge's weight.
+label query additionally carries the sampled edge's weight.  The sketch
+parameters arrive as the run's
+:class:`~repro.runtime.config.SketchConfig`; this step keeps no defaults
+of its own.
 
 Live-data sketching
 -------------------
@@ -58,6 +61,7 @@ from repro.cluster.comm import CommStep
 from repro.cluster.shared_random import SharedRandomness
 from repro.core.labels import PartIndex
 from repro.core.proxy import parts_to_proxies, proxy_of_labels
+from repro.runtime.config import SketchConfig
 from repro.sketch.edgespace import decode_slot
 from repro.sketch.l0 import SampleResult, SketchContext, SketchSpec
 from repro.util.bits import bits_for_id
@@ -67,31 +71,29 @@ __all__ = ["OutgoingSelection", "cut_incidences", "select_outgoing_edges"]
 
 @dataclass(frozen=True)
 class OutgoingSelection:
-    """Per-component outcome of one selection step (arrays indexed by component).
+    """Per-component outcome of one selection step: what the phase loop reads.
+
+    Arrays are indexed by component, aligned with the ``comp_labels`` of the
+    :class:`PartIndex` the step ran on.
 
     Attributes
     ----------
-    parts:
-        The :class:`PartIndex` the step ran on.
     comp_proxy:
         ``int64[C]``; the proxy machine of each component this iteration.
     found:
         ``bool[C]``; True where one-sparse recovery produced a verified edge.
-    slot:
-        ``int64[C]``; sampled canonical edge slot (-1 where not found).
     internal_vertex / foreign_vertex:
         ``int64[C]``; the sampled edge's endpoint inside / outside the
         component (-1 where not found).
     neighbor_label:
         ``int64[C]``; current label of the foreign endpoint's component.
     edge_weight:
-        ``float64[C]``; sampled edge weight (NaN unless requested & found).
+        ``float64[C]``; sampled edge weight (NaN unless the step had a
+        weight bound and found an edge).
     """
 
-    parts: PartIndex
     comp_proxy: np.ndarray
     found: np.ndarray
-    slot: np.ndarray
     internal_vertex: np.ndarray
     foreign_vertex: np.ndarray
     neighbor_label: np.ndarray
@@ -120,14 +122,12 @@ def select_outgoing_edges(
     labels: np.ndarray,
     phase: int,
     *,
+    sketch: SketchConfig,
+    parts: PartIndex,
+    live: np.ndarray,
     iteration: int = 0,
     sketch_seed: int | None = None,
-    parts: PartIndex | None = None,
-    live: np.ndarray | None = None,
-    repetitions: int = 6,
-    hash_family: str = "prf",
     weight_bound_per_comp: np.ndarray | None = None,
-    want_weights: bool = False,
 ) -> tuple[OutgoingSelection, Callable[[], np.ndarray]]:
     """Run one sketch-sample-resolve step; charges the cluster ledger.
 
@@ -140,26 +140,25 @@ def select_outgoing_edges(
     ----------
     cluster, shared, labels, phase:
         Run state.  ``labels`` is the current component label per vertex.
+    sketch:
+        The run's sketch parameters; with the seed they fix the step's
+        :class:`~repro.sketch.l0.SketchSpec`.
+    parts:
+        The :class:`PartIndex` of ``labels``.
+    live:
+        The :func:`cut_incidences` of ``labels``.
     iteration:
         Sub-iteration rho (fresh proxy hash per Lemma 5's requirement).
     sketch_seed:
         Seed of the sketch matrix; defaults to the phase matrix
         ``shared.sketch_seed(phase)``.  MST elimination passes a fresh
         seed per elimination round.
-    parts:
-        Pre-built :class:`PartIndex` (labels unchanged since built);
-        recomputed if omitted.
-    live:
-        The phase's :func:`cut_incidences` (labels unchanged since
-        computed); computed from ``labels`` if omitted.
-    repetitions / hash_family:
-        Sketch parameters (see :class:`~repro.sketch.l0.SketchSpec`).
     weight_bound_per_comp:
         ``float64[C]`` aligned with ``parts.comp_labels``: incidences with
-        ``weight >= bound`` are excluded from the sketch (MST elimination).
-        ``+inf`` (or None) keeps everything.
-    want_weights:
-        If True, label-query replies carry the edge weight (64 extra bits).
+        ``weight >= bound`` are excluded from the sketch (MST elimination),
+        and label-query replies carry the sampled edge's weight (64 extra
+        bits).  ``+inf`` keeps every incidence; None keeps every incidence
+        and leaves the weights out.
 
     Notes
     -----
@@ -197,10 +196,10 @@ def select_outgoing_edges(
     pipeline.  Pinned against it by ``tests/core/test_pruning.py``.
     """
     n, k = cluster.n, cluster.k
-    if parts is None:
-        parts = PartIndex.build(labels, cluster.partition)
     seed = shared.sketch_seed(phase) if sketch_seed is None else sketch_seed
-    spec = SketchSpec.for_graph(n, seed, repetitions=repetitions, hash_family=hash_family)
+    spec = SketchSpec.for_graph(
+        n, seed, repetitions=sketch.repetitions, hash_family=sketch.hash_family
+    )
     shared.charge_sketch_seed_distribution(cluster.ledger, phase)
 
     # 1. Local sketch construction per part (free local computation).
@@ -209,8 +208,6 @@ def select_outgoing_edges(
         bound = np.asarray(weight_bound_per_comp, dtype=np.float64)
         if bound.shape != (parts.n_components,):
             raise ValueError("weight_bound_per_comp must align with components")
-    if live is None:
-        live = cut_incidences(cluster, labels)
 
     # 2. Ship part sketches to component proxies (Lemma 1 pattern).
     stream = shared.proxy_stream(phase, iteration)
@@ -245,7 +242,7 @@ def select_outgoing_edges(
         # proxy -> home(foreign) query, then the reply re-runs the schedule.
         foreign_home = cluster.partition.home[foreign[idx]]
         query_bits = bits_for_id(n * n) + bits_for_id(n)
-        reply_bits = bits_for_id(n) + (64 if want_weights else 0)
+        reply_bits = bits_for_id(n) + (64 if bound is not None else 0)
         q = CommStep(cluster.ledger, f"label-query:phase-{phase}-it-{iteration}")
         q.add(comp_proxy[idx], foreign_home, query_bits)
         q.deliver()
@@ -253,17 +250,15 @@ def select_outgoing_edges(
         r.add(foreign_home, comp_proxy[idx], reply_bits)
         r.deliver()
         neighbor_label[idx] = labels[foreign[idx]]
-        if want_weights:
+        if bound is not None:
             eu, ev = np.minimum(internal[idx], foreign[idx]), np.maximum(
                 internal[idx], foreign[idx]
             )
             weight[idx] = _edge_weights(cluster, eu, ev)
 
     selection = OutgoingSelection(
-        parts=parts,
         comp_proxy=comp_proxy,
         found=found,
-        slot=sample.slots,
         internal_vertex=internal,
         foreign_vertex=foreign,
         neighbor_label=neighbor_label,

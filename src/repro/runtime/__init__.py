@@ -26,8 +26,10 @@ Quickstart::
     (1, 1234)
     >>> report2 = session.run("mincut", seed=11)           # per-run seed wins
 
-The legacy free functions (``connected_components_distributed`` & co.)
-remain supported; they are the implementation the registry adapters call.
+The free functions (``connected_components_distributed`` & co.) are the
+implementation the registry adapters call.  They take the same
+:class:`SketchConfig` as ``sketch=``; it is the only way sketch parameters
+reach them.
 """
 
 from repro.runtime.config import (

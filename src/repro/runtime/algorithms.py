@@ -41,8 +41,7 @@ __all__: list[str] = []
 def _sketch_kwargs(config: RunConfig) -> dict:
     """The kwargs vocabulary shared by the connectivity-based algorithms."""
     return {
-        "repetitions": config.sketch.repetitions,
-        "hash_family": config.sketch.hash_family,
+        "sketch": config.sketch,
         "max_phases": config.max_phases,
         "charge_shared_randomness": config.charge_shared_randomness,
     }
@@ -300,8 +299,7 @@ def _run_rep(cluster, config: RunConfig, seed: int) -> RunnerOutput:
         bandwidth_multiplier=config.cluster.bandwidth_multiplier,
         bandwidth_bits=config.cluster.bandwidth_bits,
         faults=config.faults,
-        repetitions=config.sketch.repetitions,
-        hash_family=config.sketch.hash_family,
+        sketch=config.sketch,
         max_phases=config.max_phases,
         charge_shared_randomness=config.charge_shared_randomness,
     )

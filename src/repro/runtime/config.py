@@ -52,7 +52,6 @@ __all__ = [
     "SketchConfig",
     "UpdatePlan",
     "resolve_seed",
-    "resolve_sketch",
 ]
 
 #: Lowest-precedence seed, used when neither the call nor the config sets one.
@@ -69,27 +68,6 @@ def resolve_seed(run_seed: int | None, config_seed: int | None) -> int:
     if config_seed is not None:
         return int(config_seed)
     return DEFAULT_SEED
-
-
-def resolve_sketch(
-    sketch: "SketchConfig | None",
-    repetitions: int | None,
-    hash_family: str | None,
-) -> tuple[int, str]:
-    """Resolve sketch parameters for the legacy free functions.
-
-    Explicit keyword arguments win over ``sketch``; ``sketch`` wins over the
-    package defaults.  This is the shim that lets the core algorithms accept
-    either calling style without duplicating defaults.
-    """
-    base = sketch if sketch is not None else SketchConfig()
-    reps = base.repetitions if repetitions is None else int(repetitions)
-    fam = base.hash_family if hash_family is None else hash_family
-    if reps < 1:
-        raise ConfigError(f"repetitions must be >= 1, got {reps}")
-    if fam not in HASH_FAMILIES:
-        raise ConfigError(f"hash_family must be one of {HASH_FAMILIES}, got {fam!r}")
-    return reps, fam
 
 
 @dataclass(frozen=True)

@@ -61,24 +61,13 @@ def test_improvement_also_fails_exact_gate():
     assert not compare_results(_baseline(), cur).ok
 
 
-def test_rel_tol_allows_small_numeric_drift():
-    cur = _baseline()
-    cur.cells[0].metrics["total_bits"] = 1040  # +4%
-    assert not compare_results(_baseline(), cur).ok
-    assert compare_results(_baseline(), cur, Thresholds(metric_rel_tol=0.05)).ok
-    # Booleans never get tolerance.
-    cur2 = _baseline()
-    cur2.cells[0].metrics["correct"] = False
-    assert not compare_results(_baseline(), cur2, Thresholds(metric_rel_tol=0.5)).ok
-
-
-def test_type_drift_is_a_regression_even_with_rel_tol():
-    # A metric that changes type (number -> string/None) must report as a
-    # regression, not crash float() inside the tolerance comparison.
+def test_type_drift_is_a_regression():
+    # A metric that changes type (number -> string/None) reports as a
+    # regression, like any other changed value.
     for drifted in ("11", None):
         cur = _baseline()
         cur.cells[0].metrics["rounds"] = drifted
-        cmp = compare_results(_baseline(), cur, Thresholds(metric_rel_tol=0.5))
+        cmp = compare_results(_baseline(), cur)
         assert not cmp.ok
         assert any(d.metric == "rounds" for d in cmp.regressions)
 

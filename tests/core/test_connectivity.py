@@ -16,6 +16,7 @@ from repro.core.connectivity import (
 )
 from repro.graphs import generators as gen
 from repro.graphs import reference as ref
+from repro.runtime import SketchConfig
 
 
 def run(g, k=8, seed=5, **kw):
@@ -63,7 +64,7 @@ class TestCorrectness:
 
     def test_polynomial_hash_family(self):
         g = gen.gnm_random(100, 300, seed=5)
-        _, res = run(g, hash_family="polynomial")
+        _, res = run(g, sketch=SketchConfig(hash_family="polynomial"))
         assert np.array_equal(res.canonical(), ref.connected_components(g))
 
 

@@ -9,6 +9,7 @@ from repro.cluster import KMachineCluster
 from repro.core import connected_components_distributed, verify
 from repro.graphs import generators as gen
 from repro.graphs import reference as ref
+from repro.runtime import SketchConfig
 
 
 class TestKwargsPassthrough:
@@ -17,7 +18,7 @@ class TestKwargsPassthrough:
         g = gen.gnm_random(60, 200, seed=1)
         cl = KMachineCluster.create(g, k=4, seed=1)
         res = verify.st_connectivity(
-            cl, 0, 1, seed=1, repetitions=4, hash_family="polynomial"
+            cl, 0, 1, seed=1, sketch=SketchConfig(repetitions=4, hash_family="polynomial")
         )
         assert res.answer == ref.st_connected(g, 0, 1)
 
@@ -26,7 +27,7 @@ class TestKwargsPassthrough:
 
         g = gen.planted_cut_graph(80, cut_size=2, inner_degree=8, seed=2)
         cl = KMachineCluster.create(g, k=4, seed=2)
-        res = mincut_approx_distributed(cl, seed=2, repetitions=4)
+        res = mincut_approx_distributed(cl, seed=2, sketch=SketchConfig(repetitions=4))
         assert res.estimate > 0
 
 
@@ -76,6 +77,8 @@ class TestHashFamilyAgreement:
         results = []
         for family in ("prf", "polynomial"):
             cl = KMachineCluster.create(g, k=4, seed=seed)
-            res = connected_components_distributed(cl, seed=seed, hash_family=family)
+            res = connected_components_distributed(
+                cl, seed=seed, sketch=SketchConfig(hash_family=family)
+            )
             results.append(res.canonical())
         assert np.array_equal(results[0], results[1])

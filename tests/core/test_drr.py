@@ -72,10 +72,8 @@ def ring_selection(n, k=4, seed=1):
     c = parts.n_components
     nxt = (parts.comp_labels + 1) % n
     sel = OutgoingSelection(
-        parts=parts,
         comp_proxy=np.zeros(c, dtype=np.int64),
         found=np.ones(c, dtype=bool),
-        slot=np.zeros(c, dtype=np.int64),
         internal_vertex=parts.comp_labels.copy(),
         foreign_vertex=nxt.copy(),
         neighbor_label=nxt.copy(),
@@ -124,10 +122,8 @@ class TestForestStructure:
         cl, labels, parts, _ = ring_selection(10)
         c = parts.n_components
         sel = OutgoingSelection(
-            parts=parts,
             comp_proxy=np.zeros(c, dtype=np.int64),
             found=np.zeros(c, dtype=bool),
-            slot=np.full(c, -1, dtype=np.int64),
             internal_vertex=np.full(c, -1, dtype=np.int64),
             foreign_vertex=np.full(c, -1, dtype=np.int64),
             neighbor_label=np.full(c, -1, dtype=np.int64),
@@ -237,10 +233,8 @@ def random_selection(cluster, labels, seed, found_frac):
     foreign[found] = cluster.inc_other[pick]
     neighbor[found] = labels[cluster.inc_other[pick]]
     sel = OutgoingSelection(
-        parts=parts,
         comp_proxy=np.zeros(c, dtype=np.int64),
         found=found,
-        slot=np.full(c, -1, dtype=np.int64),
         internal_vertex=internal,
         foreign_vertex=foreign,
         neighbor_label=neighbor,

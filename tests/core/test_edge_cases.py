@@ -17,6 +17,7 @@ from repro.core import (
 )
 from repro.graphs import generators as gen
 from repro.graphs import reference as ref
+from repro.runtime import SketchConfig
 
 
 class TestDegenerateGraphs:
@@ -85,7 +86,7 @@ class TestSketchFailureInjection:
         # components, so convergence just takes extra phases.
         g = gen.gnm_random(150, 500, seed=9)
         cl = KMachineCluster.create(g, k=4, seed=9)
-        res = connected_components_distributed(cl, seed=9, repetitions=1)
+        res = connected_components_distributed(cl, seed=9, sketch=SketchConfig(repetitions=1))
         assert res.converged
         assert np.array_equal(res.canonical(), ref.connected_components(g))
 
@@ -94,7 +95,9 @@ class TestSketchFailureInjection:
         phases = []
         for reps in (1, 6):
             cl = KMachineCluster.create(g, k=4, seed=10)
-            res = connected_components_distributed(cl, seed=10, repetitions=reps)
+            res = connected_components_distributed(
+                cl, seed=10, sketch=SketchConfig(repetitions=reps)
+            )
             phases.append(res.phases)
         assert phases[1] <= phases[0] + 2  # 6 reps should not be worse
 

@@ -12,9 +12,11 @@ from repro.cluster.shared_random import SharedRandomness
 from repro.core.connectivity import connected_components_distributed
 from repro.core.labels import PartIndex, initial_labels
 from repro.core.mst import minimum_spanning_tree_distributed
-from repro.core.outgoing import select_outgoing_edges
+from repro.core.outgoing import cut_incidences, select_outgoing_edges
 from repro.graphs import generators as gen
+from repro.runtime import SketchConfig
 from repro.sketch.l0 import SketchContext
+from repro.util.bits import bits_for_id
 
 
 def make_run(g, k=4, seed=3):
@@ -23,17 +25,33 @@ def make_run(g, k=4, seed=3):
     return cl, shared
 
 
+def select(cl, shared, labels, **kw):
+    """One phase-1 step on ``labels``; returns (parts, selection, zero test)."""
+    parts = PartIndex.build(labels, cl.partition)
+    sel, nonzero = select_outgoing_edges(
+        cl,
+        shared,
+        labels,
+        phase=1,
+        sketch=SketchConfig(),
+        parts=parts,
+        live=cut_incidences(cl, labels),
+        **kw,
+    )
+    return parts, sel, nonzero
+
+
 class TestSelection:
     def test_initial_phase_samples_incident_edges(self):
         g = gen.gnm_random(80, 240, seed=1)
         cl, shared = make_run(g)
         labels = initial_labels(g.n)
-        sel, _ = select_outgoing_edges(cl, shared, labels, phase=1)
+        parts, sel, _ = select(cl, shared, labels)
         # Singleton components: a found edge must be incident to the vertex.
         idx = np.nonzero(sel.found)[0]
         assert idx.size > 0
         for ci in idx:
-            comp_vertex = int(sel.parts.comp_labels[ci])
+            comp_vertex = int(parts.comp_labels[ci])
             u, v = int(sel.internal_vertex[ci]), int(sel.foreign_vertex[ci])
             assert comp_vertex == u
             assert g.has_edge(u, v)
@@ -43,11 +61,11 @@ class TestSelection:
         g = gen.gnm_random(60, 200, seed=2)
         cl, shared = make_run(g)
         labels = (np.arange(g.n) % 2).astype(np.int64)  # two components 0 / 1
-        sel, _ = select_outgoing_edges(cl, shared, labels, phase=1)
+        parts, sel, _ = select(cl, shared, labels)
         for ci in np.nonzero(sel.found)[0]:
             u = int(sel.internal_vertex[ci])
             v = int(sel.foreign_vertex[ci])
-            assert labels[u] == sel.parts.comp_labels[ci]
+            assert labels[u] == parts.comp_labels[ci]
             assert labels[v] != labels[u]
             assert g.has_edge(u, v)
             assert sel.neighbor_label[ci] == labels[v]
@@ -56,7 +74,7 @@ class TestSelection:
         g = gen.disjoint_union([gen.path_graph(5), gen.path_graph(5)])
         cl, shared = make_run(g)
         labels = np.concatenate([np.zeros(5, np.int64), np.full(5, 5, np.int64)])
-        sel, nonzero = select_outgoing_edges(cl, shared, labels, phase=1)
+        _, sel, nonzero = select(cl, shared, labels)
         assert not nonzero().any()
         assert not sel.found.any()
 
@@ -64,58 +82,59 @@ class TestSelection:
         g = gen.gnm_random(50, 150, seed=3)
         cl, shared = make_run(g)
         before = cl.ledger.total_rounds
-        select_outgoing_edges(cl, shared, initial_labels(g.n), phase=1)
+        select(cl, shared, initial_labels(g.n))
         assert cl.ledger.total_rounds > before
         prefixes = {s.label.split(":", 1)[0] for s in cl.ledger.steps}
         assert "sketch-to-proxy" in prefixes
         assert "label-query" in prefixes
         assert "label-reply" in prefixes
 
-    def test_want_weights(self):
+    def test_infinite_bound_adds_only_the_weights(self):
+        # A +inf bound keeps every incidence, so the step samples exactly
+        # what the unbounded one does; a bound also makes each label reply
+        # carry the sampled edge's 64-bit weight.
         g = gen.with_unique_weights(gen.gnm_random(40, 120, seed=4), seed=4)
-        cl, shared = make_run(g)
-        sel, _ = select_outgoing_edges(
-            cl, shared, initial_labels(g.n), phase=1, want_weights=True
-        )
-        for ci in np.nonzero(sel.found)[0]:
-            u, v = int(sel.internal_vertex[ci]), int(sel.foreign_vertex[ci])
-            eid = g.find_edge_id(u, v)
-            assert sel.edge_weight[ci] == pytest.approx(float(g.weights[eid]))
+        labels = initial_labels(g.n)
+        runs = []
+        for bound in (None, np.full(g.n, np.inf)):
+            cl, shared = make_run(g)
+            _, sel, _ = select(cl, shared, labels, weight_bound_per_comp=bound)
+            [reply] = [s for s in cl.ledger.steps if s.label.startswith("label-reply:")]
+            runs.append((sel, reply.total_bits))
+        (plain, plain_bits), (bounded, bounded_bits) = runs
+        for name in ("comp_proxy", "found", "internal_vertex", "foreign_vertex", "neighbor_label"):
+            assert np.array_equal(getattr(plain, name), getattr(bounded, name)), name
+        assert np.isnan(plain.edge_weight).all()
+        idx = np.nonzero(bounded.found)[0]
+        assert idx.size > 0 and np.isnan(bounded.edge_weight[~bounded.found]).all()
+        ends = zip(bounded.internal_vertex[idx], bounded.foreign_vertex[idx])
+        eids = [g.find_edge_id(int(u), int(v)) for u, v in ends]
+        assert np.array_equal(bounded.edge_weight[idx], g.weights[eids])
+        b = bits_for_id(g.n)
+        assert bounded_bits * b == plain_bits * (b + 64)
 
     def test_weight_bound_restricts_sampling(self):
         # Bound below the minimum weight -> empty restricted sketches.
         g = gen.with_unique_weights(gen.gnm_random(40, 120, seed=5), seed=5)
         cl, shared = make_run(g)
-        labels = initial_labels(g.n)
-        parts = PartIndex.build(labels, cl.partition)
-        bound = np.zeros(parts.n_components, dtype=np.float64)
-        sel, nonzero = select_outgoing_edges(
-            cl, shared, labels, phase=1, parts=parts, weight_bound_per_comp=bound
-        )
+        bound = np.zeros(g.n, dtype=np.float64)  # one singleton component per vertex
+        _, _, nonzero = select(cl, shared, initial_labels(g.n), weight_bound_per_comp=bound)
         assert not nonzero().any()
 
     def test_weight_bound_shape_checked(self):
         g = gen.gnm_random(30, 60, seed=6)
         cl, shared = make_run(g)
-        labels = initial_labels(g.n)
-        parts = PartIndex.build(labels, cl.partition)
         with pytest.raises(ValueError):
-            select_outgoing_edges(
-                cl,
-                shared,
-                labels,
-                phase=1,
-                parts=parts,
-                weight_bound_per_comp=np.ones(3),
-            )
+            select(cl, shared, initial_labels(g.n), weight_bound_per_comp=np.ones(3))
 
     def test_deterministic_given_seeds(self):
         g = gen.gnm_random(50, 150, seed=7)
         a_cl, a_sh = make_run(g, seed=9)
         b_cl, b_sh = make_run(g, seed=9)
-        sa, _ = select_outgoing_edges(a_cl, a_sh, initial_labels(g.n), phase=1)
-        sb, _ = select_outgoing_edges(b_cl, b_sh, initial_labels(g.n), phase=1)
-        assert np.array_equal(sa.slot, sb.slot)
+        _, sa, _ = select(a_cl, a_sh, initial_labels(g.n))
+        _, sb, _ = select(b_cl, b_sh, initial_labels(g.n))
+        assert np.array_equal(sa.internal_vertex, sb.internal_vertex)
+        assert np.array_equal(sa.foreign_vertex, sb.foreign_vertex)
         assert np.array_equal(sa.comp_proxy, sb.comp_proxy)
 
 
@@ -133,7 +152,7 @@ class TestZeroTestOnDemand:
         g = gen.gnm_random(300, 900, seed=1)
         cl = KMachineCluster.create(g, k=4, seed=1)
         with self._counting() as zero_test:
-            res = connected_components_distributed(cl, seed=1, repetitions=1)
+            res = connected_components_distributed(cl, seed=1, sketch=SketchConfig(repetitions=1))
         empty = sum(s.edges_sampled == 0 for s in res.phase_stats)
         assert res.converged and empty >= 2  # retries plus the final phase
         assert zero_test.call_count == empty

@@ -24,10 +24,10 @@ from hypothesis import strategies as st
 from repro import generators as gen
 from repro.cluster.cluster import KMachineCluster
 from repro.cluster.shared_random import SharedRandomness
-from repro.core.labels import initial_labels
+from repro.core.labels import PartIndex, initial_labels
 from repro.core import outgoing
-from repro.core.outgoing import select_outgoing_edges
-from repro.runtime import ClusterConfig, RunConfig, Session
+from repro.core.outgoing import cut_incidences, select_outgoing_edges
+from repro.runtime import ClusterConfig, RunConfig, Session, SketchConfig
 from repro.sketch.l0 import SketchContext
 
 #: name -> graph factory; spans dense random, high-diameter, and
@@ -68,14 +68,25 @@ def _sketching(live: bool):
             yield
 
 
+def _select(cluster, shared, labels, phase, **kw):
+    """One selection step on ``labels``; returns (parts, selection, zero test)."""
+    parts = PartIndex.build(labels, cluster.partition)
+    live = cut_incidences(cluster, labels)
+    sel, nonzero = select_outgoing_edges(
+        cluster, shared, labels, phase, sketch=SketchConfig(), parts=parts, live=live, **kw
+    )
+    return parts, sel, nonzero
+
+
 def _selection_state(sel, nonzero) -> tuple:
-    """Every output byte of a selection and its zero test, as comparable objects."""
+    """Every output byte of a selection and its zero test, as comparable objects.
+
+    The two endpoint arrays fix the sampled edge, and with it its slot.
+    """
     return (
-        sel.parts.comp_labels.tobytes(),
         sel.comp_proxy.tobytes(),
         nonzero().tobytes(),
         sel.found.tobytes(),
-        sel.slot.tobytes(),
         sel.internal_vertex.tobytes(),
         sel.foreign_vertex.tobytes(),
         sel.neighbor_label.tobytes(),
@@ -88,7 +99,7 @@ def _ledger_state(cluster) -> list:
     return [(s.label, s.rounds, s.total_bits) for s in cluster.ledger.steps]
 
 
-def _merge(labels: np.ndarray, sel) -> np.ndarray:
+def _merge(labels: np.ndarray, parts, sel) -> np.ndarray:
     """Deterministic label merge along found edges (pointer-jumped union).
 
     Not the production merge rule — any coherent merge works here; the
@@ -104,7 +115,7 @@ def _merge(labels: np.ndarray, sel) -> np.ndarray:
         return x
 
     for ci in np.nonzero(sel.found)[0]:
-        a = find(int(sel.parts.comp_labels[ci]))
+        a = find(int(parts.comp_labels[ci]))
         b = find(int(sel.neighbor_label[ci]))
         if a != b:
             parent[max(a, b)] = min(a, b)
@@ -127,12 +138,12 @@ def test_selection_bytes_identical_across_phases(family, seed, phases):
             cl = KMachineCluster.create(g, k=4, seed=seed)
             shared = SharedRandomness(master_seed=seed, n=g.n, k=4)
             with _sketching(live):
-                sel, nonzero = select_outgoing_edges(cl, shared, labels, phase=phase)
+                parts, sel, nonzero = _select(cl, shared, labels, phase)
             states.append(_selection_state(sel, nonzero))
             ledgers.append(_ledger_state(cl))
         assert states[0] == states[1], f"selection diverged at phase {phase}"
         assert ledgers[0] == ledgers[1], f"ledger charges diverged at phase {phase}"
-        labels = _merge(labels, sel)
+        labels = _merge(labels, parts, sel)
         if np.unique(labels).size == 1:
             break
 
@@ -152,9 +163,7 @@ def test_selection_identical_under_weight_bound(seed):
         cl = KMachineCluster.create(g, k=4, seed=seed)
         shared = SharedRandomness(master_seed=seed, n=g.n, k=4)
         with _sketching(live):
-            sel, nonzero = select_outgoing_edges(
-                cl, shared, labels, phase=2, weight_bound_per_comp=bound, want_weights=True
-            )
+            _, sel, nonzero = _select(cl, shared, labels, 2, weight_bound_per_comp=bound)
         states.append(_selection_state(sel, nonzero))
     assert states[0] == states[1]
 

@@ -20,7 +20,7 @@ from repro.runtime import (
     UpdatePlan,
     resolve_seed,
 )
-from repro.runtime.config import DEFAULT_SEED, SECTIONS, resolve_sketch
+from repro.runtime.config import DEFAULT_SEED, SECTIONS
 from repro.scenarios.churn import ChurnEvent
 from repro.scenarios.updates import UpdateBatch
 
@@ -38,26 +38,6 @@ class TestSeedPrecedence:
     def test_zero_is_a_valid_per_run_seed(self):
         # 0 must not fall through to the config seed.
         assert resolve_seed(0, 22) == 0
-
-
-class TestResolveSketch:
-    def test_defaults(self):
-        assert resolve_sketch(None, None, None) == (6, "prf")
-
-    def test_config_overrides_defaults(self):
-        cfg = SketchConfig(repetitions=3, hash_family="polynomial")
-        assert resolve_sketch(cfg, None, None) == (3, "polynomial")
-
-    def test_explicit_kwargs_override_config(self):
-        cfg = SketchConfig(repetitions=3, hash_family="polynomial")
-        assert resolve_sketch(cfg, 9, None) == (9, "polynomial")
-        assert resolve_sketch(cfg, None, "prf") == (3, "prf")
-
-    def test_invalid_values_rejected(self):
-        with pytest.raises(ConfigError):
-            resolve_sketch(None, 0, None)
-        with pytest.raises(ConfigError):
-            resolve_sketch(None, None, "md5")
 
 
 class TestValidation:

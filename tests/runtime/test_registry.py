@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from dataclasses import asdict
 
-import numpy as np
 import pytest
 
 from repro import KMachineCluster, connected_components_distributed, generators
@@ -154,7 +153,7 @@ class TestUniformInterface:
 
 
 class TestWrapperEquivalence:
-    """Legacy free functions and the Session path agree on a fixed seed."""
+    """The free functions and the Session path agree on a fixed seed."""
 
     def test_connectivity_equivalence(self, graph):
         cluster = KMachineCluster.create(graph, k=4, seed=7)
@@ -177,18 +176,6 @@ class TestWrapperEquivalence:
         assert report.result["n_edges"] == legacy.n_edges
         assert report.rounds == legacy.rounds
         assert report.result["edges_u"] == legacy.edges_u.tolist()
-
-    def test_sketch_config_accepted_by_legacy_functions(self, graph):
-        from repro.runtime import SketchConfig
-
-        cluster = KMachineCluster.create(graph, k=4, seed=7)
-        via_cfg = connected_components_distributed(
-            cluster, seed=7, sketch=SketchConfig(repetitions=4)
-        )
-        cluster2 = KMachineCluster.create(graph, k=4, seed=7)
-        via_kwargs = connected_components_distributed(cluster2, seed=7, repetitions=4)
-        assert np.array_equal(via_cfg.labels, via_kwargs.labels)
-        assert via_cfg.rounds == via_kwargs.rounds
 
 
 def test_registry_is_not_mutated_by_lookups():

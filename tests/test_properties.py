@@ -104,10 +104,8 @@ def test_drr_forest_laws(rank_order_depths, n, seed, edge_frac):
     nbr_ok = nbr != parts.comp_labels
     found &= nbr_ok
     sel = OutgoingSelection(
-        parts=parts,
         comp_proxy=np.zeros(c, dtype=np.int64),
         found=found.copy(),
-        slot=np.zeros(c, dtype=np.int64),
         internal_vertex=parts.comp_labels.copy(),
         foreign_vertex=nbr.astype(np.int64),
         neighbor_label=nbr.astype(np.int64),
