@@ -11,6 +11,11 @@ machines, and the tight complexity for connectivity/MST is Theta~(n/k)
    O(n) messages per machine over k-1 links: O~(n/k) rounds;
 3. run the RVP algorithm (O~(n/k^2), dominated by step 2).
 
+Both functions take the caller's :class:`KMachineCluster` for its graph,
+its k machines and links, and its ledger; the RVP of step 2 is a derived
+instance (:meth:`~repro.cluster.cluster.KMachineCluster.with_graph`), so
+every step charges the caller's ledger and any fault model attached to it.
+
 ``bench_rep_vs_rvp`` contrasts the measured Theta~(n/k) here with the
 Theta~(n/k^2) of the RVP-native algorithm — the paper's point that the
 partition model changes the achievable complexity.
@@ -24,8 +29,7 @@ import numpy as np
 
 from repro.cluster.cluster import KMachineCluster
 from repro.cluster.comm import CommStep
-from repro.cluster.partition import random_edge_partition
-from repro.cluster.topology import ClusterTopology
+from repro.cluster.partition import random_edge_partition, random_vertex_partition
 from repro.core.connectivity import connected_components_distributed
 from repro.core.mst import minimum_spanning_tree_distributed
 from repro.graphs.graph import Graph
@@ -38,20 +42,13 @@ __all__ = ["REPResult", "rep_connectivity", "rep_mst"]
 
 @dataclass(frozen=True)
 class REPResult:
-    """Output of a REP-model run.
-
-    ``ledger_totals`` is the envelope-form summary of the *internal*
-    cluster's ledger (the REP model scatters edges over its own machines,
-    so the caller has no cluster of its own to charge); see
-    :meth:`repro.cluster.ledger.RoundLedger.totals`.
-    """
+    """Output of a REP-model run; ``rounds`` is the cost it charged the caller's ledger."""
 
     n_components: int
     total_weight: float
     rounds: int
     reroute_rounds: int
     filtered_edges: int
-    ledger_totals: dict | None = None
 
 
 def _filter_local_edges(g: Graph, edge_machine: np.ndarray, k: int) -> np.ndarray:
@@ -85,93 +82,54 @@ def _charge_reroute(
     return step.deliver()
 
 
-def _rep_topology(k: int, bandwidth_bits: int | None) -> ClusterTopology | None:
-    """Pinned-bandwidth topology for n-sweeps at fixed B, else the default."""
-    return None if bandwidth_bits is None else ClusterTopology(k=k, bandwidth_bits=bandwidth_bits)
+def _filter_and_reroute(
+    cluster: KMachineCluster, seed: int, tag: int
+) -> tuple[KMachineCluster, int, int]:
+    """Steps 1 and 2 on ``cluster``'s edges and machines.
 
-
-def _attach_rep_faults(cluster: KMachineCluster, faults, seed: int) -> None:
-    """Attach a fault model to the internal REP cluster's ledger, if any.
-
-    The REP baseline owns its cluster, so the registry cannot weave the
-    run's :class:`~repro.scenarios.faults.FaultPlan` in from the outside;
-    this threads it through explicitly (same hostile network, same
-    determinism contract).
+    The edges are scattered by the hash ``(seed, tag)`` and the survivors
+    rerouted onto the RVP hashed by ``(seed, tag + 1)``; ``cluster``'s own
+    vertex partition is not used.  Returns the RVP instance, which charges
+    ``cluster``'s ledger, the reroute rounds and the kept-edge count.
     """
-    if faults is None:
-        return
-    from repro.scenarios.faults import FaultModel
-
-    cluster.ledger.attach_faults(FaultModel(faults, seed))
-
-
-def rep_connectivity(
-    graph: Graph,
-    k: int,
-    seed: int = 0,
-    bandwidth_multiplier: int = 64,
-    bandwidth_bits: int | None = None,
-    faults=None,
-    **kw: object,
-) -> REPResult:
-    """Connectivity under the REP model: filter -> reroute -> RVP algorithm."""
-    edge_machine = random_edge_partition(graph.m, k, derive_seed(seed, 0xE0))
-    keep = _filter_local_edges(graph, edge_machine, k)
-    filtered = graph.subgraph(keep)
-    cluster = KMachineCluster.create(
-        filtered,
-        k,
-        derive_seed(seed, 0xE1),
-        bandwidth_multiplier=bandwidth_multiplier,
-        topology=_rep_topology(k, bandwidth_bits),
+    g, k = cluster.graph, cluster.k
+    edge_machine = random_edge_partition(g.m, k, derive_seed(seed, tag))
+    keep = _filter_local_edges(g, edge_machine, k)
+    rvp = cluster.with_graph(
+        g.subgraph(keep), random_vertex_partition(g.n, k, derive_seed(seed, tag + 1))
     )
-    _attach_rep_faults(cluster, faults, seed)
-    reroute_rounds = _charge_reroute(cluster, graph, keep, edge_machine)
-    res = connected_components_distributed(cluster, seed=derive_seed(seed, 0xE2), **kw)  # type: ignore[arg-type]
+    return rvp, _charge_reroute(rvp, g, keep, edge_machine), int(keep.sum())
+
+
+def rep_connectivity(cluster: KMachineCluster, seed: int = 0, **kw: object) -> REPResult:
+    """Connectivity under the REP model: filter -> reroute -> RVP algorithm."""
+    before = cluster.ledger.total_rounds
+    rvp, reroute_rounds, kept = _filter_and_reroute(cluster, seed, 0xE0)
+    res = connected_components_distributed(rvp, seed=derive_seed(seed, 0xE2), **kw)  # type: ignore[arg-type]
     return REPResult(
         n_components=res.n_components,
         total_weight=float("nan"),
-        rounds=cluster.ledger.total_rounds,
+        rounds=cluster.ledger.total_rounds - before,
         reroute_rounds=reroute_rounds,
-        filtered_edges=int(keep.sum()),
-        ledger_totals=cluster.ledger.totals(),
+        filtered_edges=kept,
     )
 
 
-def rep_mst(
-    graph: Graph,
-    k: int,
-    seed: int = 0,
-    bandwidth_multiplier: int = 64,
-    bandwidth_bits: int | None = None,
-    faults=None,
-    **kw: object,
-) -> REPResult:
+def rep_mst(cluster: KMachineCluster, seed: int = 0, **kw: object) -> REPResult:
     """MST under the REP model: the footnote-5 filter-and-convert algorithm.
 
     Requires a weighted graph; the local cycle-property filter keeps all
     global MST edges, so the RVP MST of the filtered graph is the MST of G.
     """
-    if not graph.weighted:
+    if not cluster.graph.weighted:
         raise ValueError("rep_mst needs a weighted graph")
-    edge_machine = random_edge_partition(graph.m, k, derive_seed(seed, 0xE4))
-    keep = _filter_local_edges(graph, edge_machine, k)
-    filtered = graph.subgraph(keep)
-    cluster = KMachineCluster.create(
-        filtered,
-        k,
-        derive_seed(seed, 0xE5),
-        bandwidth_multiplier=bandwidth_multiplier,
-        topology=_rep_topology(k, bandwidth_bits),
-    )
-    _attach_rep_faults(cluster, faults, seed)
-    reroute_rounds = _charge_reroute(cluster, graph, keep, edge_machine)
-    res = minimum_spanning_tree_distributed(cluster, seed=derive_seed(seed, 0xE6), **kw)  # type: ignore[arg-type]
+    before = cluster.ledger.total_rounds
+    rvp, reroute_rounds, kept = _filter_and_reroute(cluster, seed, 0xE4)
+    res = minimum_spanning_tree_distributed(rvp, seed=derive_seed(seed, 0xE6), **kw)  # type: ignore[arg-type]
     return REPResult(
         n_components=int(np.unique(res.labels).size),
         total_weight=res.total_weight,
-        rounds=cluster.ledger.total_rounds,
+        rounds=cluster.ledger.total_rounds - before,
         reroute_rounds=reroute_rounds,
-        filtered_edges=int(keep.sum()),
-        ledger_totals=cluster.ledger.totals(),
+        filtered_edges=kept,
     )

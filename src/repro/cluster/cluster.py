@@ -34,8 +34,9 @@ class KMachineCluster:
     """A graph distributed over k machines, with accounting.
 
     Construct via :meth:`create`; algorithms charge communication to
-    :attr:`ledger` and may call :meth:`fork_ledger` to run subroutines on a
-    fresh ledger (e.g. repeated connectivity tests inside min-cut).
+    :attr:`ledger`.  Subroutines that run on a derived instance (a sampled
+    subgraph inside min-cut, say) get one from :meth:`with_graph`, which
+    charges the same ledger.
     """
 
     graph: Graph
@@ -75,28 +76,32 @@ class KMachineCluster:
             Optional pre-built partition (e.g. adversarial, for tests); must
             have matching n and k.
         topology:
-            Optional explicit topology (e.g. to run a derived instance —
-            the bipartiteness double cover — on the original bandwidth).
+            Optional explicit topology (e.g. a pinned absolute bandwidth).
         """
         if partition is None:
             partition = random_vertex_partition(graph.n, k, seed)
-        if partition.n != graph.n or partition.k != k:
-            raise ValueError("partition does not match graph/k")
         if topology is None:
             topology = ClusterTopology.for_problem(k, max(graph.n, 2), bandwidth_multiplier)
         if topology.k != k:
             raise ValueError("topology.k does not match k")
+        return KMachineCluster._distribute(graph, partition, topology, RoundLedger(topology))
+
+    @staticmethod
+    def _distribute(
+        graph: Graph, partition: VertexPartition, topology: ClusterTopology, ledger: RoundLedger
+    ) -> "KMachineCluster":
+        """Build the incidence arrays of ``graph`` homed by ``partition``."""
+        if partition.n != graph.n or partition.k != topology.k:
+            raise ValueError("partition does not match graph/k")
         owner = np.concatenate([graph.edges_u, graph.edges_v])
         other = np.concatenate([graph.edges_v, graph.edges_u])
         slots, signs = incident_slots_and_signs(graph.n, owner, other)
-        eids = np.concatenate(
-            [np.arange(graph.m, dtype=np.int64), np.arange(graph.m, dtype=np.int64)]
-        )
+        eids = np.tile(np.arange(graph.m, dtype=np.int64), 2)
         return KMachineCluster(
             graph=graph,
             partition=partition,
             topology=topology,
-            ledger=RoundLedger(topology),
+            ledger=ledger,
             inc_owner=owner,
             inc_other=other,
             inc_machine=partition.home[owner],
@@ -136,48 +141,26 @@ class KMachineCluster:
         """Number of incidences (2m)."""
         return int(self.inc_owner.size)
 
-    def fork_ledger(self) -> RoundLedger:
-        """A fresh ledger on the same topology (for sub-experiments)."""
-        return RoundLedger(self.topology)
-
     def reset_ledger(self) -> None:
         """Replace the ledger with a fresh one (reuse the cluster across runs)."""
         self.ledger = RoundLedger(self.topology)
 
-    def with_graph(self, graph: Graph) -> "KMachineCluster":
-        """Same machines/partition/topology over a different graph on the same vertices.
+    def with_graph(
+        self, graph: Graph, partition: VertexPartition | None = None
+    ) -> "KMachineCluster":
+        """The same machines, links and ledger, holding a derived graph.
 
-        Used by verification problems that operate on subgraphs of G: the
-        vertex partition (and hence machine layout) is unchanged, and so is
-        the link bandwidth.  The new cluster gets a fresh ledger — which
-        inherits this cluster's fault and epoch models, so derived
-        instances run on the same hostile, churning platform as their
-        parent (DESIGN.md §7-§8).
+        Min-cut's sampled subgraphs, the verification problems' masked
+        graphs and double cover, and REP's rerouted edges all run on the
+        input's k machines, so their traffic is the run's own: the derived
+        instance charges this cluster's ledger, and with it the fault and
+        epoch models the registry attached for the run (DESIGN.md §7-§8).
+        ``partition`` homes a graph on another vertex set or hash (the
+        2n-vertex double cover, REP's RVP); by default the graph keeps
+        this cluster's vertices and partition.
         """
-        if graph.n != self.n:
-            raise ValueError("vertex set must be unchanged")
-        owner = np.concatenate([graph.edges_u, graph.edges_v])
-        other = np.concatenate([graph.edges_v, graph.edges_u])
-        slots, signs = incident_slots_and_signs(graph.n, owner, other)
-        eids = np.concatenate(
-            [np.arange(graph.m, dtype=np.int64), np.arange(graph.m, dtype=np.int64)]
-        )
-        ledger = RoundLedger(self.topology)
-        if self.ledger.fault_model is not None:
-            ledger.attach_faults(self.ledger.fault_model)
-        if self.ledger.epoch_model is not None:
-            ledger.attach_epochs(self.ledger.epoch_model)
-        return KMachineCluster(
-            graph=graph,
-            partition=self.partition,
-            topology=self.topology,
-            ledger=ledger,
-            inc_owner=owner,
-            inc_other=other,
-            inc_machine=self.partition.home[owner],
-            inc_slot=slots,
-            inc_sign=signs,
-            inc_edge=eids,
+        return KMachineCluster._distribute(
+            graph, self.partition if partition is None else partition, self.topology, self.ledger
         )
 
     def machine_load_summary(self) -> dict[str, float]:

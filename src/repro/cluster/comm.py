@@ -66,11 +66,6 @@ class CommStep:
             raise ValueError("src_dst_pairs must have shape (M, 2)")
         self.add(pairs[:, 0], pairs[:, 1], bits_each)
 
-    @property
-    def load_matrix(self) -> np.ndarray:
-        """The current k x k bit-load matrix (copy)."""
-        return self._load.copy()
-
     def deliver(self) -> int:
         """Charge the ledger and return the number of rounds consumed."""
         if self._delivered:

@@ -90,8 +90,9 @@ class RoundLedger:
         (where a record has an ``extra_rounds`` int attribute), and
         ``totals() -> dict`` — see
         :class:`repro.scenarios.faults.FaultModel` (kept duck-typed so the
-        cluster layer never imports the scenarios package).  One model may
-        be attached to several ledgers; it keys its own step schedule.
+        cluster layer never imports the scenarios package).  Derived
+        instances (``KMachineCluster.with_graph``) charge this same ledger,
+        so every bulk step of the run draws from the one model.
         """
         self.fault_model = model
 
@@ -110,8 +111,9 @@ class RoundLedger:
         int attribute and ``totals() -> dict`` — see
         :class:`repro.scenarios.churn.EpochModel` (duck-typed, like the
         fault model, so the cluster layer never imports the scenarios
-        package).  One model may span several ledgers of a run; it keys
-        its schedule by its own monotone bulk-step counter.
+        package).  As with the fault model, derived instances charge this
+        same ledger, so every bulk step of the run, theirs included, is
+        remapped and attributed to an epoch.
         """
         self.epoch_model = model
 
@@ -258,9 +260,8 @@ class RoundLedger:
         }
         # The fault section appears only on faulted runs, keeping clean-run
         # envelopes (and every committed BENCH_*.json baseline) unchanged.
-        # It summarizes the *model's* events — one model spans every ledger
-        # of a run (derived sub-clusters inherit it), and the registry
-        # attaches a fresh model per run.
+        # It summarizes the *model's* events; the registry attaches a fresh
+        # model per run.
         if self.fault_model is not None:
             totals["faults"] = dict(self.fault_model.totals())  # type: ignore[attr-defined]
         # Same contract for the epochs section: only churned runs carry it.
@@ -298,12 +299,3 @@ class RoundLedger:
         a_to_b = int(self.load_total[mask][:, ~mask].sum())
         b_to_a = int(self.load_total[~mask][:, mask].sum())
         return a_to_b + b_to_a
-
-    def merge_from(self, other: "RoundLedger") -> None:
-        """Append all records of ``other`` (same topology) to this ledger."""
-        if other.topology != self.topology:
-            raise ValueError("cannot merge ledgers with different topologies")
-        self.steps.extend(other.steps)
-        self.sent_bits += other.sent_bits
-        self.received_bits += other.received_bits
-        self.load_total += other.load_total

@@ -100,22 +100,21 @@ def mincut_approx_distributed(
     for i in range(budget):
         p = 2.0**-i
         mask = u01 < p
-        sub = cluster.with_graph(g.subgraph(mask))
+        before = cluster.ledger.total_rounds
         res = connected_components_distributed(
-            sub,
+            cluster.with_graph(g.subgraph(mask)),
             seed=derive_seed(seed, 0xC17, i),
             sketch=sketch,
             max_phases=max_phases,
             charge_shared_randomness=charge_shared_randomness,
         )
-        cluster.ledger.merge_from(sub.ledger)
         levels.append(
             MinCutLevel(
                 level=i,
                 sample_probability=p,
                 edges_kept=int(mask.sum()),
                 n_components=res.n_components,
-                rounds=res.rounds,
+                rounds=cluster.ledger.total_rounds - before,
             )
         )
         if res.n_components > 1:

@@ -251,10 +251,7 @@ def select_outgoing_edges(
         r.deliver()
         neighbor_label[idx] = labels[foreign[idx]]
         if bound is not None:
-            eu, ev = np.minimum(internal[idx], foreign[idx]), np.maximum(
-                internal[idx], foreign[idx]
-            )
-            weight[idx] = _edge_weights(cluster, eu, ev)
+            weight[idx] = _edge_weights(cluster, sample.slots[idx])
 
     selection = OutgoingSelection(
         comp_proxy=comp_proxy,
@@ -296,18 +293,18 @@ def _sample_components(
     return ctx.sample_groups(inc_comp, c), partial(ctx.nonzero_groups, inc_comp, c)
 
 
-def _edge_weights(cluster: KMachineCluster, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-    """Weights of edges given by canonical endpoint arrays (vectorized lookup).
+def _edge_weights(cluster: KMachineCluster, slots: np.ndarray) -> np.ndarray:
+    """Weights of the edges at canonical ``slots`` (vectorized lookup).
 
-    The home machine of either endpoint knows the weight locally; this is
-    the content of the label-query reply, so no extra communication is
-    charged here.
+    ``cluster.inc_slot[:m]`` holds every edge's slot in ascending order
+    (``inc_edge[:m]`` is ``arange(m)``), so a slot's search position is
+    its edge id.  The home machine of either endpoint knows the weight
+    locally; this is the content of the label-query reply, so no extra
+    communication is charged here.
     """
-    g = cluster.graph
-    key = g.edges_u * np.int64(g.n) + g.edges_v
-    q = us * np.int64(g.n) + vs
-    pos = np.searchsorted(key, q)
-    pos = np.clip(pos, 0, key.size - 1)
+    key = cluster.inc_slot[: cluster.m]
+    q = slots.astype(key.dtype)
+    pos = np.clip(np.searchsorted(key, q), 0, key.size - 1)
     if not np.all(key[pos] == q):
         raise KeyError("sampled slot does not correspond to a graph edge")
-    return g.weights[pos]
+    return cluster.graph.weights[pos]

@@ -62,9 +62,7 @@ class VerificationResult:
 def _run_connectivity(cluster: KMachineCluster, graph: Graph, seed: int, tag: int, **kw: object):
     """Connectivity on a derived graph, charged to ``cluster``'s ledger."""
     sub = cluster.with_graph(graph)
-    res = connected_components_distributed(sub, seed=derive_seed(seed, tag), **kw)  # type: ignore[arg-type]
-    cluster.ledger.merge_from(sub.ledger)
-    return res
+    return connected_components_distributed(sub, seed=derive_seed(seed, tag), **kw)  # type: ignore[arg-type]
 
 
 def _charge_pair_check(cluster: KMachineCluster, s: int, t: int) -> int:
@@ -234,7 +232,8 @@ def bipartiteness(cluster: KMachineCluster, seed: int = 0, **kw: object) -> Veri
     The double cover D(G) has vertices {v, v'} and edges (u, v'), (v, u')
     per edge {u, v} of G; G is bipartite iff cc(D(G)) = 2 * cc(G).  Both
     copies of a vertex live on its home machine, so D(G) is constructed
-    with zero communication.
+    with zero communication, and its connectivity run charges the input
+    cluster's ledger like every other derived instance.
     """
     before = cluster.ledger.total_rounds
     g = cluster.graph
@@ -242,16 +241,12 @@ def bipartiteness(cluster: KMachineCluster, seed: int = 0, **kw: object) -> Veri
     d_u = np.concatenate([g.edges_u, g.edges_v])
     d_v = np.concatenate([g.edges_v + n, g.edges_u + n])
     double = Graph.from_edges(2 * n, d_u, d_v)
-    home2 = np.concatenate([cluster.partition.home, cluster.partition.home])
-    part2 = VertexPartition(k=cluster.k, home=home2, seed=cluster.partition.seed)
-    dcluster = KMachineCluster.create(
-        double, cluster.k, cluster.partition.seed, partition=part2, topology=cluster.topology
+    home = cluster.partition.home
+    both = VertexPartition(
+        k=cluster.k, home=np.concatenate([home, home]), seed=cluster.partition.seed
     )
-    if cluster.ledger.fault_model is not None:
-        # The double cover runs on the same hostile network as the input.
-        dcluster.ledger.attach_faults(cluster.ledger.fault_model)
+    dcluster = cluster.with_graph(double, both)
     res_d = connected_components_distributed(dcluster, seed=derive_seed(seed, 0xB1B), **kw)  # type: ignore[arg-type]
-    cluster.ledger.merge_from(dcluster.ledger)
     res_g = _run_connectivity(cluster, g, seed, 0xB1C, **kw)
     _charge_count_aggregation(cluster, 2 * n)
     answer = res_d.n_components == 2 * res_g.n_components

@@ -277,32 +277,21 @@ def _run_referee(cluster, config: RunConfig, seed: int) -> RunnerOutput:
     "(params: mst=true for the footnote-5 MST variant)",
     kind="baseline",
     requires_weights=lambda params: bool(params.get("mst")),
-    graph_only=True,
     # Churn re-homes vertices; the REP model has no vertex partition.
     sections=("faults",),
 )
 def _run_rep(cluster, config: RunConfig, seed: int) -> RunnerOutput:
-    fn = rep_mst if config.params.get("mst") else rep_connectivity
+    # REP scatters *edges* over the cluster's machines and ignores its
+    # vertex partition, so a pinned partition seed or a placement scheme
+    # cannot apply; recording either would corrupt provenance.
     if config.cluster.partition_seed is not None:
-        # REP scatters *edges*, not vertices; a pinned vertex-partition seed
-        # cannot apply, and silently recording it would corrupt provenance.
         raise ConfigError("rep uses a random edge partition; partition_seed is not applicable")
     if config.cluster.partition.scheme != "uniform":
-        # REP scatters edges; a vertex-placement scheme cannot apply.
         raise ConfigError(
             "rep uses a random edge partition; partition schemes are not applicable"
         )
-    res = fn(
-        cluster.graph,
-        cluster.k,
-        seed,
-        bandwidth_multiplier=config.cluster.bandwidth_multiplier,
-        bandwidth_bits=config.cluster.bandwidth_bits,
-        faults=config.faults,
-        sketch=config.sketch,
-        max_phases=config.max_phases,
-        charge_shared_randomness=config.charge_shared_randomness,
-    )
+    fn = rep_mst if config.params.get("mst") else rep_connectivity
+    res = fn(cluster, seed, **_sketch_kwargs(config))
     weight = None if math.isnan(res.total_weight) else float(res.total_weight)
     return RunnerOutput(
         result={
@@ -310,8 +299,5 @@ def _run_rep(cluster, config: RunConfig, seed: int) -> RunnerOutput:
             "total_weight": weight,
             "reroute_rounds": res.reroute_rounds,
             "filtered_edges": res.filtered_edges,
-        },
-        # The REP model scatters edges over its own internal cluster; its
-        # ledger is reported via the result dataclass, not the input cluster.
-        ledger=res.ledger_totals,
+        }
     )

@@ -29,13 +29,12 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 from repro.runtime.config import SECTIONS, ConfigError, RunConfig, resolve_seed
-from repro.runtime.report import RunReport, jsonify, ledger_totals
+from repro.runtime.report import RunReport, jsonify
 from repro.scenarios.churn import EpochModel
 from repro.scenarios.faults import FaultModel
 
 __all__ = [
     "AlgorithmSpec",
-    "GraphContext",
     "RunnerOutput",
     "get_algorithm",
     "list_algorithms",
@@ -49,31 +48,6 @@ _REGISTRY: dict[str, "AlgorithmSpec"] = {}
 DEFAULT_SECTIONS = ("faults", "churn")
 
 
-@dataclass(frozen=True)
-class GraphContext:
-    """Lightweight run target for ``graph_only`` algorithms.
-
-    Algorithms like the REP baseline scatter the input over their *own*
-    internal machines, so building (and caching) a vertex-partitioned
-    cluster for them would be pure waste; they only need the graph and k.
-    Duck-compatible with the slice of :class:`KMachineCluster` the registry
-    envelope reads (``graph`` / ``n`` / ``m`` / ``k``).
-    """
-
-    graph: object
-    k: int
-
-    @property
-    def n(self) -> int:
-        """Vertex count of the wrapped graph."""
-        return self.graph.n  # type: ignore[attr-defined]
-
-    @property
-    def m(self) -> int:
-        """Edge count of the wrapped graph."""
-        return self.graph.m  # type: ignore[attr-defined]
-
-
 @dataclass
 class RunnerOutput:
     """What an adapter returns to the registry.
@@ -85,15 +59,14 @@ class RunnerOutput:
         :func:`~repro.runtime.report.jsonify`.
     phase_stats:
         Per-phase diagnostics as plain dicts (may be empty).
-    ledger:
-        Optional override of the envelope's ledger section, for adapters
-        (e.g. the REP baseline) whose algorithm builds its own internal
-        cluster rather than charging the caller's ledger.
+
+    The envelope's ledger section is not the adapter's to give: the
+    registry reads it off the run's cluster, whose ledger every step of
+    the run charges, derived instances' steps included.
     """
 
     result: dict
     phase_stats: list = field(default_factory=list)
-    ledger: dict | None = None
 
 
 @dataclass(frozen=True)
@@ -117,7 +90,6 @@ class AlgorithmSpec:
     kind: str  # 'paper' | 'baseline'
     weights_rule: Callable[[Mapping], bool]
     runner: Callable[..., RunnerOutput]
-    graph_only: bool = False
     sections: tuple[str, ...] = DEFAULT_SECTIONS
 
     def needs_weights(self, params: Mapping | None = None) -> bool:
@@ -135,9 +107,11 @@ class AlgorithmSpec:
 
         ``seed`` (per-run) takes precedence over ``config.seed`` which takes
         precedence over the package default — the documented contract.
+        The run charges ``cluster``'s ledger and nothing else: derived
+        instances (``KMachineCluster.with_graph``) share it, so the fault
+        and epoch models attached here price every step of the run.
         Ledger totals cover only the steps this run charged, so running on
-        a cluster with prior history reports the run's own cost.  A
-        ``graph_only`` algorithm also accepts a :class:`GraphContext`.
+        a cluster with prior history reports the run's own cost.
         """
         cfg = (config if config is not None else RunConfig()).validate()
         resolved = resolve_seed(seed, cfg.seed)
@@ -154,46 +128,33 @@ class AlgorithmSpec:
                 f"algorithm {self.name!r} requires a weighted graph; "
                 "apply generators.with_unique_weights() or supply weights"
             )
-        own_ledger = getattr(cluster, "ledger", None)
-        steps_before = len(own_ledger.steps) if own_ledger is not None else 0
-        received_before = own_ledger.received_bits.copy() if own_ledger is not None else None
+        ledger = cluster.ledger
+        steps_before = len(ledger.steps)
+        received_before = ledger.received_bits.copy()
         # Every bulk step this run charges pays for the realized faults, and
         # epochs fire per the churn plan with migrations charged as real
         # bulk steps (through the fault model too), hashed from the
         # cluster's actual partition seed so the envelope replays them.
-        # Graph-only adapters thread cfg.faults themselves.  The epoch
-        # model is built first: it checks the schedule against k and
-        # touches no ledger.
+        # The epoch model is built first: it checks the schedule against k
+        # and touches no ledger.
         faults = epochs = None
-        if own_ledger is not None:
-            if cfg.churn is not None:
-                epochs = EpochModel(
-                    cfg.churn, cluster.graph, cluster.partition, cfg.cluster.partition
-                )
-            if cfg.faults is not None:
-                faults = FaultModel(cfg.faults, resolved)
-                own_ledger.attach_faults(faults)
-            if epochs is not None:
-                own_ledger.attach_epochs(epochs)
+        if cfg.churn is not None:
+            epochs = EpochModel(cfg.churn, cluster.graph, cluster.partition, cfg.cluster.partition)
+        if cfg.faults is not None:
+            faults = FaultModel(cfg.faults, resolved)
+            ledger.attach_faults(faults)
+        if epochs is not None:
+            ledger.attach_epochs(epochs)
         try:
             t0 = time.perf_counter()
             out = self.runner(cluster, cfg, resolved)
             wall = time.perf_counter() - t0
-            if out.ledger is not None:
-                ledger = out.ledger
-            elif own_ledger is not None:
-                ledger = ledger_totals(
-                    own_ledger, steps_offset=steps_before, received_before=received_before
-                )
-            else:
-                raise RuntimeError(
-                    f"graph-only algorithm {self.name!r} must return ledger totals"
-                )
+            totals = ledger.totals(steps_offset=steps_before, received_before=received_before)
         finally:
             if faults is not None:
-                own_ledger.detach_faults()
+                ledger.detach_faults()
             if epochs is not None:
-                own_ledger.detach_epochs()
+                ledger.detach_epochs()
         return RunReport(
             algorithm=self.name,
             seed=resolved,
@@ -205,7 +166,7 @@ class AlgorithmSpec:
                 "weighted": bool(cluster.graph.weighted),
             },
             result=jsonify(out.result),
-            ledger=jsonify(ledger),
+            ledger=jsonify(totals),
             phase_stats=jsonify(out.phase_stats),
             wall_time_s=wall,
         )
@@ -217,17 +178,12 @@ def register_algorithm(
     summary: str,
     kind: str = "paper",
     requires_weights: bool | Callable[[Mapping], bool] = False,
-    graph_only: bool = False,
     sections: tuple[str, ...] = DEFAULT_SECTIONS,
 ) -> Callable[[Callable[..., RunnerOutput]], Callable[..., RunnerOutput]]:
     """Decorator: register ``fn(cluster, config, seed) -> RunnerOutput`` under ``name``.
 
     ``requires_weights`` is a bool, or a predicate over the run's params
     for an algorithm that needs weights only in some modes.
-    ``graph_only`` marks algorithms that ignore the caller's cluster layout
-    (they build their own machines internally, like the REP baseline); the
-    Session then skips cluster construction and passes a
-    :class:`GraphContext`, and the adapter must return ledger totals.
     ``sections`` names the optional config sections the algorithm reads
     (see :class:`AlgorithmSpec`).
     """
@@ -249,7 +205,6 @@ def register_algorithm(
                 requires_weights if callable(requires_weights) else lambda params: requires_weights
             ),
             runner=fn,
-            graph_only=graph_only,
             sections=tuple(sections),
         )
         return fn

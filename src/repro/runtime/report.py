@@ -21,7 +21,7 @@ from typing import Any, Mapping
 
 import numpy as np
 
-__all__ = ["RunReport", "jsonify", "ledger_totals"]
+__all__ = ["RunReport", "jsonify"]
 
 #: Bump when the envelope layout changes incompatibly.
 SCHEMA_VERSION = 1
@@ -42,17 +42,6 @@ def jsonify(value: Any) -> Any:
     return value
 
 
-def ledger_totals(
-    ledger, *, steps_offset: int = 0, received_before: np.ndarray | None = None
-) -> dict[str, Any]:
-    """Snapshot a :class:`~repro.cluster.ledger.RoundLedger` into the envelope form.
-
-    Thin alias for :meth:`repro.cluster.ledger.RoundLedger.totals`, kept
-    here so envelope consumers import everything from one module.
-    """
-    return ledger.totals(steps_offset=steps_offset, received_before=received_before)
-
-
 @dataclass
 class RunReport:
     """Envelope of one runtime run (see module docstring).
@@ -70,7 +59,8 @@ class RunReport:
     result:
         Algorithm-specific payload, JSON-safe.
     ledger:
-        Output of :func:`ledger_totals`.
+        :meth:`~repro.cluster.ledger.RoundLedger.totals` over the steps
+        the run charged.
     phase_stats:
         Per-phase diagnostics as plain dicts (empty for phase-free runs).
     wall_time_s:

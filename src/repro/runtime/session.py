@@ -50,7 +50,7 @@ from repro.cluster.cluster import KMachineCluster
 from repro.cluster.partition import build_partition
 from repro.graphs.graph import Graph
 from repro.runtime.config import ClusterConfig, RunConfig, resolve_seed
-from repro.runtime.registry import GraphContext, get_algorithm
+from repro.runtime.registry import get_algorithm
 from repro.runtime.report import RunReport
 
 __all__ = ["Session"]
@@ -143,10 +143,7 @@ def _sweep_worker(payload: tuple[Graph, str, dict, int]) -> RunReport:
     """Process-pool entry point: run one grid point in this worker process."""
     graph, algorithm, config_dict, seed = payload
     config = RunConfig.from_dict(config_dict)
-    spec = get_algorithm(algorithm)
-    if spec.graph_only:
-        return spec.run(GraphContext(graph=graph, k=config.cluster.k), config, seed=seed)
-    return spec.run(_worker_cluster(graph, config, seed), config, seed=seed)
+    return get_algorithm(algorithm).run(_worker_cluster(graph, config, seed), config, seed=seed)
 
 
 class Session:
@@ -383,8 +380,9 @@ class Session:
         the resolved value seeds both the partition (unless
         ``ClusterConfig.partition_seed`` pins it) and the algorithm.
         ``epoch`` pins the partition epoch of the cluster (see
-        :meth:`cluster_for`); graph-only algorithms reject a nonzero epoch
-        — they build their own machines, so it would be a silent no-op.
+        :meth:`cluster_for`).  An algorithm that does not read the churn
+        section ignores the vertex partition (REP scatters edges), so it
+        rejects a nonzero epoch, which would be a silent no-op.
 
         ``scenario`` (a registered name or :class:`~repro.scenarios.registry.Scenario`)
         overlays its partition scheme and fault plan onto the config.
@@ -425,13 +423,10 @@ class Session:
         g, cfg = self._resolve(graph, config)
         resolved = resolve_seed(seed, cfg.seed)
         spec = get_algorithm(algorithm)
-        if spec.graph_only:
-            if epoch != 0:
-                raise ValueError(
-                    f"algorithm {algorithm!r} builds its own machines; epoch= does not apply"
-                )
-            # The algorithm builds its own machines; no cluster to cache.
-            return spec.run(GraphContext(graph=g, k=cfg.cluster.k), cfg, seed=resolved)
+        if epoch != 0 and "churn" not in spec.sections:
+            raise ValueError(
+                f"algorithm {algorithm!r} ignores the vertex partition; epoch= does not apply"
+            )
         cluster = self.cluster_for(g, cfg.cluster, resolved, epoch=epoch)
         return spec.run(cluster, cfg, seed=resolved)
 
@@ -533,11 +528,9 @@ class Session:
         spec = get_algorithm(algorithm)
         reports = []
         for g, cfg, s in jobs:
-            if spec.graph_only:
-                target = GraphContext(graph=g, k=cfg.cluster.k)
-            elif use_cache:
-                target = self.cluster_for(g, cfg.cluster, s)
+            if use_cache:
+                cluster = self.cluster_for(g, cfg.cluster, s)
             else:
-                target = _build_cluster(g, cfg.cluster, s)
-            reports.append(spec.run(target, cfg, seed=s))
+                cluster = _build_cluster(g, cfg.cluster, s)
+            reports.append(spec.run(cluster, cfg, seed=s))
         return reports

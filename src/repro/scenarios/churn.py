@@ -199,11 +199,11 @@ class EpochModel:
     due events and charging their migrations), :meth:`remap` on the step's
     load matrix, and :meth:`note_step` after recording it.
 
-    One model may be shared by several ledgers — derived sub-clusters
-    (``KMachineCluster.with_graph``) inherit the parent's model exactly
-    like the fault model, so the whole run lives on one churning platform.
-    Epoch boundaries are keyed by the model's own monotone bulk-step
-    counter, never by any single ledger's indices.
+    The registry attaches one model per run to the run's ledger, which
+    derived instances (``KMachineCluster.with_graph``, the bipartiteness
+    double cover included) charge too, so the whole run lives on one
+    churning platform.  Epoch boundaries are keyed by the model's own
+    monotone bulk-step counter.
 
     Parameters
     ----------
@@ -416,8 +416,8 @@ class EpochModel:
         Per epoch: the rounds and load charged inside it (migration steps
         included) plus, for every epoch after the first, the boundary
         event that opened it.  The registry attaches a fresh model per
-        run, so the summary spans exactly the run — including steps
-        charged on derived sub-clusters sharing the model.
+        run, so the summary spans exactly the run, derived instances'
+        steps included.
         """
         per_epoch = []
         for e in range(self.epoch + 1):

@@ -179,13 +179,12 @@ class FaultModel:
     then consults :meth:`effective_bandwidth` and :meth:`apply` on every
     bulk step and records the returned :class:`FaultRecord`.
 
-    One model may be shared by several ledgers: algorithms like min-cut
-    and verification charge their work to derived sub-clusters
-    (``KMachineCluster.with_graph``) whose fresh ledgers inherit the
-    parent's model, so the whole run sees one hostile network.  Fault
-    randomness is keyed by the model's own monotone step counter — the
-    global order of bulk steps, which is deterministic for a fixed
-    (algorithm, config, seed) — never by any single ledger's indices.
+    The registry attaches one model per run to the run's ledger.  The
+    derived instances that min-cut, verification and REP run on
+    (``KMachineCluster.with_graph``) charge that same ledger, so the whole
+    run sees one hostile network.  Fault randomness is keyed by the
+    model's own monotone step counter — the order of the run's bulk
+    steps, which is deterministic for a fixed (algorithm, config, seed).
     """
 
     plan: FaultPlan
@@ -269,8 +268,7 @@ class FaultModel:
         """Envelope-form fault summary over every realized event.
 
         The registry attaches a fresh model per run, so "every event" is
-        exactly the run's events — including those charged on derived
-        sub-clusters sharing the model.
+        exactly the run's events, derived instances' steps included.
         """
         events = self.events
         return {

@@ -170,11 +170,6 @@ class UpdatePlan:
         """True when the plan schedules no batches."""
         return not self.batches
 
-    @property
-    def total_updates(self) -> int:
-        """Requested update count across all batches (an upper bound)."""
-        return sum(b.size for b in self.batches)
-
     def base_seed(self, run_seed: int) -> int:
         """The stream base: the plan's override, else the run's seed."""
         return int(self.seed) if self.seed is not None else int(run_seed)

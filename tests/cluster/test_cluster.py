@@ -8,6 +8,7 @@ import pytest
 from repro.cluster.cluster import KMachineCluster
 from repro.cluster.partition import VertexPartition
 from repro.graphs import generators as gen
+from repro.graphs.graph import Graph
 
 
 class TestCreate:
@@ -51,14 +52,32 @@ class TestDerived:
         assert sub.topology is cl.topology
         assert sub.m == 0
 
+    def test_with_graph_charges_the_parent_ledger(self, small_connected_graph):
+        cl = KMachineCluster.create(small_connected_graph, k=4, seed=1)
+        sub = cl.with_graph(small_connected_graph)
+        assert sub.ledger is cl.ledger
+        sub.ledger.charge_rounds("sub", 3)
+        assert cl.ledger.total_rounds == 3
+
+    def test_with_graph_on_another_vertex_set(self, small_connected_graph):
+        cl = KMachineCluster.create(small_connected_graph, k=4, seed=1)
+        g = small_connected_graph
+        double = Graph.from_edges(2 * g.n, g.edges_u, g.edges_v + g.n)
+        home = np.concatenate([cl.partition.home, cl.partition.home])
+        both = VertexPartition(k=4, home=home, seed=cl.partition.seed)
+        sub = cl.with_graph(double, both)
+        assert sub.n == 2 * cl.n and sub.ledger is cl.ledger
+        assert np.array_equal(sub.inc_machine, home[sub.inc_owner])
+        fresh = KMachineCluster.create(double, 4, 1, partition=both, topology=cl.topology)
+        for name in ("inc_owner", "inc_other", "inc_machine", "inc_slot", "inc_sign", "inc_edge"):
+            assert np.array_equal(getattr(sub, name), getattr(fresh, name))
+
     def test_with_graph_rejects_different_n(self, small_connected_graph):
         cl = KMachineCluster.create(small_connected_graph, k=4, seed=1)
         with pytest.raises(ValueError):
             cl.with_graph(gen.path_graph(cl.n + 1))
 
-    def test_fork_and_reset_ledger(self, cluster8):
-        forked = cluster8.fork_ledger()
-        assert forked.total_rounds == 0
+    def test_reset_ledger(self, cluster8):
         cluster8.ledger.charge_rounds("x", 5)
         cluster8.reset_ledger()
         assert cluster8.ledger.total_rounds == 0

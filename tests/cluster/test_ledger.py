@@ -87,19 +87,3 @@ class TestBreakdownAndCut:
         load[2, 3] = 100  # inside B
         led.charge_load_matrix("s", load)
         assert led.cut_bits(np.array([0, 1])) == 18
-
-    def test_merge_from(self):
-        a = make_ledger(k=2, bw=10)
-        b = RoundLedger(a.topology)
-        load = np.zeros((2, 2), dtype=np.int64)
-        load[0, 1] = 10
-        b.charge_load_matrix("sub", load)
-        a.merge_from(b)
-        assert a.total_rounds == 1
-        assert a.received_bits[1] == 10
-
-    def test_merge_rejects_topology_mismatch(self):
-        a = make_ledger(k=2)
-        b = make_ledger(k=3)
-        with pytest.raises(ValueError):
-            a.merge_from(b)

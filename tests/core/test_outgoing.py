@@ -12,7 +12,7 @@ from repro.cluster.shared_random import SharedRandomness
 from repro.core.connectivity import connected_components_distributed
 from repro.core.labels import PartIndex, initial_labels
 from repro.core.mst import minimum_spanning_tree_distributed
-from repro.core.outgoing import cut_incidences, select_outgoing_edges
+from repro.core.outgoing import _edge_weights, cut_incidences, select_outgoing_edges
 from repro.graphs import generators as gen
 from repro.runtime import SketchConfig
 from repro.sketch.l0 import SketchContext
@@ -112,6 +112,16 @@ class TestSelection:
         assert np.array_equal(bounded.edge_weight[idx], g.weights[eids])
         b = bits_for_id(g.n)
         assert bounded_bits * b == plain_bits * (b + 64)
+
+    def test_weight_lookup_by_slot(self):
+        g = gen.with_unique_weights(gen.gnm_random(40, 120, seed=8), seed=8)
+        cl, _ = make_run(g)
+        slots = cl.inc_slot[: g.m].astype(np.int64)
+        assert np.array_equal(_edge_weights(cl, slots[::-1]), g.weights[::-1])
+        pairs = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if not g.has_edge(u, v)]
+        for u, v in (pairs[0], pairs[-1]):
+            with pytest.raises(KeyError, match="slot"):
+                _edge_weights(cl, np.array([u * g.n + v], dtype=np.int64))
 
     def test_weight_bound_restricts_sampling(self):
         # Bound below the minimum weight -> empty restricted sketches.

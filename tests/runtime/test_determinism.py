@@ -11,7 +11,9 @@ Three large runs are also pinned to recorded SHA-256 digests of their whole
 envelopes, so a change that returns a different but still valid forest or
 labelling fails here even when every model cost stays the same.  Twelve MST
 runs on negative, mixed-sign and tied weights are pinned the same way, and
-so are eighteen runs outside the default settings.
+so are eighteen runs outside the default settings and thirteen runs that
+charge derived instances (min-cut's sampled subgraphs, verification's
+masked graphs and double cover, REP's rerouted RVP) to the run's ledger.
 """
 
 from __future__ import annotations
@@ -204,3 +206,46 @@ def test_variant_envelopes_are_pinned(algorithm, variant):
     report = Session().run(algorithm, g, config=config, scenario=scenario)
     envelope = report.to_json(include_timing=False).encode()
     assert hashlib.sha256(envelope).hexdigest() == VARIANT_RUNS[algorithm, variant]
+
+
+#: name -> (algorithm, RunConfig fields) of a run on the VARIANT_RUNS input
+#: with seed 1 and k = 4.  Each charges connectivity or MST on a derived
+#: instance to the run's ledger.
+_DERIVED = {
+    "mincut": ("mincut", {}),
+    "rep": ("rep", {}),
+    "rep+mst": ("rep", {"params": {"mst": True}}),
+    "rep+bandwidth_bits": ("rep", {"cluster": ClusterConfig(k=4, bandwidth_bits=512)}),
+    "verify:bipartiteness": ("verify", {"params": {"problem": "bipartiteness"}}),
+    "verify:cycle_containment": ("verify", {"params": {"problem": "cycle_containment"}}),
+    "verify:st_connectivity": ("verify", {"params": {"problem": "st_connectivity"}}),
+}
+
+#: (name, scenario) -> SHA-256 of the envelope.  These pin the order in
+#: which derived instances charge the run's ledger, which is the order the
+#: fault draws key on, and REP's RVP seed and pinned bandwidth.
+DERIVED_RUNS = {
+    ("mincut", None): "aceb6793ba00af03fc228d8fa1625485f4bb3442809990b9e3861dbf715fa0e7",
+    ("mincut", "faulty_links"): "68e4040aa5fdf916ba897ddc126858598943925d6b7945d7aaaf2a4ac2090aa5",
+    ("rep", None): "c5d51527e73dcc55afbd41fb01c1058b51b2c67e28cf636ec398434bff5b61d9",
+    ("rep", "faulty_links"): "dd056fa717fd531432a30b766e387ea1d112c5afbfbcf0e707cdfcc501296608",
+    ("rep+bandwidth_bits", None): "74fee81588fe0123d8f2b5ab0cbf63a8ffbe0ba36ebdad36422b2ca037475c1e",
+    ("rep+mst", None): "a798e116cb1ef53af1c75335aada44b0415e2e89e9ceb9437662c848e19ed217",
+    ("rep+mst", "faulty_links"): "5589282d773dccf14caa88afb2d77b05a0932997ad69e7a8858a70d644eeffc1",
+    ("verify:bipartiteness", None): "e87822f530ca1ce094d5456d7459a10f91804c35a578693c6460acf3462da1b0",
+    ("verify:bipartiteness", "faulty_links"): "65cd2f4447ddcfd139b8a5402653aa96543359bc3e049c0cc1aef3b3ec67802d",
+    ("verify:cycle_containment", None): "8f52f577e55969b8ee8962a2aec55303673a5f5bc369c54d8df0c210088a6904",
+    ("verify:cycle_containment", "faulty_links"): "65ff1a2753859315cc27f2fb903b08887686922d8cb01ee7448f3cb96df73cb6",
+    ("verify:st_connectivity", None): "96faed0f6ab6950a411328a955084f8ccc762d54600967c688cc619e8ba92310",
+    ("verify:st_connectivity", "faulty_links"): "1ecf5d7683885f64339a2c0472e74122a6775a404ae1d46d364336984f9742b6",
+}  # fmt: skip
+
+
+@pytest.mark.parametrize("name, scenario", sorted(DERIVED_RUNS, key=str))
+def test_derived_instance_envelopes_are_pinned(name, scenario):
+    algorithm, fields = _DERIVED[name]
+    fields = {"cluster": ClusterConfig(k=4), **fields}
+    g = generators.with_unique_weights(generators.gnm_random(300, 900, seed=1), seed=1)
+    report = Session().run(algorithm, g, config=RunConfig(seed=1, **fields), scenario=scenario)
+    envelope = report.to_json(include_timing=False).encode()
+    assert hashlib.sha256(envelope).hexdigest() == DERIVED_RUNS[name, scenario]

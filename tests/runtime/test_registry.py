@@ -139,7 +139,7 @@ class TestUniformInterface:
 
     def test_runner_output_defaults(self):
         out = RunnerOutput(result={"x": 1})
-        assert out.phase_stats == [] and out.ledger is None
+        assert out.phase_stats == []
 
     def test_mincut_honours_charge_shared_randomness(self, graph):
         # Provenance fields must actually reach the internal connectivity

@@ -9,7 +9,7 @@ import pytest
 
 from repro import KMachineCluster, generators
 from repro.runtime import RunConfig, RunReport, Session
-from repro.runtime.report import jsonify, ledger_totals
+from repro.runtime.report import jsonify
 
 
 class TestJsonify:
@@ -34,7 +34,7 @@ class TestLedgerTotals:
         from repro import connected_components_distributed
 
         connected_components_distributed(cluster, seed=2)
-        totals = ledger_totals(cluster.ledger)
+        totals = cluster.ledger.totals()
         assert totals["rounds"] == cluster.ledger.total_rounds
         assert totals["total_bits"] == cluster.ledger.total_bits
         assert totals["n_steps"] == len(cluster.ledger.steps)

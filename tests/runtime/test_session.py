@@ -61,11 +61,14 @@ class TestClusterCache:
             session.cluster_for(graph, CFG.cluster, seed)
         assert len(session._clusters) == 2
 
-    def test_graph_only_algorithm_skips_cluster_cache(self, graph):
+    def test_rep_runs_on_the_cached_cluster(self, graph):
         session = Session(graph, config=CFG)
         report = session.run("rep")
-        assert report.rounds > 0  # ledger totals come from the internal REP cluster
-        assert session._clusters == {}
+        (cluster,) = [entry[1] for entry in session._clusters.values()]
+        # Every step REP charged, the reroute and its RVP run, is on the
+        # cached cluster's ledger.
+        assert report.rounds == cluster.ledger.total_rounds > 0
+        assert cluster.ledger.steps[0].label == "rep:reroute"
 
     def test_sweep_factory_graphs_not_cached(self):
         session = Session(config=CFG)

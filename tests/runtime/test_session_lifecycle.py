@@ -78,10 +78,11 @@ def test_run_epoch_changes_placement_not_answer():
     assert session.cache_info()["misses"] == 2  # distinct epochs, distinct builds
 
 
-def test_graph_only_algorithm_rejects_epoch():
+def test_rep_rejects_epoch_before_building_a_cluster():
     session = Session(_graph())
     with pytest.raises(ValueError, match="epoch"):
         session.run("rep", epoch=1)
+    assert session.cache_info()["misses"] == 0
 
 
 def test_close_is_idempotent_and_not_a_tombstone():

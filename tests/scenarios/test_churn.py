@@ -22,7 +22,16 @@ from repro import generators
 from repro.cluster.cluster import KMachineCluster
 from repro.cluster.partition import PartitionConfig, build_partition
 from repro.graphs import reference as ref
-from repro.runtime import ChurnPlan, ClusterConfig, FaultPlan, RunConfig, Session, run_algorithm
+from repro.runtime import (
+    ChurnPlan,
+    ClusterConfig,
+    FaultPlan,
+    RunConfig,
+    Session,
+    get_algorithm,
+    list_algorithms,
+    run_algorithm,
+)
 from repro.runtime.config import ConfigError
 from repro.scenarios.churn import ChurnEvent, EpochModel
 
@@ -36,6 +45,18 @@ STORM = ChurnPlan(
         ChurnEvent(8, "add", machine=1),
     )
 )
+
+
+#: Every registered algorithm that reads the churn section, with each
+#: input-free verification problem as its own run.
+_CHURNED_RUNS = [
+    pytest.param(name, {}, id=name)
+    for name in list_algorithms()
+    if "churn" in get_algorithm(name).sections and name != "verify"
+] + [
+    pytest.param("verify", {"problem": problem}, id=f"verify:{problem}")
+    for problem in ("bipartiteness", "cycle_containment", "st_connectivity")
+]
 
 
 def _graph(seed: int = 5, n: int = 120):
@@ -328,6 +349,17 @@ class TestChurnedRuns:
         cfg = RunConfig(seed=2, cluster=ClusterConfig(k=K), churn=STORM)
         report = Session(g, config=cfg).run("mincut")
         assert report.ledger["epochs"]["n_epochs"] == 4
+
+    @pytest.mark.parametrize("scenario", ["churn_storm", "rebalance_midrun"])
+    @pytest.mark.parametrize("algorithm, params", _CHURNED_RUNS)
+    def test_per_epoch_rounds_sum_to_the_ledger(self, algorithm, params, scenario):
+        # Every step of a run, derived instances included, is charged in
+        # some epoch: the per-epoch rounds partition the ledger's rounds.
+        g = generators.with_unique_weights(generators.gnm_random(300, 900, seed=3), seed=3)
+        cfg = RunConfig(seed=3, cluster=ClusterConfig(k=K), params=params)
+        report = Session(g, config=cfg).run(algorithm, scenario=scenario)
+        per_epoch = report.ledger["epochs"]["per_epoch"]
+        assert sum(e["rounds"] for e in per_epoch) == report.ledger["rounds"]
 
     def test_rep_rejects_churn(self):
         g = generators.with_unique_weights(_graph(), seed=5)

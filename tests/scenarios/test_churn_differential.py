@@ -1,10 +1,11 @@
 """Differential hardening for the dynamic adversary (ISSUE-4 acceptance).
 
-Every cluster-based registered algorithm x churn scenario x 3 seeds must
-still match the sequential references in :mod:`repro.graphs.reference` —
-byte-deterministically.  Partition epochs are a *platform* adversary:
-migrations and machine churn may only degrade rounds, never answers; any
-drift means the epoch model leaked into algorithm control flow.
+Every registered algorithm that reads the churn section x churn scenario
+x 3 seeds must still match the sequential references in
+:mod:`repro.graphs.reference` — byte-deterministically.  Partition epochs
+are a *platform* adversary: migrations and machine churn may only degrade
+rounds, never answers; any drift means the epoch model leaked into
+algorithm control flow.
 
 The REP baseline is excluded by design: it scatters *edges*, so there is
 no vertex partition to re-shuffle, and it rejects churn plans explicitly
