@@ -74,7 +74,7 @@ def boruvka_nosketch(
     cross = src_m != dst_m
     changed = np.ones(n, dtype=bool)
     budget = max_phases if max_phases is not None else n
-    bits_before = cluster.ledger.total_bits
+    rounds_before, bits_before = cluster.ledger.total_rounds, cluster.ledger.total_bits
     out_u: list[np.ndarray] = []
     out_v: list[np.ndarray] = []
     out_w: list[np.ndarray] = []
@@ -164,7 +164,7 @@ def boruvka_nosketch(
     return NoSketchResult(
         labels=labels,
         n_components=int(np.unique(labels).size),
-        rounds=cluster.ledger.total_rounds,
+        rounds=cluster.ledger.total_rounds - rounds_before,
         phases=phases,
         total_bits=cluster.ledger.total_bits - bits_before,
         edges_u=eu,

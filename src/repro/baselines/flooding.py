@@ -54,7 +54,7 @@ def flooding_connectivity(cluster: KMachineCluster, max_cc_rounds: int | None = 
     dst_m = cluster.partition.home[inc_other]
     budget = max_cc_rounds if max_cc_rounds is not None else n + 1
     cc_rounds = 0
-    bits_before = cluster.ledger.total_bits
+    rounds_before, bits_before = cluster.ledger.total_rounds, cluster.ledger.total_bits
     for r in range(budget):
         sel = changed[inc_owner]
         if not sel.any():
@@ -76,7 +76,7 @@ def flooding_connectivity(cluster: KMachineCluster, max_cc_rounds: int | None = 
     return FloodingResult(
         labels=labels,
         n_components=int(np.unique(labels).size),
-        rounds=cluster.ledger.total_rounds,
+        rounds=cluster.ledger.total_rounds - rounds_before,
         cc_rounds=cc_rounds,
         total_bits=cluster.ledger.total_bits - bits_before,
     )

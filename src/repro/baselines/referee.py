@@ -40,7 +40,7 @@ def referee_connectivity(cluster: KMachineCluster, referee: int | None = None) -
     """
     from repro.protocols.leader import charge_leader_election
 
-    bits_before = cluster.ledger.total_bits
+    rounds_before, bits_before = cluster.ledger.total_rounds, cluster.ledger.total_bits
     if referee is None:
         referee, _ = charge_leader_election(cluster.ledger, seed=cluster.partition.seed)
     else:
@@ -55,6 +55,6 @@ def referee_connectivity(cluster: KMachineCluster, referee: int | None = None) -
     return RefereeResult(
         labels=labels,
         n_components=int(np.unique(labels).size),
-        rounds=cluster.ledger.total_rounds,
+        rounds=cluster.ledger.total_rounds - rounds_before,
         total_bits=cluster.ledger.total_bits - bits_before,
     )

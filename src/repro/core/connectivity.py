@@ -77,7 +77,8 @@ class ConnectivityResult:
     n_components:
         Number of distinct labels.
     rounds:
-        Total simulated k-machine rounds.
+        Simulated k-machine rounds this run charged (its own share of a
+        ledger that may hold earlier steps).
     phases:
         Boruvka phases executed.
     converged:
@@ -214,6 +215,7 @@ def boruvka_phases(
     and churn events key on the bulk-step index.
     """
     n = cluster.n
+    rounds_start = cluster.ledger.total_rounds
     labels = initial_labels(n)
     budget = max_phases if max_phases is not None else max(1, math.ceil(12 * math.log2(max(n, 2))))
     stats: list[PhaseStats] = []
@@ -286,7 +288,7 @@ def boruvka_phases(
     return ConnectivityResult(
         labels=labels,
         n_components=n_components,
-        rounds=cluster.ledger.total_rounds,
+        rounds=cluster.ledger.total_rounds - rounds_start,
         phases=len(stats),
         converged=converged,
         forest_u=fu,
@@ -305,8 +307,9 @@ def component_sizes_distributed(
     it hosts, the part's vertex count to the component's proxy
     (O~(n/k^2) rounds by Lemma 1); proxies sum the counts and forward one
     (label, size) pair each to M1.  Returns ``{label: size}`` plus the
-    underlying connectivity result.
+    underlying connectivity result, whose ``rounds`` include both steps.
     """
+    before = cluster.ledger.total_rounds
     result = connected_components_distributed(cluster, seed, **kwargs)  # type: ignore[arg-type]
     shared = SharedRandomness(master_seed=seed, n=cluster.n, k=cluster.k)
     parts = PartIndex.build(result.labels, cluster.partition)
@@ -320,7 +323,7 @@ def component_sizes_distributed(
     fwd.add(comp_proxy, 0, 2 * count_bits)
     fwd.deliver()
     sizes = np.bincount(parts.comp_of_vertex, minlength=parts.n_components)
-    result.rounds = cluster.ledger.total_rounds
+    result.rounds = cluster.ledger.total_rounds - before
     return {
         int(lab): int(sz) for lab, sz in zip(parts.comp_labels, sizes)
     }, result
@@ -333,8 +336,10 @@ def count_components_distributed(
 
     After the labels stabilize, every machine sends "YES" to the proxy of
     each label it hosts; proxies forward the distinct labels they heard to
-    machine M1, which outputs the count.  Both steps are charged.
+    machine M1, which outputs the count.  Both steps are charged, and the
+    returned result's ``rounds`` include them.
     """
+    before = cluster.ledger.total_rounds
     result = connected_components_distributed(cluster, seed, **kwargs)  # type: ignore[arg-type]
     shared = SharedRandomness(master_seed=seed, n=cluster.n, k=cluster.k)
     parts = PartIndex.build(result.labels, cluster.partition)
@@ -347,5 +352,5 @@ def count_components_distributed(
     fwd = CommStep(cluster.ledger, "count:proxy-to-m1")
     fwd.add(comp_proxy, 0, label_bits)
     fwd.deliver()
-    result.rounds = cluster.ledger.total_rounds
+    result.rounds = cluster.ledger.total_rounds - before
     return result.n_components, result

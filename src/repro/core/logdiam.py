@@ -349,6 +349,7 @@ def logdiam_connectivity(
         raise ValueError(f"doubling_budget must be >= 1 or None, got {doubling_budget}")
     s = n if space_bound is None else min(int(space_bound), n)
     budget = int(doubling_budget) if doubling_budget is not None else n + 1
+    rounds_before = cluster.ledger.total_rounds
     if s >= n:
         labels, iterations, converged, stats = _logdiam_dense(cluster, budget)
     else:
@@ -356,7 +357,7 @@ def logdiam_connectivity(
     return LogDiamResult(
         labels=labels,
         n_components=int(np.unique(labels).size),
-        rounds=cluster.ledger.total_rounds,
+        rounds=cluster.ledger.total_rounds - rounds_before,
         doubling_rounds=iterations,
         converged=converged,
         space_bound=s,

@@ -100,7 +100,6 @@ def mincut_approx_distributed(
     for i in range(budget):
         p = 2.0**-i
         mask = u01 < p
-        before = cluster.ledger.total_rounds
         res = connected_components_distributed(
             cluster.with_graph(g.subgraph(mask)),
             seed=derive_seed(seed, 0xC17, i),
@@ -114,7 +113,7 @@ def mincut_approx_distributed(
                 sample_probability=p,
                 edges_kept=int(mask.sum()),
                 n_components=res.n_components,
-                rounds=cluster.ledger.total_rounds - before,
+                rounds=res.rounds,
             )
         )
         if res.n_components > 1:
@@ -130,6 +129,6 @@ def mincut_approx_distributed(
     return MinCutResult(
         estimate=estimate,
         disconnect_level=disconnect_level,
-        rounds=cluster.ledger.total_rounds,
+        rounds=sum(level.rounds for level in levels),
         levels=levels,
     )

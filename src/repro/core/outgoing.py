@@ -28,8 +28,8 @@ granularity, and gives sketch rows only to the components that own one of
 them.  Callers keep the cut incidences as a sorted index
 (:func:`cut_incidences`) that contracts as components merge, so a step
 scans only the incidences that can still be cut.  Each shortcut is exact —
-the resulting samples and nonzero flags are byte-identical to the
-part-level pipeline of the paper's steps 1-3 (proofs in
+the resulting samples, and the nonzero flags or'ed with them, are
+byte-identical to the part-level pipeline of the paper's steps 1-3 (proofs in
 :func:`select_outgoing_edges`,
 :meth:`~repro.sketch.l0.SketchContext.sample_groups` and
 :meth:`~repro.sketch.l0.SketchContext.nonzero_groups`), so every
@@ -44,8 +44,15 @@ step needs the first; the phase loops read the second only to stop or
 retry a phase in which nothing was sampled (connectivity) and to certify
 each elimination call's MWOEs (MST).  So a step samples, and returns the
 zero test beside its selection as a zero-argument callable that computes
-the flags when called.  The callable holds the step's cut incidences; they
-are freed when the caller drops it.
+the flags when called.  A component with a verified sample reads nonzero
+without a fingerprint: a zero vector has no candidate cell, and a
+verified cell's fingerprint ``c * r^slot`` is never 0.  Level-0
+fingerprints are computed only over the incidences of the components
+that sampled nothing.  The flags are the dense bundle's ``nonzero_mask``
+or'ed with ``found``; where every level-0 fingerprint of a nonzero
+vector vanishes beside a verified sample, the mask alone reads a false
+zero and the flags read nonzero.  The callable holds the step's cut
+incidences; they are freed when the caller drops it.
 """
 
 from __future__ import annotations
@@ -132,9 +139,10 @@ def select_outgoing_edges(
     """Run one sketch-sample-resolve step; charges the cluster ledger.
 
     Returns the selection and the step's zero test: a zero-argument
-    callable giving ``bool[C]``, True where the (possibly weight-restricted)
-    component sketch is nonzero — i.e. an outgoing edge exists w.h.p.  It
-    is computed only when called (see the module docstring).
+    callable giving ``bool[C]``, True where the component sampled an edge
+    or its (possibly weight-restricted) sketch is nonzero — i.e. an
+    outgoing edge exists w.h.p.  It is computed only when called (see the
+    module docstring).
 
     Parameters
     ----------
@@ -279,8 +287,10 @@ def _sample_components(
     (its docstring proves it) while evaluating only the *live* components
     — those owning at least one kept incidence — and, past repetition 0,
     only the ones still without a verified sample.  The returned callable
-    runs :meth:`~repro.sketch.l0.SketchContext.nonzero_groups`, the
-    bundle's nonzero flags, on the same incidences.  A component owning no
+    runs :meth:`~repro.sketch.l0.SketchContext.nonzero_groups` on the same
+    incidences with the sampled components settled: it reads the bundle's
+    nonzero flag or ``found``, and fingerprints only the components that
+    sampled nothing (see the module docstring).  A component owning no
     kept incidence reads ``found=False, slot=-1, sign=0`` and
     ``nonzero=False``, as its all-zero dense row does.
     """
@@ -290,7 +300,8 @@ def _sample_components(
         live, inc_comp = live[under], inc_comp[under]
     ctx = SketchContext(spec, cluster.inc_slot[live], cluster.inc_sign[live])
     c = parts.n_components
-    return ctx.sample_groups(inc_comp, c), partial(ctx.nonzero_groups, inc_comp, c)
+    sample = ctx.sample_groups(inc_comp, c)
+    return sample, partial(ctx.nonzero_groups, inc_comp, c, sample.found)
 
 
 def _edge_weights(cluster: KMachineCluster, slots: np.ndarray) -> np.ndarray:

@@ -59,10 +59,14 @@ class VerificationResult:
     detail: dict = field(default_factory=dict)
 
 
-def _run_connectivity(cluster: KMachineCluster, graph: Graph, seed: int, tag: int, **kw: object):
-    """Connectivity on a derived graph, charged to ``cluster``'s ledger."""
-    sub = cluster.with_graph(graph)
-    return connected_components_distributed(sub, seed=derive_seed(seed, tag), **kw)  # type: ignore[arg-type]
+def _run_connectivity(instance: KMachineCluster, seed: int, tag: int, **kw: object):
+    """Connectivity on the input cluster or a derived instance of it.
+
+    A derived instance (:meth:`KMachineCluster.with_graph`) charges the
+    input's ledger; a problem on G itself runs on the input cluster, whose
+    incidence arrays already exist.
+    """
+    return connected_components_distributed(instance, seed=derive_seed(seed, tag), **kw)  # type: ignore[arg-type]
 
 
 def _charge_pair_check(cluster: KMachineCluster, s: int, t: int) -> int:
@@ -97,7 +101,7 @@ def spanning_connected_subgraph(
     if h.shape != (cluster.m,):
         raise ValueError("h_mask must have one entry per edge of G")
     before = cluster.ledger.total_rounds
-    res = _run_connectivity(cluster, cluster.graph.subgraph(h), seed, 0x5C5, **kw)
+    res = _run_connectivity(cluster.with_graph(cluster.graph.subgraph(h)), seed, 0x5C5, **kw)
     return VerificationResult(
         answer=res.n_components == 1,
         rounds=cluster.ledger.total_rounds - before,
@@ -120,7 +124,7 @@ def spanning_tree_verification(
     if h.shape != (cluster.m,):
         raise ValueError("h_mask must have one entry per edge of G")
     before = cluster.ledger.total_rounds
-    res = _run_connectivity(cluster, cluster.graph.subgraph(h), seed, 0x57E, **kw)
+    res = _run_connectivity(cluster.with_graph(cluster.graph.subgraph(h)), seed, 0x57E, **kw)
     _charge_count_aggregation(cluster, cluster.m)
     n_edges = int(h.sum())
     answer = res.n_components == 1 and n_edges == cluster.n - 1
@@ -139,7 +143,7 @@ def cut_verification(
     if cmask.shape != (cluster.m,):
         raise ValueError("cut_mask must have one entry per edge of G")
     before = cluster.ledger.total_rounds
-    res = _run_connectivity(cluster, cluster.graph.subgraph(~cmask), seed, 0xC07, **kw)
+    res = _run_connectivity(cluster.with_graph(cluster.graph.subgraph(~cmask)), seed, 0xC07, **kw)
     return VerificationResult(
         answer=res.n_components > 1,
         rounds=cluster.ledger.total_rounds - before,
@@ -152,7 +156,7 @@ def st_connectivity(
 ) -> VerificationResult:
     """Are s and t in the same connected component of G?"""
     before = cluster.ledger.total_rounds
-    res = _run_connectivity(cluster, cluster.graph, seed, 0x57C, **kw)
+    res = _run_connectivity(cluster, seed, 0x57C, **kw)
     _charge_pair_check(cluster, s, t)
     return VerificationResult(
         answer=bool(res.labels[s] == res.labels[t]),
@@ -171,7 +175,7 @@ def edge_on_all_paths(
     """
     eid = cluster.graph.find_edge_id(u, v)
     before = cluster.ledger.total_rounds
-    res = _run_connectivity(cluster, cluster.graph.without_edge(eid), seed, 0xEA9, **kw)
+    res = _run_connectivity(cluster.with_graph(cluster.graph.without_edge(eid)), seed, 0xEA9, **kw)
     _charge_pair_check(cluster, s, t)
     return VerificationResult(
         answer=bool(res.labels[s] != res.labels[t]),
@@ -187,7 +191,7 @@ def st_cut_verification(
     if cmask.shape != (cluster.m,):
         raise ValueError("cut_mask must have one entry per edge of G")
     before = cluster.ledger.total_rounds
-    res = _run_connectivity(cluster, cluster.graph.subgraph(~cmask), seed, 0x57C07, **kw)
+    res = _run_connectivity(cluster.with_graph(cluster.graph.subgraph(~cmask)), seed, 0x57C07, **kw)
     _charge_pair_check(cluster, s, t)
     return VerificationResult(
         answer=bool(res.labels[s] != res.labels[t]),
@@ -202,7 +206,7 @@ def cycle_containment(cluster: KMachineCluster, seed: int = 0, **kw: object) -> 
     smaller endpoint it homes (no double counting), O(1) rounds.
     """
     before = cluster.ledger.total_rounds
-    res = _run_connectivity(cluster, cluster.graph, seed, 0xCC1, **kw)
+    res = _run_connectivity(cluster, seed, 0xCC1, **kw)
     _charge_count_aggregation(cluster, cluster.m)
     answer = cluster.m > cluster.n - res.n_components
     return VerificationResult(
@@ -218,7 +222,7 @@ def e_cycle_containment(
     """Does the edge {u, v} lie on some cycle?  (u, v connected in G - e.)"""
     eid = cluster.graph.find_edge_id(u, v)
     before = cluster.ledger.total_rounds
-    res = _run_connectivity(cluster, cluster.graph.without_edge(eid), seed, 0xEC7, **kw)
+    res = _run_connectivity(cluster.with_graph(cluster.graph.without_edge(eid)), seed, 0xEC7, **kw)
     _charge_pair_check(cluster, u, v)
     return VerificationResult(
         answer=bool(res.labels[u] == res.labels[v]),
@@ -245,9 +249,8 @@ def bipartiteness(cluster: KMachineCluster, seed: int = 0, **kw: object) -> Veri
     both = VertexPartition(
         k=cluster.k, home=np.concatenate([home, home]), seed=cluster.partition.seed
     )
-    dcluster = cluster.with_graph(double, both)
-    res_d = connected_components_distributed(dcluster, seed=derive_seed(seed, 0xB1B), **kw)  # type: ignore[arg-type]
-    res_g = _run_connectivity(cluster, g, seed, 0xB1C, **kw)
+    res_d = _run_connectivity(cluster.with_graph(double, both), seed, 0xB1B, **kw)
+    res_g = _run_connectivity(cluster, seed, 0xB1C, **kw)
     _charge_count_aggregation(cluster, 2 * n)
     answer = res_d.n_components == 2 * res_g.n_components
     return VerificationResult(

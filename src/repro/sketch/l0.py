@@ -61,6 +61,11 @@ _MASK31 = np.uint64((1 << 31) - 1)
 _MAX_LO = (1 << 30) - 1
 #: max|weight| of the high half of a value in [0, p), p = 2^61 - 1.
 _MAX_HI_FP = (MERSENNE_P - 1) >> 30
+#: Smallest power batch that takes the radix table of ``SketchContext._powers``.
+#: Python's ``pow`` costs about 10 us per slot on 26-bit exponents, the
+#: table's ten-odd ``mulmod`` passes about 0.5 ms on a small batch
+#: (2-CPU Xeon, NumPy 2.4), so ``pow`` wins below 40-60 slots.
+_POW_SLOTS = 40
 
 
 def _count_levels_above(h: np.ndarray, levels: int) -> np.ndarray:
@@ -373,15 +378,17 @@ class SketchContext:
     The graph's incidence list (slot, sign) never changes; only the group
     assignment (component labels) and the sketch randomness (per phase) do.
     Per repetition, an incidence's sampling depth (:meth:`_depths`) and
-    fingerprint power ``r^slot`` (:meth:`_powers`) are pure functions of
-    its slot, so the context evaluates them only where a result reads
-    them, and construction itself does no per-incidence work:
+    fingerprint power ``r^slot`` (:meth:`_powers`, from a radix table sized
+    to the batch) are pure functions of its slot, so the context evaluates
+    them only where a result reads them, and construction itself does no
+    per-incidence work:
 
     * :meth:`sample_groups` — outgoing-edge selection — evaluates one
       repetition at a time, only for the groups still without a verified
       sample, and computes fingerprints only at the cells a decision reads;
     * :meth:`nonzero_groups` — the zero test, run only where a caller
-      reads it — computes level-0 fingerprints, a later repetition's only
+      reads it — computes level-0 fingerprints only for the groups not
+      already settled by a verified sample, and a later repetition's only
       for the groups whose earlier ones all vanished;
     * :meth:`group_sums` — the dense Lemma-2 reference the tests compare
       against — reads the ``(R, E)`` arrays :attr:`depths` and
@@ -415,22 +422,29 @@ class SketchContext:
     def _powers(self, rep: int, slots: np.ndarray) -> np.ndarray:
         """``r^slot mod p`` per slot, ``r`` the base of repetition ``rep``.
 
-        Python's ``pow`` costs about 0.28 us per exponent bit per slot.
-        The alternative is a ``(2, n)`` table of ``r^y`` and ``(r^n)^x``
-        (``slot = x*n + y``) by doubling, then one gathered ``mulmod`` per
-        slot: about 150 us plus 0.07 us per table entry plus 0.07 us per
-        slot (2-CPU Xeon, NumPy 2.4).  ``pow`` therefore wins while
-        ``4 * bits * size < n + 2048``.  Both give the canonical
-        representative of the same field element.
+        A batch of fewer than :data:`_POW_SLOTS` slots uses Python's
+        ``pow``.  A larger one reads each slot's ``bits``-bit exponent as
+        ``d`` radix-``2^w`` digits: one ``(d, 2^w)`` table from
+        :func:`_power_table` holds ``(r^(2^(w*j)))^x`` for digit ``j`` and
+        value ``x``, and a slot's power is the product of its digits'
+        entries, one gathered ``mulmod`` per digit after the first.  The
+        width follows the batch, ``w = size.bit_length() - 3`` clipped to
+        ``[4, ceil(bits / 2)]`` (the upper end wins for tiny ``n``), so a
+        table has about ``d * size / 8`` entries and never more than a
+        two-digit one.  Both paths give the canonical representative of
+        the same field element.
         """
-        n = self.spec.n
         base = self.spec.fingerprint_base(rep)
-        if 4 * max_slot_bits(n) * slots.size < n + 2048:
+        if slots.size < _POW_SLOTS:
             return np.array([pow(base, s, MERSENNE_P) for s in slots.tolist()], dtype=np.uint64)
-        table = _power_table(np.array([base, pow(base, n, MERSENNE_P)], dtype=np.uint64), n)
-        x = (slots // np.uint64(n)).astype(np.int64)
-        y = (slots % np.uint64(n)).astype(np.int64)
-        return mulmod(table[1, x], table[0, y])
+        w, digits = _radix_digits(slots.size, max_slot_bits(self.spec.n))
+        digit_bases = [pow(base, 1 << (w * j), MERSENNE_P) for j in range(digits)]
+        table = _power_table(np.array(digit_bases, dtype=np.uint64), 1 << w)
+        mask = np.uint64((1 << w) - 1)
+        out = table[0, slots & mask]
+        for j in range(1, digits):
+            out = mulmod(out, table[j, (slots >> np.uint64(w * j)) & mask])
+        return out
 
     def _every_incidence(self, per_rep, rep: int) -> np.ndarray:
         """``per_rep(rep, slots)`` for every incidence of the context.
@@ -473,14 +487,14 @@ class SketchContext:
         Incidence ``i`` belongs to group ``group_idx[i]``.  Returns exactly
         ``bundle.sample()`` of ``bundle = group_sums(group_idx, n_groups)``,
         byte for byte, without building that bundle; the bundle's
-        ``nonzero_mask()`` is :meth:`nonzero_groups`.  Repetition ``r`` is
-        evaluated — hash, depth, and the count, occupancy and id-sum
-        scatters with their suffix sums over a ``(G_r, L)`` tensor — only
-        for the ``G_r`` groups that repetitions below ``r`` left without a
-        verified sample.  Fingerprints are computed only where a decision
-        reads them.  Every rule below rests on one fact: a group's cells
-        depend only on its own incidences, so leaving other groups out
-        changes none of them.
+        ``nonzero_mask()`` is :meth:`nonzero_groups` with nothing settled.
+        Repetition ``r`` is evaluated — hash, depth, and the count,
+        occupancy and id-sum scatters with their suffix sums over a
+        ``(G_r, L)`` tensor — only for the ``G_r`` groups that repetitions
+        below ``r`` left without a verified sample.  Fingerprints are
+        computed only where a decision reads them.  Every rule below rests
+        on one fact: a group's cells depend only on its own incidences, so
+        leaving other groups out changes none of them.
 
         1. **Repetition order.**  ``sample`` returns a group's first
            verified candidate in the order repetition ascending, level
@@ -588,37 +602,41 @@ class SketchContext:
             pending &= ~found
         return SampleResult(found, out_slot, out_sign)
 
-    def nonzero_groups(self, group_idx: np.ndarray, n_groups: int) -> np.ndarray:
+    def nonzero_groups(
+        self, group_idx: np.ndarray, n_groups: int, settled: np.ndarray | None = None
+    ) -> np.ndarray:
         """Per group, whether its sketched vector is (w.h.p.) nonzero.
 
-        Returns exactly ``group_sums(group_idx, n_groups).nonzero_mask()``,
-        byte for byte, without building that bundle: True where any
+        Returns exactly ``settled | bundle.nonzero_mask()`` of ``bundle =
+        group_sums(group_idx, n_groups)``, byte for byte, without building
+        that bundle: True where the group is ``settled`` or any
         repetition's level-0 fingerprint, which sums all of the group's
-        incidences, is nonzero.  With no incidence every fingerprint is 0:
-        False.  With one it is ``+-r^slot``, never 0 for ``r`` in ``[2, p)``
-        and ``p`` prime: True.  Otherwise repetition 0's fingerprint is
-        computed, over every incidence at once (on one half of a mirrored
-        list), and a later repetition's only for the groups where every
-        earlier one vanished.  A group's fingerprint depends only on its
-        own incidences, so leaving the other groups out changes none.
+        incidences, is nonzero.  ``settled`` (``bool[G]``, optional) marks
+        groups known to be nonzero, such as those with a verified sample:
+        a zero vector has no candidate cell at all.  They read True
+        unfingerprinted.  With no incidence every fingerprint is 0: False.
+        With one it is ``+-r^slot``, never 0 for ``r`` in ``[2, p)`` and
+        ``p`` prime: True.  Otherwise repetition 0's fingerprint is
+        computed, and a later repetition's only for the groups where every
+        earlier one vanished, each over the incidences of the groups still
+        undecided.  A group's fingerprint depends only on its own
+        incidences, so leaving the other groups out changes none.
         """
         gi = np.asarray(group_idx, dtype=np.int64)
         if gi.shape != self.slots.shape:
             raise ValueError("group_idx must have one entry per incidence")
         occupancy = np.bincount(gi, minlength=n_groups)
         nonzero = occupancy == 1
-        undecided = occupancy > 1
+        if settled is not None:
+            nonzero |= settled
+        undecided = (occupancy > 1) & ~nonzero
         g, slots, signs = gi, self.slots, self.signs
         for rep in range(self.spec.repetitions):
             if not undecided.any():
                 break
-            if rep:
-                keep = undecided[g]
-                g, slots, signs = g[keep], slots[keep], signs[keep]
-                power = self._powers(rep, slots)
-            else:
-                power = self._every_incidence(self._powers, 0)
-            fp0 = _modp_scatter_sum(power, signs, g, n_groups)
+            keep = undecided[g]
+            g, slots, signs = g[keep], slots[keep], signs[keep]
+            fp0 = _modp_scatter_sum(self._powers(rep, slots), signs, g, n_groups)
             nonzero |= undecided & (fp0 != 0)
             undecided &= fp0 == 0
         return nonzero
@@ -691,6 +709,17 @@ class SketchContext:
         fps_lo = np.flip(np.cumsum(np.flip(fps_lo, axis=2), axis=2), axis=2)
         fps_hi = np.flip(np.cumsum(np.flip(fps_hi, axis=2), axis=2), axis=2)
         return SketchBundle(self.spec, counts, sums, _combine_halves(fps_lo, fps_hi))
+
+
+def _radix_digits(size: int, bits: int) -> tuple[int, int]:
+    """Digit width ``w`` and digit count of a ``size``-slot power batch.
+
+    See :meth:`SketchContext._powers`.  ``w`` is ``size.bit_length() - 3``
+    clipped to ``[4, ceil(bits / 2)]``, and ``ceil(bits / w)`` digits of
+    ``w`` bits cover every ``bits``-bit exponent (the last may be partial).
+    """
+    w = min(max(size.bit_length() - 3, 4), -(-bits // 2))
+    return w, -(-bits // w)
 
 
 def _power_table(bases: np.ndarray, size: int) -> np.ndarray:

@@ -15,6 +15,7 @@ from repro.core.mst import minimum_spanning_tree_distributed
 from repro.core.outgoing import _edge_weights, cut_incidences, select_outgoing_edges
 from repro.graphs import generators as gen
 from repro.runtime import SketchConfig
+from repro.sketch import l0
 from repro.sketch.l0 import SketchContext
 from repro.util.bits import bits_for_id
 
@@ -168,8 +169,41 @@ class TestZeroTestOnDemand:
         assert zero_test.call_count == empty
 
     def test_mst_runs_it_once_per_elimination_call(self):
+        # Each call settles the components with a verified sample and
+        # fingerprints exactly the incidences of the undecided ones: more
+        # than one incidence and no sample.  With one repetition some
+        # components sample nothing, so some calls fingerprint at all.
         g = gen.with_unique_weights(gen.gnm_random(200, 600, seed=2), seed=2)
-        cl = KMachineCluster.create(g, k=4, seed=2)
-        with self._counting() as zero_test:
-            res = minimum_spanning_tree_distributed(cl, seed=2)
-        assert zero_test.call_count == sum(s.elimination_iterations for s in res.phase_stats)
+        real_zero_test, real_scatter = SketchContext.nonzero_groups, l0._modp_scatter_sum
+        for repetitions in (6, 1):
+            cl = KMachineCluster.create(g, k=4, seed=2)
+            calls = []
+
+            def zero_test(self, group_idx, n_groups, settled=None):
+                calls.append((group_idx, n_groups, settled, []))
+                return real_zero_test(self, group_idx, n_groups, settled)
+
+            def scatter(values, signs, idx, n_out):
+                calls[-1][3].append(idx)
+                return real_scatter(values, signs, idx, n_out)
+
+            with (
+                mock.patch.object(SketchContext, "nonzero_groups", zero_test),
+                mock.patch.object(l0, "_modp_scatter_sum", scatter),
+            ):
+                res = minimum_spanning_tree_distributed(
+                    cl, seed=2, sketch=SketchConfig(repetitions=repetitions)
+                )
+            assert res.certified
+            assert len(calls) == sum(s.elimination_iterations for s in res.phase_stats)
+            settled_total = scattered = 0
+            for group_idx, n_groups, settled, scatters in calls:
+                settled_total += int(settled.sum())
+                undecided = (np.bincount(group_idx, minlength=n_groups) > 1) & ~settled
+                if scatters:
+                    assert np.array_equal(scatters[0], group_idx[undecided[group_idx]])
+                    scattered += scatters[0].size
+                else:
+                    assert not undecided.any()
+            assert settled_total > 0
+        assert scattered > 0  # the one-repetition run

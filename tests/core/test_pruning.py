@@ -46,7 +46,8 @@ def _part_level_oracle(cluster, spec, parts, live, bound):
     """The unpruned pipeline: all incidences by part, then aggregate, then sample.
 
     It ignores the caller's ``live`` index and sketches every incidence; its
-    zero test is the component bundle's ``nonzero_mask``.
+    zero test is the component bundle's ``nonzero_mask`` or'ed with the
+    sample's ``found`` (a zero vector has no verified sample).
     """
     inc_part = parts.part_of_vertex[cluster.inc_owner]
     ctx = SketchContext(spec, cluster.inc_slot, cluster.inc_sign)
@@ -55,7 +56,8 @@ def _part_level_oracle(cluster, spec, parts, live, bound):
         mask = cluster.inc_weight < bound[parts.comp_of_part[inc_part]]
     part_bundle = ctx.group_sums(inc_part, parts.n_parts, mask=mask)
     comp_bundle = part_bundle.aggregate(parts.comp_of_part, parts.n_components)
-    return comp_bundle.sample(), comp_bundle.nonzero_mask
+    sample = comp_bundle.sample()
+    return sample, lambda: sample.found | comp_bundle.nonzero_mask()
 
 
 @contextmanager

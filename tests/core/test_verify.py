@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -157,3 +159,25 @@ class TestAccounting:
         ]
         for check in checks:
             assert check().rounds > 0
+
+
+
+@pytest.mark.parametrize(
+    "problem, builds", [("st_connectivity", 0), ("cycle_containment", 0), ("bipartiteness", 1)]
+)
+def test_problems_on_g_reuse_the_input_incidences(problem, builds):
+    # A problem on G itself runs on the input cluster; only a derived graph,
+    # here the bipartite double cover, builds incidence arrays.
+    g = gen.gnm_random(300, 900, seed=3)
+    cl = cluster_for(g)
+    run = {
+        "st_connectivity": lambda: verify.st_connectivity(cl, 0, 1, seed=3),
+        "cycle_containment": lambda: verify.cycle_containment(cl, seed=3),
+        "bipartiteness": lambda: verify.bipartiteness(cl, seed=3),
+    }[problem]
+    distribute = KMachineCluster._distribute
+    with mock.patch.object(KMachineCluster, "_distribute", wraps=distribute) as spy:
+        res = run()
+    assert spy.call_count == builds
+    assert [call.args[0].n for call in spy.call_args_list] == [2 * g.n] * builds
+    assert res.rounds > 0

@@ -8,7 +8,8 @@ and only for the components still without a verified sample, and reads
 fingerprints only at the cells a decision depends on, powering only the
 incidences that reach a checked cell;
 :meth:`~repro.sketch.l0.SketchContext.nonzero_groups`, the zero test, runs
-apart and only when called; ``group_sums`` builds
+apart and only when called, and reads a component with a verified sample
+as nonzero without a fingerprint; ``group_sums`` builds
 the level axis only down to the deepest selected incidence, and ``sample``
 verifies each group's first candidate before any other.  This suite pins
 all of it against an independent oracle: every group gets a row, every
@@ -19,7 +20,8 @@ groups, masks, weight bounds, a single group, empty selections and
 incidences forced to the maximum depth; deterministic cases reach each
 exact branch of ``sample_groups`` and ``nonzero_groups`` (a multi-occupancy
 candidate that verifies, a level-0 fingerprint that vanishes on a nonzero
-vector, a group with no single-occupancy candidate in any repetition, a
+vector, one that vanishes beside a verified sample, which settles the zero
+test, a group with no single-occupancy candidate in any repetition, a
 checked cell whose answer needs the incidences at its own column); the
 remaining tests
 pin the sample fallback order, linearity on trimmed bundles, and the level
@@ -211,7 +213,8 @@ def test_compact_trimmed_sample_matches_dense_oracle(data, inc):
 
     keep = cross if bound is None else cross & (weights < bound[group])
     oracle = _dense_oracle(context(spec, slots, signs), group, n_groups, keep)
-    want_nonzero = np.any(oracle.fps[:, :, 0] != 0, axis=1)
+    want_sample = _sample_oracle(oracle)
+    want_nonzero = want_sample.found | np.any(oracle.fps[:, :, 0] != 0, axis=1)
 
     cluster, parts = _incidence_view(slots, signs, weights, group, n_groups)
     with mock.patch.object(outgoing, "SketchContext", context):
@@ -219,7 +222,7 @@ def test_compact_trimmed_sample_matches_dense_oracle(data, inc):
             cluster, spec, parts, np.flatnonzero(cross), bound
         )
         assert nonzero().tobytes() == want_nonzero.tobytes()
-    assert _sample_bytes(sample) == _sample_bytes(_sample_oracle(oracle))
+    assert _sample_bytes(sample) == _sample_bytes(want_sample)
 
 
 @settings(max_examples=60, deadline=None)
@@ -296,11 +299,15 @@ def test_live_zero_row_keeps_its_place():
 
 
 def _check_against_oracle(ctx: SketchContext, group: np.ndarray, n_groups: int):
-    """``nonzero_groups`` and ``sample_groups`` equal the oracle; return
-    their outputs and the oracle bundle."""
+    """``nonzero_groups``, alone and with the sampled groups settled, and
+    ``sample_groups`` equal the oracle; return the unsettled flags, the
+    sample and the oracle bundle."""
     nonzero, sample = ctx.nonzero_groups(group, n_groups), ctx.sample_groups(group, n_groups)
     oracle = _dense_oracle(ctx, group, n_groups, np.ones(group.size, dtype=bool))
-    assert nonzero.tolist() == np.any(oracle.fps[:, :, 0] != 0, axis=1).tolist()
+    mask = np.any(oracle.fps[:, :, 0] != 0, axis=1)
+    assert nonzero.tolist() == mask.tolist()
+    settled = ctx.nonzero_groups(group, n_groups, sample.found)
+    assert settled.tolist() == (sample.found | mask).tolist()
     assert _sample_bytes(sample) == _sample_bytes(_sample_oracle(oracle))
     return nonzero, sample, oracle
 
@@ -351,6 +358,34 @@ def test_nonzero_reads_a_later_repetition_where_level0_vanishes():
     assert depths[0, 1] > depths[0, 0] and depths[1, 0] > depths[1, 1]
     assert (sample.found[0], sample.slots[0], sample.signs[0]) == (True, 6 * n + 10, -1)
     assert not sample.found[1]
+
+
+def test_verified_sample_settles_a_vanishing_level0_fingerprint():
+    # One repetition with r = p - 1: r^1 = -1 and r^2 = 1, so slots 1 and
+    # 2, both signed +1, give a level-0 fingerprint of 0 on a nonzero
+    # vector.  Forcing slot 2 deepest leaves it alone in the deepest cell,
+    # a verified single-occupancy sample.  The dense mask reads a false
+    # zero there; the selection's zero test reads nonzero, because a zero
+    # vector holds no candidate cell.
+    n = 8
+    slots = np.array([1, 2], dtype=np.uint64)
+    signs = np.array([1, 1], dtype=np.int64)
+    group = np.zeros(2, dtype=np.int64)
+    spec = SketchSpec.for_graph(n, seed=7, repetitions=1)
+    context = _deep_context(np.array([2], dtype=np.uint64))
+    cluster, parts = _incidence_view(slots, signs, np.zeros(2), group, 1)
+    with mock.patch.object(SketchSpec, "fingerprint_base", lambda self, rep: P - 1):
+        ctx = context(spec, slots, signs)
+        oracle = _dense_oracle(ctx, group, 1, np.ones(2, dtype=bool))
+        want = _sample_oracle(oracle)
+        with mock.patch.object(outgoing, "SketchContext", context):
+            sample, nonzero = outgoing._sample_components(cluster, spec, parts, np.arange(2), None)
+            flags = nonzero()
+    assert ctx.depths[0, 0] < ctx.depths[0, 1] == spec.levels - 1
+    assert oracle.fps[0, 0, 0] == 0 and not oracle.nonzero_mask().any()
+    assert _sample_bytes(sample) == _sample_bytes(want)
+    assert (sample.found[0], sample.slots[0], sample.signs[0]) == (True, 2, 1)
+    assert flags.tolist() == [True]
 
 
 def test_group_without_single_occupancy_in_any_repetition():

@@ -5,10 +5,10 @@
 (``_powers``), evaluated only when a result reads them.  Their shortcuts
 must never show in the output: the depth comes from a float bit-length
 instead of a per-level comparison sweep, ``_powers`` picks Python's
-``pow`` or the ``(r, r^n)`` power table from the batch size and ``n``,
-and a mirrored incidence list (the same slot block twice, as clusters
-build it) is evaluated on one half only.  Every path is checked here
-against Python integers: ``pow`` for the powers and the threshold
+``pow`` or a radix-``2^w`` power table whose width follows the batch
+size, and a mirrored incidence list (the same slot block twice, as
+clusters build it) is evaluated on one half only.  Every path is checked
+here against Python integers: ``pow`` for the powers and the threshold
 definition ``h < p >> l`` for the depths.
 """
 
@@ -28,13 +28,16 @@ from repro.util.rng import derive_seed
 
 P = MERSENNE_P
 
-# Sizes at which both power paths are reachable.
-NS = (17, 1024, 40_000)
+# Slot bits 5, 9, 20 and 31: at n = 5 even the widest table digit,
+# ceil(bits / 2) = 3, is below the usual minimum width of 4.
+NS = (5, 17, 1024, 40_000)
 
 
-def _pow_limit(n: int) -> int:
-    """Largest batch that takes Python's ``pow`` (``4 * bits * size < n + 2048``)."""
-    return -(-(n + 2048) // (4 * max_slot_bits(n))) - 1
+def _widths(n: int) -> list[tuple[int, int]]:
+    """``(w, size)``: every table width at ``n`` and the smallest batch taking it."""
+    half = -(-max_slot_bits(n) // 2)
+    lowest = min(4, half)
+    return [(w, l0._POW_SLOTS if w == lowest else 1 << (w + 2)) for w in range(lowest, half + 1)]
 
 
 def _slots(n: int, size: int, seed: int) -> np.ndarray:
@@ -73,16 +76,49 @@ def _depth_oracle(spec: SketchSpec, slots: np.ndarray) -> np.ndarray:
 
 
 @pytest.mark.parametrize("n", NS)
-@pytest.mark.parametrize("path", ["direct", "table"])
-def test_slot_powers_match_python_pow(path, n):
+def test_power_paths_switch_at_their_boundaries(n):
+    # Python's pow below 40 slots; from there a table whose width
+    # size.bit_length() - 3 grows by one at every power of two, clipped to
+    # [4, ceil(bits / 2)], with ceil(bits / w) digits.
+    bits = max_slot_bits(n)
+    for w, size in _widths(n):
+        assert l0._radix_digits(size, bits) == (w, -(-bits // w))
+        if size > l0._POW_SLOTS:
+            assert l0._radix_digits(size - 1, bits)[0] == w - 1
+    widest = _widths(n)[-1][0]
+    assert l0._radix_digits(1 << 40, bits)[0] == widest == -(-bits // 2)
     ctx = _empty_context(n)
-    size = _pow_limit(n) + (path == "table")
-    slots = _slots(n, size, seed=n)
-    with mock.patch.object(l0, "_power_table", wraps=l0._power_table) as table:
-        got = np.stack([ctx._powers(rep, slots) for rep in range(ctx.spec.repetitions)])
-    assert table.call_count == (ctx.spec.repetitions if path == "table" else 0)
-    assert got.dtype == np.uint64 and got.shape == (ctx.spec.repetitions, size)
-    assert np.array_equal(got, _pow_oracle(ctx.spec, slots))
+    for size, tables in ((l0._POW_SLOTS - 1, 0), (l0._POW_SLOTS, 1)):
+        with mock.patch.object(l0, "_power_table", wraps=l0._power_table) as table:
+            ctx._powers(0, _slots(n, size, seed=size))
+        assert table.call_count == tables
+
+
+@pytest.mark.parametrize("n", NS)
+def test_slot_powers_match_python_pow(n):
+    # Every table width at n, and the pow path, on one batch holding the
+    # corner slots 0 and n^2 - 1; the width is forced so the batch stays
+    # small.  Several widths leave the last digit partial.
+    ctx = _empty_context(n)
+    bits = max_slot_bits(n)
+    slots = _slots(n, 300, seed=n)
+    want = _pow_oracle(ctx.spec, slots)
+    partial_digit = False
+    for w, _ in _widths(n):
+        digits = -(-bits // w)
+        partial_digit |= bits % w != 0
+        with (
+            mock.patch.object(l0, "_radix_digits", return_value=(w, digits)),
+            mock.patch.object(l0, "_power_table", wraps=l0._power_table) as table,
+        ):
+            got = np.stack([ctx._powers(rep, slots) for rep in range(ctx.spec.repetitions)])
+        assert table.call_count == ctx.spec.repetitions
+        assert table.call_args.args[0].shape == (digits,) and table.call_args.args[1] == 1 << w
+        assert got.dtype == np.uint64 and np.array_equal(got, want), w
+    assert partial_digit
+    few = slots[: l0._POW_SLOTS - 1]
+    got = np.stack([ctx._powers(rep, few) for rep in range(ctx.spec.repetitions)])
+    assert got.dtype == np.uint64 and np.array_equal(got, want[:, : few.size])
 
 
 @pytest.mark.parametrize("size", [1, 2, 3, 8, 9, 100])
