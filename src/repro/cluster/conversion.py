@@ -17,8 +17,8 @@ Two entry points:
 * :class:`CongestedCliqueTrace` + :func:`replay_trace` — replay an actual
   CC execution through a cluster ledger: each CC round's vertex-to-vertex
   messages are mapped to machine-to-machine traffic and charged exactly.
-  This is how :mod:`repro.baselines.flooding` obtains its honest k-machine
-  round count.
+  :mod:`repro.baselines.flooding` charges the same per-CC-round schedule
+  in its own streamed loop, without materializing a trace.
 """
 
 from __future__ import annotations

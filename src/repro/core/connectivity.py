@@ -172,13 +172,12 @@ def connected_components_distributed(
 
     def select(phase, labels, parts, cut):
         # Each component samples one outgoing edge; a zero sketch everywhere
-        # means no outgoing edge remains.  boruvka_phases reads that only when
-        # nothing was sampled, so only then is the zero test computed.
+        # means no outgoing edge remains.
         selection, nonzero = select_outgoing_edges(
             cluster, shared, labels, phase, sketch=sketch, parts=parts, live=cut
         )
         _charge_termination_check(cluster, phase)
-        return selection, bool(selection.found.any() or nonzero().any())
+        return selection, bool(nonzero.any())
 
     return boruvka_phases(
         cluster,

@@ -167,7 +167,7 @@ def minimum_spanning_tree_distributed(
         cert = np.zeros(c, dtype=bool)
         active = np.ones(c, dtype=bool)
         for t in range(elim_cap):
-            selection, nonzero = select_outgoing_edges(
+            selection, sketch_nonzero = select_outgoing_edges(
                 cluster,
                 shared,
                 labels,
@@ -181,7 +181,6 @@ def minimum_spanning_tree_distributed(
                 # of its MWOE's weight.
                 weight_bound_per_comp=np.where(active, bound, -np.inf),
             )
-            sketch_nonzero = nonzero()
             if t == 0:
                 # The unrestricted (bound = inf) sketches tell whether any
                 # outgoing edge exists at all — the true termination signal

@@ -28,38 +28,34 @@ granularity, and gives sketch rows only to the components that own one of
 them.  Callers keep the cut incidences as a sorted index
 (:func:`cut_incidences`) that contracts as components merge, so a step
 scans only the incidences that can still be cut.  Each shortcut is exact —
-the resulting samples, and the nonzero flags or'ed with them, are
-byte-identical to the part-level pipeline of the paper's steps 1-3 (proofs in
-:func:`select_outgoing_edges`,
-:meth:`~repro.sketch.l0.SketchContext.sample_groups` and
-:meth:`~repro.sketch.l0.SketchContext.nonzero_groups`), so every
+the resulting samples and zero-test flags are byte-identical to the
+part-level pipeline of the paper's steps 1-3 (proofs in
+:func:`select_outgoing_edges` and
+:meth:`~repro.sketch.l0.SketchContext.sample_groups`), so every
 downstream decision, ledger charge, and committed baseline is unchanged;
 only the kernel work shrinks with the frontier.
 
 The zero test
 -------------
 The sketch answers two questions per component: a sampled outgoing edge,
-and whether the (possibly weight-restricted) cut vector is zero.  Every
-step needs the first; the phase loops read the second only to stop or
-retry a phase in which nothing was sampled (connectivity) and to certify
-each elimination call's MWOEs (MST).  So a step samples, and returns the
-zero test beside its selection as a zero-argument callable that computes
-the flags when called.  A component with a verified sample reads nonzero
+and whether the (possibly weight-restricted) cut vector is zero.  The
+phase loops read the second to stop or retry a phase in which nothing was
+sampled (connectivity) and to certify each elimination call's MWOEs
+(MST).  One sampling pass answers both, and a step returns the flags
+beside its selection.  A component with a verified sample reads nonzero
 without a fingerprint: a zero vector has no candidate cell, and a
 verified cell's fingerprint ``c * r^slot`` is never 0.  Level-0
 fingerprints are computed only over the incidences of the components
-that sampled nothing.  The flags are the dense bundle's ``nonzero_mask``
-or'ed with ``found``; where every level-0 fingerprint of a nonzero
-vector vanishes beside a verified sample, the mask alone reads a false
-zero and the flags read nonzero.  The callable holds the step's cut
-incidences; they are freed when the caller drops it.
+that sampled nothing, so a step that sampled every live component
+computes none.  The flags are the dense bundle's ``nonzero_mask`` or'ed
+with ``found``; where every level-0 fingerprint of a nonzero vector
+vanishes beside a verified sample, the mask alone reads a false zero and
+the flags read nonzero.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable
 
 import numpy as np
 
@@ -135,14 +131,13 @@ def select_outgoing_edges(
     iteration: int = 0,
     sketch_seed: int | None = None,
     weight_bound_per_comp: np.ndarray | None = None,
-) -> tuple[OutgoingSelection, Callable[[], np.ndarray]]:
+) -> tuple[OutgoingSelection, np.ndarray]:
     """Run one sketch-sample-resolve step; charges the cluster ledger.
 
-    Returns the selection and the step's zero test: a zero-argument
-    callable giving ``bool[C]``, True where the component sampled an edge
-    or its (possibly weight-restricted) sketch is nonzero — i.e. an
-    outgoing edge exists w.h.p.  It is computed only when called (see the
-    module docstring).
+    Returns the selection and the step's zero test: ``bool[C]``, True
+    where the component sampled an edge or its (possibly weight-restricted)
+    sketch is nonzero — i.e. an outgoing edge exists w.h.p. (see the module
+    docstring).
 
     Parameters
     ----------
@@ -231,7 +226,7 @@ def select_outgoing_edges(
 
     # 3. Proxy-side combination and sampling (Lemma 2), computed for steps
     # 1 and 3 at once at component granularity (see the proof above).
-    sample, nonzero = _sample_components(cluster, spec, parts, live, bound)
+    sample = _sample_components(cluster, spec, parts, live, bound)
     found = sample.found
 
     c = parts.n_components
@@ -269,7 +264,7 @@ def select_outgoing_edges(
         neighbor_label=neighbor_label,
         edge_weight=weight,
     )
-    return selection, nonzero
+    return selection, sample.nonzero
 
 
 def _sample_components(
@@ -278,30 +273,26 @@ def _sample_components(
     parts: PartIndex,
     live: np.ndarray,
     bound: np.ndarray | None,
-) -> tuple[SampleResult, Callable[[], np.ndarray]]:
+) -> SampleResult:
     """Per component: one sampled cut edge, and the zero test of its cut sketch.
 
     Sketches the cut incidences of ``live`` under ``bound`` grouped by
     component.  :meth:`~repro.sketch.l0.SketchContext.sample_groups`
-    returns, byte for byte, the samples of the dense ``(C, R, L)`` bundle
-    (its docstring proves it) while evaluating only the *live* components
-    — those owning at least one kept incidence — and, past repetition 0,
-    only the ones still without a verified sample.  The returned callable
-    runs :meth:`~repro.sketch.l0.SketchContext.nonzero_groups` on the same
-    incidences with the sampled components settled: it reads the bundle's
-    nonzero flag or ``found``, and fingerprints only the components that
-    sampled nothing (see the module docstring).  A component owning no
-    kept incidence reads ``found=False, slot=-1, sign=0`` and
-    ``nonzero=False``, as its all-zero dense row does.
+    returns, byte for byte, the samples and zero test of the dense
+    ``(C, R, L)`` bundle (its docstring proves it) while evaluating only
+    the *live* components — those owning at least one kept incidence —
+    and, past repetition 0, only the ones still without a verified sample;
+    its zero test fingerprints only the components that sampled nothing
+    (see the module docstring).  A component owning no kept incidence
+    reads ``found=False, slot=-1, sign=0, nonzero=False``, as its all-zero
+    dense row does.
     """
     inc_comp = parts.comp_of_vertex[cluster.inc_owner[live]]
     if bound is not None:
         under = cluster.inc_weight_of(live) < bound[inc_comp]
         live, inc_comp = live[under], inc_comp[under]
     ctx = SketchContext(spec, cluster.inc_slot[live], cluster.inc_sign[live])
-    c = parts.n_components
-    sample = ctx.sample_groups(inc_comp, c)
-    return sample, partial(ctx.nonzero_groups, inc_comp, c, sample.found)
+    return ctx.sample_groups(inc_comp, parts.n_components)
 
 
 def _edge_weights(cluster: KMachineCluster, slots: np.ndarray) -> np.ndarray:

@@ -171,6 +171,11 @@ class RunRequest:
             )
         if self.scenario is not None and not isinstance(self.scenario, str):
             raise ProtocolError(f"scenario must be a string or null, got {self.scenario!r}")
+        try:  # an unknown name: the registry's message lists the options
+            get_algorithm(self.algorithm)
+            self.resolved_scenario()
+        except KeyError as exc:
+            raise ProtocolError(exc.args[0]) from None
         if not isinstance(self.n, int) or self.n < 4:
             raise ProtocolError(f"n must be an int >= 4, got {self.n!r}")
         if not isinstance(self.seed, int):

@@ -36,6 +36,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from typing import Any
 
+from repro.corpus.families import CorpusParam
 from repro.runtime.session import Session
 from repro.service.protocol import ProtocolError, RunRequest, read_frame, write_frame
 
@@ -386,24 +387,36 @@ class GraphService:
 
         Grid order is k-major then seed, matching ``Session.sweep``; each
         point is an independent coalescible request, so a sweep warms the
-        same caches run traffic hits.
+        same caches run traffic hits.  Every point is decoded and validated
+        before the first one runs, so a bad axis answers one error frame.
         """
         spec = _request_of(msg)
-        ks = [int(x) for x in (msg.get("ks") or [spec.k])]
-        seeds = [int(x) for x in (msg.get("seeds") or [spec.seed])]
-        count = 0
-        for k in ks:
-            for seed in seeds:
-                body = await self._execute(replace(spec, k=k, seed=seed))
-                await write_frame(
-                    writer,
-                    {"ok": True, "final": False, "op": "sweep", "id": req_id, **body},
-                )
-                count += 1
+        ks, seeds = _sweep_axis(msg, "ks", spec.k), _sweep_axis(msg, "seeds", spec.seed)
+        points = [replace(spec, k=k, seed=seed).validate() for k in ks for seed in seeds]
+        for point in points:
+            body = await self._execute(point)
+            await write_frame(
+                writer,
+                {"ok": True, "final": False, "op": "sweep", "id": req_id, **body},
+            )
         await write_frame(
             writer,
-            {"ok": True, "final": True, "op": "sweep", "id": req_id, "count": count},
+            {"ok": True, "final": True, "op": "sweep", "id": req_id, "count": len(points)},
         )
+
+
+def _sweep_axis(msg: dict, key: str, default: int) -> list[int]:
+    """A sweep axis: a JSON list of ints; absent, null or ``[]`` means ``[default]``."""
+    values = msg.get(key)
+    if values is None or values == []:
+        return [default]
+    if not isinstance(values, list):
+        raise ProtocolError(f"{key} must be a list of ints, got {values!r}")
+    decode = CorpusParam(key, "int", 0).coerce
+    try:
+        return [decode(value) for value in values]
+    except ValueError as exc:
+        raise ProtocolError(str(exc)) from None
 
 
 def _request_of(msg: dict) -> RunRequest:

@@ -294,7 +294,9 @@ class SketchBundle:
         candidate in the order repetition ascending, level descending, and
         returns per group the first candidate whose fingerprint verifies
         (deep levels have the fewest survivors, giving the
-        closest-to-uniform choice).
+        closest-to-uniform choice).  The zero test ``nonzero`` is
+        ``found`` or'ed with :meth:`nonzero_mask`: a zero vector holds no
+        candidate cell, so a verified sample proves a nonzero vector.
 
         **Head first.**  Verification is the costly step (a powmod per
         candidate), and a group's first candidate almost always verifies:
@@ -319,7 +321,7 @@ class SketchBundle:
         in_range = (slots >= 0) & (slots < np.int64(self.spec.n) * np.int64(self.spec.n))
         gi, ri, li, slots, signs = (a[in_range] for a in (gi, ri, li, slots, signs))
         if gi.size == 0:
-            return SampleResult(found, out_slot, out_sign)
+            return SampleResult(found, out_slot, out_sign, found | self.nonzero_mask())
         bits = max_slot_bits(self.spec.n)
         bases = np.array(
             [self.spec.fingerprint_base(rep) for rep in range(r)], dtype=np.uint64
@@ -349,12 +351,12 @@ class SketchBundle:
         found[gi[ok]] = True
         out_slot[gi[ok]] = slots[ok]
         out_sign[gi[ok]] = signs[ok]
-        return SampleResult(found, out_slot, out_sign)
+        return SampleResult(found, out_slot, out_sign, found | self.nonzero_mask())
 
 
 @dataclass(frozen=True)
 class SampleResult:
-    """Per-group l0-sample outcome.
+    """Per-group l0-sample outcome and zero test.
 
     Attributes
     ----------
@@ -365,11 +367,15 @@ class SampleResult:
     signs:
         ``int64[G]``; +1 if the *smaller* slot endpoint lies inside the
         sketched vertex set, -1 if the larger one does, 0 where not found.
+    nonzero:
+        ``bool[G]``; True where the sketched vector is (w.h.p.) nonzero: a
+        verified sample, or a nonzero level-0 fingerprint in some repetition.
     """
 
     found: np.ndarray
     slots: np.ndarray
     signs: np.ndarray
+    nonzero: np.ndarray
 
 
 class SketchContext:
@@ -386,10 +392,9 @@ class SketchContext:
     * :meth:`sample_groups` — outgoing-edge selection — evaluates one
       repetition at a time, only for the groups still without a verified
       sample, and computes fingerprints only at the cells a decision reads;
-    * :meth:`nonzero_groups` — the zero test, run only where a caller
-      reads it — computes level-0 fingerprints only for the groups not
-      already settled by a verified sample, and a later repetition's only
-      for the groups whose earlier ones all vanished;
+      its zero test computes level-0 fingerprints only for the groups that
+      sampled nothing, and a later repetition's only for the groups whose
+      earlier ones all vanished;
     * :meth:`group_sums` — the dense Lemma-2 reference the tests compare
       against — reads the ``(R, E)`` arrays :attr:`depths` and
       :attr:`fp_contrib`, built on first use from the same two functions.
@@ -482,12 +487,11 @@ class SketchContext:
         return int(self.slots.size)
 
     def sample_groups(self, group_idx: np.ndarray, n_groups: int) -> SampleResult:
-        """Per group, the sketch's l0 sample.
+        """Per group, the sketch's l0 sample and zero test.
 
         Incidence ``i`` belongs to group ``group_idx[i]``.  Returns exactly
         ``bundle.sample()`` of ``bundle = group_sums(group_idx, n_groups)``,
-        byte for byte, without building that bundle; the bundle's
-        ``nonzero_mask()`` is :meth:`nonzero_groups` with nothing settled.
+        byte for byte and zero test included, without building that bundle.
         Repetition ``r`` is evaluated — hash, depth, and the count,
         occupancy and id-sum scatters with their suffix sums over a
         ``(G_r, L)`` tensor — only for the ``G_r`` groups that repetitions
@@ -525,6 +529,16 @@ class SketchContext:
            checked cell.  Only the incidences at or before that column get
            a power, in one ``_powers`` batch with the candidates' expected
            values.
+        4. **The zero test.**  ``nonzero`` is ``found`` or'ed with the
+           bundle's ``nonzero_mask()``.  A group with a verified sample
+           reads True unfingerprinted.  A group with no incidence reads
+           False: every fingerprint is 0.  A group with one incidence
+           verifies in repetition 0 (rule 2), so the groups still pending
+           after the loop are exactly the rest.  Their level-0
+           fingerprints, each summing all of the group's incidences, are
+           computed over the incidences the loop has already narrowed to
+           them: repetition 0's first, and a later repetition's only for
+           the groups where every earlier one vanished.
         """
         gi = np.asarray(group_idx, dtype=np.int64)
         if gi.shape != self.slots.shape:
@@ -600,46 +614,18 @@ class SketchContext:
                 out_slot[groups] = slot[win]
                 out_sign[groups] = c[win]
             pending &= ~found
-        return SampleResult(found, out_slot, out_sign)
-
-    def nonzero_groups(
-        self, group_idx: np.ndarray, n_groups: int, settled: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Per group, whether its sketched vector is (w.h.p.) nonzero.
-
-        Returns exactly ``settled | bundle.nonzero_mask()`` of ``bundle =
-        group_sums(group_idx, n_groups)``, byte for byte, without building
-        that bundle: True where the group is ``settled`` or any
-        repetition's level-0 fingerprint, which sums all of the group's
-        incidences, is nonzero.  ``settled`` (``bool[G]``, optional) marks
-        groups known to be nonzero, such as those with a verified sample:
-        a zero vector has no candidate cell at all.  They read True
-        unfingerprinted.  With no incidence every fingerprint is 0: False.
-        With one it is ``+-r^slot``, never 0 for ``r`` in ``[2, p)`` and
-        ``p`` prime: True.  Otherwise repetition 0's fingerprint is
-        computed, and a later repetition's only for the groups where every
-        earlier one vanished, each over the incidences of the groups still
-        undecided.  A group's fingerprint depends only on its own
-        incidences, so leaving the other groups out changes none.
-        """
-        gi = np.asarray(group_idx, dtype=np.int64)
-        if gi.shape != self.slots.shape:
-            raise ValueError("group_idx must have one entry per incidence")
-        occupancy = np.bincount(gi, minlength=n_groups)
-        nonzero = occupancy == 1
-        if settled is not None:
-            nonzero |= settled
-        undecided = (occupancy > 1) & ~nonzero
-        g, slots, signs = gi, self.slots, self.signs
+        # Rule 4: only the groups that sampled nothing need a fingerprint,
+        # and every other group's fp0 is 0.
+        nonzero = found.copy()
         for rep in range(self.spec.repetitions):
-            if not undecided.any():
+            if not pending.any():
                 break
-            keep = undecided[g]
+            keep = pending[g]
             g, slots, signs = g[keep], slots[keep], signs[keep]
             fp0 = _modp_scatter_sum(self._powers(rep, slots), signs, g, n_groups)
-            nonzero |= undecided & (fp0 != 0)
-            undecided &= fp0 == 0
-        return nonzero
+            nonzero |= fp0 != 0
+            pending &= fp0 == 0
+        return SampleResult(found, out_slot, out_sign, nonzero)
 
     def group_sums(
         self,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -76,7 +77,7 @@ class TestSelection:
         cl, shared = make_run(g)
         labels = np.concatenate([np.zeros(5, np.int64), np.full(5, 5, np.int64)])
         _, sel, nonzero = select(cl, shared, labels)
-        assert not nonzero().any()
+        assert not nonzero.any()
         assert not sel.found.any()
 
     def test_charges_ledger(self):
@@ -130,7 +131,7 @@ class TestSelection:
         cl, shared = make_run(g)
         bound = np.zeros(g.n, dtype=np.float64)  # one singleton component per vertex
         _, _, nonzero = select(cl, shared, initial_labels(g.n), weight_bound_per_comp=bound)
-        assert not nonzero().any()
+        assert not nonzero.any()
 
     def test_weight_bound_shape_checked(self):
         g = gen.gnm_random(30, 60, seed=6)
@@ -149,61 +150,50 @@ class TestSelection:
         assert np.array_equal(sa.comp_proxy, sb.comp_proxy)
 
 
-class TestZeroTestOnDemand:
-    """The zero test runs only where a phase reads its answer."""
+@pytest.mark.parametrize("repetitions", [6, 1])
+@pytest.mark.parametrize("algorithm", ["connectivity", "mst"])
+def test_zero_test_fingerprints_only_the_groups_that_sampled_nothing(algorithm, repetitions):
+    # Every selection step answers its zero test in the sampling pass.  A
+    # group with a verified sample reads nonzero unfingerprinted, so the
+    # first level-0 scatter of a step holds exactly the incidences of the
+    # groups that sampled nothing, and a step that sampled every live group
+    # scatters nothing.  With one repetition some groups sample nothing.
+    g = gen.with_unique_weights(gen.gnm_random(200, 600, seed=2), seed=2)
+    cl = KMachineCluster.create(g, k=4, seed=2)
+    real_sample, real_scatter = SketchContext.sample_groups, l0._modp_scatter_sum
+    steps = []
 
-    @staticmethod
-    def _counting():
-        return mock.patch.object(
-            SketchContext, "nonzero_groups", autospec=True, side_effect=SketchContext.nonzero_groups
-        )
+    def sample_groups(self, group_idx, n_groups):
+        step = SimpleNamespace(group_idx=group_idx, scatters=[])
+        steps.append(step)
+        step.sample = real_sample(self, group_idx, n_groups)
+        return step.sample
 
-    def test_connectivity_runs_it_once_per_phase_that_sampled_nothing(self):
-        # One repetition makes sampling fail often enough to retry phases.
-        g = gen.gnm_random(300, 900, seed=1)
-        cl = KMachineCluster.create(g, k=4, seed=1)
-        with self._counting() as zero_test:
-            res = connected_components_distributed(cl, seed=1, sketch=SketchConfig(repetitions=1))
-        empty = sum(s.edges_sampled == 0 for s in res.phase_stats)
-        assert res.converged and empty >= 2  # retries plus the final phase
-        assert zero_test.call_count == empty
+    def scatter(values, signs, idx, n_out):
+        steps[-1].scatters.append(idx)
+        return real_scatter(values, signs, idx, n_out)
 
-    def test_mst_runs_it_once_per_elimination_call(self):
-        # Each call settles the components with a verified sample and
-        # fingerprints exactly the incidences of the undecided ones: more
-        # than one incidence and no sample.  With one repetition some
-        # components sample nothing, so some calls fingerprint at all.
-        g = gen.with_unique_weights(gen.gnm_random(200, 600, seed=2), seed=2)
-        real_zero_test, real_scatter = SketchContext.nonzero_groups, l0._modp_scatter_sum
-        for repetitions in (6, 1):
-            cl = KMachineCluster.create(g, k=4, seed=2)
-            calls = []
-
-            def zero_test(self, group_idx, n_groups, settled=None):
-                calls.append((group_idx, n_groups, settled, []))
-                return real_zero_test(self, group_idx, n_groups, settled)
-
-            def scatter(values, signs, idx, n_out):
-                calls[-1][3].append(idx)
-                return real_scatter(values, signs, idx, n_out)
-
-            with (
-                mock.patch.object(SketchContext, "nonzero_groups", zero_test),
-                mock.patch.object(l0, "_modp_scatter_sum", scatter),
-            ):
-                res = minimum_spanning_tree_distributed(
-                    cl, seed=2, sketch=SketchConfig(repetitions=repetitions)
-                )
+    sketch = SketchConfig(repetitions=repetitions)
+    with (
+        mock.patch.object(SketchContext, "sample_groups", sample_groups),
+        mock.patch.object(l0, "_modp_scatter_sum", scatter),
+    ):
+        if algorithm == "mst":
+            res = minimum_spanning_tree_distributed(cl, seed=2, sketch=sketch)
             assert res.certified
-            assert len(calls) == sum(s.elimination_iterations for s in res.phase_stats)
-            settled_total = scattered = 0
-            for group_idx, n_groups, settled, scatters in calls:
-                settled_total += int(settled.sum())
-                undecided = (np.bincount(group_idx, minlength=n_groups) > 1) & ~settled
-                if scatters:
-                    assert np.array_equal(scatters[0], group_idx[undecided[group_idx]])
-                    scattered += scatters[0].size
-                else:
-                    assert not undecided.any()
-            assert settled_total > 0
-        assert scattered > 0  # the one-repetition run
+            assert len(steps) == sum(s.elimination_iterations for s in res.phase_stats)
+        else:
+            res = connected_components_distributed(cl, seed=2, sketch=sketch)
+            assert res.converged and len(steps) == len(res.phase_stats)
+    scattered = all_sampled = 0
+    for step in steps:
+        undecided = step.group_idx[~step.sample.found[step.group_idx]]
+        if undecided.size:
+            assert np.array_equal(step.scatters[0], undecided)
+            scattered += undecided.size
+        else:
+            assert step.scatters == []
+            all_sampled += 1
+    assert all_sampled > 0
+    if repetitions == 1:
+        assert scattered > 0

@@ -45,9 +45,10 @@ FAMILIES = {
 def _part_level_oracle(cluster, spec, parts, live, bound):
     """The unpruned pipeline: all incidences by part, then aggregate, then sample.
 
-    It ignores the caller's ``live`` index and sketches every incidence; its
-    zero test is the component bundle's ``nonzero_mask`` or'ed with the
-    sample's ``found`` (a zero vector has no verified sample).
+    It ignores the caller's ``live`` index and sketches every incidence; the
+    component bundle's ``sample`` gives its zero test too, the bundle's
+    ``nonzero_mask`` or'ed with ``found`` (a zero vector has no verified
+    sample).
     """
     inc_part = parts.part_of_vertex[cluster.inc_owner]
     ctx = SketchContext(spec, cluster.inc_slot, cluster.inc_sign)
@@ -56,8 +57,7 @@ def _part_level_oracle(cluster, spec, parts, live, bound):
         mask = cluster.inc_weight < bound[parts.comp_of_part[inc_part]]
     part_bundle = ctx.group_sums(inc_part, parts.n_parts, mask=mask)
     comp_bundle = part_bundle.aggregate(parts.comp_of_part, parts.n_components)
-    sample = comp_bundle.sample()
-    return sample, lambda: sample.found | comp_bundle.nonzero_mask()
+    return comp_bundle.sample()
 
 
 @contextmanager
@@ -87,7 +87,7 @@ def _selection_state(sel, nonzero) -> tuple:
     """
     return (
         sel.comp_proxy.tobytes(),
-        nonzero().tobytes(),
+        nonzero.tobytes(),
         sel.found.tobytes(),
         sel.internal_vertex.tobytes(),
         sel.foreign_vertex.tobytes(),

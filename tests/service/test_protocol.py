@@ -7,8 +7,15 @@ import json
 import struct
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from repro.cluster.partition import PARTITION_SCHEMES
+from repro.corpus.families import sizeable_families
 from repro.graphs import generators
+from repro.runtime.config import ConfigError
+from repro.runtime.registry import get_algorithm, list_algorithms
+from repro.scenarios.registry import list_scenarios
 from repro.service.protocol import (
     MAX_FRAME_BYTES,
     ProtocolError,
@@ -120,6 +127,8 @@ def test_request_rejects_unknown_fields():
         {"epoch": -1},
         {"family": "petersen"},
         {"algorithm": ""},
+        {"algorithm": "nope"},
+        {"scenario": "nope"},
     ],
 )
 def test_request_validation_rejects(fields):
@@ -224,3 +233,53 @@ def test_updates_do_not_split_the_cluster_key():
 def test_invalid_update_plan_is_a_protocol_error(updates):
     with pytest.raises(ProtocolError):
         RunRequest(algorithm="mst_dynamic", updates=updates).validate()
+
+
+# -- decoder fuzzing ----------------------------------------------------------
+
+_JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-4, 64)
+    | st.integers()
+    | st.floats()
+    | st.sampled_from(["nope", "gnm", "mst", "uniform", "true", "64"])
+    | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=8,
+)
+
+#: One strategy of valid values per request field.
+_VALID = {
+    "algorithm": st.sampled_from(list_algorithms()),
+    "family": st.none() | st.sampled_from(sizeable_families()),
+    "scenario": st.none() | st.sampled_from(list_scenarios()),
+    "n": st.integers(4, 4096),
+    "seed": st.integers(0, 2**32),
+    "k": st.integers(2, 64),
+    "scheme": st.sampled_from(PARTITION_SCHEMES),
+    "epoch": st.integers(0, 8),
+    "weighted": st.booleans(),
+    "updates": st.none() | st.builds(_storm_dict),
+    "params": st.just({}),
+    "corpus": st.none() | st.sampled_from(["gnm/abc_0", "path/x_1"]),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.fixed_dictionaries({}, optional={key: valid | _JSON for key, valid in _VALID.items()}))
+@example({"scenario": "nope"})
+@example({"algorithm": "nope"})
+def test_request_decoder_fuzz(data):
+    # Any object over the request's keys decodes to a request whose keys,
+    # config and algorithm resolve, or fails with ProtocolError or
+    # ConfigError; it never raises anything else.
+    try:
+        request = RunRequest.from_dict(data)
+    except (ProtocolError, ConfigError):
+        return
+    request.cluster_key()
+    request.graph_key()
+    request.run_config()
+    get_algorithm(request.algorithm)

@@ -122,6 +122,47 @@ def test_sweep_streams_every_grid_point():
     assert grid == [(2, 0), (2, 1), (3, 0), (3, 1)]  # k-major, like Session.sweep
 
 
+def test_sweep_rejects_malformed_axes_and_keeps_connection():
+    # Each axis is a JSON list of ints, decoded like the request's own int
+    # fields: no string, no scalar, no bool, no fractional float, no null
+    # entry.  Every point is validated before any runs, so k = 1 runs
+    # nothing either.  Absent, null and [] mean the request's own value.
+    request = RunRequest(n=64, seed=0, k=2).to_dict()
+    bad_axes = [
+        {"ks": "23"},
+        {"ks": [2.9], "seeds": [True]},
+        {"ks": 5},
+        {"seeds": [None]},
+        {"ks": [3, 1]},
+    ]
+
+    async def drive(service, host, port):
+        sweeps = [
+            {"op": "sweep", "id": i, "request": request, **axes} for i, axes in enumerate(bad_axes)
+        ]
+        frames = await _exchange(
+            host,
+            port,
+            *sweeps,
+            {"op": "sweep", "id": 7, "request": request, "ks": None, "seeds": []},
+            {"op": "ping", "id": 8},
+        )
+        return frames, service.stats()
+
+    (*bad, default, ping), stats = _serve(drive)
+    for i, frames in enumerate(bad):
+        assert len(frames) == 1, bad_axes[i]  # an error frame and no report
+        assert frames[0]["ok"] is False and frames[0]["id"] == i
+        assert frames[0]["error"]["type"] == "ProtocolError", bad_axes[i]
+    assert "ks must be a list of ints" in bad[0][0]["error"]["message"]
+    assert "expects int" in bad[1][0]["error"]["message"]
+    assert "k must be" in bad[4][0]["error"]["message"]
+    assert stats["requests"]["runs"] == 1  # only the default sweep's point ran
+    assert len(default) == 2 and default[0]["report"]["seed"] == 0
+    assert default[0]["report"]["config"]["cluster"]["k"] == 2
+    assert ping[-1]["ok"] is True
+
+
 def test_bad_request_answers_error_and_keeps_connection():
     async def drive(service, host, port):
         return await _exchange(
@@ -131,16 +172,20 @@ def test_bad_request_answers_error_and_keeps_connection():
             {"op": "run", "id": 2, "request": {"algorithm": "nope", "n": 64}},
             {"op": "nosuchop", "id": 3},
             {"op": "run", "id": 5, "request": [["n", 64]]},
+            {"op": "run", "id": 6, "request": {"scenario": "nope", "n": 64}},
             {"op": "ping", "id": 4},
         )
 
-    bad_n, bad_algo, bad_op, bad_shape, ping = _serve(drive)
+    bad_n, bad_algo, bad_op, bad_shape, bad_scenario, ping = _serve(drive)
     assert bad_n[-1]["ok"] is False and bad_n[-1]["id"] == 1
     assert "n must be" in bad_n[-1]["error"]["message"]
-    assert bad_algo[-1]["ok"] is False and bad_algo[-1]["error"]["type"] == "KeyError"
+    assert bad_algo[-1]["ok"] is False and bad_algo[-1]["error"]["type"] == "ProtocolError"
+    assert bad_algo[-1]["error"]["message"].startswith("unknown algorithm 'nope'; available:")
+    assert bad_scenario[-1]["ok"] is False and bad_scenario[-1]["error"]["type"] == "ProtocolError"
+    assert bad_scenario[-1]["error"]["message"].startswith("unknown scenario 'nope'; available:")
     assert bad_op[-1]["ok"] is False and "unknown op" in bad_op[-1]["error"]["message"]
     assert bad_shape[-1]["ok"] is False and bad_shape[-1]["error"]["type"] == "ProtocolError"
-    assert ping[-1]["ok"] is True  # four failures later, the link still works
+    assert ping[-1]["ok"] is True  # five failures later, the link still works
 
 
 def test_wire_corruption_drops_connection_with_error_frame():

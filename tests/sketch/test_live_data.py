@@ -6,26 +6,25 @@ components that own a kept incidence
 (:func:`repro.core.outgoing._sample_components`), one repetition at a time
 and only for the components still without a verified sample, and reads
 fingerprints only at the cells a decision depends on, powering only the
-incidences that reach a checked cell;
-:meth:`~repro.sketch.l0.SketchContext.nonzero_groups`, the zero test, runs
-apart and only when called, and reads a component with a verified sample
-as nonzero without a fingerprint; ``group_sums`` builds
-the level axis only down to the deepest selected incidence, and ``sample``
-verifies each group's first candidate before any other.  This suite pins
-all of it against an independent oracle: every group gets a row, every
-level of ``spec.levels`` is stored, the cells are accumulated one
-incidence at a time with Python integers, and every candidate is verified
-with Python's ``pow``.  Hypothesis covers random incidence lists, untouched
-groups, masks, weight bounds, a single group, empty selections and
-incidences forced to the maximum depth; deterministic cases reach each
-exact branch of ``sample_groups`` and ``nonzero_groups`` (a multi-occupancy
-candidate that verifies, a level-0 fingerprint that vanishes on a nonzero
-vector, one that vanishes beside a verified sample, which settles the zero
-test, a group with no single-occupancy candidate in any repetition, a
-checked cell whose answer needs the incidences at its own column); the
-remaining tests
-pin the sample fallback order, linearity on trimmed bundles, and the level
-trim on a large input.
+incidences that reach a checked cell; its zero test reads a component
+with a verified sample as nonzero without a fingerprint and fingerprints
+level 0 only for the components that sampled nothing; ``group_sums``
+builds the level axis only down to the deepest selected incidence, and
+``sample`` verifies each group's first candidate before any other.  This
+suite pins all of it, zero test included, against an independent oracle:
+every group gets a row, every level of ``spec.levels`` is stored, the
+cells are accumulated one incidence at a time with Python integers, and
+every candidate is verified with Python's ``pow``.  Hypothesis covers
+random incidence lists, untouched groups, masks, weight bounds, a single
+group, empty selections and incidences forced to the maximum depth;
+deterministic cases reach each exact branch of ``sample_groups`` (a
+multi-occupancy candidate that verifies, a level-0 fingerprint that
+vanishes on a nonzero vector that sampled nothing, one that vanishes
+beside a verified sample, which settles the zero test, a group with no
+single-occupancy candidate in any repetition, a checked cell whose answer
+needs the incidences at its own column); the remaining tests pin the
+sample fallback order, linearity on trimmed bundles, and the level trim
+on a large input.
 """
 
 from __future__ import annotations
@@ -38,6 +37,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import outgoing
+from repro.sketch import l0
 from repro.sketch.field import MERSENNE_P
 from repro.sketch.l0 import SampleResult, SketchBundle, SketchContext, SketchSpec
 
@@ -84,7 +84,9 @@ def _sample_oracle(b: SketchBundle) -> SampleResult:
             if int(b.fps[gi, rep, lev]) == (want if c > 0 else (P - want) % P):
                 found[gi], slots[gi], signs[gi] = True, slot, c
                 break
-    return SampleResult(found, slots, signs)
+    # A verified sample proves a nonzero vector; otherwise level 0 decides.
+    nonzero = found | np.any(b.fps[:, :, 0] != 0, axis=1)
+    return SampleResult(found, slots, signs, nonzero)
 
 
 def _oracle_add(a: SketchBundle, b: SketchBundle) -> SketchBundle:
@@ -116,7 +118,7 @@ def _assert_same_bundle(a: SketchBundle, b: SketchBundle) -> None:
 
 
 def _sample_bytes(s: SampleResult) -> tuple:
-    return s.found.tobytes(), s.slots.tobytes(), s.signs.tobytes()
+    return s.found.tobytes(), s.slots.tobytes(), s.signs.tobytes(), s.nonzero.tobytes()
 
 
 def _deep_context(deep_slots: np.ndarray):
@@ -178,7 +180,7 @@ def _incidences(draw):
 @settings(max_examples=80, deadline=None)
 @given(data=st.data(), inc=_incidences())
 def test_compact_trimmed_sample_matches_dense_oracle(data, inc):
-    """Selection's (nonzero, sample) equals the full-depth dense oracle's."""
+    """Selection's sample and zero test equal the full-depth dense oracle's."""
     n, slots, signs, owners = inc
     e = slots.size
     n_groups = data.draw(st.integers(min_value=1, max_value=8), label="n_groups")
@@ -213,16 +215,11 @@ def test_compact_trimmed_sample_matches_dense_oracle(data, inc):
 
     keep = cross if bound is None else cross & (weights < bound[group])
     oracle = _dense_oracle(context(spec, slots, signs), group, n_groups, keep)
-    want_sample = _sample_oracle(oracle)
-    want_nonzero = want_sample.found | np.any(oracle.fps[:, :, 0] != 0, axis=1)
 
     cluster, parts = _incidence_view(slots, signs, weights, group, n_groups)
     with mock.patch.object(outgoing, "SketchContext", context):
-        sample, nonzero = outgoing._sample_components(
-            cluster, spec, parts, np.flatnonzero(cross), bound
-        )
-        assert nonzero().tobytes() == want_nonzero.tobytes()
-    assert _sample_bytes(sample) == _sample_bytes(want_sample)
+        sample = outgoing._sample_components(cluster, spec, parts, np.flatnonzero(cross), bound)
+    assert _sample_bytes(sample) == _sample_bytes(_sample_oracle(oracle))
 
 
 @settings(max_examples=60, deadline=None)
@@ -270,10 +267,8 @@ def test_single_group_and_empty_selection():
     assert not empty.sample().found.any()
     # No live component at all: nothing is sketched, every row reads empty.
     cluster, parts = _incidence_view(slots, signs, np.zeros(3), np.array([0, 1, 1]), 2)
-    sample, nonzero = outgoing._sample_components(
-        cluster, spec, parts, np.empty(0, dtype=np.int64), None
-    )
-    assert not nonzero().any() and not sample.found.any()
+    sample = outgoing._sample_components(cluster, spec, parts, np.empty(0, dtype=np.int64), None)
+    assert not sample.nonzero.any() and not sample.found.any()
     assert sample.slots.tolist() == [-1, -1] and sample.signs.tolist() == [0, 0]
 
 
@@ -286,30 +281,25 @@ def test_live_zero_row_keeps_its_place():
     spec = SketchSpec.for_graph(n, seed=6, repetitions=3)
     group = np.array([0, 0, 2], dtype=np.int64)
     cluster, parts = _incidence_view(slots, signs, np.zeros(3), group, 3)
-    sample, nonzero = outgoing._sample_components(cluster, spec, parts, np.arange(3), None)
-    assert nonzero().tolist() == [False, False, True]
+    sample = outgoing._sample_components(cluster, spec, parts, np.arange(3), None)
+    assert sample.nonzero.tolist() == [False, False, True]
     oracle = _dense_oracle(SketchContext(spec, slots, signs), group, 3, np.ones(3, dtype=bool))
     assert _sample_bytes(sample) == _sample_bytes(_sample_oracle(oracle))
     assert sample.found.tolist() == [False, False, True]
 
 
 # --------------------------------------------------------------------------
-# The exact branches of sample_groups and nonzero_groups, each reached on purpose
+# The exact branches of sample_groups, each reached on purpose
 # --------------------------------------------------------------------------
 
 
 def _check_against_oracle(ctx: SketchContext, group: np.ndarray, n_groups: int):
-    """``nonzero_groups``, alone and with the sampled groups settled, and
-    ``sample_groups`` equal the oracle; return the unsettled flags, the
+    """``sample_groups``, zero test included, equals the oracle; return the
     sample and the oracle bundle."""
-    nonzero, sample = ctx.nonzero_groups(group, n_groups), ctx.sample_groups(group, n_groups)
+    sample = ctx.sample_groups(group, n_groups)
     oracle = _dense_oracle(ctx, group, n_groups, np.ones(group.size, dtype=bool))
-    mask = np.any(oracle.fps[:, :, 0] != 0, axis=1)
-    assert nonzero.tolist() == mask.tolist()
-    settled = ctx.nonzero_groups(group, n_groups, sample.found)
-    assert settled.tolist() == (sample.found | mask).tolist()
     assert _sample_bytes(sample) == _sample_bytes(_sample_oracle(oracle))
-    return nonzero, sample, oracle
+    return sample, oracle
 
 
 def test_multi_occupancy_candidate_verifies():
@@ -325,39 +315,54 @@ def test_multi_occupancy_candidate_verifies():
     spec = SketchSpec.for_graph(n, seed=13, repetitions=3)
     ctx = _deep_context(np.array([a, b, c, d], dtype=np.uint64))(spec, slots, signs)
     assert (ctx.depths[:, [0, 1, 2, 5, 6, 7]] == spec.levels - 1).all()
-    nonzero, sample, _ = _check_against_oracle(ctx, group, 3)
-    assert nonzero.tolist() == [True, True, True]
+    sample, _ = _check_against_oracle(ctx, group, 3)
+    assert sample.nonzero.tolist() == [True, True, True]
     assert (sample.found[0], sample.slots[0], sample.signs[0]) == (True, b, 1)
     assert (sample.found[2], sample.slots[2], sample.signs[2]) == (True, d, -1)
 
 
 def test_nonzero_reads_a_later_repetition_where_level0_vanishes():
     # With r = p - 1 in repetition 0, r^slot = +-1 by the slot's parity.
-    # Group 0's two even slots of opposite sign give a level-0 fingerprint
-    # of 1 - 1 = 0 on a nonzero vector, so repetition 1 decides its flag.
-    # Its sample still comes from repetition 0, although repetition 1 puts
-    # the other incidence deepest.  Group 1 is a true zero (a same-slot +-
-    # pair): every repetition vanishes.  Group 2 holds one incidence:
-    # nonzero with no fingerprint.
+    # Group 0 holds +1 on an even and +1 on an odd slot, both forced to the
+    # deepest level: every cell holds both (count 2), so it samples
+    # nothing, and its repetition-0 level-0 fingerprint 1 - 1 = 0 vanishes
+    # on a nonzero vector, so repetition 1 decides its flag.  Group 1 is a
+    # true zero (a same-slot +- pair): every repetition vanishes.  Group 2
+    # holds one incidence: sampled, hence nonzero with no fingerprint.
+    # Group 3's two even slots of opposite sign vanish in repetition 0 too,
+    # but its sample settles it; the sample comes from repetition 0,
+    # although repetition 1 puts the other incidence deepest.
     n = 40
-    slots = np.array([2 * n + 4, 6 * n + 10, 9 * n + 13, 9 * n + 13, 4 * n + 7], dtype=np.uint64)
-    signs = np.array([1, -1, 1, -1, 1], dtype=np.int64)
-    group = np.array([0, 0, 1, 1, 2], dtype=np.int64)
+    even, odd = 12 * n + 14, 5 * n + 9
+    slots = np.array(
+        [even, odd, 9 * n + 13, 9 * n + 13, 4 * n + 7, 2 * n + 4, 6 * n + 10], dtype=np.uint64
+    )
+    signs = np.array([1, 1, 1, -1, 1, 1, -1], dtype=np.int64)
+    group = np.array([0, 0, 1, 1, 2, 3, 3], dtype=np.int64)
     spec = SketchSpec.for_graph(n, seed=22, repetitions=3)
-    real = SketchSpec.fingerprint_base
+    real_base, real_scatter = SketchSpec.fingerprint_base, l0._modp_scatter_sum
+    scattered = []
 
     def base(self, rep):
-        return P - 1 if rep == 0 else real(self, rep)
+        return P - 1 if rep == 0 else real_base(self, rep)
+
+    def scatter(values, signs, idx, n_out):
+        scattered.append(idx.tolist())
+        return real_scatter(values, signs, idx, n_out)
 
     with mock.patch.object(SketchSpec, "fingerprint_base", base):
-        ctx = SketchContext(spec, slots, signs)
-        nonzero, sample, oracle = _check_against_oracle(ctx, group, 3)
-    assert oracle.fps[0, 0, 0] == 0 and oracle.fps[0, 1, 0] != 0
-    assert nonzero.tolist() == [True, False, True]
-    depths = ctx.depths[:2, :2]
+        ctx = _deep_context(np.array([even, odd], dtype=np.uint64))(spec, slots, signs)
+        with mock.patch.object(l0, "_modp_scatter_sum", scatter):
+            sample, oracle = _check_against_oracle(ctx, group, 4)
+    assert oracle.fps[0, 0, 0] == 0 and oracle.fps[0, 1, 0] != 0 and oracle.fps[3, 0, 0] == 0
+    assert sample.found.tolist() == [False, False, True, True]
+    assert sample.nonzero.tolist() == [True, False, True, True]
+    # Repetitions 0 and 1 fingerprint the two groups that sampled nothing;
+    # repetition 2 only the true zero, the one group still vanishing.
+    assert scattered == [[0, 0, 1, 1], [0, 0, 1, 1], [1, 1]]
+    depths = ctx.depths[:2, 5:]
     assert depths[0, 1] > depths[0, 0] and depths[1, 0] > depths[1, 1]
-    assert (sample.found[0], sample.slots[0], sample.signs[0]) == (True, 6 * n + 10, -1)
-    assert not sample.found[1]
+    assert (sample.found[3], sample.slots[3], sample.signs[3]) == (True, 6 * n + 10, -1)
 
 
 def test_verified_sample_settles_a_vanishing_level0_fingerprint():
@@ -379,13 +384,12 @@ def test_verified_sample_settles_a_vanishing_level0_fingerprint():
         oracle = _dense_oracle(ctx, group, 1, np.ones(2, dtype=bool))
         want = _sample_oracle(oracle)
         with mock.patch.object(outgoing, "SketchContext", context):
-            sample, nonzero = outgoing._sample_components(cluster, spec, parts, np.arange(2), None)
-            flags = nonzero()
+            sample = outgoing._sample_components(cluster, spec, parts, np.arange(2), None)
     assert ctx.depths[0, 0] < ctx.depths[0, 1] == spec.levels - 1
     assert oracle.fps[0, 0, 0] == 0 and not oracle.nonzero_mask().any()
     assert _sample_bytes(sample) == _sample_bytes(want)
     assert (sample.found[0], sample.slots[0], sample.signs[0]) == (True, 2, 1)
-    assert flags.tolist() == [True]
+    assert sample.nonzero.tolist() == [True]
 
 
 def test_group_without_single_occupancy_in_any_repetition():
@@ -401,9 +405,9 @@ def test_group_without_single_occupancy_in_any_repetition():
     group = np.array([0, 0, 0, 0, 0, 1, 1], dtype=np.int64)
     spec = SketchSpec.for_graph(n, seed=34, repetitions=4)
     ctx = _deep_context(deep)(spec, slots, signs)
-    nonzero, sample, oracle = _check_against_oracle(ctx, group, 2)
+    sample, oracle = _check_against_oracle(ctx, group, 2)
     assert (oracle.counts[0] == 1).all() and (oracle.sums[0] == s1 + s2 - s3).all()
-    assert nonzero.tolist() == [True, True]
+    assert sample.nonzero.tolist() == [True, True]
     assert not sample.found[0] and sample.found[1]
 
 
@@ -447,7 +451,7 @@ def test_checked_cell_reads_the_incidences_at_its_own_column():
         ctx = Forced(spec, slots, signs)
         with mock.patch.object(SketchContext, "_powers", powers):
             ctx.sample_groups(group, 2)
-        _, sample, oracle = _check_against_oracle(ctx, group, 2)
+        sample, oracle = _check_against_oracle(ctx, group, 2)
     assert (oracle.counts[0, 0, deepest], oracle.fps[0, 0, deepest]) == (1, 3)
     assert (sample.found[0], sample.slots[0], sample.signs[0]) == (True, 328, 1)
     # One batch: the five incidences that reach a checked cell, then the
