@@ -4,7 +4,11 @@ Algorithms in this repository express each parallel communication step as a
 set of (source machine, destination machine, bits) messages;
 :class:`CommStep` accumulates them into a k x k load matrix and charges the
 ledger ``ceil(max off-diagonal load / B)`` rounds — the exact optimal
-schedule length for a complete network with per-link bandwidth B.
+schedule length for a complete network with per-link bandwidth B.  Each
+:meth:`CommStep.add` accumulates in one pass over the link ids
+``src * k + dst``: a ``np.bincount`` of messages scaled by a scalar bit
+count, or an exact :func:`~repro.sketch.kernels.segment_sum` of per-message
+bits.
 
 Machine-local messages (src == dst) are free, reflecting the model's free
 local computation; they are still counted in ``messages`` for diagnostics.
@@ -15,6 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.cluster.ledger import RoundLedger
+from repro.sketch.kernels import segment_sum
 from repro.util.bits import ceil_div
 
 __all__ = ["CommStep", "broadcast_from_machine", "disseminate_from_machine"]
@@ -49,15 +54,23 @@ class CommStep:
         s = np.asarray(src, dtype=np.int64)
         d = np.asarray(dst, dtype=np.int64)
         b = np.asarray(bits, dtype=np.int64)
-        s, d, b = np.broadcast_arrays(s, d, b)
         k = self.ledger.topology.k
-        if s.size:
-            if s.min() < 0 or s.max() >= k or d.min() < 0 or d.max() >= k:
-                raise ValueError("machine ids out of range")
-            if b.min() < 0:
-                raise ValueError("bits must be non-negative")
-            np.add.at(self._load, (s.ravel(), d.ravel()), b.ravel())
-            self._messages += int(s.size)
+        link = s * k + d
+        if b.ndim and b.shape != link.shape:
+            link, b = np.broadcast_arrays(link, b)
+        if not link.size:
+            return
+        if s.min() < 0 or s.max() >= k or d.min() < 0 or d.max() >= k:
+            raise ValueError("machine ids out of range")
+        if b.min() < 0:
+            raise ValueError("bits must be non-negative")
+        link = link.ravel()
+        if b.ndim:
+            load = segment_sum(b.ravel(), link, k * k, max_abs=int(b.max()))
+        else:
+            load = np.bincount(link, minlength=k * k) * b
+        self._load += load.reshape(k, k)
+        self._messages += link.size
 
     def add_grouped(self, src_dst_pairs: np.ndarray, bits_each: int) -> None:
         """Add one ``bits_each``-bit message per row of ``int64[(M, 2)]`` pairs."""

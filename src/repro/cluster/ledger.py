@@ -79,6 +79,7 @@ class RoundLedger:
             self.received_bits = np.zeros(k, dtype=np.int64)
         if self.load_total is None:
             self.load_total = np.zeros((k, k), dtype=np.int64)
+        self._off_diagonal = ~np.eye(k, dtype=bool)
 
     # -- fault injection -----------------------------------------------------
 
@@ -151,8 +152,7 @@ class RoundLedger:
         migrations cannot recurse into further churn events.
         """
         k = self.topology.k
-        off = load.copy()
-        np.fill_diagonal(off, 0)
+        off = load * self._off_diagonal
         max_link = int(off.max(initial=0))
         total = int(off.sum())
         bandwidth = self.topology.bandwidth_bits

@@ -37,7 +37,12 @@ from repro.cluster.comm import CommStep
 from repro.cluster.shared_random import SharedRandomness
 from repro.core.drr import build_drr_forest, charge_forest_build, merge_forest
 from repro.core.labels import PartIndex, canonical_labels, initial_labels
-from repro.core.outgoing import OutgoingSelection, cut_incidences, select_outgoing_edges
+from repro.core.outgoing import (
+    OutgoingSelection,
+    cut_incidences,
+    cut_view,
+    select_outgoing_edges,
+)
 from repro.core.proxy import proxy_of_labels
 from repro.runtime.config import SketchConfig
 from repro.util.bits import bits_for_id
@@ -173,8 +178,9 @@ def connected_components_distributed(
     def select(phase, labels, parts, cut):
         # Each component samples one outgoing edge; a zero sketch everywhere
         # means no outgoing edge remains.
-        selection, nonzero = select_outgoing_edges(
-            cluster, shared, labels, phase, sketch=sketch, parts=parts, live=cut
+        live = cut_view(cluster, parts, cut)
+        selection, nonzero, _ = select_outgoing_edges(
+            cluster, shared, labels, phase, sketch=sketch, parts=parts, live=live
         )
         _charge_termination_check(cluster, phase)
         return selection, bool(nonzero.any())

@@ -42,7 +42,7 @@ from repro.cluster.shared_random import SharedRandomness
 from repro.core.connectivity import boruvka_phases
 # perf/trace.py wraps these names here too; the driver calls the connectivity copies.
 from repro.core.drr import build_drr_forest, charge_forest_build, merge_forest  # noqa: F401
-from repro.core.outgoing import OutgoingSelection, select_outgoing_edges
+from repro.core.outgoing import OutgoingSelection, cut_view, select_outgoing_edges
 from repro.core.proxy import proxies_to_parts
 from repro.runtime.config import SketchConfig
 from repro.util.bits import bits_for_id
@@ -166,8 +166,11 @@ def minimum_spanning_tree_distributed(
         have_cand = np.zeros(c, dtype=bool)
         cert = np.zeros(c, dtype=bool)
         active = np.ones(c, dtype=bool)
+        # Gathered once per phase; each call narrows the view the call
+        # before it kept, since no component's effective bound ever rises.
+        live = cut_view(cluster, parts, cut, weighted=True)
         for t in range(elim_cap):
-            selection, sketch_nonzero = select_outgoing_edges(
+            selection, sketch_nonzero, live = select_outgoing_edges(
                 cluster,
                 shared,
                 labels,
@@ -176,7 +179,7 @@ def minimum_spanning_tree_distributed(
                 sketch_seed=derive_seed(shared.sketch_seed(phase), t),
                 sketch=sketch,
                 parts=parts,
-                live=cut,
+                live=live,
                 # A finished component keeps no incidence, whatever the sign
                 # of its MWOE's weight.
                 weight_bound_per_comp=np.where(active, bound, -np.inf),

@@ -26,8 +26,13 @@ The step sketches only the live data: it drops *component-internal*
 incidence pairs, groups the surviving cut incidences directly at component
 granularity, and gives sketch rows only to the components that own one of
 them.  Callers keep the cut incidences as a sorted index
-(:func:`cut_incidences`) that contracts as components merge, so a step
-scans only the incidences that can still be cut.  Each shortcut is exact —
+(:func:`cut_incidences`) that contracts as components merge, and hand a
+step its :class:`CutView`: that index with each incidence's component
+and, under a weight bound, its weight, gathered once per phase.  A step
+keeps the view's incidences under its bound and returns the kept view, so
+MST's elimination calls each filter the previous call's set, never the
+whole cut index (:meth:`CutView.narrow` says why that is exact).  Each
+shortcut is exact —
 the resulting samples and zero-test flags are byte-identical to the
 part-level pipeline of the paper's steps 1-3 (proofs in
 :func:`select_outgoing_edges` and
@@ -69,7 +74,7 @@ from repro.sketch.edgespace import decode_slot
 from repro.sketch.l0 import SampleResult, SketchContext, SketchSpec
 from repro.util.bits import bits_for_id
 
-__all__ = ["OutgoingSelection", "cut_incidences", "select_outgoing_edges"]
+__all__ = ["CutView", "OutgoingSelection", "cut_incidences", "cut_view", "select_outgoing_edges"]
 
 
 @dataclass(frozen=True)
@@ -119,6 +124,59 @@ def cut_incidences(
     return live[labels[cluster.inc_owner[live]] != labels[cluster.inc_other[live]]]
 
 
+@dataclass(frozen=True)
+class CutView:
+    """The cut incidences a selection step may sketch, with what it filters by.
+
+    Attributes
+    ----------
+    ids:
+        ``int64[E]``; ascending incidence ids, a subsequence of the phase's
+        :func:`cut_incidences`.
+    comp:
+        ``int64[E]``; the component of each incidence's owner, an index
+        into ``parts.comp_labels``.
+    weight:
+        ``float64[E]``; each incidence's edge weight, or None for a view
+        that no weight bound narrows (connectivity).
+    """
+
+    ids: np.ndarray
+    comp: np.ndarray
+    weight: np.ndarray | None
+
+    def narrow(self, bound: np.ndarray) -> "CutView":
+        """The incidences with ``weight < bound[comp]``, in the same order.
+
+        MST's elimination calls pass bounds that never rise within a
+        phase: a component's bound is only ever replaced by the weight of
+        an edge it sampled under that bound, and a finished component's is
+        −∞ from then on.  So each call's kept set is a subset of the
+        previous call's, and narrowing the previous call's view leaves the
+        same ascending subsequence that filtering the phase's whole cut
+        index by the same bound does.  A view that loses nothing (the
+        first call's ``+inf`` bounds) is returned as it is.
+        """
+        if self.weight is None:
+            raise ValueError("a weight bound needs a view built with weights")
+        keep = np.flatnonzero(self.weight < bound[self.comp])
+        if keep.size == self.ids.size:
+            return self
+        return CutView(self.ids[keep], self.comp[keep], self.weight[keep])
+
+
+def cut_view(
+    cluster: KMachineCluster, parts: PartIndex, cut: np.ndarray, *, weighted: bool = False
+) -> CutView:
+    """The :class:`CutView` of the cut index ``cut`` under ``parts``.
+
+    ``weighted`` also gathers each incidence's edge weight, which a step
+    with a weight bound filters by.
+    """
+    comp = parts.comp_of_vertex[cluster.inc_owner[cut]]
+    return CutView(cut, comp, cluster.inc_weight_of(cut) if weighted else None)
+
+
 def select_outgoing_edges(
     cluster: KMachineCluster,
     shared: SharedRandomness,
@@ -127,17 +185,18 @@ def select_outgoing_edges(
     *,
     sketch: SketchConfig,
     parts: PartIndex,
-    live: np.ndarray,
+    live: CutView,
     iteration: int = 0,
     sketch_seed: int | None = None,
     weight_bound_per_comp: np.ndarray | None = None,
-) -> tuple[OutgoingSelection, np.ndarray]:
+) -> tuple[OutgoingSelection, np.ndarray, CutView]:
     """Run one sketch-sample-resolve step; charges the cluster ledger.
 
-    Returns the selection and the step's zero test: ``bool[C]``, True
-    where the component sampled an edge or its (possibly weight-restricted)
-    sketch is nonzero — i.e. an outgoing edge exists w.h.p. (see the module
-    docstring).
+    Returns the selection, the step's zero test and the view it sketched.
+    The zero test is ``bool[C]``, True where the component sampled an edge
+    or its (possibly weight-restricted) sketch is nonzero — i.e. an
+    outgoing edge exists w.h.p. (see the module docstring).  The view is
+    ``live`` narrowed to the weight bound (``live`` itself without one).
 
     Parameters
     ----------
@@ -149,7 +208,11 @@ def select_outgoing_edges(
     parts:
         The :class:`PartIndex` of ``labels``.
     live:
-        The :func:`cut_incidences` of ``labels``.
+        A :class:`CutView` of the :func:`cut_incidences` of ``labels``
+        under ``parts`` (:func:`cut_view`), with weights when a bound is
+        given.  Under a bound it may be the view an earlier step of the
+        same phase returned, provided no component's bound has risen
+        since (:meth:`CutView.narrow`).
     iteration:
         Sub-iteration rho (fresh proxy hash per Lemma 5's requirement).
     sketch_seed:
@@ -226,7 +289,7 @@ def select_outgoing_edges(
 
     # 3. Proxy-side combination and sampling (Lemma 2), computed for steps
     # 1 and 3 at once at component granularity (see the proof above).
-    sample = _sample_components(cluster, spec, parts, live, bound)
+    sample, live = _sample_components(cluster, spec, parts, live, bound)
     found = sample.found
 
     c = parts.n_components
@@ -264,20 +327,21 @@ def select_outgoing_edges(
         neighbor_label=neighbor_label,
         edge_weight=weight,
     )
-    return selection, sample.nonzero
+    return selection, sample.nonzero, live
 
 
 def _sample_components(
     cluster: KMachineCluster,
     spec: SketchSpec,
     parts: PartIndex,
-    live: np.ndarray,
+    live: CutView,
     bound: np.ndarray | None,
-) -> SampleResult:
+) -> tuple[SampleResult, CutView]:
     """Per component: one sampled cut edge, and the zero test of its cut sketch.
 
-    Sketches the cut incidences of ``live`` under ``bound`` grouped by
-    component.  :meth:`~repro.sketch.l0.SketchContext.sample_groups`
+    Sketches the incidences of ``live`` under ``bound`` grouped by
+    component, and returns the sample with the view it sketched.
+    :meth:`~repro.sketch.l0.SketchContext.sample_groups`
     returns, byte for byte, the samples and zero test of the dense
     ``(C, R, L)`` bundle (its docstring proves it) while evaluating only
     the *live* components — those owning at least one kept incidence —
@@ -287,12 +351,10 @@ def _sample_components(
     reads ``found=False, slot=-1, sign=0, nonzero=False``, as its all-zero
     dense row does.
     """
-    inc_comp = parts.comp_of_vertex[cluster.inc_owner[live]]
     if bound is not None:
-        under = cluster.inc_weight_of(live) < bound[inc_comp]
-        live, inc_comp = live[under], inc_comp[under]
-    ctx = SketchContext(spec, cluster.inc_slot[live], cluster.inc_sign[live])
-    return ctx.sample_groups(inc_comp, parts.n_components)
+        live = live.narrow(bound)
+    ctx = SketchContext(spec, cluster.inc_slot[live.ids], cluster.inc_sign[live.ids])
+    return ctx.sample_groups(live.comp, parts.n_components), live
 
 
 def _edge_weights(cluster: KMachineCluster, slots: np.ndarray) -> np.ndarray:

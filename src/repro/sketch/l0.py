@@ -68,26 +68,6 @@ _MAX_HI_FP = (MERSENNE_P - 1) >> 30
 _POW_SLOTS = 40
 
 
-def _count_levels_above(h: np.ndarray, levels: int) -> np.ndarray:
-    """``#{j in [0, levels): h < (p >> j)}`` for hash values ``h < p``.
-
-    ``h < p >> j  <=>  h + 1 < 2^(61-j)  <=>  bitlength(h+1) <= 61 - j``,
-    so the count is ``clip(62 - bitlength(h+1), 0, levels)``.  The bit
-    length comes from ``np.frexp`` of the float64 value with an exact
-    one-bit correction: conversion can only round *up*, bumping the
-    exponent exactly when ``v`` lands on a power of two it is strictly
-    below, which the integer shift test detects — a few O(1) passes
-    instead of a per-level comparison sweep or an E * log(levels) binary
-    search.
-    """
-    v = h + np.uint64(1)  # <= 2^61
-    _, exponent = np.frexp(v.astype(np.float64))  # v = m * 2^e, m in [0.5, 1)
-    bl = exponent.astype(np.int64)  # bitlength(v), possibly one too high
-    # Exact correction: true bitlength is e-1 iff v < 2^(e-1).
-    bl -= (v >> (bl - 1).astype(np.uint64)) == 0
-    return np.clip(np.int64(62) - bl, 0, levels)
-
-
 def _modp_scatter_sum(values: np.ndarray, signs: np.ndarray, idx: np.ndarray, n_out: int) -> np.ndarray:
     """Exact ``sum_j signs[j] * values[j] mod p`` grouped by ``idx``.
 
@@ -415,14 +395,26 @@ class SketchContext:
     def _depths(self, rep: int, slots: np.ndarray) -> np.ndarray:
         """Sampling depth of each slot in repetition ``rep`` (int64).
 
-        A slot survives to level ``l`` while its hash ``h < p >> l``; with
-        ``#{l < L: h < p >> l}`` from :func:`_count_levels_above`, its depth
-        is that count minus one, clipped to ``[0, L)``.
+        A slot survives to level ``l`` while its hash ``h < p >> l``, and
+        its depth is ``#{l < L: h < p >> l} - 1`` clipped to ``[0, L)``.
+        Since ``h < p >> l  <=>  bitlength(h + 1) <= 61 - l``, that is
+        ``clip(61 - bitlength(h + 1), 0, L - 1)``, read off a float
+        exponent in a few elementwise passes.  ``v = (h + 1) >> 8`` has at
+        most 53 bits, so its float64 conversion is exact and the biased
+        exponent ``E = (bits of float64(v)) >> 52`` is
+        ``bitlength(v) + 1022``; for ``v >= 1``,
+        ``bitlength(h + 1) = bitlength(v) + 8`` and the depth is
+        ``clip(1075 - E, 0, L - 1)``.  For ``v = 0`` (``h + 1 < 2^8``) the
+        exponent is 0 and the form gives ``L - 1``, while the true depth is
+        ``61 - bitlength(h + 1) >= 53`` before the clip: the two agree
+        whenever ``L <= 53``.  That is the form's precondition, and
+        :meth:`SketchSpec.for_graph` builds at most 42 levels.
         """
         spec = self.spec
         seed = derive_seed(spec.seed, 0x1E, rep)
         h = make_hash(seed, max_slot_bits(spec.n) + 4, spec.hash_family).values(slots)
-        return np.clip(_count_levels_above(h, spec.levels) - 1, 0, spec.levels - 1)
+        v = ((h + np.uint64(1)) >> np.uint64(8)).astype(np.float64)
+        return np.clip(1075 - (v.view(np.int64) >> 52), 0, spec.levels - 1)
 
     def _powers(self, rep: int, slots: np.ndarray) -> np.ndarray:
         """``r^slot mod p`` per slot, ``r`` the base of repetition ``rep``.
@@ -537,8 +529,9 @@ class SketchContext:
            after the loop are exactly the rest.  Their level-0
            fingerprints, each summing all of the group's incidences, are
            computed over the incidences the loop has already narrowed to
-           them: repetition 0's first, and a later repetition's only for
-           the groups where every earlier one vanished.
+           them, into one row per such group: repetition 0's first, and a
+           later repetition's only for the groups where every earlier one
+           vanished.
         """
         gi = np.asarray(group_idx, dtype=np.int64)
         if gi.shape != self.slots.shape:
@@ -553,7 +546,7 @@ class SketchContext:
             if not pending.any():
                 break
             if rep:
-                keep = pending[g]
+                keep = np.flatnonzero(pending[g])
                 g, slots, signs = g[keep], slots[keep], signs[keep]
                 depth = self._depths(rep, slots)
             else:  # every incidence is live in repetition 0
@@ -591,14 +584,15 @@ class SketchContext:
                 last[:-1] = cr[check[1:]] != cr[check[:-1]]
                 reach = np.full(rows.size, -1, dtype=np.int64)
                 reach[cr[check[last]]] = cc[check[last]]
-                sub = col <= reach[row]
+                sub = np.flatnonzero(col <= reach[row])
                 k_row = np.cumsum(reach >= 0) - 1
                 k_shape = (int(k_row[-1]) + 1, l)
                 k_bins = k_row[row[sub]] * l + col[sub]
                 power = self._powers(rep, np.concatenate([slots[sub], slot[check].view(np.uint64)]))
                 f = power[: k_bins.size].view(np.int64)  # values < p < 2^63
-                lo = _cells(k_bins, k_shape, (f & _LOW30) * signs[sub], _MAX_LO)
-                hi = _cells(k_bins, k_shape, (f >> np.int64(30)) * signs[sub], _MAX_HI_FP)
+                sub_signs = signs[sub]
+                lo = _cells(k_bins, k_shape, (f & _LOW30) * sub_signs, _MAX_LO)
+                hi = _cells(k_bins, k_shape, (f >> np.int64(30)) * sub_signs, _MAX_HI_FP)
                 cells = (k_row[cr[check]], cc[check])
                 fp = _combine_halves(lo[cells], hi[cells])
                 expected = power[k_bins.size :]
@@ -614,17 +608,20 @@ class SketchContext:
                 out_slot[groups] = slot[win]
                 out_sign[groups] = c[win]
             pending &= ~found
-        # Rule 4: only the groups that sampled nothing need a fingerprint,
-        # and every other group's fp0 is 0.
+        # Rule 4: only the groups that sampled nothing need a fingerprint.
+        # Each gets one accumulator row (rows are sorted, so searchsorted
+        # finds an incidence's row), and its flag is written back from it.
         nonzero = found.copy()
         for rep in range(self.spec.repetitions):
-            if not pending.any():
+            rows = np.flatnonzero(pending)
+            if not rows.size:
                 break
-            keep = pending[g]
+            keep = np.flatnonzero(pending[g])
             g, slots, signs = g[keep], slots[keep], signs[keep]
-            fp0 = _modp_scatter_sum(self._powers(rep, slots), signs, g, n_groups)
-            nonzero |= fp0 != 0
-            pending &= fp0 == 0
+            fp0 = _modp_scatter_sum(self._powers(rep, slots), signs, np.searchsorted(rows, g), rows.size)
+            settled = rows[fp0 != 0]
+            nonzero[settled] = True
+            pending[settled] = False
         return SampleResult(found, out_slot, out_sign, nonzero)
 
     def group_sums(

@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.cluster.comm import CommStep, broadcast_from_machine, disseminate_from_machine
 from repro.cluster.ledger import RoundLedger
 from repro.cluster.topology import ClusterTopology
+from repro.sketch.kernels import F64_EXACT
 
 
 def ledger(k=4, bw=100) -> RoundLedger:
@@ -60,6 +63,54 @@ class TestCommStep:
 
     def test_empty_step_zero_rounds(self):
         assert CommStep(ledger(), "s").deliver() == 0
+
+
+@st.composite
+def _adds(draw):
+    """``k`` and a few ``(src, dst, bits)`` calls: each argument a scalar or
+    an array of the call's size (0 included); some calls carry bits so
+    large that their sum passes the float64 horizon."""
+    k = draw(st.integers(2, 6))
+    calls = []
+    for _ in range(draw(st.integers(1, 3))):
+        size = draw(st.integers(0, 12))
+        top = draw(st.sampled_from([1000, 1 << 59]))
+
+        def arg(hi):
+            if draw(st.booleans()):
+                return draw(st.integers(0, hi))
+            values = draw(st.lists(st.integers(0, hi), min_size=size, max_size=size))
+            return np.array(values, dtype=np.int64)
+
+        calls.append((arg(k - 1), arg(k - 1), arg(top)))
+    return k, calls
+
+
+@settings(max_examples=200, deadline=None)
+@given(_adds())
+# Two messages on one link whose float64 sum 2^53 + 1 would round.
+@example((2, [(np.array([0, 0]), 1, np.array([F64_EXACT, 1]))]))
+def test_add_matches_an_add_at_reference(case):
+    k, calls = case
+    led = ledger(k=k)
+    step = CommStep(led, "s")
+    load = np.zeros((k, k), dtype=np.int64)
+    messages = 0
+    for src, dst, bits in calls:
+        step.add(src, dst, bits)
+        s, d, b = np.broadcast_arrays(*(np.asarray(a, dtype=np.int64) for a in (src, dst, bits)))
+        np.add.at(load, (s.ravel(), d.ravel()), b.ravel())
+        messages += s.size
+    assert step._load.tobytes() == load.tobytes()
+    assert step._messages == messages
+    step.deliver()
+    off = load.copy()
+    np.fill_diagonal(off, 0)
+    [record] = led.steps
+    assert led.load_total.tobytes() == off.tobytes()
+    assert (record.messages, record.total_bits) == (messages, int(off.sum()))
+    assert record.max_link_bits == int(off.max(initial=0))
+
 
 
 class TestBroadcast:

@@ -13,7 +13,7 @@ from repro.cluster.shared_random import SharedRandomness
 from repro.core.connectivity import connected_components_distributed
 from repro.core.labels import PartIndex, initial_labels
 from repro.core.mst import minimum_spanning_tree_distributed
-from repro.core.outgoing import _edge_weights, cut_incidences, select_outgoing_edges
+from repro.core.outgoing import _edge_weights, cut_incidences, cut_view, select_outgoing_edges
 from repro.graphs import generators as gen
 from repro.runtime import SketchConfig
 from repro.sketch import l0
@@ -30,14 +30,15 @@ def make_run(g, k=4, seed=3):
 def select(cl, shared, labels, **kw):
     """One phase-1 step on ``labels``; returns (parts, selection, zero test)."""
     parts = PartIndex.build(labels, cl.partition)
-    sel, nonzero = select_outgoing_edges(
+    weighted = kw.get("weight_bound_per_comp") is not None
+    sel, nonzero, _ = select_outgoing_edges(
         cl,
         shared,
         labels,
         phase=1,
         sketch=SketchConfig(),
         parts=parts,
-        live=cut_incidences(cl, labels),
+        live=cut_view(cl, parts, cut_incidences(cl, labels), weighted=weighted),
         **kw,
     )
     return parts, sel, nonzero
@@ -150,14 +151,53 @@ class TestSelection:
         assert np.array_equal(sa.comp_proxy, sb.comp_proxy)
 
 
+def test_narrowed_view_equals_filtering_the_whole_cut_index():
+    # MST's elimination calls each narrow the view the call before kept.
+    # Under per-component bounds that never rise, with finished components
+    # at -inf, on tied and negative weights, every narrowed view must hold
+    # the ids, components and weights that filtering the phase's whole cut
+    # index by the current bound gives, in ascending id order.
+    rng = np.random.default_rng(12)
+    g = gen.gnm_random(150, 600, seed=12)
+    g = g.with_weights(rng.integers(-4, 5, size=g.m).astype(np.float64))
+    cl, _ = make_run(g)
+    labels = (np.arange(g.n, dtype=np.int64) // 15) * 15  # 10 components
+    parts = PartIndex.build(labels, cl.partition)
+    cut = cut_incidences(cl, labels)
+    whole_comp = parts.comp_of_vertex[cl.inc_owner[cut]]
+    whole_weight = cl.inc_weight_of(cut)
+    assert np.unique(whole_weight).size < whole_weight.size and (whole_weight < 0).any()
+    with pytest.raises(ValueError, match="weights"):
+        cut_view(cl, parts, cut).narrow(np.zeros(parts.n_components))
+    view = cut_view(cl, parts, cut, weighted=True)
+    bound = np.full(parts.n_components, np.inf)
+    sizes = []
+    for _ in range(6):
+        view = view.narrow(bound)
+        keep = whole_weight < bound[whole_comp]
+        assert np.array_equal(view.ids, cut[keep])
+        assert np.array_equal(view.comp, whole_comp[keep])
+        assert np.array_equal(view.weight, whole_weight[keep])
+        sizes.append(view.ids.size)
+        # Half the components adopt a kept weight as their bound, so tied
+        # weights stay kept only while strictly below it; a few finish.
+        for ci in np.flatnonzero(rng.random(parts.n_components) < 0.5):
+            kept = view.weight[view.comp == ci]
+            bound[ci] = rng.choice(kept) if kept.size else -np.inf
+        bound[rng.random(parts.n_components) < 0.1] = -np.inf
+    assert np.all(np.diff(view.ids) > 0)
+    assert len(set(sizes)) > 3 and sizes[-1] > 0
+
+
 @pytest.mark.parametrize("repetitions", [6, 1])
 @pytest.mark.parametrize("algorithm", ["connectivity", "mst"])
 def test_zero_test_fingerprints_only_the_groups_that_sampled_nothing(algorithm, repetitions):
     # Every selection step answers its zero test in the sampling pass.  A
     # group with a verified sample reads nonzero unfingerprinted, so the
     # first level-0 scatter of a step holds exactly the incidences of the
-    # groups that sampled nothing, and a step that sampled every live group
-    # scatters nothing.  With one repetition some groups sample nothing.
+    # groups that sampled nothing, into one row per such group, and a step
+    # that sampled every live group scatters nothing.  With one repetition
+    # some groups sample nothing.
     g = gen.with_unique_weights(gen.gnm_random(200, 600, seed=2), seed=2)
     cl = KMachineCluster.create(g, k=4, seed=2)
     real_sample, real_scatter = SketchContext.sample_groups, l0._modp_scatter_sum
@@ -170,7 +210,7 @@ def test_zero_test_fingerprints_only_the_groups_that_sampled_nothing(algorithm, 
         return step.sample
 
     def scatter(values, signs, idx, n_out):
-        steps[-1].scatters.append(idx)
+        steps[-1].scatters.append((idx, n_out))
         return real_scatter(values, signs, idx, n_out)
 
     sketch = SketchConfig(repetitions=repetitions)
@@ -189,7 +229,11 @@ def test_zero_test_fingerprints_only_the_groups_that_sampled_nothing(algorithm, 
     for step in steps:
         undecided = step.group_idx[~step.sample.found[step.group_idx]]
         if undecided.size:
-            assert np.array_equal(step.scatters[0], undecided)
+            # One accumulator row per undecided group, in group order.
+            groups = np.unique(undecided)
+            idx, n_out = step.scatters[0]
+            assert n_out == groups.size
+            assert np.array_equal(groups[idx], undecided)
             scattered += undecided.size
         else:
             assert step.scatters == []

@@ -26,7 +26,7 @@ from repro.cluster.cluster import KMachineCluster
 from repro.cluster.shared_random import SharedRandomness
 from repro.core.labels import PartIndex, initial_labels
 from repro.core import outgoing
-from repro.core.outgoing import cut_incidences, select_outgoing_edges
+from repro.core.outgoing import cut_incidences, cut_view, select_outgoing_edges
 from repro.runtime import ClusterConfig, RunConfig, Session, SketchConfig
 from repro.sketch.l0 import SketchContext
 
@@ -45,10 +45,10 @@ FAMILIES = {
 def _part_level_oracle(cluster, spec, parts, live, bound):
     """The unpruned pipeline: all incidences by part, then aggregate, then sample.
 
-    It ignores the caller's ``live`` index and sketches every incidence; the
-    component bundle's ``sample`` gives its zero test too, the bundle's
-    ``nonzero_mask`` or'ed with ``found`` (a zero vector has no verified
-    sample).
+    It ignores the caller's ``live`` view and sketches every incidence under
+    ``bound``, so it hands ``live`` back unnarrowed; the component bundle's
+    ``sample`` gives its zero test too, the bundle's ``nonzero_mask`` or'ed
+    with ``found`` (a zero vector has no verified sample).
     """
     inc_part = parts.part_of_vertex[cluster.inc_owner]
     ctx = SketchContext(spec, cluster.inc_slot, cluster.inc_sign)
@@ -57,7 +57,7 @@ def _part_level_oracle(cluster, spec, parts, live, bound):
         mask = cluster.inc_weight < bound[parts.comp_of_part[inc_part]]
     part_bundle = ctx.group_sums(inc_part, parts.n_parts, mask=mask)
     comp_bundle = part_bundle.aggregate(parts.comp_of_part, parts.n_components)
-    return comp_bundle.sample()
+    return comp_bundle.sample(), live
 
 
 @contextmanager
@@ -73,8 +73,9 @@ def _sketching(live: bool):
 def _select(cluster, shared, labels, phase, **kw):
     """One selection step on ``labels``; returns (parts, selection, zero test)."""
     parts = PartIndex.build(labels, cluster.partition)
-    live = cut_incidences(cluster, labels)
-    sel, nonzero = select_outgoing_edges(
+    weighted = kw.get("weight_bound_per_comp") is not None
+    live = cut_view(cluster, parts, cut_incidences(cluster, labels), weighted=weighted)
+    sel, nonzero, _ = select_outgoing_edges(
         cluster, shared, labels, phase, sketch=SketchConfig(), parts=parts, live=live, **kw
     )
     return parts, sel, nonzero

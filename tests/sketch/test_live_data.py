@@ -139,9 +139,9 @@ def _deep_context(deep_slots: np.ndarray):
 
 
 def _incidence_view(slots, signs, weights, group, n_groups: int):
-    """The cluster and part fields ``_sample_components`` reads, for a bare
-    incidence list: incidence ``i`` has weight ``weights[i]`` and is owned
-    by vertex ``i`` of component ``group[i]``."""
+    """The cluster and part fields ``cut_view`` and ``_sample_components``
+    read, for a bare incidence list: incidence ``i`` has weight
+    ``weights[i]`` and is owned by vertex ``i`` of component ``group[i]``."""
     weights = np.asarray(weights, dtype=np.float64)
     cluster = SimpleNamespace(
         inc_owner=np.arange(slots.size, dtype=np.int64),
@@ -151,6 +151,13 @@ def _incidence_view(slots, signs, weights, group, n_groups: int):
     )
     parts = SimpleNamespace(comp_of_vertex=np.asarray(group, dtype=np.int64), n_components=n_groups)
     return cluster, parts
+
+
+def _sample_view(cluster, spec, parts, ids, bound):
+    """``_sample_components`` on the view of incidences ``ids``; returns the
+    sample and the view it kept."""
+    view = outgoing.cut_view(cluster, parts, ids, weighted=bound is not None)
+    return outgoing._sample_components(cluster, spec, parts, view, bound)
 
 
 # --------------------------------------------------------------------------
@@ -218,8 +225,10 @@ def test_compact_trimmed_sample_matches_dense_oracle(data, inc):
 
     cluster, parts = _incidence_view(slots, signs, weights, group, n_groups)
     with mock.patch.object(outgoing, "SketchContext", context):
-        sample = outgoing._sample_components(cluster, spec, parts, np.flatnonzero(cross), bound)
+        sample, kept = _sample_view(cluster, spec, parts, np.flatnonzero(cross), bound)
     assert _sample_bytes(sample) == _sample_bytes(_sample_oracle(oracle))
+    assert np.array_equal(kept.ids, np.flatnonzero(keep))
+    assert np.array_equal(kept.comp, group[keep])
 
 
 @settings(max_examples=60, deadline=None)
@@ -267,7 +276,7 @@ def test_single_group_and_empty_selection():
     assert not empty.sample().found.any()
     # No live component at all: nothing is sketched, every row reads empty.
     cluster, parts = _incidence_view(slots, signs, np.zeros(3), np.array([0, 1, 1]), 2)
-    sample = outgoing._sample_components(cluster, spec, parts, np.empty(0, dtype=np.int64), None)
+    sample, _ = _sample_view(cluster, spec, parts, np.empty(0, dtype=np.int64), None)
     assert not sample.nonzero.any() and not sample.found.any()
     assert sample.slots.tolist() == [-1, -1] and sample.signs.tolist() == [0, 0]
 
@@ -281,7 +290,7 @@ def test_live_zero_row_keeps_its_place():
     spec = SketchSpec.for_graph(n, seed=6, repetitions=3)
     group = np.array([0, 0, 2], dtype=np.int64)
     cluster, parts = _incidence_view(slots, signs, np.zeros(3), group, 3)
-    sample = outgoing._sample_components(cluster, spec, parts, np.arange(3), None)
+    sample, _ = _sample_view(cluster, spec, parts, np.arange(3), None)
     assert sample.nonzero.tolist() == [False, False, True]
     oracle = _dense_oracle(SketchContext(spec, slots, signs), group, 3, np.ones(3, dtype=bool))
     assert _sample_bytes(sample) == _sample_bytes(_sample_oracle(oracle))
@@ -347,7 +356,7 @@ def test_nonzero_reads_a_later_repetition_where_level0_vanishes():
         return P - 1 if rep == 0 else real_base(self, rep)
 
     def scatter(values, signs, idx, n_out):
-        scattered.append(idx.tolist())
+        scattered.append((idx.tolist(), n_out))
         return real_scatter(values, signs, idx, n_out)
 
     with mock.patch.object(SketchSpec, "fingerprint_base", base):
@@ -358,8 +367,9 @@ def test_nonzero_reads_a_later_repetition_where_level0_vanishes():
     assert sample.found.tolist() == [False, False, True, True]
     assert sample.nonzero.tolist() == [True, False, True, True]
     # Repetitions 0 and 1 fingerprint the two groups that sampled nothing;
-    # repetition 2 only the true zero, the one group still vanishing.
-    assert scattered == [[0, 0, 1, 1], [0, 0, 1, 1], [1, 1]]
+    # repetition 2 only the true zero, the one group still vanishing.  Each
+    # scatter has one row per group it fingerprints, not one per group.
+    assert scattered == [([0, 0, 1, 1], 2), ([0, 0, 1, 1], 2), ([0, 0], 1)]
     depths = ctx.depths[:2, 5:]
     assert depths[0, 1] > depths[0, 0] and depths[1, 0] > depths[1, 1]
     assert (sample.found[3], sample.slots[3], sample.signs[3]) == (True, 6 * n + 10, -1)
@@ -384,7 +394,7 @@ def test_verified_sample_settles_a_vanishing_level0_fingerprint():
         oracle = _dense_oracle(ctx, group, 1, np.ones(2, dtype=bool))
         want = _sample_oracle(oracle)
         with mock.patch.object(outgoing, "SketchContext", context):
-            sample = outgoing._sample_components(cluster, spec, parts, np.arange(2), None)
+            sample, _ = _sample_view(cluster, spec, parts, np.arange(2), None)
     assert ctx.depths[0, 0] < ctx.depths[0, 1] == spec.levels - 1
     assert oracle.fps[0, 0, 0] == 0 and not oracle.nonzero_mask().any()
     assert _sample_bytes(sample) == _sample_bytes(want)

@@ -3,7 +3,7 @@
 ``SketchContext`` gives each incidence, per repetition, a sampling depth
 (``_depths``) and a fingerprint contribution ``r^slot mod p``
 (``_powers``), evaluated only when a result reads them.  Their shortcuts
-must never show in the output: the depth comes from a float bit-length
+must never show in the output: the depth comes from a float exponent
 instead of a per-level comparison sweep, ``_powers`` picks Python's
 ``pow`` or a radix-``2^w`` power table whose width follows the batch
 size, and a mirrored incidence list (the same slot block twice, as
@@ -14,6 +14,7 @@ definition ``h < p >> l`` for the depths.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -131,21 +132,34 @@ def test_power_table_rows_are_successive_powers(size):
 
 
 # --------------------------------------------------------------------------
-# Sampling depths: the bit-length shortcut against the level thresholds
+# Sampling depths: the float-exponent form against the level thresholds
 # --------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("levels", [1, 22, 61])
-def test_count_levels_above_matches_the_thresholds(levels):
-    # Every threshold p >> j and its neighbours, powers of two and their
-    # neighbours (where the float conversion rounds up), and both ends.
-    values = {0, 1, P - 1, P - 2}
+def test_spec_levels_stay_within_the_depth_form():
+    # _depths reads a depth off the float64 exponent of (h + 1) >> 8, which
+    # is exact only up to 53 levels; the largest n a spec accepts has 42.
+    assert SketchSpec.for_graph(1 << 20, seed=0).levels == 42 <= 53
+    with pytest.raises(ValueError):
+        SketchSpec.for_graph((1 << 20) + 1, seed=0)
+
+
+@pytest.mark.parametrize("levels", [1, *range(4, 54)])
+def test_depths_match_the_thresholds(levels):
+    # Every threshold p >> j and its neighbours, every power of two and its
+    # neighbours (where (h + 1) >> 8 changes exponent, and below 2^8 where
+    # it is 0), and both ends of [0, p), as hash values fed to _depths.
+    values = {0, P - 1}
     for j in range(62):
         for v in (P >> j, 1 << j):
             values.update(x for x in (v - 1, v, v + 1) if 0 <= x < P)
     h = np.array(sorted(values), dtype=np.uint64)
-    want = [sum(int(x) < (P >> j) for j in range(levels)) for x in h]
-    assert l0._count_levels_above(h, levels).tolist() == want
+    want = [min(max(sum(int(x) < (P >> j) for j in range(levels)) - 1, 0), levels - 1) for x in h]
+    spec = SketchSpec(n=1024, repetitions=1, levels=levels, seed=0)
+    ctx = SketchContext(spec, np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.int64))
+    with mock.patch.object(l0, "make_hash", return_value=SimpleNamespace(values=lambda _: h)):
+        got = ctx._depths(0, np.zeros(h.size, dtype=np.uint64))
+    assert got.dtype == np.int64 and got.tolist() == want
 
 
 @pytest.mark.parametrize("family", ["polynomial", "prf"])
