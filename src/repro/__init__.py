@@ -15,8 +15,8 @@ Everything runnable lives behind one registry and one envelope:
 >>> from repro import generators
 >>> from repro.runtime import Session, RunConfig, ClusterConfig, list_algorithms
 >>> sorted(list_algorithms())  # doctest: +NORMALIZE_WHITESPACE
-['boruvka_nosketch', 'connectivity', 'flooding', 'mincut', 'mst',
- 'referee', 'rep', 'verify']
+['boruvka_nosketch', 'connectivity', 'connectivity_logdiam', 'flooding',
+ 'mincut', 'mst', 'mst_dynamic', 'referee', 'rep', 'verify']
 >>> g = generators.gnm_random(n=1000, m=4000, seed=7)
 >>> session = Session(g, config=RunConfig(seed=7, cluster=ClusterConfig(k=8)))
 >>> report = session.run("connectivity")

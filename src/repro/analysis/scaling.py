@@ -29,10 +29,6 @@ class PowerLawFit:
     constant: float
     r_squared: float
 
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        """Model prediction at ``x``."""
-        return self.constant * np.asarray(x, dtype=np.float64) ** self.exponent
-
 
 def fit_power_law(xs: np.ndarray, ys: np.ndarray) -> PowerLawFit:
     """Fit ``y = c * x^a`` by least squares in log-log space."""

@@ -7,9 +7,14 @@ to the k-machine model (each CC round's vertex messages become machine
 traffic) it costs Theta(n/k + D) rounds by the Conversion Theorem — the
 bound the paper's algorithm beats on high-diameter graphs.
 
-The replay charges every CC round as one bulk step on the cluster ledger,
-exactly like :func:`repro.cluster.conversion.replay_trace` but streamed
-(no trace materialization) for memory efficiency.
+The converted schedule is charged in a streamed loop: each CC round's
+vertex messages become home(src) -> home(dst) traffic in one bulk step on
+the cluster ledger (machine-local messages are free).  This omits the
+Conversion Theorem's random-rerouting constants, so it can only
+under-estimate the baseline.  The traffic is real on the simulated
+platform and pays an attached fault or epoch model like any bulk step; an
+all-local CC round still costs one synchronous round, a cited constant
+charged with ``charge_rounds`` that stays clean (DESIGN.md §7.1).
 """
 
 from __future__ import annotations

@@ -120,10 +120,6 @@ class BenchResult:
         """Cells keyed by their canonical params identity."""
         return {c.key: c for c in self.cells}
 
-    def metric_series(self, metric: str) -> list[Any]:
-        """The values of one metric across cells, in grid order."""
-        return [c.metrics.get(metric) for c in self.cells]
-
     def rows(self, param_names: Iterable[str], metric_names: Iterable[str]) -> list[tuple]:
         """Tabular view: one tuple per cell with the named params + metrics."""
         pn, mn = list(param_names), list(metric_names)

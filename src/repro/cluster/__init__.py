@@ -14,14 +14,11 @@ Layers:
 * :mod:`repro.cluster.shared_random` — per-phase shared-randomness seeds
   with honestly charged distribution cost.
 * :mod:`repro.cluster.engine` — exact per-round mailbox engine
-  (cross-validation + mpi4py-style examples).
-* :mod:`repro.cluster.conversion` — the Klauck et al. Conversion Theorem
-  (closed form and trace replay) powering the baselines.
+  (the engines ablation and cross-validation of the bulk accounting).
 """
 
 from repro.cluster.cluster import KMachineCluster
 from repro.cluster.comm import CommStep, broadcast_from_machine, disseminate_from_machine
-from repro.cluster.conversion import CongestedCliqueTrace, conversion_bound, replay_trace
 from repro.cluster.engine import (
     Envelope,
     EngineResult,
@@ -43,7 +40,6 @@ from repro.cluster.topology import ClusterTopology
 __all__ = [
     "ClusterTopology",
     "CommStep",
-    "CongestedCliqueTrace",
     "Envelope",
     "EngineResult",
     "KMachineCluster",
@@ -57,9 +53,7 @@ __all__ = [
     "VertexPartition",
     "broadcast_from_machine",
     "build_partition",
-    "conversion_bound",
     "disseminate_from_machine",
     "random_edge_partition",
     "random_vertex_partition",
-    "replay_trace",
 ]

@@ -162,14 +162,3 @@ class KMachineCluster:
         return KMachineCluster._distribute(
             graph, self.partition if partition is None else partition, self.topology, self.ledger
         )
-
-    def machine_load_summary(self) -> dict[str, float]:
-        """Partition balance diagnostics (RVP: Theta~(n/k) vertices/machine whp)."""
-        counts = self.partition.counts()
-        inc_counts = np.bincount(self.inc_machine, minlength=self.k)
-        return {
-            "vertices_mean": float(counts.mean()),
-            "vertices_max": float(counts.max()),
-            "incidences_mean": float(inc_counts.mean()),
-            "incidences_max": float(inc_counts.max()),
-        }

@@ -72,13 +72,6 @@ class CommStep:
         self._load += load.reshape(k, k)
         self._messages += link.size
 
-    def add_grouped(self, src_dst_pairs: np.ndarray, bits_each: int) -> None:
-        """Add one ``bits_each``-bit message per row of ``int64[(M, 2)]`` pairs."""
-        pairs = np.asarray(src_dst_pairs, dtype=np.int64)
-        if pairs.ndim != 2 or pairs.shape[1] != 2:
-            raise ValueError("src_dst_pairs must have shape (M, 2)")
-        self.add(pairs[:, 0], pairs[:, 1], bits_each)
-
     def deliver(self) -> int:
         """Charge the ledger and return the number of rounds consumed."""
         if self._delivered:

@@ -4,11 +4,9 @@ While :mod:`repro.cluster.comm` accounts bulk steps analytically, this
 engine *executes* machine programs round by round with real mailboxes and
 per-link bandwidth enforcement: a directed link delivers at most B bits per
 round; excess traffic queues (FIFO) and large messages fragment across
-rounds.  It exists to
-
-* cross-validate the bulk accounting (tests assert both agree on flooding),
-* provide an mpi4py-flavoured programming surface for the examples, and
-* execute small protocol fragments exactly (e.g. leader election).
+rounds.  It runs flooding in the engines ablation
+(``BENCH_ablation_engines``), and tests cross-validate the bulk
+accounting against it (flooding, and the referee's leader election).
 
 Programs implement :class:`MachineProgram`: per round they receive the
 messages fully delivered that round and return new messages to send.

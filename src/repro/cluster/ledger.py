@@ -193,12 +193,13 @@ class RoundLedger:
     def charge_rounds(self, label: str, rounds: int, total_bits: int = 0) -> int:
         """Charge a step whose round count is computed externally.
 
-        Used by the congested-clique conversion adapter and by O(1)-round
-        protocol fragments (e.g. leader election) whose constant cost we
-        take from the cited results rather than re-simulating.  Cited
-        costs pass through un-faulted and un-remapped, but they are still
-        *attributed* to the current partition epoch, so per-epoch rounds
-        partition the run's total.
+        The callers are flooding's one-round sync floor per all-local CC
+        round, the extra relay rounds of
+        :func:`~repro.cluster.comm.disseminate_from_machine`, and the
+        referee baseline's zero-round ``referee:designated`` marker.  None
+        of these adds link load, so they pass through un-faulted and
+        un-remapped, but they are still *attributed* to the current
+        partition epoch, so per-epoch rounds partition the run's total.
         """
         if rounds < 0:
             raise ValueError("rounds must be non-negative")

@@ -134,17 +134,9 @@ class VertexPartition:
         """Number of vertices."""
         return int(self.home.size)
 
-    def machine_vertices(self, machine: int) -> np.ndarray:
-        """Vertices homed at ``machine`` (ascending)."""
-        return np.nonzero(self.home == machine)[0].astype(np.int64)
-
     def counts(self) -> np.ndarray:
         """Vertices per machine (``int64[k]``)."""
         return np.bincount(self.home, minlength=self.k).astype(np.int64)
-
-    def home_of(self, vertices: np.ndarray | int) -> np.ndarray:
-        """Vectorized home lookup (recomputable by any machine)."""
-        return self.home[np.asarray(vertices, dtype=np.int64)]
 
 
 def random_vertex_partition(n: int, k: int, seed: int) -> VertexPartition:

@@ -40,18 +40,3 @@ class ClusterTopology:
     def for_problem(k: int, n: int, bandwidth_multiplier: int = 64) -> "ClusterTopology":
         """Topology with the standard O(polylog n) bandwidth for n-vertex inputs."""
         return ClusterTopology(k=k, bandwidth_bits=polylog_bandwidth(n, bandwidth_multiplier))
-
-    @property
-    def n_links(self) -> int:
-        """Number of bidirectional links in the complete network: k(k-1)/2."""
-        return self.k * (self.k - 1) // 2
-
-    @property
-    def total_bits_per_round(self) -> int:
-        """Aggregate network capacity per round (both directions of every link).
-
-        The lower-bound argument of the paper (Section 1): the network
-        moves at most Theta~(k^2) bits per round, hence Omega~(n/k^2)
-        rounds for problems needing Omega~(n) bits of communication.
-        """
-        return 2 * self.n_links * self.bandwidth_bits

@@ -112,16 +112,6 @@ class ConnectivityResult:
         """Labels normalized to min-vertex-id per component (for comparisons)."""
         return canonical_labels(self.labels)
 
-    def spanning_forest(self):
-        """The collected merge edges as a :class:`~repro.graphs.graph.Graph`.
-
-        The forest spans every component (same component structure as the
-        input graph) and is cycle-free — the Theorem 2(a) output object.
-        """
-        from repro.graphs.graph import Graph
-
-        return Graph.from_edges(self.labels.size, self.forest_u, self.forest_v)
-
 
 def _charge_termination_check(cluster: KMachineCluster, phase: int) -> int:
     """All machines report a local 1-bit 'any component sampled an edge?'

@@ -112,7 +112,3 @@ class PartIndex:
         if not np.all(self.comp_labels[idx_clipped] == q):
             raise KeyError("query label not present in current configuration")
         return idx_clipped
-
-    def parts_per_machine(self, k: int) -> np.ndarray:
-        """Number of parts hosted per machine (the Lemma-1 quantity)."""
-        return np.bincount(self.part_machine, minlength=k).astype(np.int64)

@@ -18,7 +18,6 @@ from repro.corpus.families import (
     CorpusFamily,
     CorpusParam,
     get_family,
-    list_families,
     parse_spec,
 )
 from repro.corpus.manager import (
@@ -43,6 +42,5 @@ __all__ = [
     "edge_digest",
     "entry_id_for",
     "get_family",
-    "list_families",
     "parse_spec",
 ]

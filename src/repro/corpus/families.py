@@ -48,7 +48,6 @@ __all__ = [
     "CorpusParam",
     "format_value",
     "get_family",
-    "list_families",
     "parse_spec",
     "sizeable_families",
     "sized_graph",
@@ -462,11 +461,6 @@ CORPUS_FAMILIES: dict[str, CorpusFamily] = {
         ),
     )
 }
-
-
-def list_families() -> list[str]:
-    """Sorted names of every registered corpus family."""
-    return sorted(CORPUS_FAMILIES)
 
 
 def get_family(name: str) -> CorpusFamily:

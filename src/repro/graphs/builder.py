@@ -35,10 +35,6 @@ class GraphBuilder:
         self._vs: list[np.ndarray] = []
         self._ws: list[np.ndarray] = []
 
-    def add_edge(self, u: int, v: int, weight: float | None = None) -> None:
-        """Add a single undirected edge ``{u, v}``."""
-        self.add_edges(np.array([u]), np.array([v]), None if weight is None else np.array([weight]))
-
     def add_edges(
         self,
         us: np.ndarray,
@@ -67,11 +63,6 @@ class GraphBuilder:
         vs = np.asarray(vertices, dtype=np.int64)
         if vs.size >= 2:
             self.add_edges(vs[:-1], vs[1:], weights)
-
-    @property
-    def pending_edges(self) -> int:
-        """Number of edges added so far (before deduplication)."""
-        return int(sum(a.size for a in self._us))
 
     def build(self) -> Graph:
         """Materialize the immutable graph (deduplicating parallel edges)."""

@@ -18,7 +18,6 @@ Design notes
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
 
 import numpy as np
 
@@ -160,24 +159,6 @@ class Graph:
         """Undirected edge ids incident to ``v`` (view)."""
         check_index("v", v, self.n)
         return self.edge_ids[self.indptr[v] : self.indptr[v + 1]]
-
-    def edge_endpoints(self, eid: int) -> tuple[int, int]:
-        """Canonical endpoints ``(u, v)`` with ``u < v`` of edge ``eid``."""
-        check_index("eid", eid, self.m)
-        return int(self.edges_u[eid]), int(self.edges_v[eid])
-
-    def iter_edges(self) -> Iterator[tuple[int, int, float]]:
-        """Iterate ``(u, v, weight)`` over undirected edges."""
-        for i in range(self.m):
-            yield int(self.edges_u[i]), int(self.edges_v[i]), float(self.weights[i])
-
-    def has_edge(self, u: int, v: int) -> bool:
-        """True if the undirected edge ``{u, v}`` exists."""
-        check_index("u", u, self.n)
-        check_index("v", v, self.n)
-        if u == v:
-            return False
-        return bool(np.any(self.neighbors(u) == v))
 
     def find_edge_id(self, u: int, v: int) -> int:
         """Undirected edge id of ``{u, v}``; raises ``KeyError`` if absent."""

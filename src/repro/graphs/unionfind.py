@@ -59,11 +59,3 @@ class UnionFind:
             p = pp
         self.parent = p
         return p.copy()
-
-    def component_sizes(self) -> np.ndarray:
-        """Sizes of all components (order matches unique roots, ascending)."""
-        lab = self.labels()
-        if lab.size == 0:
-            return np.empty(0, dtype=np.int64)
-        _, counts = np.unique(lab, return_counts=True)
-        return counts

@@ -41,8 +41,8 @@ step with base cost ``R`` rounds on the bottleneck link:
   ``1..max_stall_rounds`` rounds; in a synchronous step everyone waits.
 
 :meth:`~repro.cluster.ledger.RoundLedger.charge_rounds` steps (externally
-priced O(1) protocol fragments) pass through unfaulted — their cost is a
-citation, not a simulation.
+priced rounds that add no link load) pass through unfaulted — their cost
+is a citation, not a simulation.
 
 The exact per-round mailbox engine (:class:`~repro.cluster.engine.SyncEngine`)
 runs the clean network only: :class:`FaultModel` is the one place a plan

@@ -15,7 +15,7 @@ from repro.util.rng import (
     splitmix64_scalar,
     uniform_from_u64,
 )
-from repro.util.validation import check_index, check_positive, check_probability
+from repro.util.validation import check_index, check_positive
 
 __all__ = [
     "SeedStream",
@@ -24,7 +24,6 @@ __all__ = [
     "ceil_div",
     "check_index",
     "check_positive",
-    "check_probability",
     "derive_seed",
     "splitmix64",
     "splitmix64_scalar",

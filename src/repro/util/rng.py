@@ -127,10 +127,6 @@ class SeedStream:
         self._counter += 1
         return splitmix64_scalar(int(self._seed) ^ self._counter)
 
-    def next_uniform(self) -> float:
-        """Draw the next float64 uniform in [0, 1) (stateful)."""
-        return float(uniform_from_u64(np.uint64(self.next_u64())))
-
     def keyed_u64(self, keys: np.ndarray | int) -> np.ndarray:
         """Stateless keyed lookup: words for ``keys`` (vectorized PRF).
 
@@ -157,7 +153,3 @@ class SeedStream:
         # (u * n) >> 64 without 128-bit ints: use the top 32 bits twice.
         hi = (u >> np.uint64(32)).astype(np.uint64)
         return ((hi * np.uint64(n_choices)) >> np.uint64(32)).astype(np.int64)
-
-    def numpy_rng(self, *parts: int) -> np.random.Generator:
-        """A NumPy Generator seeded from this stream and extra key parts."""
-        return np.random.default_rng(derive_seed(self.seed, *parts))

@@ -9,9 +9,7 @@ __all__ = [
     "ConfigError",
     "check_index",
     "check_int",
-    "check_non_negative",
     "check_positive",
-    "check_probability",
     "decode",
     "decode_all",
 ]
@@ -27,18 +25,6 @@ def check_positive(name: str, value: int | float) -> None:
     """Raise ``ValueError`` unless ``value > 0``."""
     if not value > 0:
         raise ValueError(f"{name} must be positive, got {value!r}")
-
-
-def check_non_negative(name: str, value: int | float) -> None:
-    """Raise ``ValueError`` unless ``value >= 0``."""
-    if not value >= 0:
-        raise ValueError(f"{name} must be non-negative, got {value!r}")
-
-
-def check_probability(name: str, value: float) -> None:
-    """Raise ``ValueError`` unless ``0 <= value <= 1``."""
-    if not (0.0 <= value <= 1.0):
-        raise ValueError(f"{name} must be in [0, 1], got {value!r}")
 
 
 def check_index(name: str, value: int, size: int) -> None:

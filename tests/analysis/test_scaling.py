@@ -17,12 +17,6 @@ class TestFitPowerLaw:
         assert fit.constant == pytest.approx(3.0)
         assert fit.r_squared == pytest.approx(1.0)
 
-    def test_predict(self):
-        x = np.array([1.0, 2, 4])
-        y = 5.0 * x**1.5
-        fit = fit_power_law(x, y)
-        assert fit.predict(np.array([8.0]))[0] == pytest.approx(5.0 * 8**1.5, rel=1e-6)
-
     def test_noisy_data_r2_below_one(self):
         rng = np.random.default_rng(1)
         x = np.array([2.0, 4, 8, 16, 32, 64])

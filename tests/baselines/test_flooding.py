@@ -6,9 +6,12 @@ import numpy as np
 
 from repro.baselines.flooding import flooding_connectivity
 from repro.cluster.cluster import KMachineCluster
+from repro.cluster.partition import PartitionConfig, VertexPartition
 from repro.core.labels import canonical_labels
 from repro.graphs import generators as gen
 from repro.graphs import reference as ref
+from repro.scenarios.churn import ChurnEvent, ChurnPlan, EpochModel
+from repro.scenarios.faults import FaultModel, FaultPlan
 
 
 class TestCorrectness:
@@ -60,3 +63,68 @@ class TestShape:
             cl = KMachineCluster.create(g, k=k, seed=6)
             r.append(flooding_connectivity(cl).rounds)
         assert r[1] < r[0]
+
+
+class TestConvertedScheduleUnderScenarios:
+    """Each CC round's messages are real traffic on the simulated platform.
+
+    They pay an attached fault or epoch model exactly like the sketch
+    algorithms' bulk steps (DESIGN.md §7.1); only the one-round sync floor
+    of an all-local CC round, a cited constant, stays clean.
+    """
+
+    @staticmethod
+    def _cluster():
+        g = gen.gnm_random(80, 240, seed=2)
+        return g, KMachineCluster.create(g, k=4, seed=2)
+
+    @staticmethod
+    def _faults():
+        return FaultModel(FaultPlan(drop_prob=0.3), run_seed=2)
+
+    def test_fault_overhead_is_paid(self):
+        _, clean_cl = self._cluster()
+        clean = flooding_connectivity(clean_cl)
+        _, cl = self._cluster()
+        cl.ledger.attach_faults(self._faults())
+        faulted = flooding_connectivity(cl)
+        assert faulted.cc_rounds == clean.cc_rounds
+        assert faulted.rounds > clean.rounds
+        assert sum(s.fault_rounds for s in cl.ledger.steps) == faulted.rounds - clean.rounds
+        assert "faults" in cl.ledger.totals()
+
+    def test_fault_overhead_is_deterministic(self):
+        totals = []
+        for _ in range(2):
+            _, cl = self._cluster()
+            cl.ledger.attach_faults(self._faults())
+            flooding_connectivity(cl)
+            totals.append(cl.ledger.totals())
+        assert totals[0] == totals[1]
+
+    def test_sync_floor_stays_clean(self):
+        # Every vertex on machine 0: no CC round sends across a link, so
+        # each costs only its charge_rounds sync floor, which the fault
+        # model does not touch.
+        g = gen.path_graph(10)
+        home = np.zeros(g.n, dtype=np.int64)
+        cl = KMachineCluster.create(
+            g, k=2, seed=1, partition=VertexPartition(k=2, home=home, seed=0)
+        )
+        cl.ledger.attach_faults(
+            FaultModel(FaultPlan(drop_prob=0.5, bandwidth_factor=0.5), run_seed=7)
+        )
+        res = flooding_connectivity(cl)
+        assert res.cc_rounds > 1
+        assert res.rounds == res.cc_rounds
+        assert all(s.fault_rounds == 0 for s in cl.ledger.steps)
+
+    def test_epoch_migration_is_paid(self):
+        g, cl = self._cluster()
+        plan = ChurnPlan(events=(ChurnEvent(1, "reshuffle"),))
+        cl.ledger.attach_epochs(EpochModel(plan, g, cl.partition, PartitionConfig()))
+        flooding_connectivity(cl)
+        epochs = cl.ledger.totals()["epochs"]
+        assert epochs["n_epochs"] == 2
+        assert epochs["migration_rounds"] > 0
+        assert any(s.label == "epoch:migrate:reshuffle" for s in cl.ledger.steps)

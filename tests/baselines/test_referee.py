@@ -3,12 +3,17 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
-from repro.baselines.referee import referee_connectivity
+from repro.baselines.referee import _charge_leader_election, referee_connectivity
 from repro.cluster.cluster import KMachineCluster
+from repro.cluster.engine import Envelope, SyncEngine
+from repro.cluster.ledger import RoundLedger
+from repro.cluster.topology import ClusterTopology
 from repro.core.labels import canonical_labels
 from repro.graphs import generators as gen
 from repro.graphs import reference as ref
+from repro.util.rng import SeedStream, derive_seed
 
 
 def test_exact_answer(small_disconnected_graph):
@@ -49,3 +54,50 @@ def test_referee_receives_everything():
     # All traffic converges on machine 2 (minus its own local edges).
     assert cl.ledger.received_bits[2] > 0
     assert cl.ledger.received_bits[0] == 0
+
+
+class _ElectionProgram:
+    """Exact mailbox election: broadcast a 64-bit draw; max (draw, id) wins."""
+
+    def __init__(self, k, seed):
+        self.k = k
+        self.seed = seed
+        self.draws = {}
+        self.leader = None
+
+    def on_round(self, machine, round_no, inbox):
+        outs = []
+        if round_no == 1:
+            draw = SeedStream(derive_seed(self.seed, machine)).next_u64()
+            self.draws[machine] = draw
+            outs = [Envelope(machine, dst, 64, draw) for dst in range(self.k) if dst != machine]
+        for env in inbox:
+            self.draws[env.src] = env.payload
+        if len(self.draws) == self.k:
+            self.leader = max(self.draws, key=lambda m: (self.draws[m], m))
+        return outs
+
+    def is_done(self, machine):
+        return self.leader is not None
+
+
+def _election_ledger(k):
+    return RoundLedger(ClusterTopology(k=k, bandwidth_bits=1024))
+
+
+@pytest.mark.parametrize("seed", [5, 11])
+@pytest.mark.parametrize("k", [2, 3, 8, 16])
+def test_bulk_election_matches_an_exact_mailbox_run(k, seed):
+    ledger = _election_ledger(k)
+    leader = _charge_leader_election(ledger, seed)
+    programs = [_ElectionProgram(k, seed) for _ in range(k)]
+    result = SyncEngine(ledger.topology).run(programs)
+    assert result.terminated
+    assert {p.leader for p in programs} == {leader}
+    assert ledger.total_rounds == 1
+    assert ledger.total_bits == result.delivered_bits == k * (k - 1) * 64
+
+
+def test_election_leader_varies_with_the_seed():
+    leaders = {_charge_leader_election(_election_ledger(8), seed) for seed in range(20)}
+    assert len(leaders) > 1

@@ -77,7 +77,6 @@ def test_cell_key_is_order_insensitive():
     assert index[cell_key({"k": 2, "n": 4})].metrics["rounds"] == 7
 
 
-def test_rows_and_metric_series():
+def test_rows():
     result = _tiny_result()
-    assert result.metric_series("rounds") == [7, 11]
     assert result.rows(["n"], ["rounds"]) == [(4, 7), (8, 11)]

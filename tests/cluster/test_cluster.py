@@ -99,8 +99,3 @@ class TestDerived:
                 seed=1,
                 topology=ClusterTopology(k=8, bandwidth_bits=100),
             )
-
-    def test_load_summary(self, cluster8):
-        s = cluster8.machine_load_summary()
-        assert s["vertices_mean"] == pytest.approx(cluster8.n / cluster8.k)
-        assert s["incidences_max"] >= s["incidences_mean"]

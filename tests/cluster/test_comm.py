@@ -54,13 +54,6 @@ class TestCommStep:
         with pytest.raises(ValueError):
             step.add(0, 1, -1)
 
-    def test_add_grouped(self):
-        led = ledger()
-        step = CommStep(led, "s")
-        step.add_grouped(np.array([[0, 1], [2, 3]]), 42)
-        step.deliver()
-        assert led.total_bits == 84
-
     def test_empty_step_zero_rounds(self):
         assert CommStep(ledger(), "s").deliver() == 0
 

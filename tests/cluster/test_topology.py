@@ -13,18 +13,6 @@ class TestClusterTopology:
         assert t.k == 8
         assert t.bandwidth_bits == 64 * 10 * 10
 
-    def test_n_links(self):
-        assert ClusterTopology.for_problem(2, 100).n_links == 1
-        assert ClusterTopology.for_problem(8, 100).n_links == 28
-
-    def test_total_capacity_quadratic_in_k(self):
-        # The Theta~(k^2) bits/round that drive the Omega~(n/k^2) bound.
-        t2 = ClusterTopology.for_problem(4, 100)
-        t4 = ClusterTopology.for_problem(8, 100)
-        assert t4.total_bits_per_round / t2.total_bits_per_round == pytest.approx(
-            (8 * 7) / (4 * 3)
-        )
-
     def test_rejects_k1(self):
         with pytest.raises(ValueError, match="k >= 2"):
             ClusterTopology(k=1, bandwidth_bits=10)

@@ -73,7 +73,7 @@ class TestSpanningForest:
         g = small_connected_graph
         _, res = run(g)
         for u, v in zip(res.forest_u, res.forest_v):
-            assert g.has_edge(int(u), int(v))
+            g.find_edge_id(int(u), int(v))  # KeyError if not an edge
 
     def test_forest_size_and_acyclicity(self):
         g = gen.planted_components(160, 4, seed=6)

@@ -15,6 +15,7 @@ from repro.core import (
     connected_components_distributed,
     minimum_spanning_tree_distributed,
 )
+from repro.graphs import Graph
 from repro.graphs import generators as gen
 from repro.graphs import reference as ref
 from repro.runtime import SketchConfig
@@ -141,12 +142,12 @@ class TestComponentSizes:
         assert "sizes" in prefixes
 
 
-class TestSpanningForestHelper:
+class TestSpanningForest:
     def test_forest_graph_matches_components(self):
         g = gen.planted_components(140, 3, seed=15)
         cl = KMachineCluster.create(g, k=4, seed=15)
         res = connected_components_distributed(cl, seed=15)
-        f = res.spanning_forest()
+        f = Graph.from_edges(g.n, res.forest_u, res.forest_v)
         assert f.m == g.n - 3
         assert np.array_equal(
             ref.connected_components(f), ref.connected_components(g)

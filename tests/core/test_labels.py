@@ -77,7 +77,7 @@ class TestPartIndex:
         part = random_vertex_partition(300, 8, seed=4)
         labels = np.arange(300) % 11
         idx = PartIndex.build(labels, part)
-        ppm = idx.parts_per_machine(8)
+        ppm = np.bincount(idx.part_machine, minlength=8)
         assert ppm.sum() == idx.n_parts
         assert ppm.max() <= 11
 

@@ -57,7 +57,7 @@ class TestSelection:
             comp_vertex = int(parts.comp_labels[ci])
             u, v = int(sel.internal_vertex[ci]), int(sel.foreign_vertex[ci])
             assert comp_vertex == u
-            assert g.has_edge(u, v)
+            g.find_edge_id(u, v)  # KeyError if not an edge
             assert sel.neighbor_label[ci] == v  # phase-1 labels are vertex ids
 
     def test_grouped_labels_sample_only_cut_edges(self):
@@ -70,7 +70,7 @@ class TestSelection:
             v = int(sel.foreign_vertex[ci])
             assert labels[u] == parts.comp_labels[ci]
             assert labels[v] != labels[u]
-            assert g.has_edge(u, v)
+            g.find_edge_id(u, v)  # KeyError if not an edge
             assert sel.neighbor_label[ci] == labels[v]
 
     def test_isolated_component_reports_zero_sketch(self):
@@ -121,7 +121,8 @@ class TestSelection:
         cl, _ = make_run(g)
         slots = cl.inc_slot[: g.m].astype(np.int64)
         assert np.array_equal(_edge_weights(cl, slots[::-1]), g.weights[::-1])
-        pairs = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if not g.has_edge(u, v)]
+        edges = set(zip(g.edges_u.tolist(), g.edges_v.tolist()))
+        pairs = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if (u, v) not in edges]
         for u, v in (pairs[0], pairs[-1]):
             with pytest.raises(KeyError, match="slot"):
                 _edge_weights(cl, np.array([u * g.n + v], dtype=np.int64))

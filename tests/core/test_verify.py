@@ -72,7 +72,6 @@ class TestCuts:
         # The middle path edges form a cut.
         bridge_mask = np.zeros(g.m, dtype=bool)
         for eid in range(g.m):
-            u, v = g.edge_endpoints(eid)
             if ref.edge_on_all_paths(g, eid, 0, g.n - 1):
                 bridge_mask[eid] = True
         assert verify.cut_verification(cluster_for(g), bridge_mask, seed=3).answer

@@ -11,8 +11,8 @@ from repro.graphs.builder import GraphBuilder
 class TestGraphBuilder:
     def test_single_edges(self):
         b = GraphBuilder(4)
-        b.add_edge(0, 1)
-        b.add_edge(2, 3)
+        b.add_edges(np.array([0]), np.array([1]))
+        b.add_edges(np.array([2]), np.array([3]))
         g = b.build()
         assert g.m == 2
 
@@ -34,7 +34,7 @@ class TestGraphBuilder:
 
     def test_weighted_build(self):
         b = GraphBuilder(3, weighted=True)
-        b.add_edge(0, 1, weight=4.5)
+        b.add_edges(np.array([0]), np.array([1]), np.array([4.5]))
         g = b.build()
         assert g.weighted and g.weights[0] == 4.5
 
@@ -48,12 +48,6 @@ class TestGraphBuilder:
     def test_empty_build(self):
         g = GraphBuilder(3).build()
         assert g.n == 3 and g.m == 0
-
-    def test_pending_edges(self):
-        b = GraphBuilder(3)
-        b.add_edge(0, 1)
-        b.add_edge(0, 1)
-        assert b.pending_edges == 2  # pre-dedup count
 
     def test_mismatched_shapes(self):
         b = GraphBuilder(3)

@@ -71,31 +71,19 @@ class TestCSRInvariants:
         g = triangle()
         for v in range(g.n):
             for nbr, eid in zip(g.neighbors(v), g.incident_edge_ids(v)):
-                a, b = g.edge_endpoints(int(eid))
-                assert {a, b} == {v, int(nbr)}
+                assert {int(g.edges_u[eid]), int(g.edges_v[eid])} == {v, int(nbr)}
 
 
 class TestQueries:
-    def test_has_edge(self):
-        g = triangle()
-        assert g.has_edge(0, 1) and g.has_edge(1, 0)
-        assert not g.has_edge(0, 0)
-
     def test_find_edge_id_roundtrip(self):
         g = triangle()
         eid = g.find_edge_id(2, 0)
-        assert g.edge_endpoints(eid) == (0, 2)
+        assert (g.edges_u[eid], g.edges_v[eid]) == (0, 2)
 
     def test_find_edge_id_missing(self):
         g = Graph.from_edges(4, np.array([0]), np.array([1]))
         with pytest.raises(KeyError):
             g.find_edge_id(2, 3)
-
-    def test_iter_edges(self):
-        g = triangle()
-        edges = list(g.iter_edges())
-        assert len(edges) == 3
-        assert all(w == 1.0 for _, _, w in edges)
 
 
 class TestDerived:
@@ -114,7 +102,8 @@ class TestDerived:
         eid = g.find_edge_id(0, 1)
         sub = g.without_edge(eid)
         assert sub.m == 2
-        assert not sub.has_edge(0, 1)
+        with pytest.raises(KeyError):
+            sub.find_edge_id(0, 1)
 
     def test_with_weights(self):
         g = triangle()

@@ -16,7 +16,7 @@ from repro.graphs.graph import Graph
 def to_nx(g: Graph) -> nx.Graph:
     gx = nx.Graph()
     gx.add_nodes_from(range(g.n))
-    for u, v, w in g.iter_edges():
+    for u, v, w in zip(g.edges_u.tolist(), g.edges_v.tolist(), g.weights.tolist()):
         gx.add_edge(u, v, weight=w)
     return gx
 

@@ -42,13 +42,6 @@ class TestUnionFind:
         assert lab[2] == lab[3]
         assert lab[0] != lab[2]
 
-    def test_component_sizes(self):
-        uf = UnionFind(5)
-        uf.union(0, 1)
-        uf.union(1, 2)
-        sizes = sorted(uf.component_sizes().tolist())
-        assert sizes == [1, 1, 3]
-
     def test_empty(self):
         uf = UnionFind(0)
         assert uf.n_components == 0

@@ -1,15 +1,19 @@
-"""Docs stay truthful: intra-repo links resolve, README tracks the registries.
+"""Docs stay truthful: intra-repo links resolve, README tracks the registries,
+and the ``>>>`` examples in package docstrings still run.
 
-The CI docs leg runs ``tools/check_docs.py`` and the quickstart example;
-these tests keep the same guarantees inside tier-1 so a broken link or a
-README that forgot a newly registered algorithm/scenario fails locally
-too, not just in the docs job.
+The CI docs leg runs ``tools/check_docs.py``, the examples and this module;
+tier-1 runs it too, so a broken link, a stale docstring example or a README
+that forgot a newly registered algorithm/scenario fails locally as well.
 """
 
 from __future__ import annotations
 
+import doctest
+import importlib
 import sys
 from pathlib import Path
+
+import pytest
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "tools"))
@@ -40,6 +44,15 @@ def test_checker_flags_broken_links(tmp_path):
     good = tmp_path / "good.md"
     good.write_text("# Title\n[self](#title)\n", encoding="utf-8")
     assert check_docs.main([str(good)]) == 0
+
+
+@pytest.mark.parametrize(
+    "module", ["repro", "repro.bench", "repro.runtime", "repro.runtime.registry"]
+)
+def test_docstring_examples_run(module):
+    result = doctest.testmod(importlib.import_module(module))
+    assert result.attempted > 0
+    assert result.failed == 0
 
 
 def test_readme_names_every_registered_algorithm():

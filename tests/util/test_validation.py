@@ -8,9 +8,7 @@ from repro.util.validation import (
     ConfigError,
     check_index,
     check_int,
-    check_non_negative,
     check_positive,
-    check_probability,
 )
 
 
@@ -19,21 +17,6 @@ def test_check_positive():
     check_positive("x", 0.5)
     with pytest.raises(ValueError, match="x must be positive"):
         check_positive("x", 0)
-
-
-def test_check_non_negative():
-    check_non_negative("x", 0)
-    with pytest.raises(ValueError):
-        check_non_negative("x", -1)
-
-
-def test_check_probability():
-    check_probability("p", 0.0)
-    check_probability("p", 1.0)
-    with pytest.raises(ValueError):
-        check_probability("p", 1.5)
-    with pytest.raises(ValueError):
-        check_probability("p", -0.1)
 
 
 def test_check_index():
