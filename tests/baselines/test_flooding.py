@@ -7,6 +7,7 @@ import numpy as np
 from repro.baselines.flooding import flooding_connectivity
 from repro.cluster.cluster import KMachineCluster
 from repro.cluster.partition import PartitionConfig, VertexPartition
+from repro.cluster.topology import ClusterTopology
 from repro.core.labels import canonical_labels
 from repro.graphs import generators as gen
 from repro.graphs import reference as ref
@@ -63,6 +64,57 @@ class TestShape:
             cl = KMachineCluster.create(g, k=k, seed=6)
             r.append(flooding_connectivity(cl).rounds)
         assert r[1] < r[0]
+
+    def test_volume_term_scales_inverse_k_squared(self):
+        # Volume-dominated regime: each link carries ~2m/k^2 label messages
+        # per CC round, so 4x machines cut rounds by far more than 4x.
+        g = gen.gnm_random(1000, 100_000, seed=7)
+        r = []
+        for k in (4, 16):
+            cl = KMachineCluster.create(
+                g, k=k, seed=7, topology=ClusterTopology(k=k, bandwidth_bits=1000)
+            )
+            r.append(flooding_connectivity(cl).rounds)
+        assert r[0] > 10 * r[1]
+
+    def test_degree_term_scales_inverse_k(self):
+        # Star: every leaf's message converges on the center's home machine
+        # over k-1 links, so doubling k roughly halves the rounds.
+        g = gen.star_graph(2000)
+        r = []
+        for k in (8, 16):
+            cl = KMachineCluster.create(
+                g, k=k, seed=7, topology=ClusterTopology(k=k, bandwidth_bits=100)
+            )
+            r.append(flooding_connectivity(cl).rounds)
+        assert r[0] > 1.7 * r[1]
+
+
+class TestConvertedSchedule:
+    """The streamed loop charges one bulk step per CC round on the ledger."""
+
+    def test_ledger_holds_one_step_per_cc_round(self):
+        g = gen.gnm_random(60, 150, seed=1)
+        cl = KMachineCluster.create(g, k=4, seed=1)
+        res = flooding_connectivity(cl)
+        assert res.rounds == cl.ledger.total_rounds >= res.cc_rounds
+        assert res.total_bits == cl.ledger.total_bits > 0
+        assert [s.label for s in cl.ledger.steps] == [
+            f"flooding:cc-round-{r}" for r in range(res.cc_rounds)
+        ]
+
+    def test_all_local_cc_round_still_costs_one(self):
+        g = gen.path_graph(10)
+        home = np.zeros(g.n, dtype=np.int64)  # everything on machine 0
+        cl = KMachineCluster.create(
+            g, k=2, seed=1, partition=VertexPartition(k=2, home=home, seed=0)
+        )
+        res = flooding_connectivity(cl)
+        assert res.total_bits == 0
+        assert res.rounds == res.cc_rounds > 1
+        syncs = [s for s in cl.ledger.steps if s.label.endswith(":sync")]
+        assert len(syncs) == res.cc_rounds
+        assert all(s.rounds == 1 for s in syncs)
 
 
 class TestConvertedScheduleUnderScenarios:

@@ -101,3 +101,32 @@ def test_bulk_election_matches_an_exact_mailbox_run(k, seed):
 def test_election_leader_varies_with_the_seed():
     leaders = {_charge_leader_election(_election_ledger(8), seed) for seed in range(20)}
     assert len(leaders) > 1
+
+
+@pytest.mark.parametrize("k", [2, 3, 8, 16])
+def test_election_is_one_round_and_elects_the_referee(k):
+    g = gen.gnm_random(200, 800, seed=4)
+    cl = KMachineCluster.create(g, k=k, seed=4)
+    referee_connectivity(cl)
+    election = cl.ledger.steps[0]
+    assert election.label == "leader-election"
+    assert election.rounds == 1  # O(1), whatever k
+    assert election.total_bits == k * (k - 1) * 64
+    # The gather lands on the elected machine and nowhere else.
+    leader = _charge_leader_election(_election_ledger(k), cl.partition.seed)
+    others = [m for m in range(k) if m != leader]
+    assert cl.ledger.received_bits[others].tolist() == [(k - 1) * 64] * (k - 1)
+    assert cl.ledger.received_bits[leader] > (k - 1) * 64
+
+
+def test_election_is_deterministic_given_the_seed():
+    assert _charge_leader_election(_election_ledger(8), 1) == _charge_leader_election(
+        _election_ledger(8), 1
+    )
+    g = gen.gnm_random(200, 800, seed=4)
+    totals = []
+    for _ in range(2):
+        cl = KMachineCluster.create(g, k=8, seed=4)
+        referee_connectivity(cl)
+        totals.append((cl.ledger.totals(), cl.ledger.received_bits.tolist()))
+    assert totals[0] == totals[1]

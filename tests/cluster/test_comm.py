@@ -54,6 +54,21 @@ class TestCommStep:
         with pytest.raises(ValueError):
             step.add(0, 1, -1)
 
+    @pytest.mark.parametrize("k", [2, 4, 8])
+    def test_all_to_all_capacity_is_k_times_k_minus_1_links(self, k):
+        # The Theta~(k^2) bits per round behind the Omega~(n/k^2) bound:
+        # a full bandwidth on every ordered pair fits in one round.
+        led = ledger(k=k, bw=100)
+        src, dst = np.nonzero(~np.eye(k, dtype=bool))
+        step = CommStep(led, "all-to-all")
+        step.add(src, dst, 100)
+        assert step.deliver() == 1
+        assert led.total_bits == k * (k - 1) * 100
+        over = CommStep(led, "one-bit-over")
+        over.add(src, dst, 100)
+        over.add(0, 1, 1)
+        assert over.deliver() == 2
+
     def test_empty_step_zero_rounds(self):
         assert CommStep(ledger(), "s").deliver() == 0
 

@@ -113,6 +113,24 @@ def test_invalid_envelope_rejected():
         SyncEngine(ClusterTopology(k=2, bandwidth_bits=8)).run([Liar(), Liar()])
 
 
+def test_envelope_to_unknown_machine_rejected():
+    @dataclass
+    class Stray:
+        def on_round(self, machine, round_no, inbox):
+            return [Envelope(src=machine, dst=5, bits=1, payload=None)]  # k = 2
+
+        def is_done(self, machine):
+            return True
+
+    with pytest.raises(ValueError, match="invalid envelope 0->5"):
+        SyncEngine(ClusterTopology(k=2, bandwidth_bits=8)).run([Stray(), Stray()])
+
+
+def test_negative_envelope_bits_rejected():
+    with pytest.raises(ValueError, match="non-negative"):
+        Envelope(src=0, dst=1, bits=-1, payload=None)
+
+
 def test_program_count_checked():
     with pytest.raises(ValueError):
         SyncEngine(ClusterTopology(k=3, bandwidth_bits=8)).run([PingPong()])

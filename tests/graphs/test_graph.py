@@ -80,6 +80,17 @@ class TestQueries:
         eid = g.find_edge_id(2, 0)
         assert (g.edges_u[eid], g.edges_v[eid]) == (0, 2)
 
+    def test_find_edge_id_symmetric_and_no_self_loops(self):
+        g = triangle()
+        assert g.find_edge_id(0, 1) == g.find_edge_id(1, 0)
+        with pytest.raises(KeyError):
+            g.find_edge_id(0, 0)
+
+    def test_edge_arrays_list_each_edge_once(self):
+        g = triangle()
+        edges = list(zip(g.edges_u.tolist(), g.edges_v.tolist(), g.weights.tolist()))
+        assert edges == [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)]
+
     def test_find_edge_id_missing(self):
         g = Graph.from_edges(4, np.array([0]), np.array([1]))
         with pytest.raises(KeyError):

@@ -42,6 +42,13 @@ class TestUnionFind:
         assert lab[2] == lab[3]
         assert lab[0] != lab[2]
 
+    def test_label_counts_give_component_sizes(self):
+        uf = UnionFind(5)
+        uf.union(0, 1)
+        uf.union(1, 2)
+        _, sizes = np.unique(uf.labels(), return_counts=True)
+        assert sorted(sizes.tolist()) == [1, 1, 3]
+
     def test_empty(self):
         uf = UnionFind(0)
         assert uf.n_components == 0
