@@ -56,15 +56,14 @@ class RoundLedger:
         The cluster the ledger accounts for.
     steps:
         Chronological list of :class:`StepRecord`.
-    sent_bits / received_bits:
-        Per-machine cumulative traffic (``int64[k]``) — the congestion
-        profile used by the Lemma-1 and ablation experiments.
+    load_total:
+        Cumulative off-diagonal link traffic (``int64[k, k]``, row = sender);
+        :attr:`sent_bits` and :attr:`received_bits` are its row and column
+        sums.
     """
 
     topology: ClusterTopology
     steps: list[StepRecord] = field(default_factory=list)
-    sent_bits: np.ndarray = field(default=None)  # type: ignore[assignment]
-    received_bits: np.ndarray = field(default=None)  # type: ignore[assignment]
     load_total: np.ndarray = field(default=None)  # type: ignore[assignment]
     #: Attached fault model (see repro.scenarios.faults.FaultModel), or None.
     fault_model: object = field(default=None, repr=False)
@@ -73,10 +72,6 @@ class RoundLedger:
 
     def __post_init__(self) -> None:
         k = self.topology.k
-        if self.sent_bits is None:
-            self.sent_bits = np.zeros(k, dtype=np.int64)
-        if self.received_bits is None:
-            self.received_bits = np.zeros(k, dtype=np.int64)
         if self.load_total is None:
             self.load_total = np.zeros((k, k), dtype=np.int64)
         self._off_diagonal = ~np.eye(k, dtype=bool)
@@ -170,8 +165,6 @@ class RoundLedger:
                 rounds = clean_rounds + fault_rounds
             else:
                 rounds = clean_rounds
-        self.sent_bits += off.sum(axis=1)
-        self.received_bits += off.sum(axis=0)
         self.load_total += off
         epoch = 0
         if self.epoch_model is not None:
@@ -220,6 +213,18 @@ class RoundLedger:
         return rounds
 
     # -- reporting ----------------------------------------------------------
+
+    @property
+    def sent_bits(self) -> np.ndarray:
+        """Per-machine cumulative sent traffic (``int64[k]``) — with
+        :attr:`received_bits`, the congestion profile used by the Lemma-1
+        and ablation experiments."""
+        return self.load_total.sum(axis=1)
+
+    @property
+    def received_bits(self) -> np.ndarray:
+        """Per-machine cumulative received traffic (``int64[k]``)."""
+        return self.load_total.sum(axis=0)
 
     @property
     def total_rounds(self) -> int:

@@ -136,7 +136,6 @@ def connected_components_distributed(
     *,
     sketch: SketchConfig | None = None,
     max_phases: int | None = None,
-    charge_shared_randomness: bool = True,
 ) -> ConnectivityResult:
     """Run the Theorem-1 algorithm on ``cluster``; charges its ledger.
 
@@ -158,9 +157,6 @@ def connected_components_distributed(
         (ablation-verified, see DESIGN.md).
     max_phases:
         Phase budget; defaults to the Lemma-7 bound ``ceil(12 log2 n)``.
-    charge_shared_randomness:
-        Charge the per-phase Section-2.2 dissemination (disable only in
-        ablations isolating other cost terms).
     """
     sketch = (sketch if sketch is not None else SketchConfig()).validate()
     shared = SharedRandomness(master_seed=seed, n=cluster.n, k=cluster.k)
@@ -175,13 +171,7 @@ def connected_components_distributed(
         _charge_termination_check(cluster, phase)
         return selection, bool(nonzero.any())
 
-    return boruvka_phases(
-        cluster,
-        shared,
-        select,
-        max_phases=max_phases,
-        charge_shared_randomness=charge_shared_randomness,
-    )
+    return boruvka_phases(cluster, shared, select, max_phases=max_phases)
 
 
 def boruvka_phases(
@@ -190,7 +180,6 @@ def boruvka_phases(
     select: Callable[..., tuple[OutgoingSelection, bool]],
     *,
     max_phases: int | None,
-    charge_shared_randomness: bool,
     merge_from: int = 1,
     on_forest: Callable[..., None] | None = None,
 ) -> ConnectivityResult:
@@ -230,8 +219,7 @@ def boruvka_phases(
     n_components = int(labels.size)
     for phase in range(1, budget + 1):
         rounds_before = cluster.ledger.total_rounds
-        if charge_shared_randomness:
-            shared.charge_phase_distribution(cluster.ledger, phase)
+        shared.charge_phase_distribution(cluster.ledger, phase)
         if parts is None:
             parts = PartIndex.build(labels, cluster.partition)
             cut = cut_incidences(cluster, labels, cut)

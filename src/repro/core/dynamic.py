@@ -449,7 +449,6 @@ def dynamic_msf_updates(
     *,
     sketch: SketchConfig | None = None,
     max_phases: int | None = None,
-    charge_shared_randomness: bool = True,
 ) -> DynamicMSFResult:
     """Build the MST distributively, then replay ``plan`` against it.
 
@@ -469,13 +468,7 @@ def dynamic_msf_updates(
     sketch = (sketch if sketch is not None else SketchConfig()).validate()
     ledger = cluster.ledger
     rounds_before = ledger.total_rounds
-    initial = minimum_spanning_tree_distributed(
-        cluster,
-        seed,
-        sketch=sketch,
-        max_phases=max_phases,
-        charge_shared_randomness=charge_shared_randomness,
-    )
+    initial = minimum_spanning_tree_distributed(cluster, seed, sketch=sketch, max_phases=max_phases)
     build_rounds = ledger.total_rounds - rounds_before
 
     state = MaintainedForest(cluster.graph)

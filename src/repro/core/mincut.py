@@ -72,7 +72,6 @@ def mincut_approx_distributed(
     sketch: SketchConfig | None = None,
     max_levels: int | None = None,
     max_phases: int | None = None,
-    charge_shared_randomness: bool = True,
 ) -> MinCutResult:
     """Run the Theorem-3 algorithm on ``cluster``; charges its ledger.
 
@@ -84,9 +83,8 @@ def mincut_approx_distributed(
 
     The input is treated as unweighted (edge connectivity); weighted
     min-cut reduces to this by standard edge multiplication, which the
-    experiments do not need.  ``max_phases`` and
-    ``charge_shared_randomness`` apply to each internal per-level
-    connectivity test.
+    experiments do not need.  ``max_phases`` applies to each internal
+    per-level connectivity test.
     """
     sketch = (sketch if sketch is not None else SketchConfig()).validate()
     n = cluster.n
@@ -105,7 +103,6 @@ def mincut_approx_distributed(
             seed=derive_seed(seed, 0xC17, i),
             sketch=sketch,
             max_phases=max_phases,
-            charge_shared_randomness=charge_shared_randomness,
         )
         levels.append(
             MinCutLevel(

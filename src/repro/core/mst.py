@@ -114,7 +114,6 @@ def minimum_spanning_tree_distributed(
     max_phases: int | None = None,
     strict_elimination_budget: int | None = None,
     output: str = "relaxed",
-    charge_shared_randomness: bool = True,
 ) -> MSTResult:
     """Run the Theorem-2 MST algorithm on ``cluster``; charges its ledger.
 
@@ -247,7 +246,6 @@ def minimum_spanning_tree_distributed(
         shared,
         select,
         max_phases=max_phases,
-        charge_shared_randomness=charge_shared_randomness,
         merge_from=elim_cap + 1,
         on_forest=on_forest,
     )

@@ -15,11 +15,10 @@ Every function returns a :class:`VerificationResult` with the boolean
 answer and the rounds consumed.
 
 All functions forward their ``**kw`` to the connectivity core, so they
-take its ``sketch=SketchConfig(...)``, ``max_phases`` and
-``charge_shared_randomness`` arguments.  The input-free problems
-(bipartiteness, cycle containment, s-t connectivity) are also runnable
-through the ``"verify"`` registry entry of :mod:`repro.runtime` via
-``params={"problem": ...}``.
+take its ``sketch=SketchConfig(...)`` and ``max_phases`` arguments.  The
+input-free problems (bipartiteness, cycle containment, s-t connectivity)
+are also runnable through the ``"verify"`` registry entry of
+:mod:`repro.runtime` via ``params={"problem": ...}``.
 """
 
 from __future__ import annotations

@@ -18,8 +18,9 @@ three rules:
   re-weighted: its bytes are immutable.
 
 :func:`generated_input` applies the precedence and weight rules to a
-generated input; ``RunRequest.graph_key`` reads it too, so the service
-keys its graph cache on the weights :func:`resolve_input` builds.
+generated input; ``RunRequest.graph_key`` and ``cluster_key`` read it
+too, so the service keys its caches on the family and weights
+:func:`resolve_input` builds, however a request named them.
 Generated inputs are built by :func:`~repro.corpus.families.sized_graph`.
 """
 

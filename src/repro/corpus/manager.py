@@ -152,43 +152,6 @@ def _mmap_npz_arrays(path: Path) -> dict[str, np.ndarray]:
     return out
 
 
-def _graph_from_canonical(
-    n: int,
-    edges_u: np.ndarray,
-    edges_v: np.ndarray,
-    weights: np.ndarray | None,
-) -> Graph:
-    """Rebuild a :class:`Graph` from *already canonical* stored edge arrays.
-
-    The corpus stores ``Graph.edges_u``/``edges_v``/``weights`` verbatim —
-    sorted by ``(u, v)`` with ``u < v``, deduplicated — so only the CSR
-    index arrays need recomputing, with the exact same recipe as
-    :meth:`Graph.from_edges`.  The edge arrays themselves are kept as the
-    (possibly memory-mapped) inputs: zero copies of the O(m) payload.
-    """
-    lo = edges_u
-    hi = edges_v
-    m = int(lo.size)
-    deg = np.bincount(lo, minlength=n) + np.bincount(hi, minlength=n)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(deg, out=indptr[1:])
-    ids = np.arange(m, dtype=np.int64)
-    src = np.concatenate([lo, hi])
-    dst = np.concatenate([hi, lo])
-    deid = np.concatenate([ids, ids])
-    order3 = np.argsort(src, kind="stable")
-    return Graph(
-        n=int(n),
-        indptr=indptr,
-        indices=dst[order3],
-        edge_ids=deid[order3],
-        edges_u=lo,
-        edges_v=hi,
-        weights=np.ones(m, dtype=np.float64) if weights is None else weights,
-        _weighted=weights is not None,
-    )
-
-
 @dataclass(frozen=True)
 class CorpusEntry:
     """One materialized corpus instance (manifest view).
@@ -365,7 +328,7 @@ class CorpusManager:
                 f"{entry.entry_id}: manifest m={entry.m} but npz stores "
                 f"{int(edges_u.size)} edges"
             )
-        return _graph_from_canonical(entry.n, edges_u, edges_v, weights)
+        return Graph.from_canonical(entry.n, edges_u, edges_v, weights)
 
     # -- inspection --------------------------------------------------------
 

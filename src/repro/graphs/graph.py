@@ -84,10 +84,8 @@ class Graph:
                 raise ValueError("vertex ids must be < n")
             if np.any(u == v):
                 raise ValueError("self-loops are not allowed")
-        weighted = weights is not None
-        if weights is None:
-            w = np.ones(u.size, dtype=np.float64)
-        else:
+        w = None
+        if weights is not None:
             w = np.asarray(weights, dtype=np.float64)
             if w.shape != u.shape:
                 raise ValueError("weights must match edges in length")
@@ -97,7 +95,9 @@ class Graph:
         hi = np.maximum(u, v)
         if lo.size:
             key = lo * np.int64(n) + hi
-            order = np.lexsort((w, key))  # ties broken by weight: min first
+            # Ties broken by weight, min first; unweighted duplicates are
+            # interchangeable, so a stable sort on the key alone suffices.
+            order = np.argsort(key, kind="stable") if w is None else np.lexsort((w, key))
             key_sorted = key[order]
             keep = np.empty(key_sorted.size, dtype=bool)
             keep[0] = True
@@ -105,30 +105,46 @@ class Graph:
             # Distinct keys ascend, and key = lo * n + hi with hi < n, so
             # the kept edges are already in (lo, hi) order.
             sel = order[keep]
-            lo, hi, w = lo[sel], hi[sel], w[sel]
-        m = lo.size
+            lo, hi = lo[sel], hi[sel]
+            if w is not None:
+                w = w[sel]
+        return Graph.from_canonical(n, lo, hi, w)
 
-        # Build CSR: sort the 2m directed copies by source vertex; the
-        # cumulative degree array then delimits each adjacency list.
-        deg = np.bincount(lo, minlength=n) + np.bincount(hi, minlength=n)
+    @staticmethod
+    def from_canonical(
+        n: int,
+        edges_u: np.ndarray,
+        edges_v: np.ndarray,
+        weights: np.ndarray | None = None,
+    ) -> "Graph":
+        """Build a graph from *canonical* edge arrays, unchecked.
+
+        Canonical means what :meth:`from_edges` produces: ``edges_u <
+        edges_v``, sorted by ``(u, v)``, no duplicates.  Only the CSR index
+        arrays are computed; the edge and weight arrays are kept as given
+        (the corpus passes memory-mapped ones), so the O(m) payload is not
+        copied.  ``weights=None`` means unweighted (all 1.0).
+        """
+        m = int(edges_u.size)
+        # Sort the 2m directed copies by source vertex; the cumulative
+        # degree array then delimits each adjacency list.
+        deg = np.bincount(edges_u, minlength=n) + np.bincount(edges_v, minlength=n)
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(deg, out=indptr[1:])
         ids = np.arange(m, dtype=np.int64)
-        src = np.concatenate([lo, hi])
-        dst = np.concatenate([hi, lo])
+        src = np.concatenate([edges_u, edges_v])
+        dst = np.concatenate([edges_v, edges_u])
         deid = np.concatenate([ids, ids])
-        order3 = np.argsort(src, kind="stable")
-        indices = dst[order3]
-        eids = deid[order3]
+        order = np.argsort(src, kind="stable")
         return Graph(
-            n=n,
+            n=int(n),
             indptr=indptr,
-            indices=indices,
-            edge_ids=eids,
-            edges_u=lo,
-            edges_v=hi,
-            weights=w,
-            _weighted=weighted,
+            indices=dst[order],
+            edge_ids=deid[order],
+            edges_u=edges_u,
+            edges_v=edges_v,
+            weights=np.ones(m, dtype=np.float64) if weights is None else weights,
+            _weighted=weights is not None,
         )
 
     # -- basic properties --------------------------------------------------

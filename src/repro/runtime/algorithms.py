@@ -40,11 +40,7 @@ __all__: list[str] = []
 
 def _sketch_kwargs(config: RunConfig) -> dict:
     """The kwargs vocabulary shared by the connectivity-based algorithms."""
-    return {
-        "sketch": config.sketch,
-        "max_phases": config.max_phases,
-        "charge_shared_randomness": config.charge_shared_randomness,
-    }
+    return {"sketch": config.sketch, "max_phases": config.max_phases}
 
 
 @register_algorithm(
@@ -80,8 +76,8 @@ def _run_connectivity_logdiam(cluster, config: RunConfig, seed: int) -> RunnerOu
     ld = config.logdiam if config.logdiam is not None else LogDiamConfig()
     # The budget vocabulary is shared with the sketch family: an explicit
     # doubling_budget wins, else the run-wide phase budget applies.  The
-    # sketch section and charge_shared_randomness are meaningless here
-    # (deterministic, sketch-free) and are ignored — DESIGN.md §12.
+    # sketch section is meaningless here (deterministic, sketch-free) and
+    # is ignored — DESIGN.md §12.
     budget = ld.doubling_budget if ld.doubling_budget is not None else config.max_phases
     res = logdiam_connectivity(
         cluster,

@@ -1,8 +1,7 @@
 """Typed run configuration with validation and the seed-precedence contract.
 
 The paper's algorithms share one knob vocabulary — sketch repetitions, the
-hash family, the phase budget, whether Section-2.2 shared-randomness
-dissemination is charged — which used to be copy-pasted as keyword
+hash family, the phase budget — which used to be copy-pasted as keyword
 arguments across ``core/connectivity.py``, ``core/mst.py``,
 ``core/mincut.py`` and ``core/verify.py``.  This module centralizes that
 vocabulary as frozen dataclasses:
@@ -218,9 +217,6 @@ class RunConfig:
         The nested typed sections.
     max_phases:
         Phase budget override (``None``: the Lemma-7 default).
-    charge_shared_randomness:
-        Charge the per-phase Section-2.2 dissemination (disable only in
-        ablations isolating other cost terms).
     faults:
         Optional :class:`~repro.scenarios.faults.FaultPlan`; when set,
         every bulk communication step of the run pays for seeded drops,
@@ -254,7 +250,6 @@ class RunConfig:
     sketch: SketchConfig = field(default_factory=SketchConfig)
     cluster: ClusterConfig = field(default_factory=ClusterConfig)
     max_phases: int | None = None
-    charge_shared_randomness: bool = True
     faults: FaultPlan | None = None
     churn: ChurnPlan | None = None
     updates: UpdatePlan | None = None
@@ -265,10 +260,6 @@ class RunConfig:
         """Validate every section; raise :class:`ConfigError` on the first failure."""
         check_int("seed", self.seed, optional=True)
         check_int("max_phases", self.max_phases, minimum=1, optional=True)
-        if not isinstance(self.charge_shared_randomness, bool):
-            raise ConfigError(
-                f"charge_shared_randomness must be a bool, got {self.charge_shared_randomness!r}"
-            )
         if not isinstance(self.params, dict):
             raise ConfigError(f"params must be a dict, got {type(self.params).__name__}")
         for name, kind in SECTIONS.items():

@@ -130,7 +130,7 @@ class AlgorithmSpec:
             )
         ledger = cluster.ledger
         steps_before = len(ledger.steps)
-        received_before = ledger.received_bits.copy()
+        received_before = ledger.received_bits
         # Every bulk step this run charges pays for the realized faults, and
         # epochs fire per the churn plan with migrations charged as real
         # bulk steps (through the fault model too), hashed from the

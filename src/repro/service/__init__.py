@@ -5,7 +5,7 @@ graph, build a cluster, run, exit.  This package keeps the expensive state
 *warm*: a stdlib-only :mod:`asyncio` server owns a pool of
 :class:`~repro.runtime.session.Session` workers whose bounded LRU cluster
 caches persist across requests, so concurrent ``run`` / ``sweep`` traffic
-sharing a *(graph family, n, seed, k, scheme, epoch)* cluster key
+sharing a *(resolved input, seed, k, partition, epoch)* cluster key
 coalesces onto one cached cluster build instead of re-partitioning the
 graph per request.
 

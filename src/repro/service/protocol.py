@@ -10,13 +10,15 @@ client reads frames until ``final`` without knowing the op's shape.
 
 :class:`RunRequest` is the unit of traffic the whole subsystem shares: the
 server executes it, the load generator draws seeded mixes of it, and its
-:meth:`~RunRequest.cluster_key` — the canonical *(graph family | scenario,
-n, seed, k, partition scheme, epoch)* identity — is what in-flight
-coalescing, key-affinity dispatch and the hit-rate accounting all key on.
-The input graph comes from :func:`~repro.corpus.inputs.resolve_input`,
-the resolver ``Session.run`` and the CLI share, and the config overlay
-is ``Session.run``'s, which is what makes a served envelope identical to
-an uncoalesced local run — pinned by ``tests/service/test_server.py``.
+:meth:`~RunRequest.cluster_key` — the canonical *(resolved input, seed, k,
+partition section, epoch)* identity — is what in-flight coalescing,
+key-affinity dispatch and the hit-rate accounting all key on.  The input
+graph comes from :func:`~repro.corpus.inputs.resolve_input`, the resolver
+``Session.run`` and the CLI share, and both keys name the input that
+resolver builds, so requests that name one graph in different ways share
+its build.  The config overlay is ``Session.run``'s, which is what makes a
+served envelope identical to an uncoalesced local run — pinned by
+``tests/service/test_server.py``.
 """
 
 from __future__ import annotations
@@ -144,8 +146,10 @@ class RunRequest:
         generated per worker.  Mutually exclusive with ``family`` (the
         entry already pins family, params and graph seed); ``n``,
         ``seed`` and ``weighted`` keep their config roles but no longer
-        shape the input.  Excluded from :meth:`to_dict` when unset, so
-        committed envelopes predating the field stay byte-identical.
+        shape the input, so they leave :meth:`graph_key` too (the seed
+        stays in :meth:`cluster_key` as the partition seed).  Excluded
+        from :meth:`to_dict` when unset, so committed envelopes predating
+        the field stay byte-identical.
     """
 
     algorithm: str = "connectivity"
@@ -280,58 +284,44 @@ class RunRequest:
         sc = self.resolved_scenario()
         return base if sc is None else sc.apply(base)
 
-    def family_label(self) -> str:
-        """The effective input family: a ``corpus`` entry wins over an
-        explicit ``family``, which wins over the scenario's (mirroring
-        ``--corpus`` > ``--graph`` > ``--scenario`` in the CLI)."""
-        if self.corpus is not None:
-            return f"corpus:{self.corpus}"
-        if self.family is not None:
-            return self.family
-        if self.scenario is not None:
-            return f"scenario:{self.scenario}"
-        return "gnm"
+    def _resolved_input(self) -> list:
+        """The input :meth:`build_graph` resolves to, as JSON-ready data.
 
-    def effective_weighted(self) -> bool:
-        """Whether the built graph carries weights (see :meth:`build_graph`).
-
-        A generated input follows the resolver's own rule
-        (:func:`~repro.corpus.inputs.generated_input`).  For a corpus
-        request the stored entry decides; the flag here is advisory (the
-        entry id inside :meth:`graph_key` already pins the exact arrays,
-        weights included), so it leaves out params-dependent needs and
-        the keys of served corpus traffic stay as they were.
+        ``["corpus", <entry id>]`` for a corpus request (the entry pins
+        family, params, graph seed and weights); otherwise
+        ``[family, n, seed, weighted]`` with the family and weight flag
+        of :func:`~repro.corpus.inputs.generated_input`, which owns the
+        precedence and weight rules.
         """
         if self.corpus is not None:
-            return bool(self.weighted or get_algorithm(self.algorithm).needs_weights())
-        return generated_input(
+            return ["corpus", self.corpus]
+        family, weighted = generated_input(
             family=self.family,
             scenario=self.scenario,
             weighted=self.weighted,
             algorithm=self.algorithm,
             params=self.params,
-        )[1]
+        )
+        return [family, self.n, self.seed, weighted]
 
     def graph_key(self) -> str:
         """Canonical identity of the input graph this request needs."""
-        return json.dumps(
-            [self.family_label(), self.n, self.seed, self.effective_weighted()],
-            separators=(",", ":"),
-        )
+        return json.dumps(self._resolved_input(), separators=(",", ":"))
 
     def cluster_key(self) -> str:
-        """The coalescing key: (family|scenario, n, seed, k, scheme, epoch).
+        """The coalescing key: (resolved input, seed, k, partition, epoch).
 
         Canonical JSON, so it is hashable, order-stable across processes
         (no ``PYTHONHASHSEED`` dependence) and safe to use for both
         key-affinity dispatch and deterministic hit-rate accounting.  The
-        placement component is the *effective* partition section after the
-        scenario overlay — two requests that resolve to the same placement
-        genuinely share a cluster build.
+        input is :meth:`graph_key`'s, and the placement component is the
+        *effective* partition section after the scenario overlay, so two
+        requests that name one graph and one placement in different ways
+        share a cluster build.
         """
         partition = self.run_config().cluster.partition.to_dict()
         return json.dumps(
-            [self.family_label(), self.n, self.seed, self.k, partition, self.epoch],
+            [*self._resolved_input(), self.seed, self.k, partition, self.epoch],
             sort_keys=True,
             separators=(",", ":"),
         )

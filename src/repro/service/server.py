@@ -6,8 +6,9 @@ single-threaded executor wrapping one warm
 DESIGN.md §10) plus a bounded LRU graph cache.  Every ``run`` dispatches
 by **key affinity**: the request's canonical cluster key is hashed
 (CRC-32, stable across processes) onto one worker, so all traffic sharing
-a *(family|scenario, n, seed, k, scheme, epoch)* key lands on the same
-session and serializes there.  That single decision buys three things:
+a *(resolved input, seed, k, partition, epoch)* key lands on the same
+session and serializes there — whichever family, scenario or default
+named that input.  That single decision buys three things:
 
 * **coalescing** — in-flight and subsequent same-key requests reuse the
   one cached cluster build instead of racing to re-partition;

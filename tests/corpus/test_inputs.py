@@ -8,6 +8,8 @@ cases run the real ``repro run`` parser and input path end to end.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.cli import main
@@ -105,4 +107,4 @@ def test_rep_mst_gets_weights_on_every_surface(received):
 )
 def test_graph_key_weight_flag_matches_the_built_graph(names, algorithm, params, weighted):
     req = RunRequest(algorithm=algorithm, params=params, n=N, seed=3, weighted=weighted, **names)
-    assert req.build_graph().weighted is req.effective_weighted()
+    assert req.build_graph().weighted is json.loads(req.graph_key())[-1]

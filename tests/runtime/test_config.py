@@ -119,10 +119,6 @@ class TestIntFields:
         with pytest.raises(ConfigError, match="partition_seed"):
             RunConfig(cluster=ClusterConfig(partition_seed=seed)).validate()
 
-    def test_charge_shared_randomness_must_be_bool(self):
-        with pytest.raises(ConfigError, match="charge_shared_randomness"):
-            RunConfig(charge_shared_randomness="no").validate()  # type: ignore[arg-type]
-
 
 class TestSerialization:
     def test_dict_round_trip(self):
@@ -131,7 +127,6 @@ class TestSerialization:
             sketch=SketchConfig(repetitions=4, hash_family="polynomial"),
             cluster=ClusterConfig(k=16, bandwidth_multiplier=32, partition_seed=9),
             max_phases=20,
-            charge_shared_randomness=False,
             params={"output": "strict"},
         )
         assert RunConfig.from_dict(cfg.to_dict()) == cfg
@@ -143,6 +138,12 @@ class TestSerialization:
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ConfigError, match="sketchy"):
             RunConfig.from_dict({"sketchy": True})
+
+    def test_from_dict_refuses_charge_shared_randomness(self):
+        # The Section-2.2 dissemination is always charged; an envelope
+        # config that still names the deleted knob fails, naming it.
+        with pytest.raises(ConfigError, match="charge_shared_randomness"):
+            RunConfig.from_dict({"charge_shared_randomness": True})
 
     def test_with_overrides(self):
         cfg = RunConfig(seed=1)

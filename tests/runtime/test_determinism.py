@@ -11,9 +11,11 @@ Three large runs are also pinned to recorded SHA-256 digests of their whole
 envelopes, so a change that returns a different but still valid forest or
 labelling fails here even when every model cost stays the same.  Twelve MST
 runs on negative, mixed-sign and tied weights are pinned the same way, and
-so are eighteen runs outside the default settings and thirteen runs that
+so are sixteen runs outside the default settings and thirteen runs that
 charge derived instances (min-cut's sampled subgraphs, verification's
 masked graphs and double cover, REP's rerouted RVP) to the run's ledger.
+Those last two groups must also replay from their own envelopes: the
+recorded config and seed alone give the same bytes.
 """
 
 from __future__ import annotations
@@ -88,15 +90,15 @@ def test_sweep_points_equal_standalone_runs(algorithm):
 LARGE_RUNS = {
     "conn-sparse": (
         "connectivity", 32768, 3 * 32768, False,
-        "3c1bae7f1d614fd5aa920d0959111e2c09c40e73613cbe2a7460ec7ae1271e88",
+        "2d12a097e6628d470750e22ed24eee8597032df629c3d4d9d22235ee7e202951",
     ),
     "conn-dense": (
         "connectivity", 4096, 48 * 4096, False,
-        "06bdc12ad6923ac495f88e018258ae5f2c3e0120967f381c1ac168e70b2910b0",
+        "51830ea8356c4c428fbc0d03eafbe92a72c678933b4d023dcaeaab2ff697c148",
     ),
     "mst-sparse": (
         "mst", 8192, 4 * 8192, True,
-        "a31eff5a79a35a099100431d3319340cb0258980a7d7b9a8c11e69ebd69c083c",
+        "a54b152d08fbf385c0ed634b1c4a2d0625a23618b43157a7d3548c042aad83e9",
     ),
 }  # fmt: skip
 
@@ -118,18 +120,18 @@ def test_large_run_envelopes_are_pinned(name):
 #: so it keeps no incidence whatever the sign.  These pin which incidences
 #: each elimination call sketches, and with them the label queries.
 ELIMINATION_RUNS = {
-    ("uniform", 1): "2c52eef3363adcac446ce41d8aa5fcbba194078d9e066946068a0715fc615ddd",
-    ("uniform", 2): "8074e0a84c53be2c81bed95a7fab99c417bfdae436f0ec4d2b6bfd2e4351f908",
-    ("uniform", 3): "cd55788b600480ea4fd65c06a63a0cb07c3212ecb8814187bbb1163401a93745",
-    ("uniform", 4): "4db11b78d0c9b187f2aaaf5e5e9a722bc4237b77ef1a6f7c24c0a54491a4b28a",
-    ("negative", 1): "489941cee6445607fbcfc0a2ea0d80bfe215bdad3f7c5fdc453004297ac7599a",
-    ("negative", 2): "e272f2c397a332a247a830d12550f3a6a386e801ee785c79b6a097b654e1777e",
-    ("negative", 3): "cce406e4e2b22d9c7792a308486c77f03dc0646f55697685eb9230451bb4821b",
-    ("negative", 4): "92e18ba6c6233ccbc94de926ae498dcd8ed885a04abaeb234c08541daee80ac7",
-    ("tied", 1): "7e0c17b526f22c1a2f44e10945a315d7ef704a6cb48655835cf88c408119cc45",
-    ("tied", 2): "5864724dfd90216a0c4640255c07e591a66875108d899dcd8b92d84ee5b12066",
-    ("tied", 3): "72f76453acbc90bfe7dda81f49acae791b47c1ff978788f0be520d9d75e1c993",
-    ("tied", 4): "ea5581f01a4522515d681158f180ab36b133f6f854caad1a8f012cff0c24c8f5",
+    ("uniform", 1): "76dcaf4b4c012d7b466610f72b380b87c46076189436e6c7d6a9f03df3ca067e",
+    ("uniform", 2): "c4899c8d5f96b36051e823fc1b030e27875772c827a649f662a88b0b506d0601",
+    ("uniform", 3): "24d47c65017bbc35eae7e5ebd676834703300398524e8e4d1a6fe76688088bc7",
+    ("uniform", 4): "1197cdfbf3d1ac9d2be5e0d650cb1fe95678f3096f6ab616018f66c718ca300c",
+    ("negative", 1): "aa6292339648bde78ad715defc4ed2fe3b2444b2cf71d4ba1b5cc046b2f1cdc2",
+    ("negative", 2): "d0e9e73d6ab7d1b4d3143d0c1325efefbdff9994dbf4c57b1f7ae5eaeab4e691",
+    ("negative", 3): "0ecc05fefea746eba8a0d253586a84c65afa57ed78d80143900a740b3a0a935c",
+    ("negative", 4): "a77c9981e384d20878e5bd606260c85667474bda90bc6415f72a0131789d202a",
+    ("tied", 1): "1cab21311a0a5eb685bcb0be4652bda0889acbaf7fed3b71805882b6ad27ebe4",
+    ("tied", 2): "9716e700dfe36ef2a7878708d836cde5e287b3a95623ec7f9971c01285178acb",
+    ("tied", 3): "1f9715ab20b31209280e9cef141a56f108856f0f905de4b155c6ceea3d033353",
+    ("tied", 4): "ff85d9e631c2ce35078ae9750e2cf6b9644df00702400d06d7a2645c40750bc5",
 }
 
 
@@ -156,7 +158,6 @@ _VARIANTS = {
     "default": (1, {}, None),
     "repetitions=1": (1, {"sketch": SketchConfig(repetitions=1)}, None),
     "max_phases=3": (1, {"max_phases": 3}, None),
-    "uncharged-randomness": (1, {"charge_shared_randomness": False}, None),
     "polynomial": (1, {"sketch": SketchConfig(hash_family="polynomial")}, None),
     "faulty_links": (1, {}, "faulty_links"),
     "churn_storm": (1, {}, "churn_storm"),
@@ -177,33 +178,36 @@ _VARIANTS = {
 #: key on, MST's strict output, and fixed elimination budgets (the last
 #: variant has three MST retry phases).
 VARIANT_RUNS = {
-    ("connectivity", "default"): "ea584e882fdf506dea9967affd318325595530ed74e95da817a3ce31b5af3efd",
-    ("connectivity", "repetitions=1"): "ece2ee285d859400df80de13fd2c5335abd868b86c996f08711bfeea5fda19a4",
-    ("connectivity", "max_phases=3"): "190423014fb614e3b1c0fcc69d17e780c4f5784eaccc5fcd7f28e84f852eacca",
-    ("connectivity", "uncharged-randomness"): "c21d9c0725cbfb3740de1c0f5259febb31bbf081c702ab226dc99b240e7ff43b",
-    ("connectivity", "polynomial"): "d291d7f2edaf64e07fef8e94160e2f8558ec798c328cb696007e2f724ea4018b",
-    ("connectivity", "faulty_links"): "83f61a9f79584c003586cbbdbb291057ae75b723534850c98b74e57d4ce87acc",
-    ("connectivity", "churn_storm"): "bee78e4dd7e9d8fd74d861f05f1eea0b7b835c586d2e5d47e0abe4d5864a9e4d",
-    ("mst", "default"): "d4fa7af7858efe090afb8583c64d3e1137f3860da084a84c7494aaab96be18ed",
-    ("mst", "repetitions=1"): "f606bb6e49fd760ae68ab21c604070cba4791f3f3fcf4435ffed92ca56666318",
-    ("mst", "max_phases=3"): "56ea52f62a3b929671fd287499c7be841ab494c0ce7fa9797fd8a090146f5bd3",
-    ("mst", "uncharged-randomness"): "520949415be02dd22a9db5313dd518fc30b16ebd0e558ef863f54cf21d55abe0",
-    ("mst", "polynomial"): "08fd44f5fa43ab09c99adcabc8378e45e4f68384126fb34d35fcdd5adb311379",
-    ("mst", "faulty_links"): "851a0b0e5b1f4cf12b39eacc0ad53a5b0ce7dd0bce27af72d85e96730d61f904",
-    ("mst", "churn_storm"): "6f3b682512878eba12005fdd6f50b259a6ce615fbbc42607b4cfe622d915971c",
-    ("mst", "strict"): "f404c4b89b315bd8752e2de9073933ed72f32db2a7681393a7927a74b802e61e",
-    ("mst", "strict+faulty_links"): "59526d31cc9f0e9f1abc4d8d340763ca85fb741127382a7f4548366c8ebd47de",
-    ("mst", "elimination_budget=2"): "1a636982a59bf88067f9db6aaaa01e760555c26bcbdb6cf236fa94912264a901",
-    ("mst", "repetitions=1+elimination_budget=1"): "3ae4aa0d67132140302b3a701b93bc29f5b6c791ea8eac9bc07ce58c596bba27",
+    ("connectivity", "default"): "511a0e198beeeb7f51d5869783da4abe904381dfcb58d72be4ada4fea5d34b80",
+    ("connectivity", "repetitions=1"): "bb0e96228bd76a49072b6f5d0e28d6ff8e8981b6c17a43a28d98b7b3724a2258",
+    ("connectivity", "max_phases=3"): "6eab45bfb66d0c22b975188dae0924ae38e21dca75bc5838711ef3e416401fc5",
+    ("connectivity", "polynomial"): "d557ea925ef4cffeae10f0ce55b6890d2b109fca2394e587359dab9ac6aa2efd",
+    ("connectivity", "faulty_links"): "2c340d45f34ee46c94d90208091fff9d1d15c72a60e637ff2f54e4739deec800",
+    ("connectivity", "churn_storm"): "ff044a03236e25bc774c5093c74a8d2a47f741aa0c8b33be8e8613c3cc6292f3",
+    ("mst", "default"): "1a75cde5a9bf064b749dc04b92450ba02ea00a6cd1bf7b6b71987386bf6e2fe2",
+    ("mst", "repetitions=1"): "38d2e684895020bd06c2d215000319d531c4a1fd1bf7ff87fcc9e6c1511c1b8d",
+    ("mst", "max_phases=3"): "536ca6fbd859329da14803af4b740116bf441849b953b6ac18a5d30b333ace12",
+    ("mst", "polynomial"): "b7272f020d811876dacf8970ef6993e036a03f6aa2ee3568415043413fada4da",
+    ("mst", "faulty_links"): "df84b0db6e773d385cf2b41d59355e1f1ff4e2e3bed912eaf19b51401037b5f5",
+    ("mst", "churn_storm"): "eec57e8ec16fdb3ad1b5085cb67366f92b3e6ebbeb191fce4048ada5ec9ba2bb",
+    ("mst", "strict"): "18d8d5316e94fa521d353a7d51ae92dbb2b49e69eccf8c526bf052be64f62515",
+    ("mst", "strict+faulty_links"): "bd9a56af52ca6571e4315d0b9e13a38ab0539284c27967f79d25804ad67e1811",
+    ("mst", "elimination_budget=2"): "91862b64398e87cdde727ef7c88c5af87730dc0b7f0c5a392b1b7d20ece962d9",
+    ("mst", "repetitions=1+elimination_budget=1"): "351089aac5e5195c5da327beb6e4b57b3e2f794da8b464e6f09964a2e0c2b85c",
 }  # fmt: skip
+
+
+def _variant_run(algorithm, variant):
+    """The input graph of one VARIANT_RUNS pin, and its report."""
+    seed, fields, scenario = _VARIANTS[variant]
+    g = generators.with_unique_weights(generators.gnm_random(300, 900, seed=seed), seed=seed)
+    config = RunConfig(seed=seed, cluster=ClusterConfig(k=4), **fields)
+    return g, Session().run(algorithm, g, config=config, scenario=scenario)
 
 
 @pytest.mark.parametrize("algorithm, variant", sorted(VARIANT_RUNS))
 def test_variant_envelopes_are_pinned(algorithm, variant):
-    seed, fields, scenario = _VARIANTS[variant]
-    g = generators.with_unique_weights(generators.gnm_random(300, 900, seed=seed), seed=seed)
-    config = RunConfig(seed=seed, cluster=ClusterConfig(k=4), **fields)
-    report = Session().run(algorithm, g, config=config, scenario=scenario)
+    _, report = _variant_run(algorithm, variant)
     envelope = report.to_json(include_timing=False).encode()
     assert hashlib.sha256(envelope).hexdigest() == VARIANT_RUNS[algorithm, variant]
 
@@ -225,27 +229,48 @@ _DERIVED = {
 #: which derived instances charge the run's ledger, which is the order the
 #: fault draws key on, and REP's RVP seed and pinned bandwidth.
 DERIVED_RUNS = {
-    ("mincut", None): "aceb6793ba00af03fc228d8fa1625485f4bb3442809990b9e3861dbf715fa0e7",
-    ("mincut", "faulty_links"): "68e4040aa5fdf916ba897ddc126858598943925d6b7945d7aaaf2a4ac2090aa5",
-    ("rep", None): "c5d51527e73dcc55afbd41fb01c1058b51b2c67e28cf636ec398434bff5b61d9",
-    ("rep", "faulty_links"): "dd056fa717fd531432a30b766e387ea1d112c5afbfbcf0e707cdfcc501296608",
-    ("rep+bandwidth_bits", None): "74fee81588fe0123d8f2b5ab0cbf63a8ffbe0ba36ebdad36422b2ca037475c1e",
-    ("rep+mst", None): "a798e116cb1ef53af1c75335aada44b0415e2e89e9ceb9437662c848e19ed217",
-    ("rep+mst", "faulty_links"): "5589282d773dccf14caa88afb2d77b05a0932997ad69e7a8858a70d644eeffc1",
-    ("verify:bipartiteness", None): "e87822f530ca1ce094d5456d7459a10f91804c35a578693c6460acf3462da1b0",
-    ("verify:bipartiteness", "faulty_links"): "65cd2f4447ddcfd139b8a5402653aa96543359bc3e049c0cc1aef3b3ec67802d",
-    ("verify:cycle_containment", None): "8f52f577e55969b8ee8962a2aec55303673a5f5bc369c54d8df0c210088a6904",
-    ("verify:cycle_containment", "faulty_links"): "65ff1a2753859315cc27f2fb903b08887686922d8cb01ee7448f3cb96df73cb6",
-    ("verify:st_connectivity", None): "96faed0f6ab6950a411328a955084f8ccc762d54600967c688cc619e8ba92310",
-    ("verify:st_connectivity", "faulty_links"): "1ecf5d7683885f64339a2c0472e74122a6775a404ae1d46d364336984f9742b6",
+    ("mincut", None): "17ee87c18c819b1cb984c379e4fd2ae859649e11f461d5d79d043495db3ff21f",
+    ("mincut", "faulty_links"): "42884b0988a21ee1854ccf491be6c84599936b7638674907c1ca509f38bb8de2",
+    ("rep", None): "47da32da47ff30090f5b19727055f6c2a5e8ca2cccf7b1f5b6e2abfda222a706",
+    ("rep", "faulty_links"): "57ef8cbafc810b36c0c6dfa1b5426fef10bdc4dd243f017c683be51d0c807c75",
+    ("rep+bandwidth_bits", None): "9da2ffeec4a06d54a4461ac370227e10d3dff24cee3b83675344d218e085c559",
+    ("rep+mst", None): "5da4bf0c3e289ed4529abd7dee1e96559901d17aabff78756fb52755046cd17b",
+    ("rep+mst", "faulty_links"): "73bcd172f829d33c0743b34c1767ce0bdb3cfe434e6382aa2ab2960b20570be6",
+    ("verify:bipartiteness", None): "50ae20df70d84b520c6be17b616217e8b1c067fafea673703cf645dccf9086c7",
+    ("verify:bipartiteness", "faulty_links"): "67db7ccb101bfa35ebbe25858e05bd6cf6d96bb814c65dd5bed0c856c90f80ad",
+    ("verify:cycle_containment", None): "238ca31022b9f2df28543a138f7ac10f57b7742836b5440dd4843c47080569f9",
+    ("verify:cycle_containment", "faulty_links"): "695498fa19af674d5c828ab896411dde940790bf25799558948d12275d9e6d4d",
+    ("verify:st_connectivity", None): "73d54c7e122c0c08eb2ce5ddc018f42b2362de483484eae8ffdb0aef99516b61",
+    ("verify:st_connectivity", "faulty_links"): "d29dda93bbfcccc22b87687f87188b4484fda3b15036cb9cad2caca2fff326a4",
 }  # fmt: skip
+
+
+def _derived_run(name, scenario):
+    """The input graph of one DERIVED_RUNS pin, and its report."""
+    algorithm, fields = _DERIVED[name]
+    fields = {"cluster": ClusterConfig(k=4), **fields}
+    g = generators.with_unique_weights(generators.gnm_random(300, 900, seed=1), seed=1)
+    return g, Session().run(algorithm, g, config=RunConfig(seed=1, **fields), scenario=scenario)
 
 
 @pytest.mark.parametrize("name, scenario", sorted(DERIVED_RUNS, key=str))
 def test_derived_instance_envelopes_are_pinned(name, scenario):
-    algorithm, fields = _DERIVED[name]
-    fields = {"cluster": ClusterConfig(k=4), **fields}
-    g = generators.with_unique_weights(generators.gnm_random(300, 900, seed=1), seed=1)
-    report = Session().run(algorithm, g, config=RunConfig(seed=1, **fields), scenario=scenario)
+    _, report = _derived_run(name, scenario)
     envelope = report.to_json(include_timing=False).encode()
     assert hashlib.sha256(envelope).hexdigest() == DERIVED_RUNS[name, scenario]
+
+
+_PINNED_RUNS = [
+    *(pytest.param(_variant_run, key, id=f"variant:{key}") for key in sorted(VARIANT_RUNS)),
+    *(pytest.param(_derived_run, k, id=f"derived:{k}") for k in sorted(DERIVED_RUNS, key=str)),
+]
+
+
+@pytest.mark.parametrize("run, key", _PINNED_RUNS)
+def test_pinned_envelopes_replay_from_their_config(run, key):
+    """A run is replayable from its own envelope: the recorded config and
+    seed alone, with no scenario argument, give the same bytes."""
+    g, report = run(*key)
+    config = RunConfig.from_dict(report.config)
+    replay = Session().run(report.algorithm, g, config=config, seed=report.seed)
+    assert replay.to_json(include_timing=False) == report.to_json(include_timing=False)

@@ -141,16 +141,6 @@ class TestUniformInterface:
         out = RunnerOutput(result={"x": 1})
         assert out.phase_stats == []
 
-    def test_mincut_honours_charge_shared_randomness(self, graph):
-        # Provenance fields must actually reach the internal connectivity
-        # tests, not just be recorded in the envelope.
-        session = Session(graph, config=RunConfig(seed=3, cluster=ClusterConfig(k=4)))
-        charged = session.run("mincut")
-        uncharged = session.run(
-            "mincut", config=session.config.with_overrides(charge_shared_randomness=False)
-        )
-        assert uncharged.rounds < charged.rounds
-
 
 class TestWrapperEquivalence:
     """The free functions and the Session path agree on a fixed seed."""

@@ -2,8 +2,8 @@
 
 The ISSUE-9 service satellite: ``RunRequest.corpus`` rides the existing
 wire protocol unchanged (excluded-when-unset, so committed envelopes stay
-byte-identical), ``corpus:<entry>`` becomes a first-class graph identity
-in ``graph_key()``/``cluster_key()``, and all workers share one
+byte-identical), the entry id becomes the whole input identity in
+``graph_key()``/``cluster_key()``, and all workers share one
 :class:`~repro.corpus.manager.CorpusManager` — so two workers resolving
 the same entry coalesce onto a single mmap open.
 """
@@ -91,9 +91,8 @@ class TestProtocolField:
 
     def test_corpus_identity_reaches_both_keys(self):
         req = RunRequest(corpus="gnm/abc_0", k=4)
-        assert req.family_label() == "corpus:gnm/abc_0"
-        assert "corpus:gnm/abc_0" in req.graph_key()
-        assert "corpus:gnm/abc_0" in req.cluster_key()
+        assert json.loads(req.graph_key()) == ["corpus", "gnm/abc_0"]
+        assert json.loads(req.cluster_key())[:2] == ["corpus", "gnm/abc_0"]
         # Distinct entries are distinct identities.
         assert req.graph_key() != RunRequest(corpus="gnm/xyz_1", k=4).graph_key()
 

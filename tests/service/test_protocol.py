@@ -154,9 +154,12 @@ def test_cluster_key_axes():
 
 
 def test_family_precedence_matches_cli():
-    assert RunRequest(family="path", scenario="lollipop").family_label() == "path"
-    assert RunRequest(scenario="lollipop").family_label() == "scenario:lollipop"
-    assert RunRequest().family_label() == "gnm"
+    def family(request):
+        return json.loads(request.graph_key())[0]
+
+    assert family(RunRequest(family="path", scenario="lollipop")) == "path"
+    assert family(RunRequest(scenario="lollipop")) == "lollipop"
+    assert family(RunRequest()) == "gnm"
 
 
 def test_weight_requiring_algorithm_forces_weighted_key():
@@ -164,9 +167,29 @@ def test_weight_requiring_algorithm_forces_weighted_key():
     # graph key must not collide with a genuinely unweighted build.
     mst = RunRequest(algorithm="mst", weighted=False)
     conn = RunRequest(algorithm="connectivity", weighted=False)
-    assert mst.effective_weighted() is True
-    assert conn.effective_weighted() is False
+    assert json.loads(mst.graph_key())[-1] is True
+    assert json.loads(conn.graph_key())[-1] is False
     assert mst.graph_key() != conn.graph_key()
+
+
+def test_names_of_one_input_share_its_keys():
+    # The keys read the resolved input, not the name a request used: the
+    # default, an explicit gnm and a gnm-family scenario on the uniform
+    # placement are one graph and one cluster build.
+    def request(**names):
+        return RunRequest(n=64, seed=1, k=4, **names)
+
+    base = request()
+    for same in (request(family="gnm"), request(scenario="faulty_links")):
+        assert same.graph_key() == base.graph_key()
+        assert same.cluster_key() == base.cluster_key()
+    lollipop = request(scenario="lollipop")
+    assert lollipop.graph_key() != base.graph_key()
+    assert lollipop.cluster_key() != base.cluster_key()
+    # Same graph, different placement: one graph build, two clusters.
+    skew = request(scenario="skew_powerlaw")
+    assert skew.graph_key() == base.graph_key()
+    assert skew.cluster_key() != base.cluster_key()
 
 
 def test_build_graph_matches_generator_derivation():

@@ -103,6 +103,31 @@ def test_coalesced_repeat_is_byte_identical():
     assert stats["graphs"]["hits"] == 1
 
 
+def test_two_names_for_one_input_share_one_build():
+    # No scenario and faulty_links both resolve to G(n, 3n) on the uniform
+    # placement: the second request rides the first's graph and cluster
+    # builds, and its own fault plan still shapes its envelope.
+    plain = RunRequest(n=64, seed=1)
+    faulty = RunRequest(n=64, seed=1, scenario="faulty_links")
+
+    async def drive(service, host, port):
+        first, second = await _exchange(
+            host,
+            port,
+            {"op": "run", "request": plain.to_dict()},
+            {"op": "run", "request": faulty.to_dict()},
+        )
+        return first[-1], second[-1], service.stats()
+
+    a, b, stats = _serve(drive)
+    assert a["service"]["coalesced"] is False
+    assert b["service"]["coalesced"] is True
+    assert b["service"]["worker"] == a["service"]["worker"]
+    assert stats["clusters"]["misses"] == 1
+    assert stats["graphs"]["misses"] == 1
+    assert b["report"] == _direct_envelope(faulty)
+
+
 def test_sweep_streams_every_grid_point():
     request = RunRequest(n=64, seed=0, k=2).to_dict()
 
