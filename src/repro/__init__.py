@@ -70,7 +70,6 @@ from repro.runtime import (
     get_algorithm,
     list_algorithms,
     register_algorithm,
-    run_algorithm,
 )
 
 __version__ = "1.1.0"
@@ -98,6 +97,5 @@ __all__ = [
     "minimum_spanning_tree_distributed",
     "reference",
     "register_algorithm",
-    "run_algorithm",
     "verify",
 ]

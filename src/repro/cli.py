@@ -89,7 +89,7 @@ def _input_graph(args: argparse.Namespace, seed: int, *, n: int | None = None) -
     """The run's input graph (size overridable for sweeps).
 
     One call into :func:`~repro.corpus.inputs.resolve_input`, the resolver
-    the service and ``Session`` share: ``--corpus`` > ``--graph`` >
+    the service shares: ``--corpus`` > ``--graph`` >
     ``--scenario`` > ``gnm``, graph seed derived from ``--graph-seed`` or
     the run seed, and weights when ``--weighted`` asks or the algorithm
     requires them.  ``--m`` and ``--radius`` override the family's params.

@@ -8,9 +8,11 @@ Two layers (see :mod:`repro.corpus.families` and
 * :class:`CorpusManager` — content-addressed materialization to
   memory-mapped npz edge arrays, with digest verification.
 
-Consumers reference materialized instances by the ``corpus:<entry-id>``
-graph identity, which :class:`~repro.runtime.session.Session`, the bench
-suites, and the service all resolve through a shared manager.
+Consumers name a materialized instance by its entry id
+(``<family>/<params-hash>_<seed>``): ``repro run --corpus`` and the
+service's ``RunRequest.corpus`` resolve it through
+:func:`repro.corpus.inputs.resolve_input`, and library code loads it with
+:meth:`CorpusManager.load`.
 """
 
 from repro.corpus.families import (

@@ -1,11 +1,10 @@
 """One resolver from a named input to its graph (DESIGN.md §3).
 
 A run's input is named by a corpus entry, a family, a scenario, or
-nothing (benign G(n, 3n)), plus a size and a seed.  The CLI,
-``RunRequest.build_graph``, ``Scenario.make_graph`` and the scenario
-paths of ``Session.run``/``sweep`` all call :func:`resolve_input`, so
-one nominal input is one graph on every surface.  The resolver owns
-three rules:
+nothing (benign G(n, 3n)), plus a size and a seed.  The CLI and
+``RunRequest.build_graph`` both call :func:`resolve_input`, so one
+nominal input is one graph on every surface; a library caller does the
+same and hands the graph to ``Session``.  The resolver owns three rules:
 
 * **precedence** — corpus entry > family > scenario family > ``gnm``;
 * **seed** — the graph seed is derived (``derive_seed``, one fixed

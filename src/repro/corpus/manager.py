@@ -22,10 +22,9 @@ inputs):
   regenerates every entry through its family, failing on any drift —
   the corpus equivalent of the differential suites' byte gates.
 
-Loads go through a small thread-safe LRU shared by every consumer
-(:class:`~repro.runtime.session.Session`, the bench suites, the
-service's workers), so concurrent requests for one ``corpus:<entry>``
-identity coalesce onto a single mmap open.
+Loads go through a small thread-safe LRU per manager.  The service
+shares one manager across its workers, so concurrent requests for one
+corpus entry coalesce onto a single mmap open.
 """
 
 from __future__ import annotations

@@ -51,7 +51,6 @@ from repro.runtime.registry import (
     get_algorithm,
     list_algorithms,
     register_algorithm,
-    run_algorithm,
 )
 from repro.runtime.report import RunReport
 from repro.runtime.session import Session
@@ -75,5 +74,4 @@ __all__ = [
     "list_algorithms",
     "register_algorithm",
     "resolve_seed",
-    "run_algorithm",
 ]

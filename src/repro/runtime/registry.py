@@ -39,7 +39,6 @@ __all__ = [
     "get_algorithm",
     "list_algorithms",
     "register_algorithm",
-    "run_algorithm",
 ]
 
 _REGISTRY: dict[str, "AlgorithmSpec"] = {}
@@ -232,14 +231,3 @@ def get_algorithm(name: str) -> AlgorithmSpec:
         raise KeyError(
             f"unknown algorithm {name!r}; available: {', '.join(sorted(_REGISTRY))}"
         ) from None
-
-
-def run_algorithm(
-    name: str,
-    cluster,
-    config: RunConfig | None = None,
-    *,
-    seed: int | None = None,
-) -> RunReport:
-    """Convenience: ``get_algorithm(name).run(cluster, config, seed=seed)``."""
-    return get_algorithm(name).run(cluster, config, seed=seed)

@@ -8,6 +8,11 @@ envelopes.  Clusters are cached per (graph, k, partition seed, bandwidth),
 so sweeping seeds or algorithms over one input does not re-partition the
 graph each run.
 
+A session runs the :class:`~repro.graphs.graph.Graph` it is given.  Inputs
+are named by :func:`repro.corpus.inputs.resolve_input` (family, scenario or
+corpus entry) and scenarios reach a run as ``config=scenario.apply(config)``,
+the same composition the CLI and the service use.
+
 Single run::
 
     session = Session(graph, config=RunConfig(seed=7, cluster=ClusterConfig(k=8)))
@@ -16,8 +21,8 @@ Single run::
 Parameter sweep (grid over seeds x k x n, optionally multi-core)::
 
     reports = session.sweep("connectivity", ks=(2, 4, 8), seeds=range(3))
-    reports = session.sweep("mst", ns=(512, 1024), graph_factory=make_graph,
-                            processes=4)
+    reports = session.sweep("mst", ns=(512, 1024), processes=4,
+                            graph_factory=lambda n: resolve_input(n=n, algorithm="mst"))
 
 ``processes > 1`` distributes grid points over a
 :class:`concurrent.futures.ProcessPoolExecutor`; each worker builds its
@@ -152,21 +157,13 @@ class Session:
     Parameters
     ----------
     graph:
-        Default input graph; individual calls may override it.  A string
-        ``"corpus:<entry-id>"`` names a materialized corpus entry, resolved
-        (memory-mapped) through the session's corpus manager.
+        Default input graph; individual calls may override it.
     config:
         Default :class:`RunConfig`; individual calls may override it.  The
         session never mutates it.
     max_clusters:
         Maximum cached clusters (LRU eviction beyond this, at least one),
         so long-lived sessions over many graphs stay bounded.
-    corpus:
-        Optional :class:`~repro.corpus.manager.CorpusManager` used to
-        resolve ``corpus:`` graph identities.  Omitted, one is created on
-        first use at the default root; *sharing* one manager across
-        sessions (as the service does across its workers) makes their
-        loads coalesce onto a single mmap open.
 
     Each run executes serially in the calling thread; the only parallelism
     is ``sweep(processes=N)``, which spreads grid points over processes.
@@ -174,14 +171,12 @@ class Session:
 
     def __init__(
         self,
-        graph: "Graph | str | None" = None,
+        graph: Graph | None = None,
         *,
         config: RunConfig | None = None,
         max_clusters: int = 32,
-        corpus=None,
     ) -> None:
-        self._corpus = corpus
-        self.graph = self.resolve_graph(graph)
+        self.graph = graph
         self.config = (config if config is not None else RunConfig()).validate()
         self.max_clusters = max(1, int(max_clusters))
         # key -> (graph ref, cluster); the graph ref keeps id(graph) stable.
@@ -193,35 +188,6 @@ class Session:
         self._evictions = 0
         self._pool = None
         self._pool_width = 0
-
-    # -- corpus resolution --------------------------------------------------
-
-    @property
-    def corpus(self):
-        """The session's corpus manager, created at the default root on demand."""
-        if self._corpus is None:
-            from repro.corpus.manager import CorpusManager
-
-            self._corpus = CorpusManager()
-        return self._corpus
-
-    def resolve_graph(self, graph: "Graph | str | None") -> Graph | None:
-        """Resolve a graph argument: ``Graph``/``None`` pass through, a
-        ``"corpus:<entry-id>"`` string loads (memory-mapped, LRU-shared)
-        through the corpus manager.  The manager's LRU keeps repeated
-        resolutions of one identity on the same :class:`Graph` object, so
-        the cluster cache's ``id(graph)`` keying composes with it.
-        """
-        if graph is None or isinstance(graph, Graph):
-            return graph
-        if isinstance(graph, str):
-            prefix, sep, entry_id = graph.partition(":")
-            if prefix != "corpus" or not sep or not entry_id:
-                raise ValueError(
-                    f"string graphs must look like 'corpus:<entry-id>', got {graph!r}"
-                )
-            return self.corpus.load(entry_id)
-        raise TypeError(f"graph must be a Graph, 'corpus:<entry-id>' str or None, got {graph!r}")
 
     # -- cluster lifecycle -------------------------------------------------
 
@@ -282,23 +248,15 @@ class Session:
         return cluster
 
     def cache_info(self) -> dict:
-        """Cluster-cache counters: hits / misses / evictions / size / bound.
-
-        When a corpus manager is attached (or was created by a ``corpus:``
-        resolution), a ``"corpus"`` sub-dict carries its load-LRU counters
-        — the handle the service cache tests pin coalesced mmap opens on.
-        """
+        """Cluster-cache counters: hits / misses / evictions / size / bound."""
         with self._lock:
-            info = {
+            return {
                 "hits": self._hits,
                 "misses": self._misses,
                 "evictions": self._evictions,
                 "size": len(self._clusters),
                 "max_clusters": self.max_clusters,
             }
-            if self._corpus is not None:
-                info["corpus"] = self._corpus.cache_info()
-            return info
 
     def clear_cache(self) -> None:
         """Drop all cached clusters (e.g. after discarding their graphs)."""
@@ -351,27 +309,21 @@ class Session:
         g = graph if graph is not None else self.graph
         if g is None:
             raise ValueError("no graph: pass one to the call or to Session(...)")
+        if not isinstance(g, Graph):
+            raise TypeError(
+                f"graph must be a Graph, got {type(g).__name__}; name an input with "
+                "repro.corpus.inputs.resolve_input(family=, scenario=, corpus=, ...)"
+            )
         cfg = (config if config is not None else self.config).validate()
         return g, cfg
-
-    @staticmethod
-    def _resolve_scenario(scenario):
-        """Resolve a scenario name (or instance) through the registry."""
-        if scenario is None:
-            return None
-        from repro.scenarios.registry import get_scenario
-
-        return get_scenario(scenario)
 
     def run(
         self,
         algorithm: str,
-        graph: "Graph | str | None" = None,
+        graph: Graph | None = None,
         *,
         config: RunConfig | None = None,
         seed: int | None = None,
-        scenario=None,
-        n: int | None = None,
         epoch: int = 0,
     ) -> RunReport:
         """Run one registered algorithm and return its :class:`RunReport`.
@@ -383,43 +335,7 @@ class Session:
         :meth:`cluster_for`).  An algorithm that does not read the churn
         section ignores the vertex partition (REP scatters edges), so it
         rejects a nonzero epoch, which would be a silent no-op.
-
-        ``scenario`` (a registered name or :class:`~repro.scenarios.registry.Scenario`)
-        overlays its partition scheme and fault plan onto the config.
-        Graph precedence: an explicit ``graph`` argument wins; otherwise a
-        scenario that names a graph family supplies the input at size
-        ``n`` (default 256) — including over the session's default graph,
-        so family-bearing scenarios are never silent no-ops; a family-less
-        scenario falls back to the session graph (or builds benign
-        G(n, 3n) when there is none).  ``n`` is only meaningful when the
-        scenario builds the graph; passing it otherwise raises.
-
-        ``graph`` may also be a ``"corpus:<entry-id>"`` string, resolved
-        through :meth:`resolve_graph` — it counts as an explicit graph for
-        the precedence rules above.
         """
-        graph = self.resolve_graph(graph)
-        sc = self._resolve_scenario(scenario)
-        if sc is None and n is not None:
-            raise ValueError("n= requires scenario=; pass a sized graph instead")
-        if sc is not None:
-            base = config if config is not None else self.config
-            config = sc.apply(base.validate())
-            if graph is None and (sc.family is not None or self.graph is None):
-                from repro.corpus.inputs import resolve_input
-
-                graph = resolve_input(
-                    scenario=sc,
-                    n=256 if n is None else int(n),
-                    seed=resolve_seed(seed, config.seed),
-                    algorithm=algorithm,
-                    params=config.params,
-                )
-            elif n is not None:
-                raise ValueError(
-                    "n= is ignored here: the graph comes from the explicit argument "
-                    "or the session default, not the scenario"
-                )
         g, cfg = self._resolve(graph, config)
         resolved = resolve_seed(seed, cfg.seed)
         spec = get_algorithm(algorithm)
@@ -437,11 +353,10 @@ class Session:
         seeds: Iterable[int] | None = None,
         ks: Iterable[int] | None = None,
         ns: Iterable[int] | None = None,
-        graph: "Graph | str | None" = None,
+        graph: Graph | None = None,
         graph_factory: Callable[[int], Graph] | None = None,
         config: RunConfig | None = None,
         processes: int | None = None,
-        scenario=None,
     ) -> list[RunReport]:
         """Run ``algorithm`` over the grid ``ns x ks x seeds``; return all reports.
 
@@ -456,38 +371,10 @@ class Session:
             ``None`` or ``1`` runs sequentially in-process; ``> 1`` fans the
             grid out over a process pool.  Report order always matches the
             grid order (n-major, then k, then seed).
-        scenario:
-            Registered scenario name (or instance): its partition scheme
-            and fault plan overlay the config, and — when neither
-            ``graph`` nor ``graph_factory`` is given — its graph family
-            becomes the sweep's input (as ``graph_factory`` for ``ns``
-            sweeps, seeded by the config seed), taking precedence over
-            the session's default graph exactly as in :meth:`run`.
 
         Every grid point gets a fresh ledger; with a fixed graph the cluster
         cache is reused across seeds sharing a (k, partition seed).
-        ``graph`` accepts the same ``"corpus:<entry-id>"`` strings as
-        :meth:`run`.
         """
-        graph = self.resolve_graph(graph)
-        sc = self._resolve_scenario(scenario)
-        if sc is not None:
-            base = config if config is not None else self.config
-            config = sc.apply(base.validate())
-            if graph is None and graph_factory is None:
-                from repro.corpus.inputs import resolve_input
-
-                gseed = resolve_seed(None, config.seed)
-
-                def scenario_graph(size: int) -> Graph:
-                    return resolve_input(
-                        scenario=sc, n=size, seed=gseed, algorithm=algorithm, params=config.params
-                    )
-
-                if ns is not None:
-                    graph_factory = scenario_graph
-                elif sc.family is not None or self.graph is None:
-                    graph = scenario_graph(256)
         if ns is not None and graph_factory is None:
             raise ValueError("sweeping ns requires graph_factory(n) -> Graph")
         base_cfg = (config if config is not None else self.config).validate()

@@ -14,9 +14,10 @@ reproducible axis of every run (DESIGN.md §7):
   maintained connectivity/MST structure (DESIGN.md §11).
 * :mod:`repro.scenarios.registry` — named scenarios combining a
   worst-case graph family, a partition-skew scheme, a fault plan, a
-  churn plan and an update plan, consumed by ``Session.run(...,
-  scenario=...)``, the sweep API and the CLI (``repro run --scenario``,
-  ``repro scenarios list``).
+  churn plan and an update plan, consumed by the CLI (``repro run
+  --scenario``, ``repro sweep --scenario``, ``repro scenarios list``) and
+  the service (``RunRequest.scenario``) through
+  :func:`repro.corpus.inputs.resolve_input` and :meth:`Scenario.apply`.
 
 This ``__init__`` imports only the plan layers (faults, churn, updates)
 eagerly: :mod:`repro.runtime.config` embeds :class:`FaultPlan`,

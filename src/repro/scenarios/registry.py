@@ -18,11 +18,12 @@ A :class:`Scenario` bundles the adversarial axes the ROADMAP's
 
 Scenarios are pure *configuration*: :meth:`Scenario.apply` overlays the
 specified axes onto any :class:`~repro.runtime.config.RunConfig`
-(leaving everything else untouched), and :meth:`Scenario.make_graph`
-builds the input at a requested size.  ``Session.run(...,
-scenario=...)``, ``Session.sweep(..., scenario=...)`` and the CLI
-(``repro run --scenario``, ``repro scenarios list``) all resolve names
-through this registry; tests register ad-hoc scenarios the same way.
+(leaving everything else untouched), and
+:func:`repro.corpus.inputs.resolve_input` builds the scenario's input at a
+requested size.  The CLI (``repro run --scenario``, ``repro scenarios
+list``) and the service's ``RunRequest.scenario`` resolve names through
+this registry and compose those two calls; tests register ad-hoc
+scenarios the same way.
 """
 
 from __future__ import annotations
@@ -30,8 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields, replace
 
 from repro.cluster.partition import PartitionConfig
-from repro.corpus.inputs import resolve_input
-from repro.graphs.graph import Graph
 from repro.runtime.config import SECTIONS, RunConfig
 from repro.scenarios.churn import ChurnEvent, ChurnPlan
 from repro.scenarios.faults import FaultPlan
@@ -82,14 +81,6 @@ class Scenario:
     updates: UpdatePlan | None = None
     weighted: bool = True
 
-    def make_graph(self, n: int, seed: int = 0) -> Graph:
-        """Build this scenario's input at (approximate) size ``n`` for run seed ``seed``.
-
-        Resolved by :func:`~repro.corpus.inputs.resolve_input`, like every
-        named input, so a served ``{scenario: name}`` gets the same graph.
-        """
-        return resolve_input(scenario=self, n=n, seed=seed)
-
     def sections(self) -> dict:
         """The config sections this scenario sets, by name (absent axes left out)."""
         return {
@@ -124,9 +115,9 @@ class Scenario:
         scenario without a fault plan (``faults=None``) leaves the
         caller's ``config.faults`` in place, and a scenario with the
         default (uniform) partition leaves a caller-configured skew
-        scheme alone — so ``run(..., config=RunConfig(faults=...),
-        scenario="lollipop")`` composes the user's network with the
-        scenario's graph instead of silently cleaning it.
+        scheme alone — so ``get_scenario("lollipop").apply(RunConfig(faults=...))``
+        keeps the user's network for the lollipop input instead of
+        silently cleaning it.
         """
         partition = self.partition
         if partition == PartitionConfig():

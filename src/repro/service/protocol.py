@@ -14,11 +14,11 @@ server executes it, the load generator draws seeded mixes of it, and its
 partition section, epoch)* identity — is what in-flight coalescing,
 key-affinity dispatch and the hit-rate accounting all key on.  The input
 graph comes from :func:`~repro.corpus.inputs.resolve_input`, the resolver
-``Session.run`` and the CLI share, and both keys name the input that
-resolver builds, so requests that name one graph in different ways share
-its build.  The config overlay is ``Session.run``'s, which is what makes a
-served envelope identical to an uncoalesced local run — pinned by
-``tests/service/test_server.py``.
+the CLI also calls, and both keys name the input that resolver builds, so
+requests that name one graph in different ways share its build.  The
+config overlay is the CLI's too (``Scenario.apply`` onto the base config),
+which is what makes a served envelope identical to an uncoalesced local
+run — pinned by ``tests/service/test_server.py``.
 """
 
 from __future__ import annotations
@@ -271,9 +271,10 @@ class RunRequest:
     def run_config(self) -> RunConfig:
         """The :class:`RunConfig` this request resolves to.
 
-        Base config from the request fields, then the scenario overlay —
-        the same composition ``Session.run(..., scenario=...)`` applies,
-        so served envelopes carry identical config provenance.
+        Base config from the request fields, then the scenario's
+        :meth:`~repro.scenarios.registry.Scenario.apply` overlay — the
+        composition ``repro run --scenario`` makes, so served envelopes
+        carry identical config provenance.
         """
         base = RunConfig(
             seed=self.seed,
@@ -330,9 +331,9 @@ class RunRequest:
         """Build this request's input graph (deterministic in the request).
 
         Resolved by :func:`~repro.corpus.inputs.resolve_input`, the same
-        call ``Session.run`` and the CLI make, so ``family="lollipop"``
-        builds the graph of ``repro run --graph lollipop`` and of an
-        ad-hoc ``Scenario(family="lollipop")``.  A ``corpus`` request
+        call the CLI makes, so ``family="lollipop"`` builds the graph of
+        ``repro run --graph lollipop`` and of an ad-hoc
+        ``Scenario(family="lollipop")``.  A ``corpus`` request
         loads its entry memory-mapped through the given
         :class:`~repro.corpus.manager.CorpusManager` (the service threads
         its shared manager here); an unknown entry, or one without the

@@ -61,7 +61,7 @@ class _Worker:
     ) -> None:
         self.index = index
         self.corpus = corpus
-        self.session = Session(max_clusters=max_clusters, corpus=corpus)
+        self.session = Session(max_clusters=max_clusters)
         self.executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix=f"repro-service-{index}"
         )
@@ -75,9 +75,8 @@ class _Worker:
         """The (LRU-cached) input graph for one request.
 
         ``corpus`` requests additionally go through the *service-shared*
-        corpus manager, so two workers resolving one ``corpus:`` identity
-        coalesce onto a single mmap open even before their per-worker
-        LRUs warm up.
+        corpus manager, so two workers resolving one corpus entry coalesce
+        onto a single mmap open even before their per-worker LRUs warm up.
         """
         key = spec.graph_key()
         hit = self.graphs.get(key)
@@ -136,7 +135,7 @@ class GraphService:
         use instead of process management.
     corpus:
         Optional :class:`~repro.corpus.manager.CorpusManager` shared by
-        *all* workers: ``corpus:`` graph identities resolve through its
+        *all* workers: ``RunRequest.corpus`` entries resolve through its
         single load LRU, so same-entry requests on different workers
         still open one mmap.  ``None`` leaves corpus requests resolving
         through a per-call default manager.
@@ -348,7 +347,7 @@ class GraphService:
                     {"ok": True, "final": True, "op": op, "id": req_id,
                      "scenarios": listing},
                 )
-            elif op in ("bench_info", "bench-info"):
+            elif op == "bench_info":
                 from repro.bench import get_benchmark, list_benchmarks
 
                 listing = [

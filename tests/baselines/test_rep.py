@@ -9,7 +9,7 @@ from repro.cluster.cluster import KMachineCluster
 from repro.cluster.partition import PartitionConfig
 from repro.graphs import generators as gen
 from repro.graphs import reference as ref
-from repro.runtime import ChurnPlan, ClusterConfig, FaultPlan, RunConfig, run_algorithm
+from repro.runtime import ChurnPlan, ClusterConfig, FaultPlan, RunConfig, get_algorithm
 from repro.runtime.config import ConfigError
 from repro.scenarios.churn import ChurnEvent
 
@@ -84,6 +84,6 @@ def test_registry_rejections_charge_nothing(cluster_config, churn, match):
     cluster = _cluster(gen.gnm_random(80, 240, seed=8), 8)
     config = RunConfig(seed=8, cluster=cluster_config, churn=churn, faults=FaultPlan(drop_prob=0.1))
     with pytest.raises(ConfigError, match=match):
-        run_algorithm("rep", cluster, config)
+        get_algorithm("rep").run(cluster, config)
     assert cluster.ledger.steps == []
     assert cluster.ledger.fault_model is None and cluster.ledger.epoch_model is None

@@ -194,8 +194,8 @@ class TestConsumerEquivalence:
         entry = manager.generate(fam, params, 2)
         config = RunConfig(seed=4, cluster=ClusterConfig(k=4))
 
-        with Session(config=config, corpus=manager) as session:
-            served = session.run(algorithm, f"corpus:{entry.entry_id}")
+        with Session(config=config) as session:
+            served = session.run(algorithm, manager.load(entry.entry_id))
         with Session(config=config) as session:
             reference = session.run(algorithm, fam.generate(params, 2))
 

@@ -1,4 +1,4 @@
-"""One nominal input, one graph: the CLI, the service and ``Session`` agree.
+"""One nominal input, one graph: the CLI, the service and the resolver agree.
 
 Each surface names its input by family, scenario, size and seed, and all
 of them resolve it through :func:`repro.corpus.inputs.resolve_input`.
@@ -15,7 +15,6 @@ import pytest
 from repro.cli import main
 from repro.corpus.families import sizeable_families
 from repro.corpus.inputs import resolve_input
-from repro.runtime import ClusterConfig, RunConfig, Session
 from repro.runtime.registry import AlgorithmSpec
 from repro.scenarios.registry import list_scenarios
 from repro.service.protocol import RunRequest
@@ -79,10 +78,15 @@ def test_graph_seed_takes_the_run_seeds_place(received):
 
 
 def test_family_less_scenario_matches_session(received):
+    # A scenario without a family builds the benign input, weighted as the
+    # scenario asks, on every surface.
     cli = _cli_graph(received, "connectivity", "--scenario", "faulty_links", "--seed", "3")
-    config = RunConfig(seed=3, cluster=ClusterConfig(k=4))
-    Session(config=config).run("connectivity", scenario="faulty_links", n=N)
-    assert _bytes(cli) == _bytes(received[-1])
+    served = RunRequest(
+        algorithm="connectivity", scenario="faulty_links", n=N, seed=3
+    ).build_graph()
+    resolved = resolve_input(family="gnm", n=N, seed=3, weighted=True, algorithm="connectivity")
+    assert _bytes(cli) == _bytes(served) == _bytes(resolved)
+    assert cli.weighted
 
 
 def test_rep_mst_gets_weights_on_every_surface(received):

@@ -5,7 +5,9 @@ from __future__ import annotations
 import json
 
 from repro.cli import main
-from repro.runtime import RunReport, list_algorithms
+from repro.corpus.inputs import resolve_input
+from repro.runtime import ClusterConfig, RunConfig, RunReport, Session, list_algorithms
+from repro.scenarios.registry import get_scenario
 
 
 def test_list_names_every_algorithm(capsys):
@@ -113,3 +115,24 @@ def test_sweep_over_n(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "n=60" in out and "n=120" in out
+
+
+def test_sweep_under_a_scenario_matches_the_library_composition(tmp_path, capsys):
+    # `repro sweep --scenario` is resolve_input plus Scenario.apply, point by point.
+    path = tmp_path / "sweep.json"
+    argv = ["sweep", "connectivity", "--ns", "60,120", "--k", "4", "--scenario", "faulty_links"]
+    assert main([*argv, "--json", str(path)]) == 0
+    cli = json.loads(path.read_text())
+    assert [d["graph"]["n"] for d in cli] == [60, 120]
+    assert all("faults" in d["ledger"] for d in cli)
+    for d in cli:
+        del d["wall_time_s"]
+    sc = get_scenario("faulty_links")
+    session = Session(config=sc.apply(RunConfig(cluster=ClusterConfig(k=4))))
+    local = [
+        session.run(
+            "connectivity", resolve_input(scenario=sc, n=n, algorithm="connectivity")
+        ).to_dict(include_timing=False)
+        for n in (60, 120)
+    ]
+    assert json.dumps(cli, sort_keys=True) == json.dumps(local, sort_keys=True)

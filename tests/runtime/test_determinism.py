@@ -27,6 +27,7 @@ import pytest
 
 from repro import generators
 from repro.runtime import ClusterConfig, RunConfig, Session, SketchConfig
+from repro.scenarios.registry import get_scenario
 
 
 def _graph(weighted: bool):
@@ -202,7 +203,9 @@ def _variant_run(algorithm, variant):
     seed, fields, scenario = _VARIANTS[variant]
     g = generators.with_unique_weights(generators.gnm_random(300, 900, seed=seed), seed=seed)
     config = RunConfig(seed=seed, cluster=ClusterConfig(k=4), **fields)
-    return g, Session().run(algorithm, g, config=config, scenario=scenario)
+    if scenario is not None:
+        config = get_scenario(scenario).apply(config)
+    return g, Session().run(algorithm, g, config=config)
 
 
 @pytest.mark.parametrize("algorithm, variant", sorted(VARIANT_RUNS))
@@ -250,7 +253,10 @@ def _derived_run(name, scenario):
     algorithm, fields = _DERIVED[name]
     fields = {"cluster": ClusterConfig(k=4), **fields}
     g = generators.with_unique_weights(generators.gnm_random(300, 900, seed=1), seed=1)
-    return g, Session().run(algorithm, g, config=RunConfig(seed=1, **fields), scenario=scenario)
+    config = RunConfig(seed=1, **fields)
+    if scenario is not None:
+        config = get_scenario(scenario).apply(config)
+    return g, Session().run(algorithm, g, config=config)
 
 
 @pytest.mark.parametrize("name, scenario", sorted(DERIVED_RUNS, key=str))
@@ -269,7 +275,7 @@ _PINNED_RUNS = [
 @pytest.mark.parametrize("run, key", _PINNED_RUNS)
 def test_pinned_envelopes_replay_from_their_config(run, key):
     """A run is replayable from its own envelope: the recorded config and
-    seed alone, with no scenario argument, give the same bytes."""
+    seed alone, with no scenario overlay, give the same bytes."""
     g, report = run(*key)
     config = RunConfig.from_dict(report.config)
     replay = Session().run(report.algorithm, g, config=config, seed=report.seed)

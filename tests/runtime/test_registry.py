@@ -23,7 +23,6 @@ from repro.runtime import (
     get_algorithm,
     list_algorithms,
     register_algorithm,
-    run_algorithm,
 )
 from repro.runtime.registry import RunnerOutput, _REGISTRY
 from repro.scenarios.churn import ChurnEvent
@@ -112,30 +111,30 @@ class TestEveryAlgorithmRuns:
 class TestUniformInterface:
     def test_run_algorithm_on_explicit_cluster(self, graph):
         cluster = KMachineCluster.create(graph, k=4, seed=3)
-        report = run_algorithm("connectivity", cluster, RunConfig(seed=3))
+        report = get_algorithm("connectivity").run(cluster, RunConfig(seed=3))
         assert report.result["n_components"] == reference.count_components(graph)
 
     def test_ledger_delta_on_shared_cluster(self, graph):
         # A cluster with prior history reports only the run's own cost.
         cluster = KMachineCluster.create(graph, k=4, seed=3)
-        first = run_algorithm("connectivity", cluster, RunConfig(seed=3))
-        second = run_algorithm("flooding", cluster)
+        first = get_algorithm("connectivity").run(cluster, RunConfig(seed=3))
+        second = get_algorithm("flooding").run(cluster)
         assert second.rounds == cluster.ledger.total_rounds - first.rounds
 
     def test_weights_required_error(self, graph):
         cluster = KMachineCluster.create(graph, k=4, seed=3)
         with pytest.raises(ConfigError, match="weighted"):
-            run_algorithm("mst", cluster)
+            get_algorithm("mst").run(cluster)
 
     def test_verify_problem_dispatch(self, graph):
         cluster = KMachineCluster.create(graph, k=4, seed=3)
-        report = run_algorithm(
-            "verify", cluster, RunConfig(seed=3, params={"problem": "st_connectivity"})
+        report = get_algorithm("verify").run(
+            cluster, RunConfig(seed=3, params={"problem": "st_connectivity"})
         )
         assert report.result["problem"] == "st_connectivity"
         assert isinstance(report.result["answer"], bool)
         with pytest.raises(ConfigError, match="problem"):
-            run_algorithm("verify", cluster, RunConfig(params={"problem": "nope"}))
+            get_algorithm("verify").run(cluster, RunConfig(params={"problem": "nope"}))
 
     def test_runner_output_defaults(self):
         out = RunnerOutput(result={"x": 1})

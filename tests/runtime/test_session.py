@@ -102,6 +102,17 @@ class TestRun:
         report = Session(graph, config=CFG).run("connectivity", other)
         assert report.result["n_components"] == 3
 
+    def test_named_input_raises_type_error_naming_the_resolver(self, graph):
+        # A session runs a Graph; a name (here a corpus entry) must go
+        # through resolve_input first, and the error says so up front.
+        name = "corpus:gnm/d6b1429151d9_0"
+        with pytest.raises(TypeError, match="resolve_input"):
+            Session(graph, config=CFG).run("connectivity", name)
+        with pytest.raises(TypeError, match="resolve_input"):
+            Session(name, config=CFG).run("connectivity")
+        with pytest.raises(TypeError, match="resolve_input"):
+            Session(config=CFG).sweep("connectivity", graph=name)
+
 
 class TestSweep:
     def test_grid_order_and_size(self, graph):

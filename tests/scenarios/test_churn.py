@@ -30,10 +30,10 @@ from repro.runtime import (
     Session,
     get_algorithm,
     list_algorithms,
-    run_algorithm,
 )
 from repro.runtime.config import ConfigError
 from repro.scenarios.churn import ChurnEvent, EpochModel
+from repro.scenarios.registry import get_scenario
 
 K = 4
 
@@ -357,7 +357,7 @@ class TestChurnedRuns:
         # some epoch: the per-epoch rounds partition the ledger's rounds.
         g = generators.with_unique_weights(generators.gnm_random(300, 900, seed=3), seed=3)
         cfg = RunConfig(seed=3, cluster=ClusterConfig(k=K), params=params)
-        report = Session(g, config=cfg).run(algorithm, scenario=scenario)
+        report = Session(g, config=get_scenario(scenario).apply(cfg)).run(algorithm)
         per_epoch = report.ledger["epochs"]["per_epoch"]
         assert sum(e["rounds"] for e in per_epoch) == report.ledger["rounds"]
 
@@ -385,7 +385,9 @@ class TestChurnedRuns:
         cluster = KMachineCluster.create(_graph(), k=K, seed=5)
         plan = ChurnPlan(events=(ChurnEvent(0, "remove", machine=K + 3),))
         with pytest.raises(ConfigError, match="k="):
-            run_algorithm("connectivity", cluster, _config(plan, faults=FaultPlan(drop_prob=0.1)))
+            get_algorithm("connectivity").run(
+                cluster, _config(plan, faults=FaultPlan(drop_prob=0.1))
+            )
         assert cluster.ledger.fault_model is None and cluster.ledger.epoch_model is None
 
     def test_sweep_roundtrips_churn_through_process_pool(self):
@@ -400,7 +402,7 @@ class TestChurnedRuns:
         assert all("epochs" in r.ledger for r in pooled)
 
     def test_scenarios_registered(self):
-        from repro.scenarios.registry import get_scenario, list_scenarios
+        from repro.scenarios.registry import list_scenarios
 
         names = list_scenarios()
         assert "churn_storm" in names and "rebalance_midrun" in names
@@ -411,7 +413,5 @@ class TestChurnedRuns:
 
     def test_scenario_overlay_keeps_caller_churn(self):
         # A churn-less scenario must not silently clean a caller's plan.
-        from repro.scenarios.registry import get_scenario
-
         cfg = get_scenario("lollipop").apply(_config(STORM))
         assert cfg.churn == STORM

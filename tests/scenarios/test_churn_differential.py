@@ -21,6 +21,7 @@ from repro.corpus.families import sized_graph
 from repro.graphs import generators
 from repro.graphs import reference as ref
 from repro.runtime import ClusterConfig, RunConfig, Session
+from repro.scenarios.registry import get_scenario
 
 #: The two registered churn scenarios (ISSUE-4).
 CHURN_SCENARIOS = ("rebalance_midrun", "churn_storm")
@@ -37,8 +38,9 @@ def _graph(seed: int, *, n: int = N_DEFAULT, weighted: bool = False):
     return g
 
 
-def _config(seed: int, **kwargs) -> RunConfig:
-    return RunConfig(seed=seed, cluster=ClusterConfig(k=K), **kwargs)
+def _config(seed: int, scenario: str, **kwargs) -> RunConfig:
+    """The run config for ``seed`` with ``scenario``'s hostile axes overlaid."""
+    return get_scenario(scenario).apply(RunConfig(seed=seed, cluster=ClusterConfig(k=K), **kwargs))
 
 
 def _grid(algorithms):
@@ -56,7 +58,7 @@ def test_component_labels_match_reference(algorithm, scenario):
     for seed in SEEDS:
         g = _graph(seed)
         expected = ref.connected_components(g).tolist()
-        report = Session(g, config=_config(seed)).run(algorithm, scenario=scenario)
+        report = Session(g, config=_config(seed, scenario)).run(algorithm)
         assert report.result["labels"] == expected, (
             f"{algorithm} labels diverged under {scenario} seed {seed}"
         )
@@ -74,7 +76,7 @@ def test_mst_weight_matches_kruskal(algorithm, scenario):
     for seed in SEEDS:
         g = _graph(seed, weighted=True)
         forest = ref.kruskal_mst(g)
-        report = Session(g, config=_config(seed)).run(algorithm, scenario=scenario)
+        report = Session(g, config=_config(seed, scenario)).run(algorithm)
         assert report.result["total_weight"] == ref.mst_weight(g, forest), (
             f"{algorithm} weight diverged under {scenario} seed {seed}"
         )
@@ -85,7 +87,7 @@ def test_mst_weight_matches_kruskal(algorithm, scenario):
 def test_mincut_estimate_brackets_reference(scenario):
     for seed in SEEDS:
         g = _graph(seed, n=N_MINCUT)
-        report = Session(g, config=_config(seed)).run("mincut", scenario=scenario)
+        report = Session(g, config=_config(seed, scenario)).run("mincut")
         estimate = report.result["estimate"]
         if ref.count_components(g) > 1:
             assert estimate == 0.0
@@ -112,9 +114,7 @@ def test_verification_answers_match_reference(scenario):
             s_vtx, t_vtx = 0, g.n - 1
             expected = ref.st_connected(g, s_vtx, t_vtx)
             params = {"problem": problem, "s": s_vtx, "t": t_vtx}
-        report = Session(g, config=_config(seed, params=params)).run(
-            "verify", scenario=scenario
-        )
+        report = Session(g, config=_config(seed, scenario, params=params)).run("verify")
         assert report.result["answer"] == expected, (
             f"verify[{problem}] diverged under {scenario} seed {seed}"
         )
@@ -123,8 +123,8 @@ def test_verification_answers_match_reference(scenario):
 @pytest.mark.parametrize("scenario", CHURN_SCENARIOS)
 def test_churned_runs_are_byte_deterministic(scenario):
     g = _graph(3)
-    first = Session(g, config=_config(3)).run("connectivity", scenario=scenario)
-    second = Session(g, config=_config(3)).run("connectivity", scenario=scenario)
+    first = Session(g, config=_config(3, scenario)).run("connectivity")
+    second = Session(g, config=_config(3, scenario)).run("connectivity")
     assert first.to_json(include_timing=False) == second.to_json(include_timing=False)
 
 

@@ -7,6 +7,7 @@ import pytest
 from repro.cli import main
 from repro.cluster.partition import PartitionConfig
 from repro.corpus.families import sized_graph
+from repro.corpus.inputs import resolve_input
 from repro.graphs import generators
 from repro.graphs import reference as ref
 from repro.runtime import ClusterConfig, RunConfig, Session
@@ -74,10 +75,10 @@ class TestRegistry:
 
     def test_make_graph_scales_and_weights(self):
         sc = get_scenario("lollipop")
-        g = sc.make_graph(60, seed=1)
+        g = resolve_input(scenario=sc, n=60, seed=1)
         assert abs(g.n - 60) <= 2
         assert g.weighted  # scenarios default to weighted inputs
-        g2 = sc.make_graph(60, seed=1)
+        g2 = resolve_input(scenario=sc, n=60, seed=1)
         assert (g.edges_u == g2.edges_u).all()  # deterministic
 
 
@@ -119,63 +120,29 @@ class TestWorstCaseFamilies:
 
 
 class TestSessionScenario:
-    def test_run_with_scenario_name(self):
-        report = Session(config=RunConfig(seed=2, cluster=ClusterConfig(k=4))).run(
-            "connectivity", scenario="worst_case_storm", n=80
-        )
-        assert report.config["cluster"]["partition"]["scheme"] == "powerlaw"
-        assert report.ledger["faults"]["n_events"] >= 0
-        assert report.result["n_components"] >= 1
+    """A scenario run composes ``resolve_input`` with ``Scenario.apply``."""
 
     def test_run_scenario_answers_match_reference(self):
         sc = get_scenario("worst_case_storm")
-        g = sc.make_graph(80, seed=2)
-        report = Session(g, config=sc.apply(RunConfig(seed=2, cluster=ClusterConfig(k=4)))).run(
-            "connectivity"
-        )
+        g = resolve_input(scenario=sc, n=80, seed=2, algorithm="connectivity")
+        config = sc.apply(RunConfig(seed=2, cluster=ClusterConfig(k=4)))
+        report = Session(g, config=config).run("connectivity")
+        assert report.config["cluster"]["partition"]["scheme"] == "powerlaw"
+        assert report.ledger["faults"]["n_events"] >= 0
         assert report.result["labels"] == ref.connected_components(g).tolist()
 
     def test_sweep_with_scenario_over_ns(self):
-        session = Session(config=RunConfig(seed=1, cluster=ClusterConfig(k=4)))
+        sc = get_scenario("faulty_links")
+        session = Session(config=sc.apply(RunConfig(seed=1, cluster=ClusterConfig(k=4))))
         reports = session.sweep(
-            "connectivity", ns=(40, 60), scenario="faulty_links"
+            "connectivity",
+            ns=(40, 60),
+            graph_factory=lambda n: resolve_input(scenario=sc, n=n, seed=1),
         )
         assert len(reports) == 2
         assert [r.graph["n"] for r in reports] == sorted(r.graph["n"] for r in reports)
         for r in reports:
             assert "faults" in r.ledger
-
-    def test_explicit_graph_wins_over_scenario_family(self):
-        g = generators.path_graph(30)
-        report = Session(config=RunConfig(seed=1, cluster=ClusterConfig(k=4))).run(
-            "connectivity", g, scenario="lollipop"
-        )
-        assert report.graph["n"] == 30  # the path, not a lollipop
-
-    def test_family_scenario_overrides_session_default_graph(self):
-        # A family-bearing scenario must never be a silent no-op: it
-        # replaces the session's default graph (only an explicit graph
-        # argument wins over it).
-        g = generators.path_graph(30)
-        session = Session(g, config=RunConfig(seed=1, cluster=ClusterConfig(k=4)))
-        report = session.run("connectivity", scenario="lollipop", n=60)
-        assert report.graph["n"] != 30
-        assert report.graph["m"] > report.graph["n"]  # lollipop clique, not a path
-
-    def test_family_less_scenario_uses_session_graph(self):
-        g = generators.path_graph(30)
-        session = Session(g, config=RunConfig(seed=1, cluster=ClusterConfig(k=4)))
-        report = session.run("connectivity", scenario="faulty_links")
-        assert report.graph["n"] == 30  # the session graph, faults overlaid
-        assert "faults" in report.ledger
-
-    def test_n_without_scenario_graph_raises(self):
-        g = generators.path_graph(30)
-        session = Session(g, config=RunConfig(seed=1, cluster=ClusterConfig(k=4)))
-        with pytest.raises(ValueError, match="n="):
-            session.run("connectivity", n=50)
-        with pytest.raises(ValueError, match="n="):
-            session.run("connectivity", scenario="faulty_links", n=50)
 
 
 class TestCli:

@@ -111,8 +111,8 @@ class TestServedCorpusRuns:
         frame = _serve(drive, workers=2, corpus=corpus)
         assert frame["ok"] and frame["final"] and frame["id"] == 7
 
-        with Session(config=req.run_config(), corpus=corpus) as session:
-            local = session.run("mst", f"corpus:{entry.entry_id}")
+        with Session(config=req.run_config()) as session:
+            local = session.run("mst", corpus.load(entry.entry_id))
         assert frame["report"] == local.to_dict(include_timing=False)
 
     def test_unknown_entry_answers_error_frame(self, corpus):
@@ -171,24 +171,12 @@ class TestServedCorpusRuns:
 
 
 class TestSessionSharedCorpus:
-    def test_two_sessions_share_one_corpus_cache(self, corpus):
-        entry = _entry(corpus, "gnm")
-        shared = CorpusManager(corpus.root)  # fresh counters over the same root
-        identity = f"corpus:{entry.entry_id}"
-        with Session(corpus=shared) as a, Session(corpus=shared) as b:
-            ra = a.run("connectivity", identity)
-            rb = b.run("connectivity", identity)
-            assert a.cache_info()["corpus"]["misses"] == 1
-            assert b.cache_info()["corpus"]["hits"] == 1
-        assert ra.to_dict(include_timing=False) == rb.to_dict(include_timing=False)
-
     def test_repeat_run_hits_session_cluster_cache(self, corpus):
         # The corpus LRU returns the SAME Graph object, so id(graph)
         # cluster keying composes: the second run reuses the cluster.
         entry = _entry(corpus, "gnm")
-        identity = f"corpus:{entry.entry_id}"
-        with Session(corpus=corpus) as session:
-            session.run("connectivity", identity)
+        with Session() as session:
+            session.run("connectivity", corpus.load(entry.entry_id))
             before = session.cache_info()["hits"]
-            session.run("connectivity", identity)
+            session.run("connectivity", corpus.load(entry.entry_id))
             assert session.cache_info()["hits"] == before + 1

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.partition import PARTITION_SCHEMES
-from repro.corpus.families import sizeable_families
+from repro.corpus.families import sizeable_families, sized_graph
 from repro.graphs import generators
 from repro.runtime.config import ConfigError
 from repro.runtime.registry import get_algorithm, list_algorithms
@@ -202,14 +202,13 @@ def test_build_graph_matches_generator_derivation():
 
 
 def test_build_graph_scenario_path_matches_scenario():
-    from repro.scenarios.registry import get_scenario
-
     req = RunRequest(scenario="lollipop", n=64, seed=2)
-    expected = get_scenario("lollipop").make_graph(64, 2)
+    expected = sized_graph("lollipop", 64, derive_seed(2, 0x5CE0), weighted=True)
     got = req.build_graph()
     assert got.n == expected.n
     assert (got.edges_u == expected.edges_u).all()
     assert (got.edges_v == expected.edges_v).all()
+    assert (got.weights == expected.weights).all()
 
 
 # -- update streams ---------------------------------------------------------

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import doctest
 import importlib
+import re
 import sys
 from pathlib import Path
 
@@ -73,3 +74,22 @@ def test_design_has_epoch_section():
     text = (REPO_ROOT / "DESIGN.md").read_text(encoding="utf-8")
     assert "## 8. Dynamic adversary" in text
     assert "epoch:migrate" in text
+
+
+def test_corpus_guide_example_runs(tmp_path, monkeypatch):
+    """The corpus guide's §2 listing and its §4 Python example hold as written."""
+    from repro.corpus import CorpusManager, parse_spec
+
+    text = (REPO_ROOT / "docs" / "corpus.md").read_text(encoding="utf-8")
+    listing = text.split("## 2.")[1].split("## 3.")[0]
+    spec = re.search(r'repro corpus gen "([^"]+)"', listing).group(1)
+    entry_id, digest = re.search(r"# (\S+_0)\s+n=\d+ m=\d+ digest=([0-9a-f]+)", listing).groups()
+    entry = CorpusManager(tmp_path / "corpus").generate(*parse_spec(spec), 0)
+    assert entry.entry_id == entry_id
+    assert entry.digest.startswith(digest)
+
+    (example,) = re.findall(r"```python\n(.*?)```", text, flags=re.S)
+    monkeypatch.chdir(tmp_path)
+    scope: dict = {}
+    exec(example, scope)
+    assert scope["report"].result["certified"]
