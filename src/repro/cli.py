@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Sequence
 
@@ -432,8 +433,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         if args.port_file:
             # Machine-readable bind address for wrappers that asked for an
             # ephemeral port (tests, CI smoke): "host port" on one line.
-            with open(args.port_file, "w", encoding="utf-8") as fh:
+            # Written aside and renamed into place, so a wrapper polling
+            # for the file never reads it before the address is in it.
+            tmp = f"{args.port_file}.tmp"
+            with open(tmp, "w", encoding="utf-8") as fh:
                 fh.write(f"{host} {port}\n")
+            os.replace(tmp, args.port_file)
         try:
             await service.wait_closed()
         finally:

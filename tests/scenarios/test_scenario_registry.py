@@ -119,8 +119,25 @@ class TestWorstCaseFamilies:
         assert ref.stoer_wagner_mincut(weighted) == 1.0
 
 
+def _bytes(g) -> tuple:
+    return g.n, g.weighted, g.edges_u.tobytes(), g.edges_v.tobytes(), g.weights.tobytes()
+
+
 class TestSessionScenario:
     """A scenario run composes ``resolve_input`` with ``Scenario.apply``."""
+
+    def test_run_with_scenario_name(self):
+        # The registered name alone names both halves of the run: the
+        # input (the scenario's lollipop family) and the overlaid axes.
+        g = resolve_input(scenario="worst_case_storm", n=80, seed=2, algorithm="connectivity")
+        assert _bytes(g) == _bytes(resolve_input(family="lollipop", n=80, seed=2, weighted=True))
+        config = get_scenario("worst_case_storm").apply(
+            RunConfig(seed=2, cluster=ClusterConfig(k=4))
+        )
+        report = Session(g, config=config).run("connectivity")
+        assert report.config["cluster"]["partition"]["scheme"] == "powerlaw"
+        assert report.ledger["faults"]["n_events"] >= 0
+        assert report.result["n_components"] >= 1
 
     def test_run_scenario_answers_match_reference(self):
         sc = get_scenario("worst_case_storm")
@@ -143,6 +160,34 @@ class TestSessionScenario:
         assert [r.graph["n"] for r in reports] == sorted(r.graph["n"] for r in reports)
         for r in reports:
             assert "faults" in r.ledger
+
+    def test_explicit_graph_wins_over_scenario_family(self):
+        # An explicit family outranks the scenario's in the resolver, and
+        # the graph handed to Session is the graph that runs.
+        g = resolve_input(family="path", scenario="lollipop", n=30, seed=1)
+        assert (g.n, g.m) == (30, 29)  # the path, not a lollipop
+        config = get_scenario("lollipop").apply(RunConfig(seed=1, cluster=ClusterConfig(k=4)))
+        report = Session(generators.path_graph(30), config=config).run("connectivity")
+        assert report.graph["n"] == 30
+
+    def test_family_scenario_overrides_session_default_graph(self):
+        # A family-bearing scenario must never be a silent no-op: it
+        # replaces the resolver's default G(n, 3n) input.
+        g = resolve_input(scenario="lollipop", n=60, seed=1)
+        assert _bytes(g) != _bytes(resolve_input(n=60, seed=1, weighted=True))
+        assert _bytes(g) == _bytes(resolve_input(family="lollipop", n=60, seed=1, weighted=True))
+        report = Session(g, config=RunConfig(seed=1, cluster=ClusterConfig(k=4))).run(
+            "connectivity"
+        )
+        assert report.graph["n"] == g.n
+        assert report.graph["m"] > report.graph["n"]  # lollipop clique, not a path
+
+    def test_family_less_scenario_uses_session_graph(self):
+        g = generators.path_graph(30)
+        config = get_scenario("faulty_links").apply(RunConfig(seed=1, cluster=ClusterConfig(k=4)))
+        report = Session(g, config=config).run("connectivity")
+        assert report.graph["n"] == 30  # the session graph, faults overlaid
+        assert "faults" in report.ledger
 
 
 class TestCli:

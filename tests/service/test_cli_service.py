@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 import threading
 import time
 
@@ -66,6 +67,38 @@ def test_serve_then_loadgen_then_shutdown(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "listening on" in out
     assert "coalescing:" in out
+
+
+def test_port_file_holds_the_address_once_it_exists(tmp_path, capsys):
+    # A wrapper that polls for --port-file and reads it at once must never
+    # see the file before "host port" is in it.  A tiny switch interval
+    # lets the polling thread run between the serving thread's steps.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for trial in range(3):
+            port_file = tmp_path / f"port{trial}"
+            thread = threading.Thread(
+                target=main,
+                args=(["serve", "--port", "0", "--port-file", str(port_file), "--workers", "1"],),
+                daemon=True,
+            )
+            thread.start()
+            deadline = time.monotonic() + 15
+            while not port_file.exists() and time.monotonic() < deadline:
+                pass
+            fields = port_file.read_text().split()
+            assert len(fields) == 2, f"port file read as {fields!r}"
+            host, port = fields
+            assert main(
+                ["loadgen", "--host", host, "--port", port, "--requests", "1",
+                 "--ns", "16", "--shutdown"]
+            ) == 0
+            thread.join(timeout=15)
+            assert not thread.is_alive(), "server did not stop after loadgen --shutdown"
+    finally:
+        sys.setswitchinterval(interval)
+    capsys.readouterr()
 
 
 def test_loadgen_max_inflight_is_a_cli_knob(capsys):

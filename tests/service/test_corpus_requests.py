@@ -16,6 +16,7 @@ import zlib
 
 import pytest
 
+from repro.corpus.inputs import resolve_input
 from repro.corpus.manager import CorpusManager
 from repro.runtime.session import Session
 from repro.service.protocol import ProtocolError, RunRequest, read_frame, write_frame
@@ -171,6 +172,16 @@ class TestServedCorpusRuns:
 
 
 class TestSessionSharedCorpus:
+    def test_two_sessions_share_one_corpus_cache(self, corpus):
+        entry = _entry(corpus, "gnm")
+        shared = CorpusManager(corpus.root)  # fresh counters over the same root
+        with Session() as a, Session() as b:
+            ra = a.run("connectivity", resolve_input(corpus=entry.entry_id, manager=shared))
+            rb = b.run("connectivity", resolve_input(corpus=entry.entry_id, manager=shared))
+        assert shared.cache_info()["misses"] == 1
+        assert shared.cache_info()["hits"] == 1
+        assert ra.to_dict(include_timing=False) == rb.to_dict(include_timing=False)
+
     def test_repeat_run_hits_session_cluster_cache(self, corpus):
         # The corpus LRU returns the SAME Graph object, so id(graph)
         # cluster keying composes: the second run reuses the cluster.
