@@ -345,11 +345,14 @@ def _sample_components(
     returns, byte for byte, the samples and zero test of the dense
     ``(C, R, L)`` bundle (its docstring proves it) while evaluating only
     the *live* components — those owning at least one kept incidence —
-    and, past repetition 0, only the ones still without a verified sample;
-    its zero test fingerprints only the components that sampled nothing
-    (see the module docstring).  A component owning no kept incidence
-    reads ``found=False, slot=-1, sign=0, nonzero=False``, as its all-zero
-    dense row does.
+    and, past repetition 0, only the ones still without a verified sample.
+    In each repetition a component whose deepest incidence is alone at its
+    depth (a lone top cell) takes that incidence unscattered; only the
+    components tied at the top are scattered into cells and checked by
+    fingerprint.  Its zero test fingerprints only the components that
+    sampled nothing (see the module docstring).  A component owning no
+    kept incidence reads ``found=False, slot=-1, sign=0, nonzero=False``,
+    as its all-zero dense row does.
     """
     if bound is not None:
         live = live.narrow(bound)

@@ -365,8 +365,11 @@ class Session:
         seeds / ks:
             Values to sweep; each defaults to the single configured value.
         ns:
-            Graph sizes; requires ``graph_factory(n) -> Graph``.  Omitted:
-            the fixed ``graph`` (or the session default) is used.
+            Graph sizes; requires ``graph_factory(n) -> Graph`` and no
+            ``graph``.  Omitted: the fixed ``graph`` (or the session
+            default) is used, and a ``graph_factory`` is an error.  Each
+            combination that would ignore one of the two inputs raises
+            ``ValueError``.
         processes:
             ``None`` or ``1`` runs sequentially in-process; ``> 1`` fans the
             grid out over a process pool.  Report order always matches the
@@ -377,6 +380,10 @@ class Session:
         """
         if ns is not None and graph_factory is None:
             raise ValueError("sweeping ns requires graph_factory(n) -> Graph")
+        if ns is not None and graph is not None:
+            raise ValueError("sweeping ns builds its graphs with graph_factory; drop graph")
+        if ns is None and graph_factory is not None:
+            raise ValueError("graph_factory(n) needs ns; pass ns or a fixed graph")
         base_cfg = (config if config is not None else self.config).validate()
         seed_list = [resolve_seed(None, base_cfg.seed)] if seeds is None else [int(s) for s in seeds]
         k_list = [base_cfg.cluster.k] if ks is None else [int(k) for k in ks]

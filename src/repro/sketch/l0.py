@@ -96,18 +96,16 @@ def _combine_halves(acc_lo: np.ndarray, acc_hi: np.ndarray) -> np.ndarray:
     return addmod(hi_shifted, lo_m)
 
 
-def _cells(bins: np.ndarray, shape: tuple[int, int], weights=None, max_abs: int = 1) -> np.ndarray:
-    """Per-cell sums of ``weights`` (occupancy when None), prefix-summed along rows.
+def _cells(
+    bins: np.ndarray, shape: tuple[int, int], weights: np.ndarray, max_abs: int
+) -> np.ndarray:
+    """Per-cell sums of ``weights``, prefix-summed along rows.
 
     ``bins`` index a ``(rows, columns)`` tensor whose columns run from the
     deepest level up; a depth-``d`` incidence belongs to levels ``0..d``, so
     the prefix sum along a row turns per-depth totals into level sums.
     """
-    size = shape[0] * shape[1]
-    if weights is None:
-        flat = np.bincount(bins, minlength=size)
-    else:
-        flat = segment_sum(weights, bins, size, max_abs=max_abs)
+    flat = segment_sum(weights, bins, shape[0] * shape[1], max_abs=max_abs)
     return np.cumsum(flat.reshape(shape), axis=1)
 
 
@@ -371,10 +369,13 @@ class SketchContext:
 
     * :meth:`sample_groups` — outgoing-edge selection — evaluates one
       repetition at a time, only for the groups still without a verified
-      sample, and computes fingerprints only at the cells a decision reads;
-      its zero test computes level-0 fingerprints only for the groups that
-      sampled nothing, and a later repetition's only for the groups whose
-      earlier ones all vanished;
+      sample.  A group whose deepest incidence is alone at its depth (its
+      top cell) takes that incidence with no scatter and no fingerprint;
+      only the groups tied at the top build a cell tensor, and they compute
+      fingerprints only at the cells a decision reads.  Its zero test
+      computes level-0 fingerprints only for the groups that sampled
+      nothing, and a later repetition's only for the groups whose earlier
+      ones all vanished;
     * :meth:`group_sums` — the dense Lemma-2 reference the tests compare
       against — reads the ``(R, E)`` arrays :attr:`depths` and
       :attr:`fp_contrib`, built on first use from the same two functions.
@@ -484,13 +485,14 @@ class SketchContext:
         Incidence ``i`` belongs to group ``group_idx[i]``.  Returns exactly
         ``bundle.sample()`` of ``bundle = group_sums(group_idx, n_groups)``,
         byte for byte and zero test included, without building that bundle.
-        Repetition ``r`` is evaluated — hash, depth, and the count,
-        occupancy and id-sum scatters with their suffix sums over a
-        ``(G_r, L)`` tensor — only for the ``G_r`` groups that repetitions
-        below ``r`` left without a verified sample.  Fingerprints are
-        computed only where a decision reads them.  Every rule below rests
-        on one fact: a group's cells depend only on its own incidences, so
-        leaving other groups out changes none of them.
+        Repetition ``r`` is evaluated — hash, depth and each row's *top
+        cell* — only for the ``G_r`` groups that repetitions below ``r``
+        left without a verified sample, and its count and id-sum scatters,
+        with their suffix sums over a tensor of ``L`` columns, run only for
+        the rows whose top cell is tied.  Fingerprints are computed only
+        where a decision reads them.  Every rule below rests on one fact: a
+        group's cells depend only on its own incidences, so leaving other
+        groups out changes none of them.
 
         1. **Repetition order.**  ``sample`` returns a group's first
            verified candidate in the order repetition ascending, level
@@ -498,29 +500,32 @@ class SketchContext:
            there whatever later repetitions hold, so they skip it.  Levels
            past the deepest evaluated incidence are zero and hold no
            candidate (``c = 0``), so the tensor stops there.
-        2. **Single occupancy.**  Occupancy is the unweighted count of a
-           cell's incidences (one ``bincount`` over the same bins).  A cell
-           holding exactly one incidence ``i`` has ``c = sign_i``,
+        2. **The top cell.**  A row's top cell is the level of its deepest
+           incidence (``np.maximum.at``), and it holds exactly the
+           incidences at that depth; every level above it is empty.  So the
+           top cell is the row's first candidate if it is one.  When it
+           holds one incidence ``i`` (a *lone* top), it has ``c = sign_i``,
            ``s = sign_i * slot_i`` and fingerprint ``sign_i * r^slot_i``:
-           it is a candidate, its slot ``c * s = slot_i`` is in range, and
-           its fingerprint equals the value verification expects.  It
-           verifies without being computed.
-        3. **Exact multi-occupancy cells.**  A candidate holding several
-           incidences verifies or not by its fingerprint, the sum of
-           ``sign_i * r^slot_i mod p`` over the group's incidences of depth
-           at least its level.  That sum is computed from exactly those
+           its slot ``c * s = slot_i`` is in range and its fingerprint
+           equals the value verification expects, so it verifies without
+           being computed and is the row's answer.  Depths clipped at
+           ``L - 1`` share one top cell like any other depth.
+        3. **Tied rows, checked exactly.**  A row whose top cell holds two
+           or more incidences holds them in every cell below too, so no
+           candidate of it holds a single incidence.  Only these tied rows
+           build the count and id-sum tensor, and every candidate of theirs
+           verifies or not by its fingerprint, the sum of
+           ``sign_i * r^slot_i mod p`` over the row's incidences of depth at
+           least its level.  That sum is computed from exactly those
            incidences with the dense path's exact 30-bit-split arithmetic
            and compared with the same expected value, so it gives the same
-           answer.  Only candidates ahead of the group's first
-           single-occupancy candidate are checked: that one verifies, so
-           nothing after it can come first.  Occupancy never falls in
-           candidate order, so only groups with no single-occupancy
-           candidate in a repetition have any.  A cell sums the incidences
-           of its own column and the columns before it, so an incidence
-           whose column lies past its row's last checked column reaches no
-           checked cell.  Only the incidences at or before that column get
-           a power, in one ``_powers`` batch with the candidates' expected
-           values.
+           answer.  A cell sums the incidences of its own column and the
+           columns before it, so an incidence whose column lies past its
+           row's last candidate column reaches no checked cell.  Only the
+           incidences at or before that column get a power, in one
+           ``_powers`` batch with the candidates' expected values.  A lone
+           row has its answer (rule 2), so only tied rows stay pending, and
+           their incidences are the ones carried into the next repetition.
         4. **The zero test.**  ``nonzero`` is ``found`` or'ed with the
            bundle's ``nonzero_mask()``.  A group with a verified sample
            reads True unfingerprinted.  A group with no incidence reads
@@ -551,6 +556,23 @@ class SketchContext:
                 depth = self._depths(rep, slots)
             else:  # every incidence is live in repetition 0
                 depth = self._every_incidence(self._depths, 0)
+            # Rule 2: a row whose top cell holds one incidence has its answer.
+            top = np.zeros(n_groups, dtype=np.int64)
+            np.maximum.at(top, g, depth)
+            at_top = depth == top[g]
+            lone = (np.bincount(g[at_top], minlength=n_groups) == 1)[g]
+            win = np.flatnonzero(lone & at_top)
+            groups = g[win]
+            found[groups] = True
+            out_slot[groups] = slots[win].view(np.int64)
+            out_sign[groups] = signs[win]
+            pending[groups] = False
+            # Rule 3: only the tied rows stay pending, so only their
+            # incidences are scattered and carried into the next repetition.
+            tied = np.flatnonzero(~lone)
+            if not tied.size:
+                continue
+            g, slots, signs, depth = g[tied], slots[tied], signs[tied], depth[tied]
             rows = np.flatnonzero(pending)
             row_of = np.zeros(n_groups, dtype=np.int64)
             row_of[rows] = np.arange(rows.size)
@@ -561,8 +583,7 @@ class SketchContext:
             col = (l - 1) - depth
             shape = (rows.size, l)
             bins = row * l + col
-            counts = _cells(bins, shape, signs)
-            occupied = _cells(bins, shape)
+            counts = _cells(bins, shape, signs, 1)
             signed = slots.view(np.int64) * signs  # slots < n^2 < 2^63
             sums = _cells(bins, shape, signed, max(1, n2 - 1))
             cr, cc = np.nonzero(np.abs(counts) == 1)
@@ -570,44 +591,35 @@ class SketchContext:
             slot = sums[cr, cc] * c
             ok = (slot >= 0) & (slot < n2)
             cr, cc, c, slot = cr[ok], cc[ok], c[ok], slot[ok]
-            single = occupied[cr, cc] == 1
-            first_single = np.flatnonzero(single)
-            first_single = first_single[_firsts(cr[first_single])]
-            limit = np.full(rows.size, cr.size)
-            limit[cr[first_single]] = first_single
-            check = np.flatnonzero(~single & (np.arange(cr.size) < limit[cr]))
-            winners = [first_single]
-            if check.size:
-                # Checks come in candidate order, so a row's last one has its
-                # largest column; rows without a check reach nothing (-1).
-                last = np.ones(check.size, dtype=bool)
-                last[:-1] = cr[check[1:]] != cr[check[:-1]]
-                reach = np.full(rows.size, -1, dtype=np.int64)
-                reach[cr[check[last]]] = cc[check[last]]
-                sub = np.flatnonzero(col <= reach[row])
-                k_row = np.cumsum(reach >= 0) - 1
-                k_shape = (int(k_row[-1]) + 1, l)
-                k_bins = k_row[row[sub]] * l + col[sub]
-                power = self._powers(rep, np.concatenate([slots[sub], slot[check].view(np.uint64)]))
-                f = power[: k_bins.size].view(np.int64)  # values < p < 2^63
-                sub_signs = signs[sub]
-                lo = _cells(k_bins, k_shape, (f & _LOW30) * sub_signs, _MAX_LO)
-                hi = _cells(k_bins, k_shape, (f >> np.int64(30)) * sub_signs, _MAX_HI_FP)
-                cells = (k_row[cr[check]], cc[check])
-                fp = _combine_halves(lo[cells], hi[cells])
-                expected = power[k_bins.size :]
-                neg = c[check] < 0
-                expected[neg] = (_P - expected[neg]) % _P
-                verified = check[fp == expected]
-                winners.append(verified[_firsts(cr[verified])])
-            # A checked candidate precedes its row's first single one, so a
-            # verified one is written last and wins.
-            for win in winners:
-                groups = rows[cr[win]]
-                found[groups] = True
-                out_slot[groups] = slot[win]
-                out_sign[groups] = c[win]
-            pending &= ~found
+            if not cr.size:
+                continue
+            # Candidates come in order, so a row's last one has its largest
+            # column; rows without a candidate reach nothing (-1).
+            last = np.ones(cr.size, dtype=bool)
+            last[:-1] = cr[1:] != cr[:-1]
+            reach = np.full(rows.size, -1, dtype=np.int64)
+            reach[cr[last]] = cc[last]
+            sub = np.flatnonzero(col <= reach[row])
+            k_row = np.cumsum(reach >= 0) - 1
+            k_shape = (int(k_row[-1]) + 1, l)
+            k_bins = k_row[row[sub]] * l + col[sub]
+            power = self._powers(rep, np.concatenate([slots[sub], slot.view(np.uint64)]))
+            f = power[: k_bins.size].view(np.int64)  # values < p < 2^63
+            sub_signs = signs[sub]
+            lo = _cells(k_bins, k_shape, (f & _LOW30) * sub_signs, _MAX_LO)
+            hi = _cells(k_bins, k_shape, (f >> np.int64(30)) * sub_signs, _MAX_HI_FP)
+            cells = (k_row[cr], cc)
+            fp = _combine_halves(lo[cells], hi[cells])
+            expected = power[k_bins.size :]
+            neg = c < 0
+            expected[neg] = (_P - expected[neg]) % _P
+            verified = np.flatnonzero(fp == expected)
+            verified = verified[_firsts(cr[verified])]
+            groups = rows[cr[verified]]
+            found[groups] = True
+            out_slot[groups] = slot[verified]
+            out_sign[groups] = c[verified]
+            pending[groups] = False
         # Rule 4: only the groups that sampled nothing need a fingerprint.
         # Each gets one accumulator row (rows are sorted, so searchsorted
         # finds an incidence's row), and its flag is written back from it.

@@ -135,6 +135,31 @@ class TestSweep:
         with pytest.raises(ValueError, match="graph_factory"):
             Session(graph, config=CFG).sweep("connectivity", ns=(64, 128))
 
+    def test_n_sweep_with_a_fixed_graph_raises(self, graph):
+        # Sweeping ns builds every graph from the factory; a fixed graph
+        # beside it would be ignored.
+        with pytest.raises(ValueError, match="drop graph"):
+            Session(config=CFG).sweep(
+                "connectivity",
+                ns=(40,),
+                graph=graph,
+                graph_factory=lambda n: generators.gnm_random(n, 3 * n, seed=1),
+            )
+
+    def test_factory_without_ns_raises(self, graph):
+        # Without ns the sweep runs one fixed graph; a factory beside it
+        # would be ignored.
+        with pytest.raises(ValueError, match="needs ns"):
+            Session(config=CFG).sweep(
+                "connectivity",
+                graph=graph,
+                graph_factory=lambda n: generators.gnm_random(n, 3 * n, seed=1),
+            )
+        with pytest.raises(ValueError, match="needs ns"):
+            Session(graph, config=CFG).sweep(
+                "connectivity", graph_factory=lambda n: generators.gnm_random(n, 3 * n, seed=1)
+            )
+
     def test_n_sweep(self):
         session = Session(config=CFG)
         reports = session.sweep(

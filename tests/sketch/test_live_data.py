@@ -16,15 +16,19 @@ every group gets a row, every level of ``spec.levels`` is stored, the
 cells are accumulated one incidence at a time with Python integers, and
 every candidate is verified with Python's ``pow``.  Hypothesis covers
 random incidence lists, untouched groups, masks, weight bounds, a single
-group, empty selections and incidences forced to the maximum depth;
+group, empty selections and incidences forced to a drawn top level, so
+most examples tie some group's top cell, at ``L - 1`` or below it;
 deterministic cases reach each exact branch of ``sample_groups`` (a
 multi-occupancy candidate that verifies, a level-0 fingerprint that
 vanishes on a nonzero vector that sampled nothing, one that vanishes
 beside a verified sample, which settles the zero test, a group with no
 single-occupancy candidate in any repetition, a checked cell whose answer
-needs the incidences at its own column); the remaining tests pin the
-sample fallback order, linearity on trimmed bundles, and the level trim
-on a large input.
+needs the incidences at its own column).  Three pin the top cell: a step
+of lone tops scatters and powers nothing, a mixed step scatters exactly
+the tied groups' incidences, and a cut of G(2048, 12288) at workload
+shape equals the dense sample under both hash families.  The remaining
+tests pin the sample fallback order, linearity on trimmed bundles, and
+the level trim on a large input.
 """
 
 from __future__ import annotations
@@ -33,10 +37,11 @@ from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from repro.core import outgoing
+from repro.graphs import generators
 from repro.sketch import l0
 from repro.sketch.field import MERSENNE_P
 from repro.sketch.l0 import SampleResult, SketchBundle, SketchContext, SketchSpec
@@ -121,21 +126,44 @@ def _sample_bytes(s: SampleResult) -> tuple:
     return s.found.tobytes(), s.slots.tobytes(), s.signs.tobytes(), s.nonzero.tobytes()
 
 
-def _deep_context(deep_slots: np.ndarray):
-    """A SketchContext whose incidences on ``deep_slots`` sit at max depth.
+def _deep_context(deep_slots: np.ndarray, level: int = -1):
+    """A SketchContext whose incidences on ``deep_slots`` sit at ``level``.
 
-    The override is the per-repetition depth function that both the dense
-    ``depths`` and ``sample_groups`` read.  Forcing by slot keeps equal
-    slots at equal depths, as hashing does.
+    ``level`` counts like an index (``-1``, the default, is the clipped
+    level ``L - 1``), and every other depth is capped at it, so a group
+    holding two deep incidences ties at the top.  The override is the
+    per-repetition depth function that both the dense ``depths`` and
+    ``sample_groups`` read.  Forcing by slot keeps equal slots at equal
+    depths, as hashing does.
     """
 
     class DeepContext(SketchContext):
         def _depths(self, rep, slots):
-            depths = super()._depths(rep, slots)
-            depths[np.isin(slots, deep_slots)] = self.spec.levels - 1
+            top = range(self.spec.levels)[level]
+            depths = np.minimum(super()._depths(rep, slots), top)
+            depths[np.isin(slots, deep_slots)] = top
             return depths
 
     return DeepContext
+
+
+def _tops(depth: np.ndarray, group: np.ndarray, n_groups: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per group, its deepest depth and how many of its incidences sit there."""
+    top = np.full(n_groups, -1)
+    np.maximum.at(top, group, depth)
+    return top, np.bincount(group[depth == top[group]], minlength=n_groups)
+
+
+def _tied_tops(depths: np.ndarray, group: np.ndarray, levels: int) -> str:
+    """Where some group's top cell holds two or more incidences, in any
+    repetition of ``(R, E)`` ``depths`` (a hypothesis statistics label)."""
+    if not group.size:
+        return "nothing kept"
+    tied = set()
+    for depth in depths:
+        top, count = _tops(depth, group, int(group.max()) + 1)
+        tied.update("at L - 1" if t == levels - 1 else "below L - 1" for t in top[count > 1])
+    return "tied top " + " and ".join(sorted(tied)) if tied else "no tied top"
 
 
 def _incidence_view(slots, signs, weights, group, n_groups: int):
@@ -218,10 +246,15 @@ def test_compact_trimmed_sample_matches_dense_oracle(data, inc):
         repetitions=data.draw(st.integers(1, 3)),
         hash_family=data.draw(st.sampled_from(["prf", "polynomial"])),
     )
-    context = _deep_context(deep)
+    # The deep slots sit at the clipped level L - 1 or at a drawn level
+    # below it, so most examples tie some group's top cell.
+    level = data.draw(st.one_of(st.just(-1), st.integers(-spec.levels, -1)), label="deep level")
+    context = _deep_context(deep, level)
 
     keep = cross if bound is None else cross & (weights < bound[group])
-    oracle = _dense_oracle(context(spec, slots, signs), group, n_groups, keep)
+    ctx = context(spec, slots, signs)
+    event(_tied_tops(ctx.depths[:, keep], group[keep], spec.levels))
+    oracle = _dense_oracle(ctx, group, n_groups, keep)
 
     cluster, parts = _incidence_view(slots, signs, weights, group, n_groups)
     with mock.patch.object(outgoing, "SketchContext", context):
@@ -467,6 +500,113 @@ def test_checked_cell_reads_the_incidences_at_its_own_column():
     # One batch: the five incidences that reach a checked cell, then the
     # two candidates' expected values.
     assert batches == [(0, [s1, s2, s3, t, u, 255, 328])]
+
+
+# --------------------------------------------------------------------------
+# The top cell: lone rows settle unscattered, only tied rows are scattered
+# --------------------------------------------------------------------------
+
+
+def _spied_sample(ctx: SketchContext, group: np.ndarray, n_groups: int):
+    """``sample_groups`` with ``_cells`` and ``_powers`` recorded; returns
+    the sample, the ``(bins, weights)`` of each cell scatter and the slots
+    of each power batch."""
+    real_cells, real_powers = l0._cells, SketchContext._powers
+    scatters, batches = [], []
+
+    def cells(bins, shape, weights, max_abs):
+        scatters.append((bins.copy(), weights.copy()))
+        return real_cells(bins, shape, weights, max_abs)
+
+    def powers(self, rep, slots):
+        batches.append(slots.tolist())
+        return real_powers(self, rep, slots)
+
+    with mock.patch.object(l0, "_cells", cells):
+        with mock.patch.object(SketchContext, "_powers", powers):
+            sample = ctx.sample_groups(group, n_groups)
+    return sample, scatters, batches
+
+
+def test_lone_tops_settle_without_a_scatter():
+    # Each group holds one incidence forced to the deepest level and two or
+    # four more below it, so each has cells of count +-1 under its top that
+    # hold several incidences (group 2 also a same-slot +- pair).  Every top
+    # cell holds one incidence, so every group takes it in repetition 0:
+    # no cell scatter and no power batch, the zero test included.
+    n = 40
+    a0, a1, a2 = 3 * n + 17, 6 * n + 31, 9 * n + 12
+    g0 = [a0, 5 * n + 9, 2 * n + 33]
+    g1 = [a1, 7 * n + 8, 1 * n + 5]
+    g2 = [a2, 4 * n + 6, 4 * n + 6, 8 * n + 1, 2 * n + 3]
+    slots = np.array(g0 + g1 + g2, dtype=np.uint64)
+    signs = np.array([1, 1, -1, -1, -1, 1, 1, 1, -1, 1, -1], dtype=np.int64)
+    group = np.array([0, 0, 0, 1, 1, 1, 2, 2, 2, 2, 2], dtype=np.int64)
+    spec = SketchSpec.for_graph(n, seed=17, repetitions=3)
+    ctx = _deep_context(np.array([a0, a1, a2], dtype=np.uint64))(spec, slots, signs)
+    assert (_tops(ctx.depths[0], group, 3)[1] == 1).all()
+    oracle = _dense_oracle(ctx, group, 3, np.ones(group.size, dtype=bool))
+    # Level 0 of each group is a count-+-1 cell of three or more incidences.
+    assert (np.abs(oracle.counts[:, :, 0]) == 1).all()
+
+    sample, scatters, batches = _spied_sample(ctx, group, 3)
+    assert _sample_bytes(sample) == _sample_bytes(_sample_oracle(oracle))
+    assert scatters == [] and batches == []
+    assert sample.slots.tolist() == [a0, a1, a2] and sample.signs.tolist() == [1, -1, 1]
+
+
+def test_cell_scatters_receive_exactly_the_tied_groups_incidences():
+    # Twelve groups of 4-9 incidences on G(64, .) slots; groups 0, 3, 6 and
+    # 9 hold two slots forced to the deepest level (tied tops), the others
+    # one (lone tops).  With one repetition, the count and id-sum scatters
+    # must see exactly the tied groups' incidences, in order, and every
+    # fingerprint scatter a subset of them.
+    n, n_groups = 64, 12
+    rng = np.random.default_rng(5)
+    sizes = rng.integers(4, 10, n_groups)
+    group = np.repeat(np.arange(n_groups), sizes)
+    slots = rng.choice(n * n, group.size, replace=False).astype(np.uint64)
+    signs = rng.choice([-1, 1], group.size).astype(np.int64)
+    starts = np.cumsum(sizes) - sizes
+    deep = np.concatenate([slots[starts], slots[starts[::3] + 1]])
+    spec = SketchSpec.for_graph(n, seed=23, repetitions=1)
+    ctx = _deep_context(deep)(spec, slots, signs)
+    _, top_counts = _tops(ctx.depths[0], group, n_groups)
+    assert np.flatnonzero(top_counts > 1).tolist() == [0, 3, 6, 9]
+    tied = np.flatnonzero(top_counts[group] > 1)
+
+    sample, scatters, _ = _spied_sample(ctx, group, n_groups)
+    _check_against_oracle(ctx, group, n_groups)
+    assert sample.found[top_counts == 1].all()
+    (_, count_w), (_, sum_w), *fingerprints = scatters
+    assert count_w.tolist() == signs[tied].tolist()
+    assert sum_w.tolist() == (slots[tied].astype(np.int64) * signs[tied]).tolist()
+    assert all(bins.size <= tied.size for bins, _ in fingerprints)
+
+
+def test_tied_tops_at_workload_shape():
+    # G(2048, 12288) cut under a random labeling into 200 components: about
+    # 120 incidences per group, candidates on many levels, and both lone
+    # and tied tops in every repetition.
+    n, m, n_groups = 2048, 12288, 200
+    graph = generators.gnm_random(n, m, seed=9)
+    owners = np.concatenate([graph.edges_u, graph.edges_v])
+    others = np.concatenate([graph.edges_v, graph.edges_u])
+    label = np.random.default_rng(9).integers(0, n_groups, n)
+    cut = label[owners] != label[others]
+    owners, others = owners[cut], others[cut]
+    slots = (np.minimum(owners, others) * n + np.maximum(owners, others)).astype(np.uint64)
+    signs = np.where(owners < others, 1, -1).astype(np.int64)
+    group = label[owners]
+    for family in ("polynomial", "prf"):
+        spec = SketchSpec.for_graph(n, seed=31, hash_family=family)
+        ctx = SketchContext(spec, slots, signs)
+        for depth in ctx.depths:
+            _, top_counts = _tops(depth, group, n_groups)
+            assert (top_counts == 1).any() and (top_counts > 1).any()
+        got = ctx.sample_groups(group, n_groups)
+        want = ctx.group_sums(group, n_groups).sample()
+        assert _sample_bytes(got) == _sample_bytes(want)
 
 
 # --------------------------------------------------------------------------

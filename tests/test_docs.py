@@ -28,9 +28,19 @@ def test_readme_exists_at_repo_root():
 
 def test_intra_repo_links_resolve():
     errors = []
-    for name in ("README.md", "DESIGN.md"):
-        errors.extend(check_docs.check_file(REPO_ROOT / name))
+    for path in check_docs.default_files():
+        errors.extend(check_docs.check_file(path))
     assert not errors, "\n".join(errors)
+
+
+def test_default_set_holds_every_guide_and_record():
+    """A new guide or benchmark record is link-checked without being listed."""
+    checked = set(check_docs.default_files())
+    for pattern in ("docs/*.md", "benchmarks/results/*.md"):
+        files = set(REPO_ROOT.glob(pattern))
+        assert files, pattern
+        assert files <= checked, sorted(str(p) for p in files - checked)
+    assert {REPO_ROOT / "README.md", REPO_ROOT / "DESIGN.md"} <= checked
 
 
 def test_checker_flags_broken_links(tmp_path):

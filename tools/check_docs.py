@@ -9,7 +9,8 @@ alone — CI must not depend on the network.
 
 Usage::
 
-    python tools/check_docs.py [FILE.md ...]     # default: README.md DESIGN.md docs/*.md
+    python tools/check_docs.py [FILE.md ...]
+    # default: README.md DESIGN.md docs/*.md benchmarks/results/*.md
 
 Exit codes: 0 all links resolve, 1 at least one broken link (each is
 printed as ``file:line: message``).
@@ -22,17 +23,17 @@ import sys
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-DEFAULT_FILES = (
-    "README.md",
-    "DESIGN.md",
-    "docs/live-graph.md",
-    "docs/update-plans.md",
-    "docs/corpus.md",
-)
+#: Every guide and every benchmark record is checked, so a new one is too.
+DEFAULT_GLOBS = ("README.md", "DESIGN.md", "docs/*.md", "benchmarks/results/*.md")
 
 #: ``[text](target)`` — good enough for these docs (no nested brackets).
 _LINK = re.compile(r"\[[^\]]+\]\(([^)\s]+)\)")
 _HEADING = re.compile(r"^#{1,6}\s+(.*)$")
+
+
+def default_files() -> list[Path]:
+    """The files checked when none are named, in ``DEFAULT_GLOBS`` order."""
+    return [path for pattern in DEFAULT_GLOBS for path in sorted(REPO_ROOT.glob(pattern))]
 
 
 def _slugify(heading: str) -> str:
@@ -82,7 +83,7 @@ def check_file(md_path: Path) -> list[str]:
 
 def main(argv: list[str] | None = None) -> int:
     args = sys.argv[1:] if argv is None else argv
-    files = [Path(a) for a in args] if args else [REPO_ROOT / f for f in DEFAULT_FILES]
+    files = [Path(a) for a in args] if args else default_files()
     errors: list[str] = []
     checked = 0
     for path in files:
