@@ -16,19 +16,20 @@ every group gets a row, every level of ``spec.levels`` is stored, the
 cells are accumulated one incidence at a time with Python integers, and
 every candidate is verified with Python's ``pow``.  Hypothesis covers
 random incidence lists, untouched groups, masks, weight bounds, a single
-group, empty selections and incidences forced to a drawn top level, so
-most examples tie some group's top cell, at ``L - 1`` or below it;
-deterministic cases reach each exact branch of ``sample_groups`` (a
-multi-occupancy candidate that verifies, a level-0 fingerprint that
-vanishes on a nonzero vector that sampled nothing, one that vanishes
-beside a verified sample, which settles the zero test, a group with no
-single-occupancy candidate in any repetition, a checked cell whose answer
-needs the incidences at its own column).  Three pin the top cell: a step
-of lone tops scatters and powers nothing, a mixed step scatters exactly
-the tied groups' incidences, and a cut of G(2048, 12288) at workload
-shape equals the dense sample under both hash families.  The remaining
-tests pin the sample fallback order, linearity on trimmed bundles, and
-the level trim on a large input.
+group, empty selections and incidences forced to a drawn top level; a
+sibling property keeps every incidence and forces two or three slots to
+that level, so most of its examples tie some group's top cell, at
+``L - 1`` or below it.  Deterministic cases reach each exact branch of
+``sample_groups`` (a multi-occupancy candidate that verifies, a level-0
+fingerprint that vanishes on a nonzero vector that sampled nothing, one
+that vanishes beside a verified sample, which settles the zero test, a
+group with no single-occupancy candidate in any repetition, a checked
+cell whose answer needs the incidences at its own column).  Three pin
+the top cell: a step of lone tops scatters and powers nothing, a mixed
+step scatters exactly the tied groups' incidences, and a cut of
+G(2048, 12288) at workload shape equals the dense sample under both
+hash families.  The remaining tests pin the sample fallback order,
+linearity on trimmed bundles, and the level trim on a large input.
 """
 
 from __future__ import annotations
@@ -194,9 +195,9 @@ def _sample_view(cluster, spec, parts, ids, bound):
 
 
 @st.composite
-def _incidences(draw):
+def _incidences(draw, min_edges: int = 0):
     n = draw(st.integers(min_value=2, max_value=48))
-    m = draw(st.integers(min_value=0, max_value=30))
+    m = draw(st.integers(min_value=min_edges, max_value=30))
     u = np.array(draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m)), dtype=np.int64)
     v = np.array(draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m)), dtype=np.int64)
     if draw(st.booleans()):
@@ -247,7 +248,7 @@ def test_compact_trimmed_sample_matches_dense_oracle(data, inc):
         hash_family=data.draw(st.sampled_from(["prf", "polynomial"])),
     )
     # The deep slots sit at the clipped level L - 1 or at a drawn level
-    # below it, so most examples tie some group's top cell.
+    # below it, so a group keeping two deep incidences ties its top cell.
     level = data.draw(st.one_of(st.just(-1), st.integers(-spec.levels, -1)), label="deep level")
     context = _deep_context(deep, level)
 
@@ -262,6 +263,31 @@ def test_compact_trimmed_sample_matches_dense_oracle(data, inc):
     assert _sample_bytes(sample) == _sample_bytes(_sample_oracle(oracle))
     assert np.array_equal(kept.ids, np.flatnonzero(keep))
     assert np.array_equal(kept.comp, group[keep])
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), inc=_incidences(min_edges=2))
+def test_tied_tops_match_dense_oracle(data, inc):
+    """sample_groups equals the dense oracle where top cells tie.
+
+    Every incidence is kept, and two or three drawn slots sit at a drawn
+    top level (``L - 1`` or below it), so most examples tie some group's
+    top cell, often beside another group's lone top.
+    """
+    n, slots, signs, _ = inc
+    n_groups = data.draw(st.integers(min_value=2, max_value=4), label="n_groups")
+    group = np.array([data.draw(st.integers(0, n_groups - 1)) for _ in slots], dtype=np.int64)
+    picks = data.draw(st.lists(st.integers(0, slots.size - 1), min_size=2, max_size=3, unique=True))
+    spec = SketchSpec.for_graph(
+        n,
+        seed=data.draw(st.integers(0, 1 << 30)),
+        repetitions=data.draw(st.integers(1, 3)),
+        hash_family=data.draw(st.sampled_from(["prf", "polynomial"])),
+    )
+    level = data.draw(st.one_of(st.just(-1), st.integers(-spec.levels, -1)), label="deep level")
+    ctx = _deep_context(np.unique(slots[picks]), level)(spec, slots, signs)
+    event(_tied_tops(ctx.depths, group, spec.levels))
+    _check_against_oracle(ctx, group, n_groups)
 
 
 @settings(max_examples=60, deadline=None)
